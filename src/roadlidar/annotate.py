@@ -1,7 +1,7 @@
 """Bounding-box fitting, size-heuristic validation and class assignment.
 
 A cluster becomes a box whose footprint is the minimum-area rotated
-rectangle of its XY projection (rotating calipers over the 2D convex hull)
+rectangle of its XY projection (rotating calipers over Qhull's 2D convex hull)
 and whose height spans the cluster's z extent.  Degenerate projections
 (single point, collinear) floor the collapsed dimensions at 1 cm.
 
@@ -68,30 +68,25 @@ class RejectedBox:
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Convex hull of (n, 2) points, counter-clockwise, no collinear vertices.
 
-    Andrew's monotone chain.  Returns 1 point for a degenerate single-point
-    set and 2 points for collinear input.
+    Qhull's hull, started at the lexicographically smallest vertex.  Returns
+    1 point for a degenerate single-point set and the 2 end points for
+    collinear input, which Qhull rejects as flat.
     """
+    # Deferred: importing scipy.spatial adds ~0.1 s to every CLI start, and
+    # only annotate fits boxes.
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = np.unique(points, axis=0)
     if len(pts) <= 2:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points identical after dedupe
-        return pts[:1]
-    return np.array(hull)
+    try:
+        vertices = ConvexHull(pts).vertices
+    except QhullError:
+        # flat within Qhull's precision: the extremes along the wider axis
+        axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
+        return pts[sorted({int(pts[:, axis].argmin()), int(pts[:, axis].argmax())})]
+    # pts is sorted, so the smallest index is the lexicographic minimum
+    return pts[np.roll(vertices, -int(vertices.argmin()))]
 
 
 def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -109,37 +104,40 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
         yaw = normalize_yaw_half(math.atan2(d[1], d[0]))
         return (hull[0] + hull[1]) / 2.0, float(np.hypot(d[0], d[1])), 0.0, yaw
 
-    best = None
+    # One row per hull edge, one column per hull point.  The angles and
+    # their sine and cosine come from math: numpy's may differ in the last
+    # ulp, which would move the labels.
+    edges = np.roll(hull, -1, axis=0) - hull
+    thetas = [math.atan2(dy, dx) for dx, dy in edges]
+    c = np.array([math.cos(t) for t in thetas])[:, None]
+    s = np.array([math.sin(t) for t in thetas])[:, None]
     x, y = hull[:, 0], hull[:, 1]
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-        theta = math.atan2(b[1] - a[1], b[0] - a[0])
-        c, s = math.cos(theta), math.sin(theta)
-        u = x * c + y * s
-        v = -x * s + y * c
-        du = u.max() - u.min()
-        dv = v.max() - v.min()
-        area = du * dv
-        if best is None:
-            take = True
-        else:
-            # exact area ties are geometric facts (every edge-aligned
-            # rectangle of an acute triangle has area 2x the triangle), so
-            # break them by the rotation-invariant longer side
-            tie_band = 1e-9 * max(area, best[0])
-            if area < best[0] - tie_band:
-                take = True
-            elif abs(area - best[0]) <= tie_band:
-                take = max(du, dv) > max(best[1], best[2])
-            else:
-                take = False
-        if take:
-            uc = (u.max() + u.min()) / 2.0
-            vc = (v.max() + v.min()) / 2.0
-            best = (area, du, dv, theta, uc, vc)
+    u = x * c + y * s
+    v = -x * s + y * c
+    u_min, u_max = u.min(axis=1), u.max(axis=1)
+    v_min, v_max = v.min(axis=1), v.max(axis=1)
+    du = u_max - u_min
+    dv = v_max - v_min
+    area = du * dv
 
-    _, du, dv, theta, uc, vc = best
+    best = 0
+    for i in range(1, len(thetas)):
+        # exact area ties are geometric facts (every edge-aligned rectangle
+        # of an acute triangle has area 2x the triangle), so break them by
+        # the rotation-invariant longer side
+        tie_band = 1e-9 * max(area[i], area[best])
+        if area[i] < area[best] - tie_band or (
+            abs(area[i] - area[best]) <= tie_band
+            and max(du[i], dv[i]) > max(du[best], dv[best])
+        ):
+            best = i
+
+    theta = thetas[best]
+    uc = (u_max[best] + u_min[best]) / 2.0
+    vc = (v_max[best] + v_min[best]) / 2.0
     c, s = math.cos(theta), math.sin(theta)
     center = np.array([uc * c - vc * s, uc * s + vc * c])
+    du, dv = du[best], dv[best]
     if du >= dv:
         return center, float(du), float(dv), normalize_yaw_half(theta)
     return center, float(dv), float(du), normalize_yaw_half(theta + math.pi / 2.0)

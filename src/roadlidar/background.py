@@ -162,11 +162,12 @@ def select_background(hist: DistanceHistogram, n_tall: int) -> BackgroundModel:
     return BackgroundModel(tall=tall)
 
 
-def filter_frame(frame: Frame, model: BackgroundModel, d_threshold: float) -> Frame:
-    """Replace background points with padding; foreground passes unchanged.
+def background_mask(frame: Frame, model: BackgroundModel, d_threshold: float) -> np.ndarray:
+    """Boolean mask of the background points, the ones filter_frame removes.
 
     A non-padding point at beam i is background iff some tall-bin mean d of
-    beam i satisfies ``|range - d| <= d_threshold``.  Padding stays padding.
+    beam i satisfies ``|range - d| <= d_threshold``.  Padding is never
+    background.
     """
     if d_threshold <= 0:
         raise DataError("d_threshold must be positive")
@@ -177,20 +178,20 @@ def filter_frame(frame: Frame, model: BackgroundModel, d_threshold: float) -> Fr
     r = point_ranges(frame.xyz)
     with np.errstate(invalid="ignore"):
         near = np.abs(r[:, None] - model.tall) <= d_threshold
-    background = near.any(axis=1) & ~frame.padding
+    return near.any(axis=1) & ~frame.padding
+
+
+def filter_frame(frame: Frame, model: BackgroundModel, d_threshold: float) -> Frame:
+    """Replace background points (see background_mask) with padding.
+
+    Foreground passes unchanged and padding stays padding.
+    """
+    background = background_mask(frame, model, d_threshold)
     if not background.any():
         return frame
     xyz = frame.xyz.copy()
     xyz[background] = 0.0
     return Frame(frame.timestamp_index, xyz, frame.padding | background)
-
-
-def background_mask(frame: Frame, model: BackgroundModel, d_threshold: float) -> np.ndarray:
-    """Boolean mask of the points filter_frame would remove."""
-    r = point_ranges(frame.xyz)
-    with np.errstate(invalid="ignore"):
-        near = np.abs(r[:, None] - model.tall) <= d_threshold
-    return near.any(axis=1) & ~frame.padding
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Subcommands: ``annotate`` (run the teachers), ``merge``, ``evaluate``,
 ``simulate`` and ``iterate``.  Each reads a declarative JSON configuration
-via ``--config``; ``--seed`` and ``--jobs`` override the configured values.
+via ``--config``.  ``simulate --seed`` overrides the scene's seed and
+``annotate --jobs`` the configured worker count; ``annotate`` also accepts
+``--seed`` and ignores it, because the teacher uses no randomness.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 invariant violation.
@@ -16,7 +18,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import ConfigError, DataError, InternalError
+from .core import ConfigError, DataError, InternalError, read_json_config
 from .evaluate import DEFAULT_IOU_THRESHOLDS, evaluate
 from .pipeline import (
     DEFAULT_ITERATE_SCORE_THRESHOLD,
@@ -34,15 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-
-def _read_json(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
@@ -73,7 +66,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.config:
         raise ConfigError("evaluate requires --config")
-    data = _read_json(args.config)
+    data = read_json_config(args.config)
     try:
         pred_dir = Path(data["pred_dir"])
         truth_dir = Path(data["truth_dir"])
@@ -108,7 +101,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_iterate(args: argparse.Namespace) -> int:
     if not args.config:
         raise ConfigError("iterate requires --config")
-    data = _read_json(args.config)
+    data = read_json_config(args.config)
     try:
         predictions = Path(data["predictions"])
         workspace = Path(data["workspace"])
@@ -135,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised auto-annotation for stationary roadside LiDAR.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, help_text in (
         ("annotate", "run one teacher per configured dataset"),
         ("merge", "unify labeled datasets into a training superset"),
@@ -142,12 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "render a synthetic scene with ground truth"),
         ("iterate", "turn detector predictions into next-round labels"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="declarative JSON configuration file")
-        p.add_argument("--seed", type=int, help="override the configured random seed")
-        p.add_argument("--jobs", type=int, help="override the configured worker count")
-        if name == "simulate":
-            p.add_argument("--out", help="output directory (default: scene_out)")
+        parsers[name] = sub.add_parser(name, help=help_text)
+        parsers[name].add_argument("--config", help="declarative JSON configuration file")
+    parsers["simulate"].add_argument("--seed", type=int, help="override the configured random seed")
+    parsers["simulate"].add_argument("--out", help="output directory (default: scene_out)")
+    parsers["annotate"].add_argument("--jobs", type=int, help="override the configured worker count")
+    parsers["annotate"].add_argument(
+        "--seed", type=int, help="ignored: the teacher uses no randomness"
+    )
     return parser
 
 

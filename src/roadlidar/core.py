@@ -24,6 +24,7 @@ On-disk formats:
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -266,6 +267,16 @@ class TeacherConfig:
         for name in ("d_threshold", "epsilon", "l_min", "h_min", "beta_min"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+
+
+def read_json_config(path: str | Path) -> dict:
+    """Parse a declarative JSON configuration file; any failure is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .core import (
     SensorMeta,
     TeacherConfig,
     load_frame_sequence,
+    read_json_config,
     read_labels,
     write_frame_file,
     write_labels,
@@ -126,19 +127,9 @@ def _parse_transform(data: dict | None) -> UnificationTransform:
     )
 
 
-def _load_json_config(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
 def parse_pipeline_config(path: str | Path) -> PipelineConfig:
     """Load the declarative pipeline configuration (JSON)."""
-    data = _load_json_config(path)
+    data = read_json_config(path)
     try:
         datasets = []
         for entry in data["datasets"]:
@@ -245,11 +236,6 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
     return TeacherRunResult(entry.name, labels_dir, stats)
 
 
-def _run_teacher_job(args: tuple[DatasetEntry, str]) -> TeacherRunResult:
-    entry, output_root = args
-    return run_teacher(entry, output_root)
-
-
 def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[str, str]]:
     """Run every dataset's teacher; one dataset's failure leaves others intact.
 
@@ -261,7 +247,7 @@ def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[s
     if config.parallelism > 1 and len(config.datasets) > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             futures = {
-                pool.submit(_run_teacher_job, (entry, str(config.output_root))): entry
+                pool.submit(run_teacher, entry, config.output_root): entry
                 for entry in config.datasets
             }
             for future, entry in futures.items():
@@ -296,7 +282,7 @@ class MergeInput:
 
 def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
     """Load the merge configuration: labeled inputs and the output root."""
-    data = _load_json_config(path)
+    data = read_json_config(path)
     try:
         inputs = [
             MergeInput(

@@ -21,7 +21,6 @@ delay (``start_time``), and hold their final pose once the path is consumed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +36,7 @@ from .core import (
     ObjectLabel,
     SensorMeta,
     normalize_yaw_half,
+    read_json_config,
     write_frame_file,
     write_label_file,
 )
@@ -399,7 +399,12 @@ def scene_from_dict(data: dict) -> SceneSpec:
         for prim in data.get("static", []):
             kind = prim["type"]
             if kind == "ground":
-                static.append(GroundPlane(z=float(prim.get("z", 0.0))))
+                static.append(
+                    GroundPlane(
+                        z=float(prim.get("z", 0.0)),
+                        jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
+                    )
+                )
             elif kind == "box":
                 static.append(
                     BoxObstacle(
@@ -451,13 +456,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
 
 
 def load_scene(path: str | Path) -> SceneSpec:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read scene file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scene file {path} is not valid JSON: {exc}") from exc
-    return scene_from_dict(data)
+    return scene_from_dict(read_json_config(path))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ computing a full distance matrix, no spatial indexing.  They follow the
 published per-point histogram / filtering procedure directly, with the same
 documented conventions as the production code (last-bin clamp, degenerate
 single-bin rule, padding exclusion, count-based tallness with low-index tie
-break), so agreement must be exact.
+break), so agreement must be exact.  The box fit is Andrew's monotone chain
+and a per-edge caliper loop; production uses Qhull and one vectorised
+projection, and the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from collections import deque
 
 import numpy as np
+
+from roadlidar.core import normalize_yaw_half
 
 
 def naive_point_range(p) -> float:
@@ -149,3 +153,78 @@ def canonical_partition(labels: np.ndarray) -> tuple[frozenset, frozenset]:
         clusters.append(frozenset(np.nonzero(labels == cid)[0].tolist()))
     noise = frozenset(np.nonzero(labels == -1)[0].tolist())
     return frozenset(clusters), noise
+
+
+def naive_convex_hull_2d(points: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain: counter-clockwise from the lexicographic minimum.
+
+    Returns 1 point for a single-point set and 2 points for collinear input.
+    """
+    pts = np.unique(points, axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[np.ndarray] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[np.ndarray] = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:  # all points identical after dedupe
+        return pts[:1]
+    return np.array(hull)
+
+
+def naive_min_area_rect(points: np.ndarray):
+    """Rotating calipers, one hull edge at a time: (center, long, short, yaw).
+
+    Same selection rule as production: smallest area, with areas within a
+    relative 1e-9 of each other tied and the tie going to the longer side.
+    """
+    hull = naive_convex_hull_2d(points)
+    if len(hull) == 1:
+        return hull[0], 0.0, 0.0, 0.0
+    if len(hull) == 2:
+        d = hull[1] - hull[0]
+        yaw = normalize_yaw_half(math.atan2(d[1], d[0]))
+        return (hull[0] + hull[1]) / 2.0, float(np.hypot(d[0], d[1])), 0.0, yaw
+
+    best = None
+    x, y = hull[:, 0], hull[:, 1]
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+        theta = math.atan2(b[1] - a[1], b[0] - a[0])
+        c, s = math.cos(theta), math.sin(theta)
+        u = x * c + y * s
+        v = -x * s + y * c
+        du = u.max() - u.min()
+        dv = v.max() - v.min()
+        area = du * dv
+        if best is None:
+            take = True
+        else:
+            tie_band = 1e-9 * max(area, best[0])
+            if area < best[0] - tie_band:
+                take = True
+            elif abs(area - best[0]) <= tie_band:
+                take = max(du, dv) > max(best[1], best[2])
+            else:
+                take = False
+        if take:
+            uc = (u.max() + u.min()) / 2.0
+            vc = (v.max() + v.min()) / 2.0
+            best = (area, du, dv, theta, uc, vc)
+
+    _, du, dv, theta, uc, vc = best
+    c, s = math.cos(theta), math.sin(theta)
+    center = np.array([uc * c - vc * s, uc * s + vc * c])
+    if du >= dv:
+        return center, float(du), float(dv), normalize_yaw_half(theta)
+    return center, float(dv), float(du), normalize_yaw_half(theta + math.pi / 2.0)

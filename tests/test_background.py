@@ -208,6 +208,16 @@ class TestFilterFrame:
         with pytest.raises(DataError, match="arity"):
             filter_frame(probe, model, 0.1)
 
+    def test_mask_rejects_single_point_frame_and_bad_threshold(self):
+        # a 1-point frame would broadcast against every beam of the model
+        seq = _seq_from_arrays([np.ones((3, 3))] * 2)
+        model = self._model(seq)
+        probe = Frame(1, np.ones((1, 3)), np.zeros(1, dtype=bool))
+        with pytest.raises(DataError, match="arity"):
+            background_mask(probe, model, 0.1)
+        with pytest.raises(DataError, match="d_threshold"):
+            background_mask(seq.frames[0], model, 0.0)
+
     def test_matches_naive_oracle_exactly(self):
         rng = np.random.default_rng(23)
         for _ in range(25):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roadlidar.cli import main
+from roadlidar.cli import build_parser, main
 from roadlidar.core import (
     CropBounds,
     LabelClass,
@@ -392,6 +392,20 @@ class TestCli:
             s = sorted((tmp_path / "seq" / name / "labels").glob("*.txt"))
             p = sorted((tmp_path / "par" / name / "labels").glob("*.txt"))
             assert [f.read_bytes() for f in s] == [f.read_bytes() for f in p]
+
+    def test_flags_only_where_honoured(self):
+        parser = build_parser()
+        args = parser.parse_args(["annotate", "--config", "c.json", "--seed", "3", "--jobs", "2"])
+        assert args.jobs == 2
+        assert parser.parse_args(["simulate", "--seed", "7"]).seed == 7
+        for argv in (
+            ["simulate", "--jobs", "2"],
+            ["merge", "--seed", "1"], ["merge", "--jobs", "2"],
+            ["evaluate", "--seed", "1"], ["evaluate", "--jobs", "2"],
+            ["iterate", "--seed", "1"], ["iterate", "--jobs", "2"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_missing_config_is_config_error(self):
         assert main(["annotate"]) == 1

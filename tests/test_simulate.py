@@ -147,7 +147,7 @@ class TestSceneConfig:
                     "range_noise_sigma": 0.01, "max_range": 50,
                 },
                 "static": [
-                    {"type": "ground", "z": 0.0},
+                    {"type": "ground", "z": 0.0, "jitter_sigma": 0.03},
                     {"type": "box", "center": [20, 0, 2], "dims": [1, 20, 4]},
                     {"type": "cylinder", "center": [10, 3], "radius": 0.5, "z_high": 4.0,
                      "jitter_sigma": 0.02},
@@ -162,6 +162,7 @@ class TestSceneConfig:
         )
         assert spec.duration == 7
         assert len(spec.static) == 3
+        assert spec.static[0].jitter_sigma == 0.03
         assert spec.actors[0].start_time == 1.0
         render_sequence(spec)  # renders without error
 
