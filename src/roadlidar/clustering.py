@@ -8,10 +8,36 @@ With those rules the labeling is fully deterministic and identical to the
 textbook seed-queue algorithm, which the tests assert against a brute-force
 transcription.
 
-The implementation is vectorized for LiDAR densities: a uniform hash grid
-with cell size epsilon generates the closed-ball adjacency in per-cell
-blocks, core points are clustered as connected components of the core-core
-subgraph, and border points take the minimum neighbor cluster id.
+The implementation is the cell argument of Gan & Tao, "DBSCAN Revisited"
+(SIGMOD 2015), made exact for floating point.  Points are sorted into cells
+of side epsilon/sqrt(3); two points within epsilon are at most two cells
+apart on every axis, so each cell looks only at the 5x5x5 window around it.
+Every distance test is the reference's ``d2 <= eps_sq`` (``eps_sq =
+epsilon * epsilon``, ``d2`` summed x, y, z in that order), so no test can
+disagree with the oracle.
+
+* A cell is *dense* when it holds at least ``min_pts`` points and the float
+  extent of its bounding box satisfies ``ex*ex + ey*ey + ez*ez <= eps_sq``.
+  Rounding is monotone, so no pair inside the box computes a larger ``d2``
+  than its extent: every point of a dense cell is core, untested.
+* The points of every other cell are tested against their whole window.
+  Those pairs give their exact neighbor counts, their core-core edges and,
+  for border points, the minimum cluster id among their core neighbors.
+* Core points are clustered as connected components of a small graph: a
+  chain through each dense cell, the core-core pairs above, and witness
+  edges between neighboring dense cells.  A witness is searched first
+  between the first point of one cell and all of the other in the
+  26-neighbor ring, then block-wise only for cell pairs whose components
+  still differ, ring 1 before ring 2.  Cell pairs whose bounding boxes are
+  farther apart than epsilon (same monotone argument) are never tested.
+  So every core-core pair within epsilon is either chained, tested as a
+  pair, or joins two cells that were already connected: the components
+  are those of the full epsilon-graph without building it.
+
+Cell keys are compressed per axis, clipping gaps between occupied key values
+to 3, which keeps every window relation; cells are then coded by the rank
+of their (x, y) column times the z range, so codes stay far inside int64
+for any frame that fits in memory.
 """
 
 from __future__ import annotations
@@ -38,45 +64,31 @@ class Cluster:
         return len(self.point_indices)
 
 
-def _neighbor_pairs(pts: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered pairs (i, j) with ||p_i - p_j|| <= epsilon, including i == j.
+_STEPS = np.arange(-2, 3)
+# Chebyshev ring (0, 1 or 2) of each of the 125 window offsets, x-major
+_RING = np.abs(np.meshgrid(_STEPS, _STEPS, _STEPS, indexing="ij")).max(axis=0).ravel()
 
-    Grid cells have side epsilon, so a point's neighbors lie in the 27
-    surrounding cells; distances are evaluated block-wise per cell.
-    """
-    n = len(pts)
-    keys = np.floor(pts / epsilon).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    boundaries = np.nonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))[0] + 1
-    members = np.split(order, boundaries)
-    cells = {tuple(keys[chunk[0]]): chunk for chunk in members}
 
-    eps_sq = epsilon * epsilon
-    rows, cols = [], []
-    for key, chunk in cells.items():
-        kx, ky, kz = key
-        buckets = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    bucket = cells.get((kx + dx, ky + dy, kz + dz))
-                    if bucket is not None:
-                        buckets.append(bucket)
-        cand = np.concatenate(buckets)
-        diff = pts[chunk][:, None, :] - pts[cand][None, :, :]
-        d2 = (
-            diff[:, :, 0] * diff[:, :, 0]
-            + diff[:, :, 1] * diff[:, :, 1]
-            + diff[:, :, 2] * diff[:, :, 2]
-        )
-        local_i, local_j = np.nonzero(d2 <= eps_sq)
-        rows.append(chunk[local_i])
-        cols.append(cand[local_j])
-    if not rows:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(rows), np.concatenate(cols)
+def _compress_axis(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-axis cell keys as 2.. with gaps over 2 clipped to 3, and a range
+    that leaves room for the +-2 window on both sides."""
+    values, inverse = np.unique(keys, return_inverse=True)
+    coords = np.concatenate(([2], 2 + np.cumsum(np.minimum(np.diff(values), 3))))
+    return coords[inverse], int(coords[-1]) + 3
+
+
+def _block_pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarray]:
+    """All (i, j) with i in block a and j in block b, for each pair of blocks."""
+    per = a_size * b_size
+    block = np.repeat(np.arange(len(per)), per)
+    local = np.arange(int(per.sum())) - np.repeat(np.cumsum(per) - per, per)
+    return a_start[block] + local // b_size[block], b_start[block] + local % b_size[block]
+
+
+def _components(n: int, edges_i: list, edges_j: list) -> np.ndarray:
+    i, j = np.concatenate(edges_i), np.concatenate(edges_j)
+    graph = csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 def dbscan_labels(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
@@ -87,41 +99,92 @@ def dbscan_labels(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=np.float64)
     n = len(pts)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    pair_i, pair_j = _neighbor_pairs(pts, epsilon)
-    counts = np.bincount(pair_i, minlength=n)
-    core = counts >= min_pts
-
     labels = np.full(n, NOISE, dtype=np.int64)
-    if not core.any():
+    if n == 0:
         return labels
+    eps_sq = epsilon * epsilon
 
-    cc_mask = core[pair_i] & core[pair_j]
-    graph = csr_matrix(
-        (np.ones(cc_mask.sum(), dtype=np.int8), (pair_i[cc_mask], pair_j[cc_mask])),
-        shape=(n, n),
+    # sort the points by cell; cells come out in ascending code order
+    keys = np.floor(pts / (epsilon / np.sqrt(3.0))).astype(np.int64)
+    (cx, _), (cy, ry), (cz, rz) = (_compress_axis(keys[:, axis]) for axis in range(3))
+    columns, column = np.unique(cx * ry + cy, return_inverse=True)
+    code = column * rz + cz
+    order = np.argsort(code, kind="stable")
+    p = pts[order]
+    code = code[order]
+    start = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    size = np.diff(np.append(start, n))
+    cells = code[start]
+    m = len(cells)
+    cell_of = np.repeat(np.arange(m), size)
+
+    def within(i, j):
+        diff = p[i] - p[j]
+        return diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2] <= eps_sq
+
+    lo = np.minimum.reduceat(p, start)
+    hi = np.maximum.reduceat(p, start)
+    ext = hi - lo
+    dense = (size >= min_pts) & (
+        ext[:, 0] * ext[:, 0] + ext[:, 1] * ext[:, 1] + ext[:, 2] * ext[:, 2] <= eps_sq
     )
-    _, comp = connected_components(graph, directed=False)
+
+    # occupied window cells: find the (x, y) column, then the cell in it
+    near_columns = columns[cells // rz][:, None] + (_STEPS[:, None] * ry + _STEPS).ravel()
+    col = np.minimum(np.searchsorted(columns, near_columns), len(columns) - 1)
+    col[columns[col] != near_columns] = -1  # codes of a missing column are negative
+    near_cells = (col[:, :, None] * rz + (cells % rz)[:, None, None] + _STEPS).reshape(m, -1)
+    found = np.minimum(np.searchsorted(cells, near_cells), m - 1)
+    a, offset = np.nonzero(cells[found] == near_cells)
+    b = found[a, offset]
+    gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+    close = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1] + gap[:, 2] * gap[:, 2] <= eps_sq
+    a, b, ring = a[close], b[close], _RING[offset[close]]
+
+    # points outside dense cells: exact neighbor pairs over the window
+    sparse = ~dense[a]
+    pi, pj = _block_pairs(start[a[sparse]], size[a[sparse]], start[b[sparse]], size[b[sparse]])
+    hit = within(pi, pj)
+    pi, pj = pi[hit], pj[hit]
+    core = dense[cell_of] | (np.bincount(pi, minlength=n) >= min_pts)
+
+    # core graph: chains through dense cells, core-core pairs, then witnesses
+    chain = np.flatnonzero(dense[cell_of[:-1]] & (cell_of[:-1] == cell_of[1:]))
+    linked = core[pi] & core[pj]
+    edges_i, edges_j = [chain, pi[linked]], [chain + 1, pj[linked]]
+    pair = dense[a] & dense[b] & (b > a)
+    a, b, ring = a[pair], b[pair], ring[pair]
+    first = ring == 1
+    wi, wj = _block_pairs(start[a[first]], np.ones(first.sum(), dtype=np.int64),
+                          start[b[first]], size[b[first]])
+    hit = within(wi, wj)
+    edges_i.append(wi[hit])
+    edges_j.append(wj[hit])
+    comp = _components(n, edges_i, edges_j)
+    for r in (1, 2):
+        todo = (ring == r) & (comp[start[a]] != comp[start[b]])
+        wi, wj = _block_pairs(start[a[todo]], size[a[todo]], start[b[todo]], size[b[todo]])
+        hit = within(wi, wj)
+        if hit.any():
+            edges_i.append(wi[hit])
+            edges_j.append(wj[hit])
+            comp = _components(n, edges_i, edges_j)
 
     # number clusters by ascending smallest core index (reference scan order)
-    core_idx = np.nonzero(core)[0]
-    comp_min = np.full(comp.max() + 1, n, dtype=np.int64)
-    np.minimum.at(comp_min, comp[core_idx], core_idx)
-    core_comps = np.unique(comp[core_idx])
-    rank = np.full(comp.max() + 1, -1, dtype=np.int64)
-    rank[core_comps[np.argsort(comp_min[core_comps], kind="stable")]] = np.arange(len(core_comps))
-    labels[core_idx] = rank[comp[core_idx]]
+    comp_of = np.empty(n, dtype=np.int64)
+    comp_of[order] = comp
+    core_idx = np.sort(order[core])
+    roots, first_core = np.unique(comp_of[core_idx], return_index=True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[roots[np.argsort(first_core)]] = np.arange(len(roots))
+    labels[core_idx] = rank[comp_of[core_idx]]
 
     # border points: earliest-numbered cluster with a core neighbor claims them
-    border_mask = ~core[pair_i] & core[pair_j]
-    if border_mask.any():
-        bi = pair_i[border_mask]
-        bj_label = labels[pair_j[border_mask]]
-        claim = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(claim, bi, bj_label)
-        claimed = claim < np.iinfo(np.int64).max
-        labels[claimed] = claim[claimed]
+    border = ~core[pi] & core[pj]
+    claim = np.full(n, n, dtype=np.int64)
+    np.minimum.at(claim, order[pi[border]], labels[order[pj[border]]])
+    claimed = claim < n
+    labels[claimed] = claim[claimed]
     return labels
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,7 +217,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
         noise_total += len(noise)
         labels_total += len(labels)
 
-    write_labels(labels_by_stem, labels_dir)
+    _write_labels_whole(labels_by_stem, labels_dir)
     stats = {
         "dataset": entry.name,
         "frames": len(seq),
@@ -234,6 +236,19 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
         "".join(r.format_line() + "\n" for r in rejects), encoding="utf-8"
     )
     return TeacherRunResult(entry.name, labels_dir, stats)
+
+
+def _write_labels_whole(labels_by_stem: dict[str, list[ObjectLabel]], labels_dir: Path) -> None:
+    """Replace ``labels_dir`` by exactly these label files.
+
+    The files are written into a sibling directory that is then renamed into
+    place, so a rerun leaves no label file of a frame that no longer exists.
+    """
+    staged = labels_dir.with_name(f".{labels_dir.name}.partial")
+    shutil.rmtree(staged, ignore_errors=True)
+    write_labels(labels_by_stem, staged)
+    shutil.rmtree(labels_dir, ignore_errors=True)
+    os.replace(staged, labels_dir)
 
 
 def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[str, str]]:
@@ -350,12 +365,15 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
 
 def _read_manifest(workspace: Path) -> dict:
     manifest_path = workspace / MANIFEST_NAME
-    if manifest_path.exists():
-        try:
-            return json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    return {"rounds": []}
+    if not manifest_path.exists():
+        return {"rounds": []}
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"unreadable manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("rounds"), list):
+        raise DataError(f"manifest {manifest_path} has no list of rounds")
+    return manifest
 
 
 def iterate(

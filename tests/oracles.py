@@ -7,7 +7,10 @@ documented conventions as the production code (last-bin clamp, degenerate
 single-bin rule, padding exclusion, count-based tallness with low-index tie
 break), so agreement must be exact.  The box fit is Andrew's monotone chain
 and a per-edge caliper loop; production uses Qhull and one vectorised
-projection, and the two must agree bit for bit.
+projection, and the two must agree bit for bit.  ``pairs_dbscan`` is the
+earlier production DBSCAN, which builds every neighbor pair on an epsilon
+grid; it needs memory linear in the pair count rather than quadratic in the
+point count, so it checks real-size frames that ``brute_dbscan`` cannot.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from roadlidar.core import normalize_yaw_half
 
@@ -143,6 +148,93 @@ def brute_dbscan(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
             q_neighbors = region(q)
             if len(q_neighbors) >= min_pts:
                 seeds.extend(int(r) for r in q_neighbors if labels[r] in (-2, -1))
+    return labels
+
+
+def _neighbor_pairs(pts: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered pairs (i, j) with ||p_i - p_j|| <= epsilon, including i == j.
+
+    Grid cells have side epsilon, so a point's neighbors lie in the 27
+    surrounding cells; distances are evaluated block-wise per cell.
+    """
+    n = len(pts)
+    keys = np.floor(pts / epsilon).astype(np.int64)
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    sorted_keys = keys[order]
+    boundaries = np.nonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))[0] + 1
+    members = np.split(order, boundaries)
+    cells = {tuple(keys[chunk[0]]): chunk for chunk in members}
+
+    eps_sq = epsilon * epsilon
+    rows, cols = [], []
+    for key, chunk in cells.items():
+        kx, ky, kz = key
+        buckets = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    bucket = cells.get((kx + dx, ky + dy, kz + dz))
+                    if bucket is not None:
+                        buckets.append(bucket)
+        cand = np.concatenate(buckets)
+        diff = pts[chunk][:, None, :] - pts[cand][None, :, :]
+        d2 = (
+            diff[:, :, 0] * diff[:, :, 0]
+            + diff[:, :, 1] * diff[:, :, 1]
+            + diff[:, :, 2] * diff[:, :, 2]
+        )
+        local_i, local_j = np.nonzero(d2 <= eps_sq)
+        rows.append(chunk[local_i])
+        cols.append(cand[local_j])
+    if not rows:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def pairs_dbscan(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
+    """Cluster labels per point: 0..C-1 for clusters, -1 for noise.
+
+    A core point has at least ``min_pts`` neighbors within ``epsilon``
+    (closed ball, itself included).
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    n = len(pts)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    pair_i, pair_j = _neighbor_pairs(pts, epsilon)
+    counts = np.bincount(pair_i, minlength=n)
+    core = counts >= min_pts
+
+    labels = np.full(n, -1, dtype=np.int64)
+    if not core.any():
+        return labels
+
+    cc_mask = core[pair_i] & core[pair_j]
+    graph = csr_matrix(
+        (np.ones(cc_mask.sum(), dtype=np.int8), (pair_i[cc_mask], pair_j[cc_mask])),
+        shape=(n, n),
+    )
+    _, comp = connected_components(graph, directed=False)
+
+    # number clusters by ascending smallest core index (reference scan order)
+    core_idx = np.nonzero(core)[0]
+    comp_min = np.full(comp.max() + 1, n, dtype=np.int64)
+    np.minimum.at(comp_min, comp[core_idx], core_idx)
+    core_comps = np.unique(comp[core_idx])
+    rank = np.full(comp.max() + 1, -1, dtype=np.int64)
+    rank[core_comps[np.argsort(comp_min[core_comps], kind="stable")]] = np.arange(len(core_comps))
+    labels[core_idx] = rank[comp[core_idx]]
+
+    # border points: earliest-numbered cluster with a core neighbor claims them
+    border_mask = ~core[pair_i] & core[pair_j]
+    if border_mask.any():
+        bi = pair_i[border_mask]
+        bj_label = labels[pair_j[border_mask]]
+        claim = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(claim, bi, bj_label)
+        claimed = claim < np.iinfo(np.int64).max
+        labels[claimed] = claim[claimed]
     return labels
 
 

@@ -51,6 +51,7 @@ from oracles import (
     naive_filter,
     naive_histogram,
     naive_select_tall,
+    pairs_dbscan,
 )
 
 META = SensorMeta("acc", 2, 2, 10.0)
@@ -146,6 +147,7 @@ def default_run():
         "fidelity_seconds": fidelity_seconds,
         "preds": preds,
         "truths": truth_by_stem,
+        "foreground": [f.xyz[~f.padding] for f in filtered_frames],
     }
 
 
@@ -417,3 +419,17 @@ class TestAcceptance:
             assert [f.name for f in prev_files] == [f.name for f in next_files]
             for a, b in zip(prev_files, next_files):
                 assert a.read_bytes() == b.read_bytes()
+
+
+def test_dbscan_matches_pairs_oracle_on_scene_frames(default_run):
+    """Real-size frames, where the O(n^2) brute force would need hundreds of MB."""
+    cfg = DEFAULT_TEACHER
+    sizes = np.array([len(pts) for pts in default_run["foreground"]])
+    picked = np.flatnonzero((sizes >= 2000) & (sizes <= 5000))
+    assert len(picked) >= 10, f"only {len(picked)} frames of 2k-5k points"
+    for k in picked[np.linspace(0, len(picked) - 1, 10).astype(int)]:
+        pts = default_run["foreground"][k]
+        np.testing.assert_array_equal(
+            dbscan_labels(pts, cfg["epsilon"], cfg["min_pts"]),
+            pairs_dbscan(pts, cfg["epsilon"], cfg["min_pts"]),
+        )

@@ -1,9 +1,13 @@
 """DBSCAN determinism and brute-force oracle equivalence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roadlidar.clustering import dbscan, dbscan_labels
+from roadlidar.clustering import NOISE, dbscan, dbscan_labels
 from roadlidar.core import DataError, Frame
 
 from oracles import brute_dbscan, canonical_partition
@@ -133,3 +137,118 @@ class TestDbscanProperties:
         pts = rng.uniform(-6, 6, (300, 3))
         clusters, _ = dbscan(_frame(pts), epsilon=0.9, min_pts=5)
         assert all(len(c) >= 5 for c in clusters)
+
+
+def _lattice(spacing, side=6):
+    g = np.arange(side) * spacing
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _cell_corner(epsilon):
+    """Largest coordinate that still falls in cell 0 (cells have side eps/sqrt(3))."""
+    side = epsilon / np.sqrt(3.0)
+    x = side
+    while np.floor(x / side) >= 1:
+        x = np.nextafter(x, 0.0)
+    return x
+
+
+class TestCellEdgeCases:
+    """Inputs that put distances exactly at epsilon, on cell faces and at cell bounds."""
+
+    def _assert_brute(self, pts, eps, min_pts):
+        np.testing.assert_array_equal(dbscan_labels(pts, eps, min_pts), brute_dbscan(pts, eps, min_pts))
+
+    @pytest.mark.parametrize("eps", [1.0, 0.7, 0.3, 0.02])
+    @pytest.mark.parametrize("spacing", ["eps", "half_root3", "side"])
+    def test_lattices_with_pairs_at_epsilon(self, eps, spacing):
+        # spacing eps: face neighbours at exactly eps; eps*sqrt(3)/2: the
+        # (2, 2, 2) cell offset holds the body diagonal at eps; eps/sqrt(3):
+        # one point per cell, on the cell faces
+        step = {"eps": eps, "half_root3": eps * math.sqrt(3) / 2, "side": eps / math.sqrt(3)}[spacing]
+        rng = np.random.default_rng(31)
+        pts = _lattice(step)
+        pts = pts[rng.permutation(len(pts))][:150]
+        for min_pts in (1, 2, 3, 5, 7, 9, 27):
+            self._assert_brute(pts, eps, min_pts)
+
+    @pytest.mark.parametrize("eps", [0.43, 0.5])
+    def test_cell_extent_at_and_past_epsilon(self, eps):
+        # the 8 corners of the largest box inside one cell: at eps 0.43 its
+        # float diagonal exceeds eps_sq (the cell is not dense however full),
+        # at 0.5 it equals eps_sq (the opposite corners are neighbours)
+        x = _cell_corner(eps)
+        diag = x * x + x * x + x * x  # summed as the distance test sums
+        assert (diag > eps * eps) if eps == 0.43 else (diag == eps * eps)
+        corners = _lattice(x, side=2)
+        pts = np.vstack([corners, corners + [4 * eps, 0.0, 0.0], [[x + 0.3 * eps, 0.0, 0.0]]])
+        for min_pts in range(1, 11):
+            self._assert_brute(pts, eps, min_pts)
+        labels = dbscan_labels(corners, eps, 8)
+        assert (labels == (0 if eps == 0.5 else NOISE)).all()
+
+    def test_cell_with_exactly_min_pts_points(self):
+        eps = 1.0
+        cell = np.array([[0.1, 0.1, 0.1], [0.2, 0.1, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.2]])
+        border = [[0.9, 0.1, 0.1]]  # next cell, within eps of all four
+        noise = [[5.0, 5.0, 5.0]]
+        pts = np.vstack([noise, cell, border])
+        for min_pts in (4, 5, 6):
+            self._assert_brute(pts, eps, min_pts)
+        np.testing.assert_array_equal(dbscan_labels(pts, eps, 4), [NOISE, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(dbscan_labels(pts, eps, 6), [NOISE] * 6)
+
+    def test_all_noise_and_single_point(self):
+        far = np.arange(20, dtype=float)[:, None] * [3.0, 0.0, 0.0]
+        np.testing.assert_array_equal(dbscan_labels(far, 1.0, 2), np.full(20, NOISE))
+        self._assert_brute(far, 1.0, 2)
+        one = np.array([[1.5, -2.0, 0.25]])
+        np.testing.assert_array_equal(dbscan_labels(one, 0.7, 1), [0])
+        np.testing.assert_array_equal(dbscan_labels(one, 0.7, 2), [NOISE])
+        assert dbscan_labels(np.empty((0, 3)), 0.7, 2).shape == (0,)
+
+    @pytest.mark.parametrize("distance", [1e6, 1e9])
+    def test_far_apart_clumps_small_epsilon(self, distance):
+        # cell keys near distance / (eps / sqrt(3)): far past int64 if cubed
+        rng = np.random.default_rng(33)
+        pts = np.vstack([
+            _ball([0, 0, 0], 15, 0.01, rng),
+            _ball([distance, -distance, distance], 15, 0.01, rng),
+            _ball([-distance, 0, 0.5 * distance], 3, 0.01, rng),
+        ])
+        labels = dbscan_labels(pts, 0.02, 4)
+        np.testing.assert_array_equal(labels, brute_dbscan(pts, 0.02, 4))
+        np.testing.assert_array_equal(labels, [0] * 15 + [1] * 15 + [NOISE] * 3)
+
+    def test_input_permutation(self):
+        rng = np.random.default_rng(34)
+        pts = np.vstack([
+            _ball([0, 0, 0], 30, 0.6, rng),
+            _ball([1.3, 0, 0], 30, 0.6, rng),
+            rng.uniform(-3, 3, (80, 3)),
+        ])
+        base = dbscan_labels(pts, 0.5, 4)
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(len(pts))
+            got = dbscan_labels(pts[perm], 0.5, 4)
+            np.testing.assert_array_equal(got, brute_dbscan(pts[perm], 0.5, 4))
+            core = np.array([
+                np.sum(np.sum((pts - q) ** 2, axis=1) <= 0.25) >= 4 for q in pts
+            ])
+            # core points keep their cluster up to renumbering
+            assert canonical_partition(np.where(core, base, NOISE)) == canonical_partition(
+                np.where(core[perm], got, NOISE)[np.argsort(perm)]
+            )
+
+    @given(
+        coords=st.lists(
+            st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=60
+        ),
+        eps=st.sampled_from([1.0, 2.0, 3.0, math.sqrt(2.0), math.sqrt(3.0), 1.5]),
+        scale=st.sampled_from([1.0, 0.5, 0.1]),
+        min_pts=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_lattice_ties_match_brute_force(self, coords, eps, scale, min_pts):
+        pts = np.array(coords, dtype=np.float64) * scale
+        self._assert_brute(pts, eps * scale, min_pts)

@@ -1,6 +1,7 @@
 """Teacher orchestration, superset merging, the iteration loop and the CLI."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,29 @@ class TestRunTeacher:
         s1 = (tmp_path / "run1" / "site_a" / "stats.json").read_bytes()
         s2 = (tmp_path / "run2" / "site_a" / "stats.json").read_bytes()
         assert s1 == s2
+
+    def test_rerun_after_frames_removed_leaves_no_stale_labels(self, scene_dir, tmp_path):
+        out, spec = scene_dir
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for src in sorted((out / "frames").glob("*.bin"))[:12]:
+            shutil.copy(src, frames / src.name)
+        entry = DatasetEntry(
+            name="site_a", frames_dir=frames, meta=_entry(scene_dir).meta,
+            teacher=_teacher_cfg(spec.sensor.beam_count, n_query=5),
+        )
+        first = run_teacher(entry, tmp_path / "out")
+        assert len(list(first.labels_dir.glob("*.txt"))) == 12
+        for f in sorted(frames.glob("*.bin"))[2::3]:
+            f.unlink()
+        result = run_teacher(entry, tmp_path / "out")
+        stems = sorted(f.stem for f in frames.glob("*.bin"))
+        assert len(stems) == 8
+        assert sorted(f.stem for f in result.labels_dir.glob("*.txt")) == stems
+        assert sorted(p.name for p in (tmp_path / "out" / "site_a").iterdir()) == [
+            "background.model", "labels", "rejects.log", "stats.json",
+        ]
+        assert result.stats["frames"] == 8
 
 
 class TestMergeSupersets:
@@ -423,6 +447,22 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(eval_cfg))
         assert main(["evaluate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("manifest", ["directory", b"\xff\xfe", b"{}", b"[]"])
+    def test_unreadable_manifest_is_data_error(self, tmp_path, manifest):
+        rng = np.random.default_rng(55)
+        write_labels(_prediction_labels(rng, score=lambda r: 1.0), tmp_path / "preds")
+        manifest_path = tmp_path / "ws" / "manifest.json"
+        if manifest == "directory":
+            manifest_path.mkdir(parents=True)
+        else:
+            manifest_path.parent.mkdir()
+            manifest_path.write_bytes(manifest)
+        cfg = {"predictions": str(tmp_path / "preds"), "workspace": str(tmp_path / "ws")}
+        path = tmp_path / "iterate.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["iterate", "--config", str(path)]) == 2
+        assert not (tmp_path / "ws" / "round_001").exists()
 
     def test_simulate_writes_outputs(self, tmp_path):
         scene = {
