@@ -186,12 +186,7 @@ def filter_frame(frame: Frame, model: BackgroundModel, d_threshold: float) -> Fr
 
     Foreground passes unchanged and padding stays padding.
     """
-    background = background_mask(frame, model, d_threshold)
-    if not background.any():
-        return frame
-    xyz = frame.xyz.copy()
-    xyz[background] = 0.0
-    return Frame(frame.timestamp_index, xyz, frame.padding | background)
+    return frame.without(background_mask(frame, model, d_threshold))
 
 
 # ---------------------------------------------------------------------------

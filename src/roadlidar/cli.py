@@ -2,17 +2,21 @@
 
 Subcommands: ``annotate`` (run the teachers), ``merge``, ``evaluate``,
 ``simulate`` and ``iterate``.  Each reads a declarative JSON configuration
-via ``--config``.  ``simulate --seed`` overrides the scene's seed and
-``annotate --jobs`` the configured worker count; ``annotate`` also accepts
-``--seed`` and ignores it, because the teacher uses no randomness.
+via ``--config``, which only ``simulate`` may omit.  ``simulate --seed``
+overrides the scene's seed and ``annotate --jobs`` the configured worker
+count; ``annotate`` also accepts ``--seed`` and ignores it, because the
+teacher uses no randomness.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
-invariant violation.
+invariant violation.  Exit 1 covers every malformed configuration: a missing
+``--config``, an unreadable file, invalid JSON, a missing field, a field or
+section of the wrong JSON type, and ``--jobs`` below 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -39,11 +43,9 @@ EXIT_INTERNAL = 3
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("annotate requires --config")
     config = parse_pipeline_config(args.config)
-    if args.jobs:
-        config.parallelism = args.jobs
+    if args.jobs is not None:
+        config = dataclasses.replace(config, parallelism=args.jobs)
     results, failures = run_annotate(config)
     for result in results:
         log.info("dataset %s: %s", result.name, json.dumps(result.stats, sort_keys=True))
@@ -55,8 +57,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("merge requires --config")
     inputs, output_root = parse_merge_config(args.config)
     index = merge_supersets(inputs, output_root)
     log.info("superset index written to %s", index)
@@ -64,16 +64,12 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("evaluate requires --config")
-    data = read_json_config(args.config)
-    try:
-        pred_dir = Path(data["pred_dir"])
-        truth_dir = Path(data["truth_dir"])
-        thresholds = tuple(float(t) for t in data.get("thresholds", DEFAULT_IOU_THRESHOLDS))
-        report_path = Path(data["report"]) if "report" in data else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid evaluate config: {exc}") from exc
+    pred_dir, truth_dir, thresholds, report_path = read_json_config(args.config, lambda data: (
+        Path(data["pred_dir"]),
+        Path(data["truth_dir"]),
+        tuple(float(t) for t in data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
+        Path(data["report"]) if "report" in data else None,
+    ))
     report = evaluate(pred_dir, truth_dir, thresholds, report_path)
     print(report.to_table())
     if report_path is not None:
@@ -99,15 +95,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("iterate requires --config")
-    data = read_json_config(args.config)
-    try:
-        predictions = Path(data["predictions"])
-        workspace = Path(data["workspace"])
-        threshold = float(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid iterate config: {exc}") from exc
+    predictions, workspace, threshold = read_json_config(args.config, lambda data: (
+        Path(data["predictions"]),
+        Path(data["workspace"]),
+        float(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
+    ))
     round_dir = iterate(predictions, workspace, threshold)
     log.info("next-round labels written to %s", round_dir)
     return EXIT_OK
@@ -152,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.config and args.command != "simulate":
+            raise ConfigError(f"{args.command} requires --config")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)

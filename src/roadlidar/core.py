@@ -28,11 +28,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+T = TypeVar("T")
 
 # Bytes per point record in frame files: 4 x float32.
 _POINT_RECORD_BYTES = 16
@@ -159,11 +161,13 @@ class Frame:
     def n_data_points(self) -> int:
         return int((~self.padding).sum())
 
-
-def padding_frame_like(frame: Frame) -> Frame:
-    """All-padding frame with the same arity and timestamp."""
-    n = frame.n_points
-    return Frame(frame.timestamp_index, np.zeros((n, 3)), np.ones(n, dtype=bool))
+    def without(self, drop: np.ndarray) -> "Frame":
+        """This frame with the ``drop`` points replaced by padding (itself if none)."""
+        if not drop.any():
+            return self
+        xyz = self.xyz.copy()
+        xyz[drop] = 0.0
+        return Frame(self.timestamp_index, xyz, self.padding | drop)
 
 
 @dataclass
@@ -233,13 +237,6 @@ class ObjectLabel:
     def center(self) -> np.ndarray:
         return np.array([self.center_x, self.center_y, self.center_z])
 
-    def with_source(self, source: LabelSource) -> "ObjectLabel":
-        return ObjectLabel(
-            self.center_x, self.center_y, self.center_z,
-            self.length, self.width, self.height,
-            self.yaw, self.label_class, self.score, source,
-        )
-
 
 @dataclass(frozen=True)
 class TeacherConfig:
@@ -269,14 +266,34 @@ class TeacherConfig:
                 raise ConfigError(f"{name} must be positive")
 
 
-def read_json_config(path: str | Path) -> dict:
-    """Parse a declarative JSON configuration file; any failure is a ConfigError."""
+def read_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
+    """Parse a declarative JSON configuration file into settings via ``build``.
+
+    ``build`` turns the parsed JSON into typed settings and need not guard its
+    field reads: a missing field, or a field or section of the wrong JSON
+    type, surfaces as a ConfigError naming the file, as do an unreadable file
+    and invalid JSON.  A ConfigError that ``build`` raises passes unchanged.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    try:
+        return build(data)
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"invalid config {path}: {detail}") from exc
+
+
+def json_floats(value: Any, n: int) -> tuple[float, ...]:
+    """A config field holding a list of exactly ``n`` numbers, as floats."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ValueError(f"expected a list of {n} numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .annotate import RejectedBox, annotate_frame
 from .background import (
@@ -39,6 +40,7 @@ from .core import (
     ObjectLabel,
     SensorMeta,
     TeacherConfig,
+    json_floats,
     load_frame_sequence,
     read_json_config,
     read_labels,
@@ -121,47 +123,40 @@ def _parse_teacher(data: dict) -> TeacherConfig:
 
 
 def _parse_transform(data: dict | None) -> UnificationTransform:
-    if not data:
+    if data is None:
         return UnificationTransform()
     return UnificationTransform(
-        translation=tuple(float(v) for v in data.get("translation", (0.0, 0.0, 0.0))),
+        translation=json_floats(data.get("translation", (0.0, 0.0, 0.0)), 3),
         scale=float(data.get("scale", 1.0)),
+    )
+
+
+def _parse_dataset(entry: dict) -> DatasetEntry:
+    meta = _parse_sensor(entry["sensor"])
+    teacher = _parse_teacher(entry["teacher"])
+    if meta.beam_count > teacher.n_total:
+        raise ConfigError(
+            f"dataset '{entry.get('name')}': sensor beam count {meta.beam_count} "
+            f"exceeds n_total {teacher.n_total}"
+        )
+    model_in = entry.get("background_model_in")
+    return DatasetEntry(
+        name=str(entry["name"]),
+        frames_dir=Path(entry["frames"]),
+        meta=meta,
+        teacher=teacher,
+        transform=_parse_transform(entry.get("transform")),
+        background_model_in=Path(model_in) if model_in else None,
     )
 
 
 def parse_pipeline_config(path: str | Path) -> PipelineConfig:
     """Load the declarative pipeline configuration (JSON)."""
-    data = read_json_config(path)
-    try:
-        datasets = []
-        for entry in data["datasets"]:
-            meta = _parse_sensor(entry["sensor"])
-            teacher = _parse_teacher(entry["teacher"])
-            if meta.beam_count > teacher.n_total:
-                raise ConfigError(
-                    f"dataset '{entry.get('name')}': sensor beam count {meta.beam_count} "
-                    f"exceeds n_total {teacher.n_total}"
-                )
-            model_in = entry.get("background_model_in")
-            datasets.append(
-                DatasetEntry(
-                    name=str(entry["name"]),
-                    frames_dir=Path(entry["frames"]),
-                    meta=meta,
-                    teacher=teacher,
-                    transform=_parse_transform(entry.get("transform")),
-                    background_model_in=Path(model_in) if model_in else None,
-                )
-            )
-        return PipelineConfig(
-            datasets=datasets,
-            output_root=Path(data["output_root"]),
-            parallelism=int(data.get("parallelism", 1)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid pipeline config {path}: {exc}") from exc
+    return read_json_config(path, lambda data: PipelineConfig(
+        datasets=[_parse_dataset(entry) for entry in data["datasets"]],
+        output_root=Path(data["output_root"]),
+        parallelism=int(data.get("parallelism", 1)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +212,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
         noise_total += len(noise)
         labels_total += len(labels)
 
-    _write_labels_whole(labels_by_stem, labels_dir)
+    _publish_whole(labels_dir, lambda staged: write_labels(labels_by_stem, staged))
     stats = {
         "dataset": entry.name,
         "frames": len(seq),
@@ -238,17 +233,18 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
     return TeacherRunResult(entry.name, labels_dir, stats)
 
 
-def _write_labels_whole(labels_by_stem: dict[str, list[ObjectLabel]], labels_dir: Path) -> None:
-    """Replace ``labels_dir`` by exactly these label files.
+def _publish_whole(directory: Path, write: Callable[[Path], None]) -> None:
+    """Replace ``directory`` by exactly the files ``write`` puts into it.
 
-    The files are written into a sibling directory that is then renamed into
-    place, so a rerun leaves no label file of a frame that no longer exists.
+    ``write`` fills a sibling staging directory that is then renamed into
+    place, so a rerun leaves no file of a frame that no longer exists.
     """
-    staged = labels_dir.with_name(f".{labels_dir.name}.partial")
+    staged = directory.with_name(f".{directory.name}.partial")
     shutil.rmtree(staged, ignore_errors=True)
-    write_labels(labels_by_stem, staged)
-    shutil.rmtree(labels_dir, ignore_errors=True)
-    os.replace(staged, labels_dir)
+    staged.mkdir(parents=True)
+    write(staged)
+    shutil.rmtree(directory, ignore_errors=True)
+    os.replace(staged, directory)
 
 
 def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[str, str]]:
@@ -295,25 +291,26 @@ class MergeInput:
     transform: UnificationTransform
 
 
+def _parse_merge_input(entry: dict) -> MergeInput:
+    return MergeInput(
+        name=str(entry["name"]),
+        frames_dir=Path(entry["frames"]),
+        labels_dir=Path(entry["labels"]),
+        meta=_parse_sensor(entry["sensor"]),
+        transform=_parse_transform(entry.get("transform")),
+    )
+
+
 def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
     """Load the merge configuration: labeled inputs and the output root."""
-    data = read_json_config(path)
-    try:
-        inputs = [
-            MergeInput(
-                name=str(entry["name"]),
-                frames_dir=Path(entry["frames"]),
-                labels_dir=Path(entry["labels"]),
-                meta=_parse_sensor(entry["sensor"]),
-                transform=_parse_transform(entry.get("transform")),
-            )
-            for entry in data["inputs"]
-        ]
-        return inputs, Path(data["output_root"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid merge config {path}: {exc}") from exc
+    return read_json_config(path, lambda data: (
+        [_parse_merge_input(entry) for entry in data["inputs"]], Path(data["output_root"])
+    ))
+
+
+def _write_frames(seq: FrameSequence, directory: Path) -> None:
+    for frame, stem in zip(seq.frames, seq.stems):
+        write_frame_file(directory / f"{stem}.bin", frame.xyz)
 
 
 def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
@@ -322,10 +319,14 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     Frames and labels are mapped into the common coordinate frame (labels
     transform covariantly) and listed in an index file with provenance tags:
     one ``name frame_path label_path`` line per frame.  No labels are created,
-    dropped or deduplicated by merging.
+    dropped or deduplicated by merging.  Each dataset's ``frames/`` and
+    ``labels/`` are replaced whole, so a rerun leaves no stale files.
     """
     if not inputs:
         raise ConfigError("merge needs at least one labeled dataset")
+    names = [item.name for item in inputs]
+    if len(set(names)) != len(names):
+        raise ConfigError("merge input names must be distinct (they name output directories)")
     output_root = Path(output_root)
     output_root.mkdir(parents=True, exist_ok=True)
     index_lines = []
@@ -339,21 +340,18 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
             raise DataError(
                 f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
             )
-        ds_dir = output_root / item.name
-        frames_out = ds_dir / "frames"
-        labels_out = ds_dir / "labels"
-        frames_out.mkdir(parents=True, exist_ok=True)
-        labels_out.mkdir(parents=True, exist_ok=True)
+        frames_out = output_root / item.name / "frames"
+        labels_out = output_root / item.name / "labels"
         transformed = {
             stem: [transform_label(lb, item.transform) for lb in labels[stem]]
             for stem in seq_t.stems
         }
-        write_labels(transformed, labels_out)
-        for frame, stem in zip(seq_t.frames, seq_t.stems):
-            write_frame_file(frames_out / f"{stem}.bin", frame.xyz)
-            index_lines.append(
-                f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
-            )
+        _publish_whole(labels_out, lambda staged: write_labels(transformed, staged))
+        _publish_whole(frames_out, lambda staged: _write_frames(seq_t, staged))
+        index_lines += [
+            f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
+            for stem in seq_t.stems
+        ]
     index_path = output_root / "index.txt"
     index_path.write_text("".join(index_lines), encoding="utf-8")
     return index_path

@@ -31,7 +31,7 @@ class UnificationTransform:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ConfigError("unification scale must be positive")
         if not np.all(np.isfinite(self.translation)):
             raise ConfigError("unification translation must be finite")
@@ -81,13 +81,7 @@ def crop_frame(frame: Frame, bounds: CropBounds) -> Frame:
     Arity is preserved so index j stays stable across frames; boundary points
     are kept.  Idempotent, and padding never turns back into data.
     """
-    inside = bounds.contains(frame.xyz)
-    drop = ~inside & ~frame.padding
-    if not drop.any():
-        return frame
-    xyz = frame.xyz.copy()
-    xyz[drop] = 0.0
-    return Frame(frame.timestamp_index, xyz, frame.padding | drop)
+    return frame.without(~bounds.contains(frame.xyz) & ~frame.padding)
 
 
 def apply_transform_points(xyz: np.ndarray, padding: np.ndarray, transform: UnificationTransform) -> np.ndarray:

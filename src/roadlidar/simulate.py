@@ -35,6 +35,7 @@ from .core import (
     LabelSource,
     ObjectLabel,
     SensorMeta,
+    json_floats,
     normalize_yaw_half,
     read_json_config,
     write_frame_file,
@@ -382,81 +383,80 @@ def read_mask(path: str | Path) -> np.ndarray:
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
-    """Build a SceneSpec from parsed declarative configuration."""
-    try:
-        sensor_cfg = data.get("sensor", {})
-        sensor = SensorModel(
-            origin=tuple(sensor_cfg.get("origin", (0.0, 0.0, 4.0))),
-            azimuth_deg=tuple(sensor_cfg.get("azimuth_deg", (-180.0, 180.0))),
-            azimuth_count=int(sensor_cfg.get("azimuth_count", 1024)),
-            elevation_deg=tuple(sensor_cfg.get("elevation_deg", (-22.5, 22.5))),
-            elevation_count=int(sensor_cfg.get("elevation_count", 64)),
-            frequency_hz=float(sensor_cfg.get("frequency_hz", 10.0)),
-            range_noise_sigma=float(sensor_cfg.get("range_noise_sigma", 0.0)),
-            max_range=float(sensor_cfg.get("max_range", 120.0)),
-        )
-        static = []
-        for prim in data.get("static", []):
-            kind = prim["type"]
-            if kind == "ground":
-                static.append(
-                    GroundPlane(
-                        z=float(prim.get("z", 0.0)),
-                        jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
-                    )
-                )
-            elif kind == "box":
-                static.append(
-                    BoxObstacle(
-                        center=tuple(prim["center"]),
-                        dims=tuple(prim["dims"]),
-                        yaw=float(prim.get("yaw", 0.0)),
-                        jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
-                    )
-                )
-            elif kind == "cylinder":
-                static.append(
-                    CylinderObstacle(
-                        center_xy=tuple(prim["center"]),
-                        radius=float(prim["radius"]),
-                        z_low=float(prim.get("z_low", 0.0)),
-                        z_high=float(prim["z_high"]),
-                        jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
-                    )
-                )
-            else:
-                raise ConfigError(f"unknown static primitive type '{kind}'")
-        actors = []
-        for a in data.get("actors", []):
-            if a["shape"] == "cuboid":
-                dims = (float(a["length"]), float(a["width"]), float(a["height"]))
-            else:
-                dims = (float(a["radius"]), float(a["height"]))
-            actors.append(
-                Actor(
-                    shape=a["shape"],
-                    dims=dims,
-                    waypoints=tuple((float(x), float(y)) for x, y in a["waypoints"]),
-                    speed=float(a["speed"]),
-                    start_time=float(a.get("start_time", 0.0)),
+    """Build a SceneSpec from parsed declarative configuration.
+
+    A malformed field raises the plain Python error; ``load_scene`` reports it
+    as a ConfigError naming the file.
+    """
+    sensor_cfg = data.get("sensor", {})
+    sensor = SensorModel(
+        origin=json_floats(sensor_cfg.get("origin", (0.0, 0.0, 4.0)), 3),
+        azimuth_deg=json_floats(sensor_cfg.get("azimuth_deg", (-180.0, 180.0)), 2),
+        azimuth_count=int(sensor_cfg.get("azimuth_count", 1024)),
+        elevation_deg=json_floats(sensor_cfg.get("elevation_deg", (-22.5, 22.5)), 2),
+        elevation_count=int(sensor_cfg.get("elevation_count", 64)),
+        frequency_hz=float(sensor_cfg.get("frequency_hz", 10.0)),
+        range_noise_sigma=float(sensor_cfg.get("range_noise_sigma", 0.0)),
+        max_range=float(sensor_cfg.get("max_range", 120.0)),
+    )
+    static = []
+    for prim in data.get("static", []):
+        kind = prim["type"]
+        if kind == "ground":
+            static.append(
+                GroundPlane(
+                    z=float(prim.get("z", 0.0)),
+                    jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
                 )
             )
-        return SceneSpec(
-            sensor=sensor,
-            static=static,
-            actors=actors,
-            duration=int(data.get("duration", 100)),
-            seed=int(data.get("seed", 0)),
-            min_truth_points=int(data.get("min_truth_points", 5)),
+        elif kind == "box":
+            static.append(
+                BoxObstacle(
+                    center=json_floats(prim["center"], 3),
+                    dims=json_floats(prim["dims"], 3),
+                    yaw=float(prim.get("yaw", 0.0)),
+                    jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
+                )
+            )
+        elif kind == "cylinder":
+            static.append(
+                CylinderObstacle(
+                    center_xy=json_floats(prim["center"], 2),
+                    radius=float(prim["radius"]),
+                    z_low=float(prim.get("z_low", 0.0)),
+                    z_high=float(prim["z_high"]),
+                    jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
+                )
+            )
+        else:
+            raise ConfigError(f"unknown static primitive type '{kind}'")
+    actors = []
+    for a in data.get("actors", []):
+        if a["shape"] == "cuboid":
+            dims = (float(a["length"]), float(a["width"]), float(a["height"]))
+        else:
+            dims = (float(a["radius"]), float(a["height"]))
+        actors.append(
+            Actor(
+                shape=a["shape"],
+                dims=dims,
+                waypoints=tuple((float(x), float(y)) for x, y in a["waypoints"]),
+                speed=float(a["speed"]),
+                start_time=float(a.get("start_time", 0.0)),
+            )
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid scene configuration: {exc}") from exc
+    return SceneSpec(
+        sensor=sensor,
+        static=static,
+        actors=actors,
+        duration=int(data.get("duration", 100)),
+        seed=int(data.get("seed", 0)),
+        min_truth_points=int(data.get("min_truth_points", 5)),
+    )
 
 
 def load_scene(path: str | Path) -> SceneSpec:
-    return scene_from_dict(read_json_config(path))
+    return read_json_config(path, scene_from_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from roadlidar.cli import build_parser, main
 from roadlidar.core import (
+    ConfigError,
     CropBounds,
     LabelClass,
     LabelSource,
@@ -189,6 +190,36 @@ class TestRunTeacher:
 
 
 class TestMergeSupersets:
+    def _six_frame_input(self, scene_dir, tmp_path):
+        out, _ = scene_dir
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        for src in sorted((out / "frames").glob("*.bin"))[:6]:
+            shutil.copy(src, frames / src.name)
+        write_labels({f.stem: [] for f in frames.glob("*.bin")}, labels)
+        transform = UnificationTransform((5.0, 0.0, 0.0))
+        return MergeInput("site_a", frames, labels, _entry(scene_dir).meta, transform)
+
+    def test_rerun_after_frames_removed_leaves_no_stale_files(self, scene_dir, tmp_path):
+        item = self._six_frame_input(scene_dir, tmp_path)
+        merge_supersets([item], tmp_path / "merged")
+        for f in sorted(item.frames_dir.glob("*.bin"))[::3]:
+            f.unlink()
+            (item.labels_dir / f"{f.stem}.txt").unlink()
+        index = merge_supersets([item], tmp_path / "merged")
+        stems = sorted(f.stem for f in item.frames_dir.glob("*.bin"))
+        assert len(stems) == 4
+        assert len(index.read_text().splitlines()) == 4
+        ds_dir = tmp_path / "merged" / "site_a"
+        assert sorted(f.stem for f in (ds_dir / "frames").iterdir()) == stems
+        assert sorted(f.stem for f in (ds_dir / "labels").iterdir()) == stems
+        assert not list((tmp_path / "merged").rglob("*.partial"))
+
+    def test_duplicate_input_names_rejected(self, scene_dir, tmp_path):
+        item = self._six_frame_input(scene_dir, tmp_path)
+        with pytest.raises(ConfigError, match="distinct"):
+            merge_supersets([item, item], tmp_path / "merged")
+
     def test_single_identity_dataset(self, scene_dir, tmp_path):
         result = run_teacher(_entry(scene_dir), tmp_path / "t")
         out, spec = scene_dir
@@ -431,13 +462,82 @@ class TestCli:
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 
-    def test_missing_config_is_config_error(self):
-        assert main(["annotate"]) == 1
+    @pytest.mark.parametrize("command", ["annotate", "merge", "evaluate", "iterate"])
+    def test_missing_config_is_config_error(self, command):
+        assert main([command]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_config_error(self, scene_dir, tmp_path, jobs):
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(TestConfigParsing()._config_dict(scene_dir, tmp_path)))
+        assert main(["annotate", "--config", str(path), "--jobs", jobs]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, where, value",
+        [
+            ("annotate", ("datasets", 0, "sensor"), [240, 185]),
+            ("annotate", ("datasets", 0, "transform"), "shifted"),
+            ("annotate", ("datasets", 0, "teacher", "n_total"), float("inf")),
+            ("merge", ("inputs", 0, "transform"), [50.0, 0.0, 0.0]),
+            ("merge", ("inputs", 0, "transform"), {"translation": [50.0, 0.0]}),
+            ("simulate", (), []),
+            ("simulate", ("sensor",), [0.0, 0.0, 3.0]),
+            ("simulate", ("sensor", "origin"), [0.0, 3.0]),
+            ("evaluate", (), []),
+            ("iterate", (), []),
+        ],
+        ids=[
+            "annotate-sensor-list", "annotate-transform-string", "annotate-n_total-infinite",
+            "merge-transform-list", "merge-translation-short", "simulate-list",
+            "simulate-sensor-list", "simulate-origin-short",
+            "evaluate-list", "iterate-list",
+        ],
+    )
+    def test_malformed_config_is_config_error(
+        self, scene_dir, tmp_path, caplog, command, where, value
+    ):
+        config = {
+            "annotate": TestConfigParsing()._config_dict(scene_dir, tmp_path),
+            "merge": {
+                "output_root": str(tmp_path / "merged"),
+                "inputs": [{
+                    "name": "site_a", "frames": "frames", "labels": "labels",
+                    "sensor": {"rays_horizontal": 120, "rays_vertical": 80},
+                }],
+            },
+            "simulate": {"duration": 1, "sensor": {"azimuth_count": 8, "elevation_count": 4}},
+            "evaluate": {"pred_dir": "pred", "truth_dir": "truth"},
+            "iterate": {"predictions": "preds", "workspace": "ws"},
+        }[command]
+        if where:
+            parent = config
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = value
+        else:
+            config = value
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "rendered")]
+        assert main(argv) == 1
+        assert str(path) in caplog.text
 
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{broken")
         assert main(["annotate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "too-deep"]
+    )
+    def test_undecodable_config_is_config_error(self, tmp_path, caplog, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert str(path) in caplog.text
 
     def test_missing_data_is_data_error(self, tmp_path):
         eval_cfg = {

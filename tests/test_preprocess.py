@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roadlidar.core import CropBounds, DataError, Frame, FrameSequence, SensorMeta
+from roadlidar.core import ConfigError, CropBounds, DataError, Frame, FrameSequence, SensorMeta
 from roadlidar.preprocess import (
     UnificationTransform,
     crop_frame,
@@ -158,6 +158,11 @@ class TestUnifyDatasets:
         (out,) = unify_datasets([seq], [UnificationTransform(translation=(7.0, 0.0, 0.0))])
         np.testing.assert_array_equal(out.frames[0].xyz[1], 0.0)
         assert out.frames[0].padding[1]
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_non_positive_scale_is_config_error(self, scale):
+        with pytest.raises(ConfigError, match="scale"):
+            UnificationTransform(scale=scale)
 
     def test_length_mismatch(self):
         seq = _seq([_frame([[1, 2, 3]])])
