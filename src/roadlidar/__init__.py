@@ -33,7 +33,7 @@ from .background import (
     filter_frame,
     select_background,
 )
-from .clustering import Cluster, dbscan
+from .clustering import dbscan
 from .annotate import FittedBox, annotate_frame, classify, fit_bbox, validate_bbox
 from .evaluate import EvalReport, average_precision, evaluate, iou_3d, match_detections
 
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackgroundModel",
-    "Cluster",
     "ConfigError",
     "CropBounds",
     "DataError",

@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .clustering import Cluster
 from .core import (
     DataError,
     Frame,
@@ -46,7 +45,6 @@ class FittedBox:
     width: float
     height: float
     yaw: float
-    point_count: int
 
     @property
     def base_length(self) -> float:
@@ -143,17 +141,19 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     return center, float(dv), float(du), normalize_yaw_half(theta + math.pi / 2.0)
 
 
-def fit_bbox(cluster: Cluster, frame: Frame) -> FittedBox:
+def fit_bbox(cluster: np.ndarray, frame: Frame) -> FittedBox:
     """Fit the minimal oriented box around a cluster's points.
+
+    ``cluster`` holds the indices of the cluster's points in ``frame``.
 
     Height spans [min z, max z]; collapsed dimensions are floored at
     DEGENERATE_FLOOR so every fitted box has positive volume.  Flooring only
     grows the box around its center, so containment of the cluster (within
     1e-6) is preserved.
     """
-    if len(cluster.point_indices) == 0:
+    if len(cluster) == 0:
         raise DataError("cannot fit a box to an empty cluster")
-    pts = frame.xyz[cluster.point_indices]
+    pts = frame.xyz[cluster]
     z_min = float(pts[:, 2].min())
     z_max = float(pts[:, 2].max())
     center, long_side, short_side, yaw = min_area_rect(pts[:, :2])
@@ -165,7 +165,6 @@ def fit_bbox(cluster: Cluster, frame: Frame) -> FittedBox:
         width=max(short_side, DEGENERATE_FLOOR),
         height=max(z_max - z_min, DEGENERATE_FLOOR),
         yaw=yaw,
-        point_count=len(cluster.point_indices),
     )
 
 
@@ -196,7 +195,7 @@ def classify(box: FittedBox) -> LabelClass:
 
 def annotate_frame(
     frame: Frame,
-    clusters: list[Cluster],
+    clusters: list[np.ndarray],
     cfg: TeacherConfig,
     reject_sink: Callable[[RejectedBox], None] | None = None,
 ) -> list[ObjectLabel]:

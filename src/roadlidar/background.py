@@ -51,9 +51,7 @@ class DistanceHistogram:
     padding in every query frame have zero width and no occupied bins.
     """
 
-    n_total: int
     n_bin: int
-    n_query: int
     bin_mean: np.ndarray
     bin_count: np.ndarray
     d_min: np.ndarray
@@ -143,8 +141,7 @@ def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
         bin_mean = np.where(bin_count > 0, bin_sum / bin_count, 0.0)
 
     return DistanceHistogram(
-        n_total=n_total, n_bin=n_bin, n_query=n_query,
-        bin_mean=bin_mean, bin_count=bin_count,
+        n_bin=n_bin, bin_mean=bin_mean, bin_count=bin_count,
         d_min=d_min, d_max=d_max, bin_width=width,
     )
 

@@ -10,7 +10,10 @@ teacher uses no randomness.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 invariant violation.  Exit 1 covers every malformed configuration: a missing
 ``--config``, an unreadable file, invalid JSON, a missing field, a field or
-section of the wrong JSON type, and ``--jobs`` below 1.
+section of the wrong JSON type, an ``annotate`` dataset with a ``transform``
+(only ``merge`` applies one), ``evaluate`` thresholds that are empty or
+outside (0, 1], an ``iterate`` score_threshold outside [0, 1] or NaN, and
+``--jobs`` below 1.
 """
 
 from __future__ import annotations
@@ -63,11 +66,25 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _iou_thresholds(values) -> tuple[float, ...]:
+    thresholds = tuple(float(t) for t in values)
+    if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
+        raise ValueError(f"thresholds must be a non-empty list of values in (0, 1], got {values!r}")
+    return thresholds
+
+
+def _score_threshold(value) -> float:
+    threshold = float(value)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"score_threshold must be in [0, 1], got {value!r}")
+    return threshold
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pred_dir, truth_dir, thresholds, report_path = read_json_config(args.config, lambda data: (
         Path(data["pred_dir"]),
         Path(data["truth_dir"]),
-        tuple(float(t) for t in data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
+        _iou_thresholds(data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
         Path(data["report"]) if "report" in data else None,
     ))
     report = evaluate(pred_dir, truth_dir, thresholds, report_path)
@@ -98,7 +115,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     predictions, workspace, threshold = read_json_config(args.config, lambda data: (
         Path(data["predictions"]),
         Path(data["workspace"]),
-        float(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
+        _score_threshold(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
     ))
     round_dir = iterate(predictions, workspace, threshold)
     log.info("next-round labels written to %s", round_dir)

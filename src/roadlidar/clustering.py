@@ -42,8 +42,6 @@ for any frame that fits in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -51,17 +49,6 @@ from scipy.sparse.csgraph import connected_components
 from .core import DataError, Frame
 
 NOISE = -1
-
-
-@dataclass
-class Cluster:
-    """Indices (into the frame) of the points of one object candidate."""
-
-    point_indices: np.ndarray
-    frame_index: int
-
-    def __len__(self) -> int:
-        return len(self.point_indices)
 
 
 _STEPS = np.arange(-2, 3)
@@ -188,11 +175,11 @@ def dbscan_labels(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def dbscan(frame: Frame, epsilon: float, min_pts: int) -> tuple[list[Cluster], np.ndarray]:
+def dbscan(frame: Frame, epsilon: float, min_pts: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Cluster the non-padding points of a frame.
 
-    Returns the clusters (ascending cluster id) and the frame indices
-    labeled noise.
+    Returns the clusters as arrays of frame point indices (ascending cluster
+    id) and the frame indices labeled noise.
     """
     if epsilon <= 0:
         raise DataError("epsilon must be positive")
@@ -200,8 +187,6 @@ def dbscan(frame: Frame, epsilon: float, min_pts: int) -> tuple[list[Cluster], n
         raise DataError("min_pts must be >= 1")
     active = np.nonzero(~frame.padding)[0]
     labels = dbscan_labels(frame.xyz[active], epsilon, min_pts)
-    clusters = []
-    for cid in range(labels.max() + 1 if labels.size else 0):
-        clusters.append(Cluster(active[labels == cid], frame.timestamp_index))
+    clusters = [active[labels == cid] for cid in range(labels.max() + 1 if labels.size else 0)]
     noise = active[labels == NOISE]
     return clusters, noise

@@ -32,8 +32,6 @@ from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 T = TypeVar("T")
 
 # Bytes per point record in frame files: 4 x float32.
@@ -62,11 +60,6 @@ class LabelSource(enum.Enum):
     EXTERNAL = "External"
 
 
-def normalize_yaw(yaw: float) -> float:
-    """Map an angle to [-pi, pi)."""
-    return (yaw + math.pi) % TWO_PI - math.pi
-
-
 def normalize_yaw_half(yaw: float) -> float:
     """Map an angle to [-pi/2, pi/2); canonical heading of an unoriented box."""
     return (yaw + math.pi / 2.0) % math.pi - math.pi / 2.0
@@ -80,17 +73,13 @@ class SensorMeta:
     source is already metric).
     """
 
-    name: str
     rays_horizontal: int
     rays_vertical: int
-    frequency_hz: float
     unit_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.rays_horizontal < 1 or self.rays_vertical < 1:
             raise ConfigError("sensor ray counts must be positive")
-        if self.frequency_hz <= 0:
-            raise ConfigError("sensor frequency must be positive")
         if self.unit_scale <= 0:
             raise ConfigError("unit_scale must be positive")
 

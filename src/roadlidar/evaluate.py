@@ -183,8 +183,8 @@ def average_precision(tp_flags: list[bool], n_truth: int) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class MetricRecord:
-    label_class: LabelClass
-    iou_threshold: float
+    """Scores of one (class, IoU threshold) pair, the key it is stored under."""
+
     ap: float
     recall: float
     tp: int
@@ -282,7 +282,7 @@ def evaluate_labels(
             fn_total = n_truth_total - tp_total
             recall = tp_total / n_truth_total if n_truth_total else 0.0
             report.records[(cls, thr)] = MetricRecord(
-                cls, thr, ap, recall, tp_total, fp_total, fn_total, defined
+                ap, recall, tp_total, fp_total, fn_total, defined
             )
     return report
 

@@ -17,6 +17,7 @@ import logging
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -61,7 +62,6 @@ class DatasetEntry:
     frames_dir: Path
     meta: SensorMeta
     teacher: TeacherConfig
-    transform: UnificationTransform = UnificationTransform()
     background_model_in: Path | None = None
 
 
@@ -90,10 +90,8 @@ class TeacherRunResult:
 
 def _parse_sensor(data: dict) -> SensorMeta:
     return SensorMeta(
-        name=str(data.get("name", "sensor")),
         rays_horizontal=int(data["rays_horizontal"]),
         rays_vertical=int(data["rays_vertical"]),
-        frequency_hz=float(data.get("frequency_hz", 10.0)),
         unit_scale=float(data.get("unit_scale", 1.0)),
     )
 
@@ -132,6 +130,12 @@ def _parse_transform(data: dict | None) -> UnificationTransform:
 
 
 def _parse_dataset(entry: dict) -> DatasetEntry:
+    if "transform" in entry:
+        # a plain ValueError, so that read_json_config names the file
+        raise ValueError(
+            f"dataset '{entry.get('name')}': annotate applies no transform; "
+            "set it on the merge input instead"
+        )
     meta = _parse_sensor(entry["sensor"])
     teacher = _parse_teacher(entry["teacher"])
     if meta.beam_count > teacher.n_total:
@@ -145,7 +149,6 @@ def _parse_dataset(entry: dict) -> DatasetEntry:
         frames_dir=Path(entry["frames"]),
         meta=meta,
         teacher=teacher,
-        transform=_parse_transform(entry.get("transform")),
         background_model_in=Path(model_in) if model_in else None,
     )
 
@@ -255,22 +258,15 @@ def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[s
     """
     results: list[TeacherRunResult] = []
     failures: dict[str, str] = {}
-    if config.parallelism > 1 and len(config.datasets) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = {
-                pool.submit(run_teacher, entry, config.output_root): entry
-                for entry in config.datasets
-            }
-            for future, entry in futures.items():
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - isolate dataset failures
-                    failures[entry.name] = str(exc)
-                    log.error("dataset %s failed: %s", entry.name, exc)
-    else:
-        for entry in config.datasets:
+    use_pool = config.parallelism > 1 and len(config.datasets) > 1
+    with ProcessPoolExecutor(max_workers=config.parallelism) if use_pool else nullcontext() as pool:
+        futures = [
+            pool.submit(run_teacher, entry, config.output_root) if pool else None
+            for entry in config.datasets
+        ]
+        for entry, future in zip(config.datasets, futures):
             try:
-                results.append(run_teacher(entry, config.output_root))
+                results.append(future.result() if future else run_teacher(entry, config.output_root))
             except Exception as exc:  # noqa: BLE001 - isolate dataset failures
                 failures[entry.name] = str(exc)
                 log.error("dataset %s failed: %s", entry.name, exc)
@@ -381,10 +377,13 @@ def iterate(
 ) -> Path:
     """Turn external detector predictions into the next round's ground truth.
 
-    Predictions are re-tagged as external, thresholded on score, and written
-    to ``<workspace>/round_NNN/``; the workspace manifest records the round
-    index and provenance.  Running on predictions identical to the previous
-    round's labels reproduces them byte-identically (fixed point).
+    Predictions are read as external (an in-memory tag that label files do
+    not carry), thresholded on score, and written to
+    ``<workspace>/round_NNN/``, replaced whole so that a round left behind
+    by an interrupted run keeps no stale files; the workspace manifest
+    records the round index and provenance.  Running on predictions
+    identical to the previous round's labels reproduces them
+    byte-identically (fixed point).
     """
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
@@ -406,7 +405,7 @@ def iterate(
             "iterate: every prediction fell below score threshold %.3f; "
             "round %d labels are empty", score_threshold, round_index,
         )
-    write_labels(next_labels, round_dir)
+    _publish_whole(round_dir, lambda staged: write_labels(next_labels, staged))
     manifest["rounds"].append(
         {
             "round": round_index,

@@ -8,7 +8,7 @@ relies on survives preprocessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .core import (
     Frame,
     FrameSequence,
     ObjectLabel,
-    SensorMeta,
 )
 
 
@@ -50,12 +49,8 @@ def unify_units(seq: FrameSequence) -> FrameSequence:
     s = seq.meta.unit_scale
     if s == 1.0:
         return seq
-    meta = SensorMeta(
-        seq.meta.name, seq.meta.rays_horizontal, seq.meta.rays_vertical,
-        seq.meta.frequency_hz, unit_scale=1.0,
-    )
     frames = [Frame(f.timestamp_index, f.xyz * s, f.padding.copy()) for f in seq.frames]
-    return FrameSequence(frames, meta, list(seq.stems))
+    return FrameSequence(frames, replace(seq.meta, unit_scale=1.0), list(seq.stems))
 
 
 def pad_frame(frame: Frame, n_total: int) -> Frame:

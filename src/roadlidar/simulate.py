@@ -88,8 +88,8 @@ class SensorModel:
         )
         return dirs.reshape(-1, 3)
 
-    def meta(self, name: str = "synthetic") -> SensorMeta:
-        return SensorMeta(name, self.azimuth_count, self.elevation_count, self.frequency_hz, 1.0)
+    def meta(self) -> SensorMeta:
+        return SensorMeta(self.azimuth_count, self.elevation_count)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from roadlidar.background import (
     select_background,
 )
 from roadlidar.cli import main
-from roadlidar.clustering import Cluster, dbscan, dbscan_labels
+from roadlidar.clustering import dbscan, dbscan_labels
 from roadlidar.core import (
     CropBounds,
     Frame,
@@ -54,7 +54,7 @@ from oracles import (
     pairs_dbscan,
 )
 
-META = SensorMeta("acc", 2, 2, 10.0)
+META = SensorMeta(2, 2)
 
 
 @contextmanager
@@ -237,12 +237,12 @@ class TestAcceptance:
                 scale = np.array([rng.uniform(1.5, 4.0), 1.0, rng.uniform(0.3, 2.0)])
                 pts = rng.normal(0, 1.0, (n, 3)) * scale
                 frame = Frame(1, pts, np.zeros(n, dtype=bool))
-                base = fit_bbox(Cluster(np.arange(n), 1), frame)
+                base = fit_bbox(np.arange(n), frame)
                 theta = float(rng.uniform(-math.pi, math.pi))
                 c, s = math.cos(theta), math.sin(theta)
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
                 rotated_frame = Frame(1, pts @ rot.T, np.zeros(n, dtype=bool))
-                rotated = fit_bbox(Cluster(np.arange(n), 1), rotated_frame)
+                rotated = fit_bbox(np.arange(n), rotated_frame)
                 delta = (rotated.yaw - base.yaw - theta) % math.pi
                 delta = min(delta, math.pi - delta)
                 assert delta < 1e-5, f"yaw covariance off by {delta:.2e}"

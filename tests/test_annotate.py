@@ -22,7 +22,6 @@ from roadlidar.annotate import (
     min_area_rect,
     validate_bbox,
 )
-from roadlidar.clustering import Cluster
 from roadlidar.core import (
     CropBounds,
     Frame,
@@ -45,10 +44,6 @@ def _frame(pts):
     return Frame(1, pts, np.zeros(len(pts), dtype=bool))
 
 
-def _cluster(n, frame_index=1):
-    return Cluster(np.arange(n), frame_index)
-
-
 def _cuboid_corners(l, w, h, yaw=0.0, center=(0.0, 0.0, 0.0)):
     hx, hy, hz = l / 2, w / 2, h / 2
     corners = np.array(
@@ -63,43 +58,42 @@ def _cuboid_corners(l, w, h, yaw=0.0, center=(0.0, 0.0, 0.0)):
 class TestFitBbox:
     def test_axis_aligned_cuboid_corners(self):
         pts = _cuboid_corners(4.0, 2.0, 1.5)
-        box = fit_bbox(_cluster(8), _frame(pts))
+        box = fit_bbox(np.arange(8), _frame(pts))
         assert box.length == pytest.approx(4.0, abs=1e-9)
         assert box.width == pytest.approx(2.0, abs=1e-9)
         assert box.height == pytest.approx(1.5, abs=1e-9)
         assert box.yaw == pytest.approx(0.0, abs=1e-9)
-        assert box.point_count == 8
 
     def test_rotated_30_degrees(self):
         yaw = math.radians(30)
         pts = _cuboid_corners(4.0, 2.0, 1.5, yaw=yaw)
-        box = fit_bbox(_cluster(8), _frame(pts))
+        box = fit_bbox(np.arange(8), _frame(pts))
         assert box.length == pytest.approx(4.0, abs=1e-6)
         assert box.width == pytest.approx(2.0, abs=1e-6)
         assert abs(math.sin(box.yaw - yaw)) < 1e-6  # equal mod pi
 
     def test_single_point_floors(self):
         pts = np.array([[3.0, -2.0, 1.0]])
-        box = fit_bbox(_cluster(1), _frame(pts))
+        box = fit_bbox(np.arange(1), _frame(pts))
         assert box.length == box.width == box.height == DEGENERATE_FLOOR
         assert (box.center_x, box.center_y, box.center_z) == (3.0, -2.0, 1.0)
 
     def test_collinear_cluster_floors_width(self):
         pts = np.array([[t, t, 0.0] for t in np.linspace(0, 1, 7)])
-        box = fit_bbox(_cluster(7), _frame(pts))
+        box = fit_bbox(np.arange(7), _frame(pts))
         assert box.length == pytest.approx(math.sqrt(2), abs=1e-9)
         assert box.width == DEGENERATE_FLOOR
         assert abs(math.sin(box.yaw - math.pi / 4)) < 1e-9
 
     def test_empty_cluster(self):
         with pytest.raises(Exception, match="empty"):
-            fit_bbox(Cluster(np.array([], dtype=int), 1), _frame(np.ones((2, 3))))
+            fit_bbox(np.array([], dtype=int), _frame(np.ones((2, 3))))
 
     def test_containment_after_inflation(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             pts = rng.normal(0, 2.0, (int(rng.integers(4, 60)), 3))
-            box = fit_bbox(_cluster(len(pts)), _frame(pts))
+            box = fit_bbox(np.arange(len(pts)), _frame(pts))
             c, s = math.cos(box.yaw), math.sin(box.yaw)
             local = (pts[:, :2] - [box.center_x, box.center_y]) @ np.array(
                 [[c, -s], [s, c]]
@@ -120,11 +114,11 @@ class TestFitBbox:
     def test_rotation_covariance(self):
         rng = np.random.default_rng(14)
         pts = rng.normal(0, 1.0, (40, 3)) * [3.0, 1.0, 0.5]
-        base = fit_bbox(_cluster(40), _frame(pts))
+        base = fit_bbox(np.arange(40), _frame(pts))
         for theta in rng.uniform(-math.pi, math.pi, 10):
             c, s = math.cos(theta), math.sin(theta)
             rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-            rotated = fit_bbox(_cluster(40), _frame(pts @ rot.T))
+            rotated = fit_bbox(np.arange(40), _frame(pts @ rot.T))
             assert abs(math.sin(rotated.yaw - base.yaw - theta)) < 1e-5
             assert rotated.length == pytest.approx(base.length, abs=1e-6)
             assert rotated.width == pytest.approx(base.width, abs=1e-6)
@@ -215,7 +209,7 @@ def test_cli_import_defers_qhull():
 
 
 def _box(base, height):
-    return FittedBox(0, 0, height / 2, base, min(base, 0.5), height, 0.0, 10)
+    return FittedBox(0, 0, height / 2, base, min(base, 0.5), height, 0.0)
 
 
 class TestValidateBbox:
@@ -254,7 +248,7 @@ class TestAnnotateFrame:
 
     def test_vehicle_shaped_cluster(self):
         pts = _cuboid_corners(4.0, 2.0, 1.5, yaw=0.4, center=(10, 5, 0.75))
-        labels = annotate_frame(_frame(pts), [_cluster(8)], CFG)
+        labels = annotate_frame(_frame(pts), [np.arange(8)], CFG)
         assert len(labels) == 1
         label = labels[0]
         assert label.label_class is LabelClass.VEHICLE
@@ -265,7 +259,7 @@ class TestAnnotateFrame:
     def test_rejects_reported(self):
         tiny = np.array([[0, 0, 0.0], [0.05, 0, 0], [0, 0.05, 0], [0.05, 0.05, 0.02]])
         rejects: list[RejectedBox] = []
-        labels = annotate_frame(_frame(tiny), [Cluster(np.arange(4), 1)], CFG, rejects.append)
+        labels = annotate_frame(_frame(tiny), [np.arange(4)], CFG, rejects.append)
         assert labels == []
         assert len(rejects) == 1
         assert rejects[0].reason == "base_length<l_min"
@@ -275,6 +269,6 @@ class TestAnnotateFrame:
         ped = _cuboid_corners(0.5, 0.4, 1.7, center=(5, 0, 0.85))
         veh = _cuboid_corners(4.0, 2.0, 1.5, center=(15, 0, 0.75))
         pts = np.vstack([veh, ped])
-        clusters = [Cluster(np.arange(8), 1), Cluster(np.arange(8, 16), 1)]
+        clusters = [np.arange(8), np.arange(8, 16)]
         labels = annotate_frame(_frame(pts), clusters, CFG)
         assert [lb.label_class for lb in labels] == [LabelClass.VEHICLE, LabelClass.PEDESTRIAN]

@@ -26,7 +26,7 @@ from roadlidar.simulate import (
 
 from oracles import naive_filter, naive_histogram, naive_select_tall
 
-META = SensorMeta("t", 2, 2, 10.0)
+META = SensorMeta(2, 2)
 
 
 def _seq_from_arrays(arrays, paddings=None):
@@ -179,7 +179,7 @@ class TestSelectBackground:
                 [f.xyz for f in seq.frames], [f.padding for f in seq.frames], n_bin
             )
             expected = naive_select_tall(means, counts, n_tall)
-            for i in range(hist.n_total):
+            for i in range(len(hist.bin_count)):
                 assert model.tall_distances(i) == expected[i]
 
 

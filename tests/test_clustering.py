@@ -67,7 +67,7 @@ class TestDbscanBasics:
         clusters, noise = dbscan(_frame(pts, padding), epsilon=0.5, min_pts=4)
         covered = set()
         for c in clusters:
-            covered |= set(c.point_indices.tolist())
+            covered |= set(c.tolist())
         covered |= set(noise.tolist())
         assert 8 not in covered
         assert covered == set(range(8))
@@ -86,7 +86,7 @@ class TestDbscanProperties:
         pts = rng.uniform(-5, 5, (200, 3))
         frame = _frame(pts)
         clusters, noise = dbscan(frame, epsilon=0.8, min_pts=4)
-        indices = [i for c in clusters for i in c.point_indices.tolist()] + noise.tolist()
+        indices = [i for c in clusters for i in c.tolist()] + noise.tolist()
         assert sorted(indices) == list(range(200))  # disjoint and complete
 
     def test_oracle_equivalence_random_frames(self):

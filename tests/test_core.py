@@ -15,7 +15,6 @@ from roadlidar.core import (
     ObjectLabel,
     SensorMeta,
     load_frame_sequence,
-    normalize_yaw,
     normalize_yaw_half,
     read_label_file,
     read_labels,
@@ -24,7 +23,7 @@ from roadlidar.core import (
     write_labels,
 )
 
-META = SensorMeta("unit", 4, 2, 10.0)
+META = SensorMeta(4, 2)
 
 
 def _write_bin(path, n_points, rng):
@@ -200,13 +199,6 @@ class TestLabelValidation:
 
 
 class TestYawNormalization:
-    @given(st.floats(-50, 50))
-    @settings(max_examples=100, deadline=None)
-    def test_full_interval(self, yaw):
-        n = normalize_yaw(yaw)
-        assert -math.pi <= n < math.pi
-        assert abs(math.sin(n - yaw)) < 1e-9
-
     @given(st.floats(-50, 50))
     @settings(max_examples=100, deadline=None)
     def test_half_interval(self, yaw):

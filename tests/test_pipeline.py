@@ -80,7 +80,7 @@ def scene_dir(tmp_path_factory):
 
 def _entry(scene, name="site_a", d_threshold=0.2):
     out, spec = scene
-    meta = SensorMeta("mini", spec.sensor.azimuth_count, spec.sensor.elevation_count, 10.0)
+    meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
     return DatasetEntry(
         name=name,
         frames_dir=out / "frames",
@@ -111,7 +111,7 @@ class TestRunTeacher:
         frames.mkdir()
         entry = DatasetEntry(
             name="empty", frames_dir=frames,
-            meta=SensorMeta("m", 2, 2, 10.0), teacher=_teacher_cfg(16),
+            meta=SensorMeta(2, 2), teacher=_teacher_cfg(16),
         )
         with pytest.raises(Exception, match="empty sequence"):
             run_teacher(entry, tmp_path / "out")
@@ -138,16 +138,19 @@ class TestRunTeacher:
         b = sorted((tmp_path / "b" / "site_a" / "labels").glob("*.txt"))
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
-    def test_dataset_isolation(self, scene_dir, tmp_path):
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_dataset_isolation(self, scene_dir, tmp_path, parallelism):
         bad_frames = tmp_path / "bad_frames"
         bad_frames.mkdir()
         (bad_frames / "x.bin").write_bytes(b"\x00" * 13)  # misaligned
         good = _entry(scene_dir, "good")
         bad = DatasetEntry(
             name="bad", frames_dir=bad_frames,
-            meta=SensorMeta("m", 2, 2, 10.0), teacher=_teacher_cfg(16),
+            meta=SensorMeta(2, 2), teacher=_teacher_cfg(16),
         )
-        config = PipelineConfig(datasets=[bad, good], output_root=tmp_path / "out")
+        config = PipelineConfig(
+            datasets=[bad, good], output_root=tmp_path / "out", parallelism=parallelism
+        )
         results, failures = run_annotate(config)
         assert [r.name for r in results] == ["good"]
         assert set(failures) == {"bad"}
@@ -223,7 +226,7 @@ class TestMergeSupersets:
     def test_single_identity_dataset(self, scene_dir, tmp_path):
         result = run_teacher(_entry(scene_dir), tmp_path / "t")
         out, spec = scene_dir
-        meta = SensorMeta("mini", spec.sensor.azimuth_count, spec.sensor.elevation_count, 10.0)
+        meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         index = merge_supersets(
             [MergeInput("site_a", out / "frames", result.labels_dir, meta, UnificationTransform())],
             tmp_path / "merged",
@@ -240,7 +243,7 @@ class TestMergeSupersets:
     def test_two_datasets_with_provenance(self, scene_dir, tmp_path):
         result = run_teacher(_entry(scene_dir), tmp_path / "t")
         out, spec = scene_dir
-        meta = SensorMeta("mini", spec.sensor.azimuth_count, spec.sensor.elevation_count, 10.0)
+        meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         inputs = [
             MergeInput("a", out / "frames", result.labels_dir, meta, UnificationTransform()),
             MergeInput(
@@ -257,7 +260,7 @@ class TestMergeSupersets:
     def test_scale_transform_matches_independent_label_transform(self, scene_dir, tmp_path):
         result = run_teacher(_entry(scene_dir), tmp_path / "t")
         out, spec = scene_dir
-        meta = SensorMeta("mini", spec.sensor.azimuth_count, spec.sensor.elevation_count, 10.0)
+        meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         tf = UnificationTransform(translation=(5.0, -2.0, 0.0), scale=2.0)
         merge_supersets(
             [MergeInput("s", out / "frames", result.labels_dir, meta, tf)], tmp_path / "merged"
@@ -325,6 +328,20 @@ class TestIterate:
         manifest = json.loads((ws / "manifest.json").read_text())
         assert [r["round"] for r in manifest["rounds"]] == [1, 2, 3]
         assert len({r["directory"] for r in manifest["rounds"]}) == 3
+
+    def test_rerun_replaces_round_left_without_manifest(self, tmp_path):
+        rng = np.random.default_rng(56)
+        pred_dir = tmp_path / "preds"
+        write_labels(_prediction_labels(rng, n_frames=5, score=lambda r: 1.0), pred_dir)
+        stale = tmp_path / "ws" / "round_001"
+        stale.mkdir(parents=True)
+        (stale / "999999.txt").write_text("")
+        round_dir = iterate(pred_dir, tmp_path / "ws")
+        assert round_dir == stale
+        assert sorted(f.name for f in round_dir.iterdir()) == sorted(
+            f.name for f in pred_dir.iterdir()
+        )
+        assert not list((tmp_path / "ws").glob("*.partial"))
 
     def test_labels_retagged_external(self, tmp_path):
         rng = np.random.default_rng(53)
@@ -478,6 +495,7 @@ class TestCli:
         [
             ("annotate", ("datasets", 0, "sensor"), [240, 185]),
             ("annotate", ("datasets", 0, "transform"), "shifted"),
+            ("annotate", ("datasets", 0, "transform"), {"translation": [1, 2, 3], "scale": 1.0}),
             ("annotate", ("datasets", 0, "teacher", "n_total"), float("inf")),
             ("merge", ("inputs", 0, "transform"), [50.0, 0.0, 0.0]),
             ("merge", ("inputs", 0, "transform"), {"translation": [50.0, 0.0]}),
@@ -485,18 +503,29 @@ class TestCli:
             ("simulate", ("sensor",), [0.0, 0.0, 3.0]),
             ("simulate", ("sensor", "origin"), [0.0, 3.0]),
             ("evaluate", (), []),
+            ("evaluate", ("thresholds",), [float("nan")]),
+            ("evaluate", ("thresholds",), [2.0]),
+            ("evaluate", ("thresholds",), []),
             ("iterate", (), []),
+            ("iterate", ("score_threshold",), float("nan")),
+            ("iterate", ("score_threshold",), 1.5),
         ],
         ids=[
-            "annotate-sensor-list", "annotate-transform-string", "annotate-n_total-infinite",
+            "annotate-sensor-list", "annotate-transform-string", "annotate-transform",
+            "annotate-n_total-infinite",
             "merge-transform-list", "merge-translation-short", "simulate-list",
             "simulate-sensor-list", "simulate-origin-short",
-            "evaluate-list", "iterate-list",
+            "evaluate-list", "evaluate-threshold-nan", "evaluate-threshold-above-1",
+            "evaluate-thresholds-empty",
+            "iterate-list", "iterate-score-nan", "iterate-score-above-1",
         ],
     )
     def test_malformed_config_is_config_error(
         self, scene_dir, tmp_path, caplog, command, where, value
     ):
+        # real label directories, so a config that passed would exit 0
+        write_labels({"000000": []}, tmp_path / "pred")
+        write_labels({"000000": []}, tmp_path / "truth")
         config = {
             "annotate": TestConfigParsing()._config_dict(scene_dir, tmp_path),
             "merge": {
@@ -507,8 +536,8 @@ class TestCli:
                 }],
             },
             "simulate": {"duration": 1, "sensor": {"azimuth_count": 8, "elevation_count": 4}},
-            "evaluate": {"pred_dir": "pred", "truth_dir": "truth"},
-            "iterate": {"predictions": "preds", "workspace": "ws"},
+            "evaluate": {"pred_dir": str(tmp_path / "pred"), "truth_dir": str(tmp_path / "truth")},
+            "iterate": {"predictions": str(tmp_path / "pred"), "workspace": str(tmp_path / "ws")},
         }[command]
         if where:
             parent = config

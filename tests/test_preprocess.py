@@ -21,7 +21,7 @@ def _frame(xyz, t=1, padding=None):
 
 
 def _seq(frames, unit_scale=1.0):
-    meta = SensorMeta("s", 2, 2, 10.0, unit_scale)
+    meta = SensorMeta(2, 2, unit_scale)
     return FrameSequence(frames, meta)
 
 

@@ -186,7 +186,7 @@ class TestSceneOutputs:
         actor = Actor("cuboid", (2.0, 1.0, 1.4), ((12.0, -1.0), (12.0, 2.0)), speed=2.0)
         spec = _scene([actor], noise=0.01, duration=3)
         paths = write_scene_outputs(spec, tmp_path)
-        meta = SensorMeta("x", spec.sensor.azimuth_count, spec.sensor.elevation_count, 10.0)
+        meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         seq = load_frame_sequence(paths["frames"], meta)
         assert len(seq) == 3
         assert seq.arity == spec.sensor.beam_count
