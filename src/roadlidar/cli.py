@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 invariant violation.  Exit 1 covers every malformed configuration: a missing
 ``--config``, an unreadable file, invalid JSON, a missing field, a field or
 section of the wrong JSON type, an ``annotate`` dataset with a ``transform``
-(only ``merge`` applies one), ``evaluate`` thresholds that are empty or
-outside (0, 1], an ``iterate`` score_threshold outside [0, 1] or NaN, and
-``--jobs`` below 1.
+(only ``merge`` applies one), ``evaluate`` thresholds that are empty,
+outside (0, 1] or equal at two decimals, an ``iterate`` score_threshold
+outside [0, 1] or NaN, and ``--jobs`` below 1.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ def _iou_thresholds(values) -> tuple[float, ...]:
     thresholds = tuple(float(t) for t in values)
     if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
         raise ValueError(f"thresholds must be a non-empty list of values in (0, 1], got {values!r}")
+    spelled = [f"{t:.2f}" for t in thresholds]
+    if len(set(spelled)) != len(spelled):
+        raise ValueError(f"thresholds must differ at two decimals, as reports print them, got {values!r}")
     return thresholds
 
 

@@ -300,14 +300,44 @@ def read_frame_file(path: Path) -> np.ndarray:
 
 
 def write_frame_file(path: Path, xyz: np.ndarray, intensity: np.ndarray | None = None) -> None:
-    """Write points as little-endian float32 (x, y, z, intensity) records."""
+    """Write points as little-endian float32 (x, y, z, intensity) records.
+
+    A record that is not finite in float32 -- NaN or infinite input, or a
+    value beyond the float32 range -- is a DataError naming the file, and
+    nothing is written.
+    """
     xyz = np.asarray(xyz, dtype=np.float64)
     n = xyz.shape[0]
     rec = np.zeros((n, 4), dtype="<f4")
-    rec[:, :3] = xyz.astype("<f4")
-    if intensity is not None:
-        rec[:, 3] = np.asarray(intensity, dtype="<f4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec[:, :3] = xyz
+        if intensity is not None:
+            rec[:, 3] = np.asarray(intensity, dtype="<f4")
+    if not np.isfinite(rec).all():
+        raise DataError(f"frame file {path}: a value is not finite as float32")
     Path(path).write_bytes(rec.tobytes())
+
+
+def frame_points(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The xyz columns of frame records as float64, and their padding mask.
+
+    A row is padding when all three coordinates compare equal to zero, so
+    ``-0.0`` counts as zero.
+    """
+    xyz = rec[:, :3].astype(np.float64)
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    return xyz, (x == 0.0) & (y == 0.0) & (z == 0.0)
+
+
+def list_frame_files(path: str | Path) -> list[Path]:
+    """The .bin files of a frame directory, in lexicographic filename order."""
+    directory = Path(path)
+    if not directory.is_dir():
+        raise DataError(f"frame directory not found: {directory}")
+    files = sorted(directory.glob("*.bin"))
+    if not files:
+        raise DataError(f"empty sequence: no .bin files in {directory}")
+    return files
 
 
 def load_frame_sequence(path: str | Path, meta: SensorMeta) -> FrameSequence:
@@ -316,21 +346,9 @@ def load_frame_sequence(path: str | Path, meta: SensorMeta) -> FrameSequence:
     Raw units are preserved; scaling to meters happens in the preprocessor.
     All-zero rows are flagged as padding.
     """
-    directory = Path(path)
-    if not directory.is_dir():
-        raise DataError(f"frame directory not found: {directory}")
-    files = sorted(directory.glob("*.bin"))
-    if not files:
-        raise DataError(f"empty sequence: no .bin files in {directory}")
-    frames = []
-    stems = []
-    for t, file in enumerate(files, start=1):
-        rec = read_frame_file(file)
-        xyz = rec[:, :3].astype(np.float64)
-        pad = np.all(xyz == 0.0, axis=1)
-        frames.append(Frame(t, xyz, pad))
-        stems.append(file.stem)
-    return FrameSequence(frames, meta, stems)
+    files = list_frame_files(path)
+    frames = [Frame(t, *frame_points(read_frame_file(file))) for t, file in enumerate(files, start=1)]
+    return FrameSequence(frames, meta, [file.stem for file in files])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .annotate import RejectedBox, annotate_frame
 from .background import (
     build_histogram,
@@ -41,14 +43,17 @@ from .core import (
     ObjectLabel,
     SensorMeta,
     TeacherConfig,
+    frame_points,
     json_floats,
+    list_frame_files,
     load_frame_sequence,
+    read_frame_file,
     read_json_config,
     read_labels,
     write_frame_file,
     write_labels,
 )
-from .preprocess import UnificationTransform, crop_frame, pad_frame, transform_label, unify_datasets, unify_units
+from .preprocess import UnificationTransform, apply_transform_points, crop_frame, pad_frame, transform_label, unify_units
 
 log = logging.getLogger(__name__)
 
@@ -240,12 +245,18 @@ def _publish_whole(directory: Path, write: Callable[[Path], None]) -> None:
     """Replace ``directory`` by exactly the files ``write`` puts into it.
 
     ``write`` fills a sibling staging directory that is then renamed into
-    place, so a rerun leaves no file of a frame that no longer exists.
+    place, so a rerun leaves no file of a frame that no longer exists.  If
+    ``write`` raises, the staging directory is removed and ``directory`` is
+    left as it was.
     """
     staged = directory.with_name(f".{directory.name}.partial")
     shutil.rmtree(staged, ignore_errors=True)
     staged.mkdir(parents=True)
-    write(staged)
+    try:
+        write(staged)
+    except BaseException:
+        shutil.rmtree(staged, ignore_errors=True)
+        raise
     shutil.rmtree(directory, ignore_errors=True)
     os.replace(staged, directory)
 
@@ -304,9 +315,23 @@ def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
     ))
 
 
-def _write_frames(seq: FrameSequence, directory: Path) -> None:
-    for frame, stem in zip(seq.frames, seq.stems):
-        write_frame_file(directory / f"{stem}.bin", frame.xyz)
+def _write_merged_frames(item: MergeInput, files: list[Path], directory: Path) -> None:
+    """Transform each frame file into ``directory``, one file at a time.
+
+    An overflow is not warned about: ``write_frame_file`` rejects the
+    non-finite value it leaves, and the error names the source file.
+    """
+    for file in files:
+        xyz, padding = frame_points(read_frame_file(file))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if item.meta.unit_scale != 1.0:
+                xyz *= item.meta.unit_scale
+            if not item.transform.is_identity:
+                xyz = apply_transform_points(xyz, padding, item.transform)
+        try:
+            write_frame_file(directory / file.name, xyz)
+        except DataError as exc:
+            raise DataError(f"dataset '{item.name}': cannot merge {file}: {exc}") from None
 
 
 def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
@@ -315,8 +340,12 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     Frames and labels are mapped into the common coordinate frame (labels
     transform covariantly) and listed in an index file with provenance tags:
     one ``name frame_path label_path`` line per frame.  No labels are created,
-    dropped or deduplicated by merging.  Each dataset's ``frames/`` and
-    ``labels/`` are replaced whole, so a rerun leaves no stale files.
+    dropped or deduplicated by merging.  Frames are transformed one file at
+    a time, with the float64 arithmetic of ``unify_units`` and
+    ``unify_datasets``.  Each dataset's ``frames/`` and then ``labels/`` are
+    replaced whole, so a rerun leaves no stale files, and a frame that fails
+    (say, a coordinate that is not finite as float32) leaves both as they
+    were.
     """
     if not inputs:
         raise ConfigError("merge needs at least one labeled dataset")
@@ -327,11 +356,10 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     output_root.mkdir(parents=True, exist_ok=True)
     index_lines = []
     for item in inputs:
-        seq = load_frame_sequence(item.frames_dir, item.meta)
-        seq = unify_units(seq)
-        (seq_t,) = unify_datasets([seq], [item.transform])
+        files = list_frame_files(item.frames_dir)
+        stems = [file.stem for file in files]
         labels = read_labels(item.labels_dir)
-        missing = sorted(set(seq_t.stems) - set(labels))
+        missing = sorted(set(stems) - set(labels))
         if missing:
             raise DataError(
                 f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
@@ -340,13 +368,13 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
         labels_out = output_root / item.name / "labels"
         transformed = {
             stem: [transform_label(lb, item.transform) for lb in labels[stem]]
-            for stem in seq_t.stems
+            for stem in stems
         }
+        _publish_whole(frames_out, lambda staged: _write_merged_frames(item, files, staged))
         _publish_whole(labels_out, lambda staged: write_labels(transformed, staged))
-        _publish_whole(frames_out, lambda staged: _write_frames(seq_t, staged))
         index_lines += [
             f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
-            for stem in seq_t.stems
+            for stem in stems
         ]
     index_path = output_root / "index.txt"
     index_path.write_text("".join(index_lines), encoding="utf-8")

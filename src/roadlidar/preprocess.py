@@ -80,9 +80,15 @@ def crop_frame(frame: Frame, bounds: CropBounds) -> Frame:
 
 
 def apply_transform_points(xyz: np.ndarray, padding: np.ndarray, transform: UnificationTransform) -> np.ndarray:
-    """Map non-padding points through scale then translation; padding untouched."""
-    out = xyz * transform.scale + np.asarray(transform.translation, dtype=np.float64)
-    out = np.where(padding[:, None], xyz, out)
+    """Map non-padding points through scale then translation, in float64.
+
+    Padding rows are not computed on and keep their input bits, so a
+    ``-0.0`` stays ``-0.0``.  The input is not modified.
+    """
+    data = np.repeat(~padding, 3).reshape(xyz.shape)  # contiguous: faster than a broadcast mask
+    out = xyz.copy()
+    np.multiply(xyz, transform.scale, out=out, where=data)
+    np.add(out, np.asarray(transform.translation, dtype=np.float64), out=out, where=data)
     return out
 
 

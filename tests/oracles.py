@@ -11,12 +11,15 @@ projection, and the two must agree bit for bit.  ``pairs_dbscan`` is the
 earlier production DBSCAN, which builds every neighbor pair on an epsilon
 grid; it needs memory linear in the pair count rather than quadratic in the
 point count, so it checks real-size frames that ``brute_dbscan`` cannot.
+``naive_merge_frames`` is the earlier merge of frame files, which built the
+whole sequence in memory before writing it out.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -320,3 +323,36 @@ def naive_min_area_rect(points: np.ndarray):
     if du >= dv:
         return center, float(du), float(dv), normalize_yaw_half(theta)
     return center, float(dv), float(du), normalize_yaw_half(theta + math.pi / 2.0)
+
+
+def naive_merge_frames(frames_dir, unit_scale, transform, out_dir) -> None:
+    """Merge one input's frame files the way merge did before it streamed.
+
+    A transcription of the earlier path load_frame_sequence -> unify_units
+    -> unify_datasets -> write_frame_file: every frame is loaded as float64
+    (all-zero rows are padding), scaled by ``unit_scale``, mapped through
+    scale-then-translation with padding rows taken from the input by
+    ``np.where`` (skipped for the identity transform), and written back as
+    float32 records with zero intensity.  It shares no code with the
+    production helpers, so a change to them shows up as different bytes.
+    """
+    loaded = []
+    for file in sorted(Path(frames_dir).glob("*.bin")):
+        rec = np.frombuffer(file.read_bytes(), dtype="<f4").reshape(-1, 4)
+        xyz = rec[:, :3].astype(np.float64)
+        pad = np.all(xyz == 0.0, axis=1)
+        loaded.append((file.stem, xyz, pad))
+    if unit_scale != 1.0:
+        loaded = [(stem, xyz * unit_scale, pad) for stem, xyz, pad in loaded]
+    if not transform.is_identity:
+        translation = np.asarray(transform.translation, dtype=np.float64)
+        loaded = [
+            (stem, np.where(pad[:, None], xyz, xyz * transform.scale + translation), pad)
+            for stem, xyz, pad in loaded
+        ]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem, xyz, _ in loaded:
+        rec = np.zeros((xyz.shape[0], 4), dtype="<f4")
+        rec[:, :3] = xyz.astype("<f4")
+        (out_dir / f"{stem}.bin").write_bytes(rec.tobytes())

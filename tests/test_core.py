@@ -14,6 +14,7 @@ from roadlidar.core import (
     LabelSource,
     ObjectLabel,
     SensorMeta,
+    frame_points,
     load_frame_sequence,
     normalize_yaw_half,
     read_label_file,
@@ -45,6 +46,29 @@ class TestFrameLoading:
         (tmp_path / "f.bin").write_bytes(b"\x00" * 32)
         seq = load_frame_sequence(tmp_path, META)
         assert seq.frames[0].n_points == 2
+
+    def test_padding_treats_negative_zero_as_zero(self):
+        rec = np.array([
+            [0.0, 0.0, 0.0, 1.0],
+            [-0.0, 0.0, -0.0, 0.0],
+            [-0.0, -0.0, -0.0, 5.0],
+            [-0.0, 2.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0, 0.0],
+            [1.0, 2.0, 3.0, 0.0],
+        ], dtype="<f4")
+        xyz, padding = frame_points(rec)
+        assert xyz.dtype == np.float64
+        np.testing.assert_array_equal(xyz, rec[:, :3])
+        np.testing.assert_array_equal(padding, np.all(xyz == 0.0, axis=1))
+        assert padding.tolist() == [True, True, True, False, False, False]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "beyond-float32"])
+    def test_non_finite_record_is_not_written(self, tmp_path, value):
+        path = tmp_path / "f.bin"
+        with pytest.raises(DataError, match="f.bin"):
+            write_frame_file(path, np.array([[1.0, value, 0.0]]))
+        assert not path.exists()
 
     def test_misaligned_file_is_rejected(self, tmp_path):
         (tmp_path / "f.bin").write_bytes(b"\x00" * 33)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import naive_merge_frames
 
 from roadlidar.cli import build_parser, main
 from roadlidar.core import (
@@ -257,6 +258,57 @@ class TestMergeSupersets:
         tags = {line.split()[0] for line in lines}
         assert tags == {"a", "b"}
 
+    @pytest.mark.parametrize(
+        "unit_scale, transform",
+        [
+            (1.0, UnificationTransform((120.0, 0.0, 0.0), 1.1)),
+            (0.01, UnificationTransform(scale=2.5)),
+            (1.0, UnificationTransform()),
+        ],
+        ids=["translate-scale", "unit-scale", "identity"],
+    )
+    def test_frames_match_naive_merge(self, scene_dir, tmp_path, unit_scale, transform):
+        out, spec = scene_dir
+        labels = tmp_path / "labels"
+        write_labels({f.stem: [] for f in (out / "frames").glob("*.bin")}, labels)
+        meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count, unit_scale)
+        merge_supersets([MergeInput("s", out / "frames", labels, meta, transform)], tmp_path / "merged")
+        naive_merge_frames(out / "frames", unit_scale, transform, tmp_path / "naive")
+        assert _tree_bytes(tmp_path / "merged" / "s" / "frames") == _tree_bytes(tmp_path / "naive")
+
+    @pytest.mark.parametrize(
+        "unit_scale, transform",
+        [
+            (1.0, UnificationTransform((120.0, 0.0, 0.0), 1.1)),
+            (0.01, UnificationTransform((0.0, -3.0, 0.5), 2.5)),
+            (1.0, UnificationTransform()),
+        ],
+        ids=["translate-scale", "unit-scale", "identity"],
+    )
+    def test_negative_zero_and_short_frames_match_naive_merge(self, tmp_path, unit_scale, transform):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        signed_zero = np.array([
+            [1.5, -2.0, 0.25, 7.0],
+            [-0.0, 0.0, -0.0, 0.0],  # padding spelled with negative zeros
+            [-0.0, -0.0, -0.0, 3.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.0, 3.5, 1.25, 1.0],  # a data row with a negative-zero coordinate
+            [4.0, 0.0, -0.0, 0.0],
+        ], dtype="<f4")
+        signed_zero.tofile(frames / "000000.bin")
+        signed_zero[:3].tofile(frames / "000001.bin")  # shorter than the 2x4 beams
+        write_labels({"000000": [], "000001": []}, labels)
+        merge_supersets(
+            [MergeInput("s", frames, labels, SensorMeta(2, 4, unit_scale), transform)],
+            tmp_path / "merged",
+        )
+        naive_merge_frames(frames, unit_scale, transform, tmp_path / "naive")
+        merged = tmp_path / "merged" / "s" / "frames"
+        assert _tree_bytes(merged) == _tree_bytes(tmp_path / "naive")
+        rec = np.fromfile(merged / "000000.bin", dtype="<f4").reshape(-1, 4)
+        assert np.signbit(rec[1:3, :3]).tolist() == np.signbit(signed_zero[1:3, :3]).tolist()
+
     def test_scale_transform_matches_independent_label_transform(self, scene_dir, tmp_path):
         result = run_teacher(_entry(scene_dir), tmp_path / "t")
         out, spec = scene_dir
@@ -274,6 +326,14 @@ class TestMergeSupersets:
                 assert g.length == pytest.approx(e.length, abs=1e-6)
                 assert g.center_x == pytest.approx(e.center_x, abs=1e-6)
                 assert g.yaw == pytest.approx(e.yaw, abs=1e-6)
+
+
+def _tree_bytes(directory):
+    """Every file under ``directory`` by relative path, with its bytes."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(Path(directory).rglob("*")) if p.is_file()
+    }
 
 
 def _prediction_labels(rng, n_frames=4, score=lambda r: float(r.uniform(0, 1))):
@@ -452,6 +512,55 @@ class TestCli:
         total_original = sum(len(v) for v in original.values())
         assert total_merged == total_original  # merging never creates or drops labels
 
+    @staticmethod
+    def _merge_config(tmp_path, frames, labels, transform):
+        path = tmp_path / "merge.json"
+        path.write_text(json.dumps({
+            "output_root": str(tmp_path / "merged"),
+            "inputs": [{
+                "name": "site_a", "frames": str(frames), "labels": str(labels),
+                "sensor": {"rays_horizontal": 2, "rays_vertical": 2},
+                "transform": transform,
+            }],
+        }))
+        return path
+
+    def test_merge_failure_keeps_previous_output(self, tmp_path, caplog):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        for k in range(3):
+            np.full((4, 4), k + 1.0, dtype="<f4").tofile(frames / f"00000{k}.bin")
+        write_labels({f"00000{k}": [] for k in range(3)}, labels)
+        path = self._merge_config(tmp_path, frames, labels, {"translation": [5.0, 0.0, 0.0]})
+        assert main(["merge", "--config", str(path)]) == 0
+        merged = tmp_path / "merged" / "site_a"
+        before = _tree_bytes(merged)
+        bad = np.full((4, 4), 2.0, dtype="<f4")
+        bad[1, 1] = np.nan
+        bad.tofile(frames / "000001.bin")
+        # a new frame, so that a rerun that went through would change both trees
+        (frames / "000003.bin").write_bytes((frames / "000000.bin").read_bytes())
+        write_labels({"000003": []}, labels)
+        assert main(["merge", "--config", str(path)]) == 2
+        assert str(frames / "000001.bin") in caplog.text
+        assert _tree_bytes(merged) == before
+        assert not list((tmp_path / "merged").rglob("*.partial"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "point, scale", [(10.0, 1e38), (1e30, 1e300)], ids=["float32-overflow", "float64-overflow"]
+    )
+    def test_merge_overflow_is_data_error(self, tmp_path, caplog, point, scale):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        np.array([[point, 0.0, 0.0, 0.0]], dtype="<f4").tofile(frames / "000000.bin")
+        write_labels({"000000": []}, labels)
+        path = self._merge_config(tmp_path, frames, labels, {"scale": scale})
+        assert main(["merge", "--config", str(path)]) == 2
+        assert str(frames / "000000.bin") in caplog.text
+        assert not (tmp_path / "merged" / "site_a" / "frames").exists()
+        assert not list((tmp_path / "merged").rglob("*.partial"))
+
     def test_parallel_annotate_matches_sequential(self, scene_dir, tmp_path):
         entries = [_entry(scene_dir, "a"), _entry(scene_dir, "b", d_threshold=0.3)]
         seq_cfg = PipelineConfig(datasets=entries, output_root=tmp_path / "seq", parallelism=1)
@@ -506,6 +615,8 @@ class TestCli:
             ("evaluate", ("thresholds",), [float("nan")]),
             ("evaluate", ("thresholds",), [2.0]),
             ("evaluate", ("thresholds",), []),
+            ("evaluate", ("thresholds",), [0.5, 0.5]),
+            ("evaluate", ("thresholds",), [0.501, 0.504]),
             ("iterate", (), []),
             ("iterate", ("score_threshold",), float("nan")),
             ("iterate", ("score_threshold",), 1.5),
@@ -516,7 +627,8 @@ class TestCli:
             "merge-transform-list", "merge-translation-short", "simulate-list",
             "simulate-sensor-list", "simulate-origin-short",
             "evaluate-list", "evaluate-threshold-nan", "evaluate-threshold-above-1",
-            "evaluate-thresholds-empty",
+            "evaluate-thresholds-empty", "evaluate-thresholds-repeated",
+            "evaluate-thresholds-equal-at-two-decimals",
             "iterate-list", "iterate-score-nan", "iterate-score-above-1",
         ],
     )
