@@ -13,7 +13,8 @@ invariant violation.  Exit 1 covers every malformed configuration: a missing
 section of the wrong JSON type, an ``annotate`` dataset with a ``transform``
 (only ``merge`` applies one), ``evaluate`` thresholds that are empty,
 outside (0, 1] or equal at two decimals, an ``iterate`` score_threshold
-outside [0, 1] or NaN, and ``--jobs`` below 1.
+outside [0, 1] or NaN, a ``merge`` scale that is not finite and positive,
+and ``--jobs`` below 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .core import ConfigError, DataError, InternalError, read_json_config
-from .evaluate import DEFAULT_IOU_THRESHOLDS, evaluate
+from .evaluate import DEFAULT_IOU_THRESHOLDS, evaluate, validate_iou_thresholds
 from .pipeline import (
     DEFAULT_ITERATE_SCORE_THRESHOLD,
     iterate,
@@ -34,6 +35,7 @@ from .pipeline import (
     parse_merge_config,
     parse_pipeline_config,
     run_annotate,
+    validate_score_threshold,
 )
 from .simulate import default_scene, load_scene, write_scene_outputs
 
@@ -66,28 +68,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _iou_thresholds(values) -> tuple[float, ...]:
-    thresholds = tuple(float(t) for t in values)
-    if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
-        raise ValueError(f"thresholds must be a non-empty list of values in (0, 1], got {values!r}")
-    spelled = [f"{t:.2f}" for t in thresholds]
-    if len(set(spelled)) != len(spelled):
-        raise ValueError(f"thresholds must differ at two decimals, as reports print them, got {values!r}")
-    return thresholds
-
-
-def _score_threshold(value) -> float:
-    threshold = float(value)
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"score_threshold must be in [0, 1], got {value!r}")
-    return threshold
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pred_dir, truth_dir, thresholds, report_path = read_json_config(args.config, lambda data: (
         Path(data["pred_dir"]),
         Path(data["truth_dir"]),
-        _iou_thresholds(data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
+        validate_iou_thresholds(data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
         Path(data["report"]) if "report" in data else None,
     ))
     report = evaluate(pred_dir, truth_dir, thresholds, report_path)
@@ -118,7 +103,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     predictions, workspace, threshold = read_json_config(args.config, lambda data: (
         Path(data["predictions"]),
         Path(data["workspace"]),
-        _score_threshold(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
+        validate_score_threshold(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
     ))
     round_dir = iterate(predictions, workspace, threshold)
     log.info("next-round labels written to %s", round_dir)

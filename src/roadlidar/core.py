@@ -260,8 +260,9 @@ def read_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
 
     ``build`` turns the parsed JSON into typed settings and need not guard its
     field reads: a missing field, or a field or section of the wrong JSON
-    type, surfaces as a ConfigError naming the file, as do an unreadable file
-    and invalid JSON.  A ConfigError that ``build`` raises passes unchanged.
+    type, surfaces as a ConfigError naming the file, as do an unreadable file,
+    invalid JSON and any ValueError (ConfigError included) that ``build``
+    raises for an out-of-range value.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -271,8 +272,6 @@ def read_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:
         return build(data)
-    except ConfigError:
-        raise
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"invalid config {path}: {detail}") from exc

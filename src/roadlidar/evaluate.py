@@ -24,66 +24,162 @@ from .core import DataError, LabelClass, LabelSource, ObjectLabel, read_labels
 DEFAULT_IOU_THRESHOLDS = (0.25, 0.3, 0.5)
 
 
-def _footprint_corners(label: ObjectLabel) -> np.ndarray:
-    """The 4 corners of the box's XY rectangle, counter-clockwise."""
-    c, s = math.cos(label.yaw), math.sin(label.yaw)
-    hl, hw = label.length / 2.0, label.width / 2.0
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([label.center_x, label.center_y])
+def validate_iou_thresholds(values) -> tuple[float, ...]:
+    """IoU thresholds as floats: a non-empty list in (0, 1] that differ as printed.
+
+    Reports print a threshold with two decimals and key records by it, so
+    two thresholds that print alike would give two identical rows.
+    """
+    thresholds = tuple(float(t) for t in values)
+    if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
+        raise ValueError(f"thresholds must be a non-empty list of values in (0, 1], got {values!r}")
+    spelled = [f"{t:.2f}" for t in thresholds]
+    if len(set(spelled)) != len(spelled):
+        raise ValueError(f"thresholds must differ at two decimals, as reports print them, got {values!r}")
+    return thresholds
 
 
-def _clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon by a convex CCW clipper."""
-    output = list(subject)
-    for i in range(len(clipper)):
-        a = clipper[i]
-        b = clipper[(i + 1) % len(clipper)]
-        edge = b - a
-        if not output:
-            return np.empty((0, 2))
-        input_pts = output
-        output = []
-        prev = input_pts[-1]
-        prev_inside = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0
-        for cur in input_pts:
-            cur_inside = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0
-            if cur_inside != prev_inside:
-                # segment crosses the edge line; add the intersection
-                d = cur - prev
-                denom = edge[0] * d[1] - edge[1] * d[0]
-                t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
-                output.append(prev + t * d)
-            if cur_inside:
-                output.append(cur)
-            prev, prev_inside = cur, cur_inside
-    return np.array(output) if output else np.empty((0, 2))
+def _box_arrays(labels: list[ObjectLabel]) -> tuple[np.ndarray, ...]:
+    """Each label's center_z, height, volume and CCW footprint corners (N, 4, 2).
+
+    The corners are each box's local (4, 2) corners times its transposed
+    (2, 2) rotation, with ``math`` trig.  numpy evaluates a stacked matmul
+    with the kernel of the one-box product, whose rounding an elementwise
+    formula does not reproduce (the kernel may fuse multiply-adds).
+    """
+    n = len(labels)
+    fields = np.array([
+        (lb.center_x, lb.center_y, lb.center_z, lb.length, lb.width, lb.height,
+         math.cos(lb.yaw), math.sin(lb.yaw))
+        for lb in labels
+    ]).reshape(n, 8)
+    cx, cy, cz, length, width, height, c, s = fields.T
+    hl, hw = length / 2.0, width / 2.0
+    local = np.stack([hl, hw, -hl, hw, -hl, -hw, hl, -hw], axis=1).reshape(n, 4, 2)
+    rot = np.stack([c, -s, s, c], axis=1).reshape(n, 2, 2)
+    corners = local @ rot.transpose(0, 2, 1) + np.stack([cx, cy], axis=1)[:, None, :]
+    return cz, height, length * width * height, corners
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def _clip_pairs(subject: np.ndarray, clipper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of each subject polygon by its convex CCW clipper.
+
+    ``subject`` and ``clipper`` are (P, 4, 2).  Returns the indices of the
+    pairs whose clip is not empty, their polygons (zero-padded to a common
+    width) and their vertex counts.  Each pair gets the arithmetic of a
+    one-pair loop, in the same order: per clipper edge, each vertex emits
+    the crossing point with its predecessor, then itself if inside.  A pair
+    leaves the batch as soon as its polygon is empty.
+    """
+    pairs = np.arange(len(subject))
+    poly = subject
+    count = np.full(len(subject), subject.shape[1])
+    n_edges = clipper.shape[1]
+    for i in range(n_edges):
+        if not len(pairs):
+            break
+        a = clipper[:, i]
+        edge = clipper[:, (i + 1) % n_edges] - a
+        rows, width = poly.shape[:2]
+        k = np.arange(width)
+        live = k < count[:, None]
+        inside = (
+            edge[:, 0, None] * (poly[..., 1] - a[:, 1, None])
+            - edge[:, 1, None] * (poly[..., 0] - a[:, 0, None])
+        ) >= 0
+        prev_k = np.where(k == 0, count[:, None] - 1, k - 1)
+        crossing = live & (inside != np.take_along_axis(inside, prev_k, 1))
+        r, c = np.nonzero(crossing)
+        prev = poly[r, prev_k[r, c]]
+        d = poly[r, c] - prev
+        ex, ey = edge[r, 0], edge[r, 1]
+        denom = ex * d[:, 1] - ey * d[:, 0]
+        t = (ex * (a[r, 1] - prev[:, 1]) - ey * (a[r, 0] - prev[:, 0])) / denom
+        # Slot 2k holds the crossing into vertex k, slot 2k + 1 the vertex.
+        emitted = np.empty((rows, width, 2, 2))
+        emitted[:, :, 1] = poly
+        emitted[r, c, 0] = prev + t[:, None] * d
+        keep = np.stack([crossing, live & inside], axis=2).reshape(rows, 2 * width)
+        count = keep.sum(axis=1)
+        r, c = np.nonzero(keep)
+        poly = np.zeros((rows, int(count.max(initial=0)), 2))
+        poly[r, np.cumsum(keep, axis=1)[r, c] - 1] = emitted.reshape(rows, 2 * width, 2)[r, c]
+        nonempty = count > 0
+        pairs, poly, count, clipper = pairs[nonempty], poly[nonempty], count[nonempty], clipper[nonempty]
+    return pairs, poly, count
+
+
+def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Shoelace area of each padded polygon; 0.0 below 3 vertices.
+
+    Each polygon's two dot products are taken one polygon at a time, on
+    operands laid out as for a lone (n, 2) polygon: BLAS sums a dot product
+    in an order that a batched numpy sum does not reproduce.
+    """
+    k = np.arange(poly.shape[1])
+    following = np.where(k + 1 < count[:, None], k + 1, 0)
+    x_next = np.take_along_axis(poly[..., 0], following, axis=1)
+    y_next = np.take_along_axis(poly[..., 1], following, axis=1)
+    return np.array([
+        0.5 * abs(float(np.dot(p[:n, 0], yn[:n]) - np.dot(p[:n, 1], xn[:n]))) if n >= 3 else 0.0
+        for p, xn, yn, n in zip(poly, x_next, y_next, count)
+    ])
+
+
+def _pair_ious(pred_boxes: tuple[np.ndarray, ...], truth_boxes: tuple[np.ndarray, ...],
+               pi: np.ndarray, ti: np.ndarray) -> np.ndarray:
+    """IoU of each prediction/truth pair (pi[j], ti[j]), from ``_box_arrays``."""
+    pz, ph, pvol, pcorners = pred_boxes
+    tz, th, tvol, tcorners = truth_boxes
+    dz = (np.minimum(pz[pi] + ph[pi] / 2.0, tz[ti] + th[ti] / 2.0)
+          - np.maximum(pz[pi] - ph[pi] / 2.0, tz[ti] - th[ti] / 2.0))
+    overlap = np.nonzero(dz > 0)[0]
+    clipped, poly, count = _clip_pairs(pcorners[pi[overlap]], tcorners[ti[overlap]])
+    hit = overlap[clipped]
+    area = _polygon_areas(poly, count)
+    inter = area * dz[hit]
+    union = pvol[pi[hit]] + tvol[ti[hit]] - inter
+    # "not <= 0", not "> 0": a NaN area is scored, as one pair at a time
+    scored = ~(area <= 0) & ~(union <= 0)
+    ratio = inter[scored] / union[scored]
+    iou = np.zeros(len(pi))
+    # min(ratio, 1.0) as Python takes it, which keeps a NaN
+    iou[hit[scored]] = np.where(1.0 < ratio, 1.0, ratio)
+    return iou
+
+
+# Pairs clipped at once; bounds the clip's temporaries (under 1 kB a pair).
+_PAIR_BLOCK = 1 << 15
+
+
+def iou_matrices(frames: list[tuple[list[ObjectLabel], list[ObjectLabel]]]) -> list[np.ndarray]:
+    """The (len(preds), len(truths)) volume-IoU matrix of each (preds, truths) frame.
+
+    The frames are computed as one batch of prediction/truth pairs.  A pair
+    whose z-intervals do not overlap scores 0.0 unclipped; the others clip
+    the prediction's footprint by the truth's, and score 0.0 once the clip
+    is empty.  Every value is bit-identical to the one-pair computation
+    that ``tests/oracles.py::naive_iou_3d`` keeps.
+    """
+    n_pred = np.array([len(ps) for ps, _ in frames], dtype=np.int64)
+    n_truth = np.array([len(ts) for _, ts in frames], dtype=np.int64)
+    n_pairs = n_pred * n_truth
+    pair_frame = np.repeat(np.arange(len(frames)), n_pairs)
+    k = np.arange(int(n_pairs.sum())) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    pi = (np.cumsum(n_pred) - n_pred)[pair_frame] + k // n_truth[pair_frame]
+    ti = (np.cumsum(n_truth) - n_truth)[pair_frame] + k % n_truth[pair_frame]
+    pred_boxes = _box_arrays([p for ps, _ in frames for p in ps])
+    truth_boxes = _box_arrays([t for _, ts in frames for t in ts])
+    iou = np.zeros(len(pi))
+    for lo in range(0, len(pi), _PAIR_BLOCK):
+        block = slice(lo, lo + _PAIR_BLOCK)
+        iou[block] = _pair_ious(pred_boxes, truth_boxes, pi[block], ti[block])
+    return [m.reshape(p, t) for m, p, t in zip(np.split(iou, np.cumsum(n_pairs)[:-1]), n_pred, n_truth)]
 
 
 def iou_3d(a: ObjectLabel, b: ObjectLabel) -> float:
     """Volume IoU of two yaw-oriented boxes; symmetric, in [0, 1]."""
-    za0, za1 = a.center_z - a.height / 2.0, a.center_z + a.height / 2.0
-    zb0, zb1 = b.center_z - b.height / 2.0, b.center_z + b.height / 2.0
-    dz = min(za1, zb1) - max(za0, zb0)
-    if dz <= 0:
-        return 0.0
-    inter_fp = _polygon_area(_clip_polygon(_footprint_corners(a), _footprint_corners(b)))
-    if inter_fp <= 0:
-        return 0.0
-    inter = inter_fp * dz
-    vol_a = a.length * a.width * a.height
-    vol_b = b.length * b.width * b.height
-    union = vol_a + vol_b - inter
-    if union <= 0:
-        return 0.0
-    return min(inter / union, 1.0)
+    return float(iou_matrices([([a], [b])])[0][0, 0])
 
 
 @dataclass
@@ -132,9 +228,7 @@ def match_detections(
     """Match one frame's predictions of one class against its references."""
     order = _rank_order(preds)
     if iou_matrix is None:
-        iou_matrix = np.array([[iou_3d(p, t) for t in truths] for p in preds]).reshape(
-            len(preds), len(truths)
-        )
+        iou_matrix = iou_matrices([(preds, truths)])[0]
     taken = np.zeros(len(truths), dtype=bool)
     tp: list[bool] = []
     matched: list[int] = []
@@ -253,23 +347,23 @@ def evaluate_labels(
         raise DataError(
             "prediction frames without matching reference frames: " + ", ".join(extra)
         )
-    report = EvalReport(thresholds=tuple(thresholds))
+    thresholds = validate_iou_thresholds(thresholds)
+    report = EvalReport(thresholds=thresholds)
     stems = sorted(truths_by_stem)
     for cls in LabelClass:
-        frame_sets = []
-        n_truth_total = 0
-        for stem in stems:
-            preds = [p for p in preds_by_stem.get(stem, []) if p.label_class is cls]
-            truths = [t for t in truths_by_stem[stem] if t.label_class is cls]
-            iou = np.array([[iou_3d(p, t) for t in truths] for p in preds]).reshape(
-                len(preds), len(truths)
+        frames = [
+            (
+                [p for p in preds_by_stem.get(stem, []) if p.label_class is cls],
+                [t for t in truths_by_stem[stem] if t.label_class is cls],
             )
-            frame_sets.append((stem, preds, truths, iou))
-            n_truth_total += len(truths)
+            for stem in stems
+        ]
+        n_truth_total = sum(len(truths) for _, truths in frames)
+        matrices = iou_matrices(frames)
         for thr in thresholds:
             pooled: list[_PooledDetection] = []
             tp_total = 0
-            for stem, preds, truths, iou in frame_sets:
+            for stem, (preds, truths), iou in zip(stems, frames, matrices):
                 m = match_detections(preds, truths, thr, iou_matrix=iou)
                 tp_total += m.tp_count
                 for rank, i in enumerate(m.order):
@@ -298,6 +392,7 @@ def evaluate(
     Directories are aligned by frame stem.  When ``report_path`` is given
     the machine-readable report is written there.
     """
+    thresholds = validate_iou_thresholds(thresholds)
     preds = read_labels(pred_dir, source=LabelSource.EXTERNAL)
     truths = read_labels(truth_dir, source=LabelSource.TEACHER)
     report = evaluate_labels(preds, truths, thresholds)

@@ -136,8 +136,7 @@ def _parse_transform(data: dict | None) -> UnificationTransform:
 
 def _parse_dataset(entry: dict) -> DatasetEntry:
     if "transform" in entry:
-        # a plain ValueError, so that read_json_config names the file
-        raise ValueError(
+        raise ConfigError(
             f"dataset '{entry.get('name')}': annotate applies no transform; "
             "set it on the merge input instead"
         )
@@ -232,22 +231,17 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
         "boxes_rejected": len(rejects),
         "labels_written": labels_total,
     }
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_atomic(out_dir / "stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
     (out_dir / "rejects.log").write_text(
         "".join(r.format_line() + "\n" for r in rejects), encoding="utf-8"
     )
     return TeacherRunResult(entry.name, labels_dir, stats)
 
 
-def _publish_whole(directory: Path, write: Callable[[Path], None]) -> None:
-    """Replace ``directory`` by exactly the files ``write`` puts into it.
+def _stage(directory: Path, write: Callable[[Path], None]) -> Path:
+    """Fill a sibling staging directory of ``directory`` by ``write``; return it.
 
-    ``write`` fills a sibling staging directory that is then renamed into
-    place, so a rerun leaves no file of a frame that no longer exists.  If
-    ``write`` raises, the staging directory is removed and ``directory`` is
-    left as it was.
+    If ``write`` raises, the staging directory is removed again.
     """
     staged = directory.with_name(f".{directory.name}.partial")
     shutil.rmtree(staged, ignore_errors=True)
@@ -257,8 +251,29 @@ def _publish_whole(directory: Path, write: Callable[[Path], None]) -> None:
     except BaseException:
         shutil.rmtree(staged, ignore_errors=True)
         raise
+    return staged
+
+
+def _publish(staged: Path, directory: Path) -> None:
     shutil.rmtree(directory, ignore_errors=True)
     os.replace(staged, directory)
+
+
+def _publish_whole(directory: Path, write: Callable[[Path], None]) -> None:
+    """Replace ``directory`` by exactly the files ``write`` puts into it.
+
+    A rerun therefore leaves no file of a frame that no longer exists.  If
+    ``write`` raises, ``directory`` is left as it was.
+    """
+    _publish(_stage(directory, write), directory)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``path`` through a sibling temporary file, so that a run cut short
+    leaves the previous file whole instead of a truncated one."""
+    partial = path.with_name(f".{path.name}.partial")
+    partial.write_text(text, encoding="utf-8")
+    os.replace(partial, path)
 
 
 def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[str, str]]:
@@ -342,10 +357,11 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     one ``name frame_path label_path`` line per frame.  No labels are created,
     dropped or deduplicated by merging.  Frames are transformed one file at
     a time, with the float64 arithmetic of ``unify_units`` and
-    ``unify_datasets``.  Each dataset's ``frames/`` and then ``labels/`` are
-    replaced whole, so a rerun leaves no stale files, and a frame that fails
-    (say, a coordinate that is not finite as float32) leaves both as they
-    were.
+    ``unify_datasets``.  Every input is staged before any is published, and
+    each dataset's ``frames/`` and ``labels/`` are then replaced whole, so a
+    rerun leaves no stale files, and a failure on any input (say, a
+    coordinate that is not finite as float32) leaves the output root and
+    ``index.txt`` as they were.
     """
     if not inputs:
         raise ConfigError("merge needs at least one labeled dataset")
@@ -355,29 +371,37 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     output_root = Path(output_root)
     output_root.mkdir(parents=True, exist_ok=True)
     index_lines = []
-    for item in inputs:
-        files = list_frame_files(item.frames_dir)
-        stems = [file.stem for file in files]
-        labels = read_labels(item.labels_dir)
-        missing = sorted(set(stems) - set(labels))
-        if missing:
-            raise DataError(
-                f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
-            )
-        frames_out = output_root / item.name / "frames"
-        labels_out = output_root / item.name / "labels"
-        transformed = {
-            stem: [transform_label(lb, item.transform) for lb in labels[stem]]
-            for stem in stems
-        }
-        _publish_whole(frames_out, lambda staged: _write_merged_frames(item, files, staged))
-        _publish_whole(labels_out, lambda staged: write_labels(transformed, staged))
-        index_lines += [
-            f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
-            for stem in stems
-        ]
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for item in inputs:
+            files = list_frame_files(item.frames_dir)
+            stems = [file.stem for file in files]
+            labels = read_labels(item.labels_dir)
+            missing = sorted(set(stems) - set(labels))
+            if missing:
+                raise DataError(
+                    f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
+                )
+            frames_out = output_root / item.name / "frames"
+            labels_out = output_root / item.name / "labels"
+            transformed = {
+                stem: [transform_label(lb, item.transform) for lb in labels[stem]]
+                for stem in stems
+            }
+            staged.append((_stage(frames_out, lambda d: _write_merged_frames(item, files, d)), frames_out))
+            staged.append((_stage(labels_out, lambda d: write_labels(transformed, d)), labels_out))
+            index_lines += [
+                f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
+                for stem in stems
+            ]
+    except BaseException:
+        for directory, _ in staged:
+            shutil.rmtree(directory, ignore_errors=True)
+        raise
+    for directory, target in staged:
+        _publish(directory, target)
     index_path = output_root / "index.txt"
-    index_path.write_text("".join(index_lines), encoding="utf-8")
+    _write_atomic(index_path, "".join(index_lines))
     return index_path
 
 
@@ -398,6 +422,14 @@ def _read_manifest(workspace: Path) -> dict:
     return manifest
 
 
+def validate_score_threshold(value) -> float:
+    """A score threshold as a float in [0, 1]; NaN, which would keep no label, is refused."""
+    threshold = float(value)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"score_threshold must be in [0, 1], got {value!r}")
+    return threshold
+
+
 def iterate(
     predictions_dir: str | Path,
     workspace: str | Path,
@@ -413,6 +445,7 @@ def iterate(
     identical to the previous round's labels reproduces them
     byte-identically (fixed point).
     """
+    score_threshold = validate_score_threshold(score_threshold)
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
     predictions = read_labels(predictions_dir, source=LabelSource.EXTERNAL)
@@ -443,7 +476,5 @@ def iterate(
             "labels_kept": kept_total,
         }
     )
-    (workspace / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_atomic(workspace / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return round_dir

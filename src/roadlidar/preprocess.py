@@ -8,6 +8,7 @@ relies on survives preprocessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +31,8 @@ class UnificationTransform:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ConfigError("unification scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError("unification scale must be finite and positive")
         if not np.all(np.isfinite(self.translation)):
             raise ConfigError("unification translation must be finite")
 

@@ -12,7 +12,9 @@ earlier production DBSCAN, which builds every neighbor pair on an epsilon
 grid; it needs memory linear in the pair count rather than quadratic in the
 point count, so it checks real-size frames that ``brute_dbscan`` cannot.
 ``naive_merge_frames`` is the earlier merge of frame files, which built the
-whole sequence in memory before writing it out.
+whole sequence in memory before writing it out.  ``naive_iou_3d`` is the
+earlier per-pair IoU: pure-Python Sutherland-Hodgman on every pair; the
+batched IoU matrices must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -356,3 +358,74 @@ def naive_merge_frames(frames_dir, unit_scale, transform, out_dir) -> None:
         rec = np.zeros((xyz.shape[0], 4), dtype="<f4")
         rec[:, :3] = xyz.astype("<f4")
         (out_dir / f"{stem}.bin").write_bytes(rec.tobytes())
+
+
+def _naive_footprint_corners(label) -> np.ndarray:
+    """The 4 corners of the box's XY rectangle, counter-clockwise."""
+    c, s = math.cos(label.yaw), math.sin(label.yaw)
+    hl, hw = label.length / 2.0, label.width / 2.0
+    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([label.center_x, label.center_y])
+
+
+def _naive_clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of a polygon by a convex CCW clipper."""
+    output = list(subject)
+    for i in range(len(clipper)):
+        a = clipper[i]
+        b = clipper[(i + 1) % len(clipper)]
+        edge = b - a
+        if not output:
+            return np.empty((0, 2))
+        input_pts = output
+        output = []
+        prev = input_pts[-1]
+        prev_inside = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0
+        for cur in input_pts:
+            cur_inside = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0
+            if cur_inside != prev_inside:
+                # segment crosses the edge line; add the intersection
+                d = cur - prev
+                denom = edge[0] * d[1] - edge[1] * d[0]
+                t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
+                output.append(prev + t * d)
+            if cur_inside:
+                output.append(cur)
+            prev, prev_inside = cur, cur_inside
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def _naive_polygon_area(poly: np.ndarray) -> float:
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def naive_iou_3d(a, b) -> float:
+    """Volume IoU of two yaw-oriented boxes, one pair at a time."""
+    za0, za1 = a.center_z - a.height / 2.0, a.center_z + a.height / 2.0
+    zb0, zb1 = b.center_z - b.height / 2.0, b.center_z + b.height / 2.0
+    dz = min(za1, zb1) - max(za0, zb0)
+    if dz <= 0:
+        return 0.0
+    inter_fp = _naive_polygon_area(
+        _naive_clip_polygon(_naive_footprint_corners(a), _naive_footprint_corners(b))
+    )
+    if inter_fp <= 0:
+        return 0.0
+    inter = inter_fp * dz
+    vol_a = a.length * a.width * a.height
+    vol_b = b.length * b.width * b.height
+    union = vol_a + vol_b - inter
+    if union <= 0:
+        return 0.0
+    return min(inter / union, 1.0)
+
+
+def naive_iou_matrix(preds, truths) -> np.ndarray:
+    """One frame's (len(preds), len(truths)) matrix of ``naive_iou_3d``."""
+    return np.array([[naive_iou_3d(p, t) for t in truths] for p in preds]).reshape(
+        len(preds), len(truths)
+    )

@@ -1,18 +1,34 @@
 """IoU, matching, average precision and directory-level evaluation."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import naive_iou_matrix
 
-from roadlidar.core import DataError, LabelClass, ObjectLabel, write_labels
+from roadlidar.core import (
+    CropBounds,
+    DataError,
+    LabelClass,
+    ObjectLabel,
+    SensorMeta,
+    TeacherConfig,
+    read_labels,
+    write_labels,
+)
 from roadlidar.evaluate import (
     average_precision,
     evaluate,
     evaluate_labels,
     iou_3d,
+    iou_matrices,
     match_detections,
 )
+from roadlidar.pipeline import DatasetEntry, run_teacher
+from roadlidar.simulate import Actor, BoxObstacle, GroundPlane, SceneSpec, SensorModel, write_scene_outputs
 
 
 def _label(cx=0.0, cy=0.0, cz=0.0, l=2.0, w=1.0, h=1.0, yaw=0.0,
@@ -67,6 +83,152 @@ class TestIou3d:
         # footprint intersection is the central 1x1 square
         expected = 1.0 / (2.0 + 2.0 - 1.0)
         assert iou_3d(a, b) == pytest.approx(expected, abs=1e-9)
+
+
+def _circumradius(b):
+    return math.hypot(b.length, b.width) / 2.0
+
+
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+_yaw = st.floats(-math.pi, math.pi, exclude_max=True)
+
+
+@st.composite
+def _boxes(draw):
+    w = draw(st.floats(0.1, 2.5))
+    return _label(
+        cx=draw(_coord), cy=draw(_coord), cz=draw(st.floats(-1.0, 1.0)),
+        l=w + draw(st.floats(0.0, 3.0)), w=w, h=draw(st.floats(0.2, 3.0)), yaw=draw(_yaw),
+    )
+
+
+@st.composite
+def _partners(draw, a):
+    """A box placed on an edge case against ``a``."""
+    case = draw(st.sampled_from(["identical", "z-touch", "tangent", "end-to-end"]))
+    if case == "identical":
+        return a
+    if case == "z-touch":
+        b = draw(_boxes())
+        return _label(a.center_x, a.center_y, a.center_z + (a.height + b.height) / 2.0,
+                      b.length, b.width, b.height, b.yaw)
+    if case == "tangent":
+        # circumcircles tangent to within 1e-12
+        b = draw(_boxes())
+        heading = draw(_yaw)
+        dist = _circumradius(a) + _circumradius(b) + draw(st.floats(-1e-12, 1e-12))
+        return _label(a.center_x + dist * math.cos(heading), a.center_y + dist * math.sin(heading),
+                      b.center_z, b.length, b.width, b.height, b.yaw)
+    # The next box along a's heading, sharing its side lines: a gap of 0
+    # overlaps in a zero-area edge, and small gaps leave collinear edges.
+    gap = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1]))
+    step = a.length * (1.0 + gap)
+    return _label(a.center_x + step * math.cos(a.yaw), a.center_y + step * math.sin(a.yaw), a.center_z,
+                  a.length, a.width, a.height, a.yaw)
+
+
+@st.composite
+def _frames(draw):
+    boxes = draw(st.lists(_boxes(), max_size=4))
+    boxes += [draw(_partners(b)) for b in boxes]
+    is_pred = draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
+    return (
+        [b for b, p in zip(boxes, is_pred) if p],
+        [b for b, p in zip(boxes, is_pred) if not p],
+    )
+
+
+def _assert_matrices_match_naive(frames):
+    # Degenerate clips divide by zero in both, as the one-pair loop did.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = iou_matrices(frames)
+        want = [naive_iou_matrix(preds, truths) for preds, truths in frames]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+class TestIouMatrices:
+    @given(st.lists(_frames(), max_size=5))
+    @example([([_label()], []), ([], [_label()]), ([], [])])
+    @example([([_label(yaw=0.3)], [_label(yaw=0.3)])])
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_naive(self, frames):
+        _assert_matrices_match_naive(frames)
+
+    @pytest.mark.parametrize("a, b", [
+        (_label(-0.057051908511120075, 2.1482596259481994, 0.0, 2.648715638031554,
+                0.409352621063208, 1.0, -1.7202278287371344),
+         _label(-0.4483759106369077, -0.10897900403682721, 0.0, 1.6073476647920923,
+                0.3075238343221243, 1.0, -1.7202278287371344)),
+        (_label(-6.981280115125742, 4.815526628205191, 0.0, 4.291377720398453,
+                1.4589546985817727, 1.0, -0.6044537865541573),
+         _label(-3.5931508601942386, 2.4753620622062114, 0.0, 3.3995968050137426,
+                1.4589546985817727, 1.0, -0.6044537865541573)),
+    ], ids=["gap-0.13m", "gap-1.7mm"])
+    def test_disjoint_circumcircles_with_collinear_sides(self, a, b):
+        # The one-pair clip scores these disjoint boxes 1e-16 and NaN: a
+        # rounding sliver along the shared side line.  No test on distance
+        # alone may score them 0.0 in its place.
+        gap = math.hypot(a.center_x - b.center_x, a.center_y - b.center_y) - _circumradius(a) - _circumradius(b)
+        assert gap > 1e-3
+        frames = [([a, b], [a, b])]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            off_diagonal = naive_iou_matrix(*frames[0])[[0, 1], [1, 0]]
+        assert not np.all(off_diagonal == 0.0)
+        _assert_matrices_match_naive(frames)
+
+    def test_pairs_split_over_blocks(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        frames = []
+        for _ in range(5):
+            truths = [_random_box(rng) for _ in range(4)]
+            shifted = [_label(t.center_x + 0.2, t.center_y, t.center_z, t.length, t.width, t.height, t.yaw)
+                       for t in truths[:3]]
+            frames.append((shifted + [_random_box(rng)], truths))
+        # the package's evaluate() shadows the module as an attribute
+        monkeypatch.setattr(importlib.import_module("roadlidar.evaluate"), "_PAIR_BLOCK", 7)
+        _assert_matrices_match_naive(frames)
+        assert sum(int((m > 0).sum()) for m in iou_matrices(frames)) >= 15
+
+    def test_rendered_scene_with_overlapping_actors(self, tmp_path):
+        sensor = SensorModel(
+            origin=(0, 0, 3.0), azimuth_deg=(-24, 24), azimuth_count=120,
+            elevation_deg=(-22, -3), elevation_count=80, range_noise_sigma=0.01, max_range=60.0,
+        )
+        # Pedestrians closer to each other than epsilon and two crossing
+        # vehicles, so that predicted and true boxes overlap several ways.
+        walkers = [
+            Actor("cylinder", (0.3, 1.7), ((12.0 + 0.5 * k, -4.0), (12.0 + 0.5 * k, 4.0)), 1.2, 1.0)
+            for k in range(4)
+        ]
+        cars = [
+            Actor("cuboid", (4.2, 1.8, 1.5), ((18.0, -8.0), (18.0, 8.0)), 3.0, 1.0),
+            Actor("cuboid", (4.0, 1.7, 1.4), ((22.0, 6.0), (15.0, -6.0)), 2.5, 1.5),
+        ]
+        spec = SceneSpec(
+            sensor=sensor,
+            static=[GroundPlane(0.0), BoxObstacle((28.0, 0.0, 3.0), (1.0, 36.0, 6.0))],
+            actors=walkers + cars, duration=30, seed=3,
+        )
+        paths = write_scene_outputs(spec, tmp_path / "scene")
+        teacher = TeacherConfig(
+            n_total=sensor.beam_count, n_query=10, n_bin=10, n_tall=3, d_threshold=0.2,
+            epsilon=0.7, min_pts=5, l_min=0.3, h_min=0.5, beta_min=0.2,
+            crop=CropBounds(0, 40, -25, 25, -1, 8),
+        )
+        meta = SensorMeta(sensor.azimuth_count, sensor.elevation_count)
+        result = run_teacher(DatasetEntry("s", paths["frames"], meta, teacher), tmp_path / "out")
+        preds, truths = read_labels(result.labels_dir), read_labels(paths["truth"])
+        frames = [
+            ([p for p in preds[stem] if p.label_class is cls],
+             [t for t in truths[stem] if t.label_class is cls])
+            for stem in sorted(truths) for cls in LabelClass
+        ]
+        _assert_matrices_match_naive(frames)
+        values = np.concatenate([m.ravel() for m in iou_matrices(frames)])
+        assert (values > 0).sum() >= 20 and (values == 0).sum() >= 20
 
 
 class TestMatchDetections:
@@ -182,6 +344,11 @@ class TestEvaluateLabels:
         assert vehicle.ap == 0.0
         assert report.record(LabelClass.PEDESTRIAN, 0.5).ap_defined
         assert "no reference objects" in report.to_table()
+
+    @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (float("nan"),), (), (1.5,)])
+    def test_thresholds_range_checked(self, thresholds):
+        with pytest.raises(ValueError, match="thresholds"):
+            evaluate_labels({}, {}, thresholds)
 
     def test_extra_prediction_stems_rejected(self):
         rng = np.random.default_rng(36)

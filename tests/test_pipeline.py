@@ -107,6 +107,15 @@ class TestRunTeacher:
         assert tagged
         assert all(lb.label_class is LabelClass.VEHICLE for lb in tagged)
 
+    def test_interrupted_stats_write_keeps_previous_stats(self, scene_dir, tmp_path, monkeypatch):
+        run_teacher(_entry(scene_dir), tmp_path)
+        stats = tmp_path / "site_a" / "stats.json"
+        before = stats.read_bytes()
+        _cut_short_writes(monkeypatch, "stats")
+        with pytest.raises(KeyboardInterrupt):
+            run_teacher(_entry(scene_dir), tmp_path)
+        assert stats.read_bytes() == before
+
     def test_empty_frame_directory(self, tmp_path):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -328,6 +337,20 @@ class TestMergeSupersets:
                 assert g.yaw == pytest.approx(e.yaw, abs=1e-6)
 
 
+def _cut_short_writes(monkeypatch, name):
+    """Make a text write to a file whose name contains ``name`` stop halfway,
+    as a run killed mid-write would."""
+    write_text = Path.write_text
+
+    def cut_short(path, text, *args, **kwargs):
+        if name in path.name:
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+
+
 def _tree_bytes(directory):
     """Every file under ``directory`` by relative path, with its bytes."""
     return {
@@ -402,6 +425,29 @@ class TestIterate:
             f.name for f in pred_dir.iterdir()
         )
         assert not list((tmp_path / "ws").glob("*.partial"))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+    def test_score_threshold_range_checked(self, tmp_path, threshold):
+        rng = np.random.default_rng(57)
+        pred_dir = tmp_path / "preds"
+        write_labels(_prediction_labels(rng), pred_dir)
+        with pytest.raises(ValueError, match="score_threshold"):
+            iterate(pred_dir, tmp_path / "ws", score_threshold=threshold)
+        assert not (tmp_path / "ws").exists()
+
+    def test_interrupted_manifest_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(58)
+        pred_dir = tmp_path / "preds"
+        write_labels(_prediction_labels(rng, score=lambda r: 1.0), pred_dir)
+        ws = tmp_path / "ws"
+        iterate(pred_dir, ws)
+        before = (ws / "manifest.json").read_bytes()
+        _cut_short_writes(monkeypatch, "manifest")
+        with pytest.raises(KeyboardInterrupt):
+            iterate(pred_dir, ws)
+        monkeypatch.undo()
+        assert (ws / "manifest.json").read_bytes() == before
+        assert iterate(pred_dir, ws).name == "round_002"
 
     def test_labels_retagged_external(self, tmp_path):
         rng = np.random.default_rng(53)
@@ -546,6 +592,32 @@ class TestCli:
         assert _tree_bytes(merged) == before
         assert not list((tmp_path / "merged").rglob("*.partial"))
 
+    def test_merge_failure_on_later_input_publishes_nothing(self, tmp_path, caplog):
+        inputs = []
+        for name in ("a", "b"):
+            frames, labels = tmp_path / name / "frames", tmp_path / name / "labels"
+            frames.mkdir(parents=True)
+            for k in range(3):
+                np.full((4, 4), k + 1.0, dtype="<f4").tofile(frames / f"00000{k}.bin")
+            write_labels({f"00000{k}": [] for k in range(3)}, labels)
+            inputs.append({
+                "name": name, "frames": str(frames), "labels": str(labels),
+                "sensor": {"rays_horizontal": 2, "rays_vertical": 2},
+                "transform": {"translation": [5.0, 0.0, 0.0]},
+            })
+        path = tmp_path / "merge.json"
+        path.write_text(json.dumps({"output_root": str(tmp_path / "merged"), "inputs": inputs}))
+        assert main(["merge", "--config", str(path)]) == 0
+        before = _tree_bytes(tmp_path / "merged")
+        assert "index.txt" in before
+        (tmp_path / "a" / "frames" / "000001.bin").unlink()
+        bad = np.full((4, 4), 2.0, dtype="<f4")
+        bad[1, 1] = np.nan
+        bad.tofile(tmp_path / "b" / "frames" / "000001.bin")
+        assert main(["merge", "--config", str(path)]) == 2
+        assert str(tmp_path / "b" / "frames" / "000001.bin") in caplog.text
+        assert _tree_bytes(tmp_path / "merged") == before
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "point, scale", [(10.0, 1e38), (1e30, 1e300)], ids=["float32-overflow", "float64-overflow"]
@@ -608,6 +680,7 @@ class TestCli:
             ("annotate", ("datasets", 0, "teacher", "n_total"), float("inf")),
             ("merge", ("inputs", 0, "transform"), [50.0, 0.0, 0.0]),
             ("merge", ("inputs", 0, "transform"), {"translation": [50.0, 0.0]}),
+            ("merge", ("inputs", 0, "transform"), {"scale": float("inf")}),
             ("simulate", (), []),
             ("simulate", ("sensor",), [0.0, 0.0, 3.0]),
             ("simulate", ("sensor", "origin"), [0.0, 3.0]),
@@ -624,7 +697,7 @@ class TestCli:
         ids=[
             "annotate-sensor-list", "annotate-transform-string", "annotate-transform",
             "annotate-n_total-infinite",
-            "merge-transform-list", "merge-translation-short", "simulate-list",
+            "merge-transform-list", "merge-translation-short", "merge-scale-infinite", "simulate-list",
             "simulate-sensor-list", "simulate-origin-short",
             "evaluate-list", "evaluate-threshold-nan", "evaluate-threshold-above-1",
             "evaluate-thresholds-empty", "evaluate-thresholds-repeated",
