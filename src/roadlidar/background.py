@@ -78,10 +78,6 @@ class BackgroundModel:
     def n_tall(self) -> int:
         return self.tall.shape[1]
 
-    def tall_distances(self, index: int) -> list[float]:
-        row = self.tall[index]
-        return [float(v) for v in row[~np.isnan(row)]]
-
 
 def extract_query_frames(seq: FrameSequence, n_query: int) -> FrameSequence:
     """First ``n_query`` frames of the sequence, order preserved."""

@@ -4,17 +4,21 @@ Subcommands: ``annotate`` (run the teachers), ``merge``, ``evaluate``,
 ``simulate`` and ``iterate``.  Each reads a declarative JSON configuration
 via ``--config``, which only ``simulate`` may omit.  ``simulate --seed``
 overrides the scene's seed and ``annotate --jobs`` the configured worker
-count; ``annotate`` also accepts ``--seed`` and ignores it, because the
-teacher uses no randomness.
+count; no other subcommand takes either flag, so ``annotate --seed`` is a
+usage error (the teacher uses no randomness).
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
-invariant violation.  Exit 1 covers every malformed configuration: a missing
-``--config``, an unreadable file, invalid JSON, a missing field, a field or
-section of the wrong JSON type, an ``annotate`` dataset with a ``transform``
-(only ``merge`` applies one), ``evaluate`` thresholds that are empty,
-outside (0, 1] or equal at two decimals, an ``iterate`` score_threshold
-outside [0, 1] or NaN, a ``merge`` scale that is not finite and positive,
-and ``--jobs`` below 1.
+Exit codes: 0 success (``--help`` included), 1 usage or configuration error,
+2 data error, 3 internal invariant violation.  Exit 1 covers a bad
+invocation (an unknown subcommand or flag, a flag value of the wrong type)
+and every malformed configuration: a missing ``--config``, an unreadable
+file, invalid JSON, a missing field, a field or section of the wrong JSON
+type, an ``annotate`` dataset with a ``transform`` (only ``merge`` applies
+one), a sensor ``unit_scale`` or ``merge`` scale that is not finite and
+positive, ``evaluate`` thresholds that are empty, outside (0, 1] or equal at
+two decimals, an ``iterate`` score_threshold outside [0, 1] or NaN, and
+``--jobs`` below 1.  Exit 2 covers input data that cannot be used, such as
+a frame file whose record count is not the sensor's beam count or that
+holds a coordinate that is not finite.
 """
 
 from __future__ import annotations
@@ -138,16 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     parsers["simulate"].add_argument("--seed", type=int, help="override the configured random seed")
     parsers["simulate"].add_argument("--out", help="output directory (default: scene_out)")
     parsers["annotate"].add_argument("--jobs", type=int, help="override the configured worker count")
-    parsers["annotate"].add_argument(
-        "--seed", type=int, help="ignored: the teacher uses no randomness"
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if not args.config and args.command != "simulate":
             raise ConfigError(f"{args.command} requires --config")

@@ -10,8 +10,14 @@ On-disk formats:
 
 * Frame files: ``<stem>.bin`` -- little-endian float32, four values per
   point (x, y, z, intensity), frames ordered lexicographically by filename.
-  Intensity is read and discarded.  All-zero rows are treated as padding on
-  load (a return at exactly the sensor origin cannot occur physically).
+  A file holds exactly one record per beam of its sensor
+  (``rays_horizontal * rays_vertical``), so record ``j`` is beam ``j`` in
+  every frame; a beam without a return is an all-zero row, which loads as
+  padding (a return at exactly the sensor origin cannot occur physically).
+  Intensity is read and discarded.  ``read_frame_file`` is the one place a
+  frame file is checked: a wrong record count or a coordinate that is not
+  finite is a DataError naming the file, so the stages after it may assume
+  finite data and zero padding.
 * Label files: ``<stem>.txt`` -- UTF-8 text, one object per line::
 
       class cx cy cz length width height yaw score
@@ -80,8 +86,8 @@ class SensorMeta:
     def __post_init__(self) -> None:
         if self.rays_horizontal < 1 or self.rays_vertical < 1:
             raise ConfigError("sensor ray counts must be positive")
-        if self.unit_scale <= 0:
-            raise ConfigError("unit_scale must be positive")
+        if not (math.isfinite(self.unit_scale) and self.unit_scale > 0):
+            raise ConfigError("unit_scale must be finite and positive")
 
     @property
     def beam_count(self) -> int:
@@ -118,9 +124,11 @@ class Frame:
     """One sweep of the sensor.
 
     ``xyz`` is an (n, 3) float64 array; ``padding`` is an (n,) bool array
-    marking filler points.  A padding point is always (0, 0, 0).  Frames are
-    treated as immutable: pipeline stages return new frames and never write
-    into an input array.
+    marking filler points.  A padding point is always (0, 0, 0) and every
+    other point is finite: ``read_frame_file`` checks this where data enters,
+    and the stages keep it true, so construction checks only shapes.  Frames
+    are treated as immutable: pipeline stages return new frames and never
+    write into an input array.
     """
 
     timestamp_index: int
@@ -136,11 +144,6 @@ class Frame:
             raise DataError("padding mask length must match point count")
         if self.timestamp_index < 1:
             raise DataError("timestamp_index must be >= 1")
-        if self.padding.any() and not np.all(self.xyz[self.padding] == 0.0):
-            raise InternalError("padding points must be zero")
-        data = self.xyz[~self.padding]
-        if data.size and not np.all(np.isfinite(data)):
-            raise DataError("non-padding points must have finite coordinates")
 
     @property
     def n_points(self) -> int:
@@ -185,10 +188,6 @@ class FrameSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    @property
-    def arity(self) -> int:
-        return self.frames[0].n_points
-
 
 @dataclass(frozen=True)
 class ObjectLabel:
@@ -229,7 +228,11 @@ class ObjectLabel:
 
 @dataclass(frozen=True)
 class TeacherConfig:
-    """Hyper-parameters of one statistical teacher."""
+    """Hyper-parameters of one statistical teacher.
+
+    ``n_total`` is N_total, the beams per frame; a configuration file does
+    not set it, the parser takes it from the sensor.
+    """
 
     n_total: int
     n_query: int
@@ -288,14 +291,25 @@ def json_floats(value: Any, n: int) -> tuple[float, ...]:
 # Frame file I/O
 # ---------------------------------------------------------------------------
 
-def read_frame_file(path: Path) -> np.ndarray:
-    """Read one .bin frame file into an (n, 4) float32 array."""
+def read_frame_file(path: Path, beam_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read one .bin frame file: its xyz as an (n, 3) float64 array and its
+    padding mask, the all-zero rows (``-0.0`` counts as zero).
+
+    The file must hold exactly ``beam_count`` records, every x, y and z of
+    them finite; otherwise a DataError names the file.
+    """
     raw = Path(path).read_bytes()
-    if len(raw) % _POINT_RECORD_BYTES != 0:
+    if len(raw) != beam_count * _POINT_RECORD_BYTES:
         raise DataError(
-            f"malformed frame file {path}: {len(raw)} bytes is not a multiple of {_POINT_RECORD_BYTES}"
+            f"malformed frame file {path}: {len(raw)} bytes, but the sensor's "
+            f"{beam_count} beams take {beam_count * _POINT_RECORD_BYTES} "
+            f"({_POINT_RECORD_BYTES} bytes each)"
         )
-    return np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    xyz = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64)
+    if not np.isfinite(xyz).all():
+        raise DataError(f"malformed frame file {path}: a coordinate is not finite")
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    return xyz, (x == 0.0) & (y == 0.0) & (z == 0.0)
 
 
 def write_frame_file(path: Path, xyz: np.ndarray, intensity: np.ndarray | None = None) -> None:
@@ -317,17 +331,6 @@ def write_frame_file(path: Path, xyz: np.ndarray, intensity: np.ndarray | None =
     Path(path).write_bytes(rec.tobytes())
 
 
-def frame_points(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The xyz columns of frame records as float64, and their padding mask.
-
-    A row is padding when all three coordinates compare equal to zero, so
-    ``-0.0`` counts as zero.
-    """
-    xyz = rec[:, :3].astype(np.float64)
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    return xyz, (x == 0.0) & (y == 0.0) & (z == 0.0)
-
-
 def list_frame_files(path: str | Path) -> list[Path]:
     """The .bin files of a frame directory, in lexicographic filename order."""
     directory = Path(path)
@@ -343,10 +346,12 @@ def load_frame_sequence(path: str | Path, meta: SensorMeta) -> FrameSequence:
     """Load a directory of per-frame .bin files, lexicographic filename order.
 
     Raw units are preserved; scaling to meters happens in the preprocessor.
-    All-zero rows are flagged as padding.
+    Every file is checked against ``meta`` by ``read_frame_file``.
     """
     files = list_frame_files(path)
-    frames = [Frame(t, *frame_points(read_frame_file(file))) for t, file in enumerate(files, start=1)]
+    frames = [
+        Frame(t, *read_frame_file(file, meta.beam_count)) for t, file in enumerate(files, start=1)
+    ]
     return FrameSequence(frames, meta, [file.stem for file in files])
 
 

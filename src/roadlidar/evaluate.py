@@ -187,26 +187,15 @@ class Matching:
     """Greedy one-to-one match of one frame's predictions to references.
 
     ``order`` gives prediction indices in evaluation rank; ``tp[r]`` says
-    whether the prediction at rank r matched, ``matched_truth[r]`` which
-    reference it claimed (-1 for none).
+    whether the prediction at rank r matched.
     """
 
     order: list[int]
     tp: list[bool]
-    matched_truth: list[int]
-    n_truth: int
 
     @property
     def tp_count(self) -> int:
         return sum(self.tp)
-
-    @property
-    def fp_count(self) -> int:
-        return len(self.tp) - self.tp_count
-
-    @property
-    def fn_count(self) -> int:
-        return self.n_truth - self.tp_count
 
 
 def _rank_order(preds: list[ObjectLabel]) -> list[int]:
@@ -231,7 +220,6 @@ def match_detections(
         iou_matrix = iou_matrices([(preds, truths)])[0]
     taken = np.zeros(len(truths), dtype=bool)
     tp: list[bool] = []
-    matched: list[int] = []
     for i in order:
         best_j = -1
         best_iou = 0.0
@@ -244,12 +232,8 @@ def match_detections(
                 best_j = j
         if best_j >= 0:
             taken[best_j] = True
-            tp.append(True)
-            matched.append(best_j)
-        else:
-            tp.append(False)
-            matched.append(-1)
-    return Matching(order=order, tp=tp, matched_truth=matched, n_truth=len(truths))
+        tp.append(best_j >= 0)
+    return Matching(order=order, tp=tp)
 
 
 def average_precision(tp_flags: list[bool], n_truth: int) -> tuple[float, bool]:

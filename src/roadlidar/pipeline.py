@@ -43,7 +43,6 @@ from .core import (
     ObjectLabel,
     SensorMeta,
     TeacherConfig,
-    frame_points,
     json_floats,
     list_frame_files,
     load_frame_sequence,
@@ -53,7 +52,7 @@ from .core import (
     write_frame_file,
     write_labels,
 )
-from .preprocess import UnificationTransform, apply_transform_points, crop_frame, pad_frame, transform_label, unify_units
+from .preprocess import UnificationTransform, apply_transform_points, crop_frame, transform_label, unify_units
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +67,13 @@ class DatasetEntry:
     meta: SensorMeta
     teacher: TeacherConfig
     background_model_in: Path | None = None
+
+    def __post_init__(self) -> None:
+        if self.teacher.n_total != self.meta.beam_count:
+            raise ConfigError(
+                f"dataset '{self.name}': n_total {self.teacher.n_total} is not "
+                f"the sensor's beam count {self.meta.beam_count}"
+            )
 
 
 @dataclass
@@ -109,9 +115,9 @@ def _parse_crop(data: dict) -> CropBounds:
     )
 
 
-def _parse_teacher(data: dict) -> TeacherConfig:
+def _parse_teacher(data: dict, n_total: int) -> TeacherConfig:
     return TeacherConfig(
-        n_total=int(data["n_total"]),
+        n_total=n_total,
         n_query=int(data["n_query"]),
         n_bin=int(data["n_bin"]),
         n_tall=int(data["n_tall"]),
@@ -141,18 +147,12 @@ def _parse_dataset(entry: dict) -> DatasetEntry:
             "set it on the merge input instead"
         )
     meta = _parse_sensor(entry["sensor"])
-    teacher = _parse_teacher(entry["teacher"])
-    if meta.beam_count > teacher.n_total:
-        raise ConfigError(
-            f"dataset '{entry.get('name')}': sensor beam count {meta.beam_count} "
-            f"exceeds n_total {teacher.n_total}"
-        )
     model_in = entry.get("background_model_in")
     return DatasetEntry(
         name=str(entry["name"]),
         frames_dir=Path(entry["frames"]),
         meta=meta,
-        teacher=teacher,
+        teacher=_parse_teacher(entry["teacher"], meta.beam_count),
         background_model_in=Path(model_in) if model_in else None,
     )
 
@@ -173,10 +173,12 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
 def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResult:
     """Run the full teacher on one dataset and write labels plus run artifacts.
 
-    Stages: unit unification, padding, cropping, background model over the
-    query window, then per frame background filtering, clustering and
-    annotation.  Outputs under ``<output_root>/<name>/``: ``labels/``, the
-    background model sidecar, ``stats.json`` and ``rejects.log``.
+    Stages: unit unification, cropping, background model over the query
+    window, then per frame background filtering, clustering and annotation.
+    Outputs under ``<output_root>/<name>/``: ``labels/``, the background
+    model sidecar, ``stats.json`` and ``rejects.log``.  All are written after
+    the last frame, each replaced whole, so a run that fails or is cut short
+    leaves the previous outputs as they were instead of a mix of old and new.
     """
     cfg = entry.teacher
     out_dir = Path(output_root) / entry.name
@@ -185,20 +187,20 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
 
     seq = load_frame_sequence(entry.frames_dir, entry.meta)
     seq = unify_units(seq)
-    frames = [crop_frame(pad_frame(f, cfg.n_total), cfg.crop) for f in seq.frames]
+    frames = [crop_frame(f, cfg.crop) for f in seq.frames]
     seq = FrameSequence(frames, seq.meta, seq.stems)
 
     if entry.background_model_in is not None:
         model = load_background_model(entry.background_model_in)
         if model.n_total != cfg.n_total:
             raise DataError(
-                f"background model arity {model.n_total} does not match n_total {cfg.n_total}"
+                f"background model arity {model.n_total} does not match the "
+                f"sensor's {cfg.n_total} beams"
             )
     else:
         query = extract_query_frames(seq, cfg.n_query)
         hist = build_histogram(query, cfg.n_bin)
         model = select_background(hist, cfg.n_tall)
-    save_background_model(model, out_dir / "background.model")
 
     rejects: list[RejectedBox] = []
     labels_by_stem: dict[str, list[ObjectLabel]] = {}
@@ -232,9 +234,8 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
         "labels_written": labels_total,
     }
     _write_atomic(out_dir / "stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
-    (out_dir / "rejects.log").write_text(
-        "".join(r.format_line() + "\n" for r in rejects), encoding="utf-8"
-    )
+    _write_atomic(out_dir / "rejects.log", "".join(r.format_line() + "\n" for r in rejects))
+    _write_atomic(out_dir / "background.model", lambda partial: save_background_model(model, partial))
     return TeacherRunResult(entry.name, labels_dir, stats)
 
 
@@ -268,11 +269,15 @@ def _publish_whole(directory: Path, write: Callable[[Path], None]) -> None:
     _publish(_stage(directory, write), directory)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, content: str | Callable[[Path], None]) -> None:
     """Write ``path`` through a sibling temporary file, so that a run cut short
-    leaves the previous file whole instead of a truncated one."""
+    leaves the previous file whole instead of a truncated one.  ``content`` is
+    the text, or a function that writes the file it is given."""
     partial = path.with_name(f".{path.name}.partial")
-    partial.write_text(text, encoding="utf-8")
+    if callable(content):
+        content(partial)
+    else:
+        partial.write_text(content, encoding="utf-8")
     os.replace(partial, path)
 
 
@@ -295,7 +300,6 @@ def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[s
                 results.append(future.result() if future else run_teacher(entry, config.output_root))
             except Exception as exc:  # noqa: BLE001 - isolate dataset failures
                 failures[entry.name] = str(exc)
-                log.error("dataset %s failed: %s", entry.name, exc)
     results.sort(key=lambda r: r.name)
     return results, failures
 
@@ -337,7 +341,7 @@ def _write_merged_frames(item: MergeInput, files: list[Path], directory: Path) -
     non-finite value it leaves, and the error names the source file.
     """
     for file in files:
-        xyz, padding = frame_points(read_frame_file(file))
+        xyz, padding = read_frame_file(file, item.meta.beam_count)
         with np.errstate(over="ignore", invalid="ignore"):
             if item.meta.unit_scale != 1.0:
                 xyz *= item.meta.unit_scale

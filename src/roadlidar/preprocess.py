@@ -58,8 +58,7 @@ def pad_frame(frame: Frame, n_total: int) -> Frame:
     """Zero-pad a frame to exactly ``n_total`` points.
 
     Original point order and values are untouched; appended points are
-    padding.  A frame larger than ``n_total`` is an error: the caller must
-    raise its configured arity instead.
+    padding.  A frame larger than ``n_total`` is an error.
     """
     n = frame.n_points
     if n > n_total:

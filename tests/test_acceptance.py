@@ -362,7 +362,6 @@ class TestAcceptance:
                             "frequency_hz": 10.0,
                         },
                         "teacher": {
-                            "n_total": scene.sensor.beam_count,
                             "n_query": 20, "n_bin": 10, "n_tall": 3, "d_threshold": 0.2,
                             "epsilon": 0.7, "min_pts": 5,
                             "l_min": 0.3, "h_min": 0.5, "beta_min": 0.2,
@@ -378,7 +377,7 @@ class TestAcceptance:
                 config["output_root"] = str(tmp_path / run)
                 cfg_path = tmp_path / f"annotate_{run}.json"
                 cfg_path.write_text(json.dumps(config))
-                assert main(["annotate", "--config", str(cfg_path), "--seed", "21"]) == 0
+                assert main(["annotate", "--config", str(cfg_path)]) == 0
                 eval_cfg = {
                     "pred_dir": str(tmp_path / run / "site" / "labels"),
                     "truth_dir": str(paths["truth"]),

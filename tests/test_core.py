@@ -14,9 +14,9 @@ from roadlidar.core import (
     LabelSource,
     ObjectLabel,
     SensorMeta,
-    frame_points,
     load_frame_sequence,
     normalize_yaw_half,
+    read_frame_file,
     read_label_file,
     read_labels,
     write_frame_file,
@@ -44,10 +44,10 @@ class TestFrameLoading:
 
     def test_32_bytes_is_two_points(self, tmp_path):
         (tmp_path / "f.bin").write_bytes(b"\x00" * 32)
-        seq = load_frame_sequence(tmp_path, META)
+        seq = load_frame_sequence(tmp_path, SensorMeta(2, 1))
         assert seq.frames[0].n_points == 2
 
-    def test_padding_treats_negative_zero_as_zero(self):
+    def test_padding_treats_negative_zero_as_zero(self, tmp_path):
         rec = np.array([
             [0.0, 0.0, 0.0, 1.0],
             [-0.0, 0.0, -0.0, 0.0],
@@ -56,7 +56,8 @@ class TestFrameLoading:
             [0.0, 0.0, -1.0, 0.0],
             [1.0, 2.0, 3.0, 0.0],
         ], dtype="<f4")
-        xyz, padding = frame_points(rec)
+        (tmp_path / "f.bin").write_bytes(rec.tobytes())
+        xyz, padding = read_frame_file(tmp_path / "f.bin", 6)
         assert xyz.dtype == np.float64
         np.testing.assert_array_equal(xyz, rec[:, :3])
         np.testing.assert_array_equal(padding, np.all(xyz == 0.0, axis=1))
@@ -87,7 +88,7 @@ class TestFrameLoading:
         rng = np.random.default_rng(1)
         second = _write_bin(tmp_path / "b.bin", 4, rng)
         first = _write_bin(tmp_path / "a.bin", 4, rng)
-        seq = load_frame_sequence(tmp_path, META)
+        seq = load_frame_sequence(tmp_path, SensorMeta(2, 2))
         np.testing.assert_allclose(seq.frames[0].xyz, first, atol=1e-6)
         np.testing.assert_allclose(seq.frames[1].xyz, second, atol=1e-6)
         assert seq.stems == ["a", "b"]
@@ -95,24 +96,33 @@ class TestFrameLoading:
     def test_zero_rows_load_as_padding(self, tmp_path):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
         write_frame_file(tmp_path / "f.bin", pts)
-        seq = load_frame_sequence(tmp_path, META)
+        seq = load_frame_sequence(tmp_path, SensorMeta(3, 1))
         assert list(seq.frames[0].padding) == [False, True, False]
 
     def test_intensity_discarded(self, tmp_path):
         rec = np.array([[1, 2, 3, 99.5]], dtype="<f4")
         (tmp_path / "f.bin").write_bytes(rec.tobytes())
-        seq = load_frame_sequence(tmp_path, META)
+        seq = load_frame_sequence(tmp_path, SensorMeta(1, 1))
         np.testing.assert_allclose(seq.frames[0].xyz, [[1, 2, 3]])
 
 
 class TestFrameInvariants:
-    def test_padding_must_be_zero(self):
-        with pytest.raises(Exception):
-            Frame(1, np.array([[1.0, 0.0, 0.0]]), np.array([True]))
+    """Checked once, where a frame file is read; the stages keep them true."""
 
-    def test_nan_rejected(self):
-        with pytest.raises(DataError):
-            Frame(1, np.array([[np.nan, 0.0, 0.0]]), np.array([False]))
+    def test_padding_must_be_zero(self, tmp_path):
+        rec = np.array([[1.0, 2.0, 3.0, 0.0], [0.0, -0.0, 0.0, 4.0], [5.0, 6.0, 7.0, 0.0]], dtype="<f4")
+        (tmp_path / "f.bin").write_bytes(rec.tobytes())
+        frame = Frame(1, *read_frame_file(tmp_path / "f.bin", 3))
+        dropped = frame.without(np.array([True, False, False]))
+        assert dropped.padding.tolist() == [True, True, False]
+        np.testing.assert_array_equal(dropped.xyz[dropped.padding], 0.0)
+
+    def test_nan_rejected(self, tmp_path):
+        rec = np.ones((2, 4), dtype="<f4")
+        rec[1, 0] = np.nan
+        (tmp_path / "f.bin").write_bytes(rec.tobytes())
+        with pytest.raises(DataError, match="f.bin"):
+            load_frame_sequence(tmp_path, SensorMeta(2, 1))
 
 
 def _random_label(rng) -> ObjectLabel:

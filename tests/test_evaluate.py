@@ -236,20 +236,19 @@ class TestMatchDetections:
         rng = np.random.default_rng(33)
         truths = [_random_box(rng) for _ in range(4)]
         m = match_detections(truths, truths, 0.5)
-        assert m.tp_count == 4 and m.fp_count == 0 and m.fn_count == 0
+        assert m.tp == [True] * 4
 
     def test_one_prediction_no_truth(self):
         m = match_detections([_label()], [], 0.5)
-        assert m.tp_count == 0 and m.fp_count == 1 and m.fn_count == 0
+        assert m.tp == [False]
 
     def test_two_predictions_one_truth(self):
         truth = _label()
         near = _label(cx=0.05)
         nearer = _label(cx=0.01, score=0.9)
         m = match_detections([near, nearer], [truth], 0.5)
-        assert m.tp_count == 1 and m.fp_count == 1 and m.fn_count == 0
-        # the higher-scoring prediction gets the match
-        assert m.order[0] == 0 and m.tp[0] is True
+        # the higher-scoring prediction gets the match; the other is a false positive
+        assert m.order == [0, 1] and m.tp == [True, False]
 
     def test_score_tie_broken_by_distance(self):
         truth = _label(cx=5.0)
@@ -263,8 +262,11 @@ class TestMatchDetections:
         t_good = _label(cx=0.1)
         t_poor = _label(cx=0.8)
         pred = _label()
-        m = match_detections([pred], [t_good, t_poor], 0.1)
-        assert m.matched_truth == [0]
+        # overlaps t_poor (IoU 0.25) but not t_good (0.03 < 0.1), so it can
+        # match only if the first prediction took t_good
+        second = _label(cx=2.0, score=0.5)
+        m = match_detections([pred, second], [t_good, t_poor], 0.1)
+        assert m.tp == [True, True]
 
 
 class TestAveragePrecision:

@@ -1,5 +1,6 @@
 """Teacher orchestration, superset merging, the iteration loop and the CLI."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import naive_merge_frames
 
+from roadlidar import pipeline
 from roadlidar.cli import build_parser, main
 from roadlidar.core import (
     ConfigError,
@@ -116,12 +118,39 @@ class TestRunTeacher:
             run_teacher(_entry(scene_dir), tmp_path)
         assert stats.read_bytes() == before
 
+    def test_interrupted_rejects_write_keeps_previous_rejects(self, scene_dir, tmp_path, monkeypatch):
+        entry = _entry(scene_dir)
+        entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, h_min=2.0))
+        run_teacher(entry, tmp_path)
+        rejects = tmp_path / "site_a" / "rejects.log"
+        before = rejects.read_bytes()
+        assert before  # the 1.5 m tall vehicle is rejected as height<h_min
+        _cut_short_writes(monkeypatch, "rejects")
+        with pytest.raises(KeyboardInterrupt):
+            run_teacher(entry, tmp_path)
+        assert rejects.read_bytes() == before
+
+    def test_failure_in_frame_loop_keeps_previous_outputs(self, scene_dir, tmp_path, monkeypatch):
+        run_teacher(_entry(scene_dir), tmp_path)
+        before = _tree_bytes(tmp_path / "site_a")
+        entry = _entry(scene_dir)
+        # a shorter query window, so a run that went through would write another model
+        entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_query=5))
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("clustering failed")
+
+        monkeypatch.setattr(pipeline, "dbscan", fail)
+        with pytest.raises(RuntimeError, match="clustering failed"):
+            run_teacher(entry, tmp_path)
+        assert _tree_bytes(tmp_path / "site_a") == before
+
     def test_empty_frame_directory(self, tmp_path):
         frames = tmp_path / "frames"
         frames.mkdir()
         entry = DatasetEntry(
             name="empty", frames_dir=frames,
-            meta=SensorMeta(2, 2), teacher=_teacher_cfg(16),
+            meta=SensorMeta(2, 2), teacher=_teacher_cfg(4),
         )
         with pytest.raises(Exception, match="empty sequence"):
             run_teacher(entry, tmp_path / "out")
@@ -156,7 +185,7 @@ class TestRunTeacher:
         good = _entry(scene_dir, "good")
         bad = DatasetEntry(
             name="bad", frames_dir=bad_frames,
-            meta=SensorMeta(2, 2), teacher=_teacher_cfg(16),
+            meta=SensorMeta(2, 2), teacher=_teacher_cfg(4),
         )
         config = PipelineConfig(
             datasets=[bad, good], output_root=tmp_path / "out", parallelism=parallelism
@@ -306,10 +335,12 @@ class TestMergeSupersets:
             [4.0, 0.0, -0.0, 0.0],
         ], dtype="<f4")
         signed_zero.tofile(frames / "000000.bin")
-        signed_zero[:3].tofile(frames / "000001.bin")  # shorter than the 2x4 beams
+        short = signed_zero.copy()
+        short[3:] = -0.0  # fewer returns: the beams that missed are zero rows
+        short.tofile(frames / "000001.bin")
         write_labels({"000000": [], "000001": []}, labels)
         merge_supersets(
-            [MergeInput("s", frames, labels, SensorMeta(2, 4, unit_scale), transform)],
+            [MergeInput("s", frames, labels, SensorMeta(2, 3, unit_scale), transform)],
             tmp_path / "merged",
         )
         naive_merge_frames(frames, unit_scale, transform, tmp_path / "naive")
@@ -349,6 +380,22 @@ def _cut_short_writes(monkeypatch, name):
         return write_text(path, text, *args, **kwargs)
 
     monkeypatch.setattr(Path, "write_text", cut_short)
+
+
+def _set(rec, index, value):
+    rec[index] = value
+    return rec
+
+
+# Ways a frame file of a 16-beam sensor can be wrong, applied to its records.
+_CORRUPTIONS = {
+    "one-record-short": lambda rec: rec[:-1],
+    "one-record-extra": lambda rec: np.vstack([rec, rec[:1]]),
+    "returns-only": lambda rec: rec[(rec[:, :3] != 0.0).any(axis=1)],
+    "nan-x": lambda rec: _set(rec, (5, 0), np.nan),
+    "inf-y": lambda rec: _set(rec, (5, 1), np.inf),
+    "minus-inf-z": lambda rec: _set(rec, (5, 2), -np.inf),
+}
 
 
 def _tree_bytes(directory):
@@ -477,7 +524,7 @@ class TestConfigParsing:
                         "frequency_hz": 10.0,
                     },
                     "teacher": {
-                        "n_total": spec.sensor.beam_count, "n_query": 10, "n_bin": 10,
+                        "n_query": 10, "n_bin": 10,
                         "n_tall": 3, "d_threshold": 0.2, "epsilon": 0.7, "min_pts": 5,
                         "l_min": 0.3, "h_min": 0.5, "beta_min": 0.2,
                         "crop": {"x_min": 0, "x_max": 40, "y_min": -25, "y_max": 25,
@@ -493,13 +540,15 @@ class TestConfigParsing:
         config = parse_pipeline_config(path)
         assert config.datasets[0].name == "site_a"
 
-    def test_beam_count_exceeding_n_total_rejected(self, scene_dir, tmp_path):
+    def test_n_total_is_the_sensor_beam_count(self, scene_dir, tmp_path):
         data = self._config_dict(scene_dir, tmp_path)
-        data["datasets"][0]["teacher"]["n_total"] = 4
+        data["datasets"][0]["teacher"]["n_total"] = 4  # a leftover key is ignored
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(Exception, match="beam count"):
-            parse_pipeline_config(path)
+        (entry,) = parse_pipeline_config(path).datasets
+        assert entry.teacher.n_total == entry.meta.beam_count
+        with pytest.raises(ConfigError, match="beam count"):
+            dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_total=4))
 
     def test_duplicate_names_rejected(self, scene_dir, tmp_path):
         data = self._config_dict(scene_dir, tmp_path)
@@ -625,7 +674,7 @@ class TestCli:
     def test_merge_overflow_is_data_error(self, tmp_path, caplog, point, scale):
         frames, labels = tmp_path / "frames", tmp_path / "labels"
         frames.mkdir()
-        np.array([[point, 0.0, 0.0, 0.0]], dtype="<f4").tofile(frames / "000000.bin")
+        np.array([[point, 0.0, 0.0, 0.0]] * 4, dtype="<f4").tofile(frames / "000000.bin")
         write_labels({"000000": []}, labels)
         path = self._merge_config(tmp_path, frames, labels, {"scale": scale})
         assert main(["merge", "--config", str(path)]) == 2
@@ -648,17 +697,68 @@ class TestCli:
 
     def test_flags_only_where_honoured(self):
         parser = build_parser()
-        args = parser.parse_args(["annotate", "--config", "c.json", "--seed", "3", "--jobs", "2"])
+        args = parser.parse_args(["annotate", "--config", "c.json", "--jobs", "2"])
         assert args.jobs == 2
         assert parser.parse_args(["simulate", "--seed", "7"]).seed == 7
         for argv in (
-            ["simulate", "--jobs", "2"],
+            ["annotate", "--seed", "1"], ["simulate", "--jobs", "2"],
             ["merge", "--seed", "1"], ["merge", "--jobs", "2"],
             ["evaluate", "--seed", "1"], ["evaluate", "--jobs", "2"],
             ["iterate", "--seed", "1"], ["iterate", "--jobs", "2"],
         ):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["nope"], ["annotate", "--jobs", "x"], ["annotate", "--bogus"]],
+        ids=["no-command", "unknown-command", "jobs-not-int", "unknown-flag"],
+    )
+    def test_usage_error_is_exit_1(self, argv):
+        assert main(argv) == 1
+
+    def test_help_is_exit_0(self, capsys):
+        assert main(["annotate", "--help"]) == 0
+        assert "--jobs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["annotate", "merge"])
+    @pytest.mark.parametrize("corrupt", list(_CORRUPTIONS), ids=list(_CORRUPTIONS))
+    def test_bad_frame_file_is_data_error(self, tmp_path, caplog, command, corrupt):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        rng = np.random.default_rng(70)
+        for k in range(8):
+            rec = np.zeros((16, 4), dtype="<f4")
+            rec[:, :3] = rng.uniform((1.0, -10.0, 0.0), (20.0, 10.0, 5.0), (16, 3))
+            rec[[3, 9]] = 0.0  # beams without a return
+            rec.tofile(frames / f"{k:06d}.bin")
+        write_labels({f"{k:06d}": [] for k in range(8)}, labels)
+        sensor = {"rays_horizontal": 4, "rays_vertical": 4}
+        config = {
+            "annotate": {"output_root": str(tmp_path / "out"), "datasets": [{
+                "name": "site_a", "frames": str(frames), "sensor": sensor,
+                "teacher": {"n_query": 4, "n_bin": 10, "n_tall": 3, "d_threshold": 0.2,
+                            "epsilon": 0.7, "min_pts": 5, "l_min": 0.3, "h_min": 0.5,
+                            "beta_min": 0.2,
+                            "crop": {"x_min": 0, "x_max": 40, "y_min": -25, "y_max": 25,
+                                     "z_min": -1, "z_max": 8}},
+            }]},
+            "merge": {"output_root": str(tmp_path / "out"), "inputs": [{
+                "name": "site_a", "frames": str(frames), "labels": str(labels), "sensor": sensor,
+                "transform": {"translation": [5.0, 0.0, 0.0]},
+            }]},
+        }[command]
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 0
+        before = _tree_bytes(tmp_path / "out")
+        bad = frames / "000005.bin"
+        rec = np.fromfile(bad, dtype="<f4").reshape(-1, 4)
+        _CORRUPTIONS[corrupt](rec).tofile(bad)
+        caplog.clear()
+        assert main([command, "--config", str(path)]) == 2
+        assert caplog.text.count(str(bad)) == 1  # named, and logged once
+        assert _tree_bytes(tmp_path / "out") == before
 
     @pytest.mark.parametrize("command", ["annotate", "merge", "evaluate", "iterate"])
     def test_missing_config_is_config_error(self, command):
@@ -677,10 +777,12 @@ class TestCli:
             ("annotate", ("datasets", 0, "sensor"), [240, 185]),
             ("annotate", ("datasets", 0, "transform"), "shifted"),
             ("annotate", ("datasets", 0, "transform"), {"translation": [1, 2, 3], "scale": 1.0}),
-            ("annotate", ("datasets", 0, "teacher", "n_total"), float("inf")),
+            ("annotate", ("datasets", 0, "sensor", "unit_scale"), float("nan")),
+            ("annotate", ("datasets", 0, "sensor", "unit_scale"), float("inf")),
             ("merge", ("inputs", 0, "transform"), [50.0, 0.0, 0.0]),
             ("merge", ("inputs", 0, "transform"), {"translation": [50.0, 0.0]}),
             ("merge", ("inputs", 0, "transform"), {"scale": float("inf")}),
+            ("merge", ("inputs", 0, "sensor", "unit_scale"), float("nan")),
             ("simulate", (), []),
             ("simulate", ("sensor",), [0.0, 0.0, 3.0]),
             ("simulate", ("sensor", "origin"), [0.0, 3.0]),
@@ -696,8 +798,9 @@ class TestCli:
         ],
         ids=[
             "annotate-sensor-list", "annotate-transform-string", "annotate-transform",
-            "annotate-n_total-infinite",
-            "merge-transform-list", "merge-translation-short", "merge-scale-infinite", "simulate-list",
+            "annotate-unit_scale-nan", "annotate-unit_scale-infinite",
+            "merge-transform-list", "merge-translation-short", "merge-scale-infinite",
+            "merge-unit_scale-nan", "simulate-list",
             "simulate-sensor-list", "simulate-origin-short",
             "evaluate-list", "evaluate-threshold-nan", "evaluate-threshold-above-1",
             "evaluate-thresholds-empty", "evaluate-thresholds-repeated",

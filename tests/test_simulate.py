@@ -189,7 +189,7 @@ class TestSceneOutputs:
         meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         seq = load_frame_sequence(paths["frames"], meta)
         assert len(seq) == 3
-        assert seq.arity == spec.sensor.beam_count
+        assert all(f.n_points == spec.sensor.beam_count for f in seq.frames)
         truth = read_labels(paths["truth"])
         assert truth["000001"][0].label_class is LabelClass.VEHICLE
         mask = read_mask(paths["masks"] / "000001.mask")
