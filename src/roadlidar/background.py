@@ -203,6 +203,8 @@ def load_background_model(path: str | Path) -> BackgroundModel:
     version, n_total, n_tall = struct.unpack("<III", raw[4:16])
     if version != _MODEL_VERSION:
         raise DataError(f"unsupported background model version {version} in {path}")
+    if n_tall == 0:
+        raise DataError(f"background model {path} has no tall bins, so it would filter nothing")
     body = raw[16:]
     expected = n_total * n_tall * 8
     if len(body) != expected:

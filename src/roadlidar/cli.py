@@ -87,17 +87,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config:
-        spec = load_scene(args.config)
-    else:
-        spec = default_scene()
+    spec = load_scene(args.config) if args.config else default_scene()
     if args.seed is not None:
         spec.seed = args.seed
-    out_dir = Path(args.out) if args.out else Path("scene_out")
-    paths = write_scene_outputs(spec, out_dir)
-    log.info(
-        "rendered %d frames (%d beams) to %s", spec.duration, spec.sensor.beam_count, out_dir
-    )
+    paths = write_scene_outputs(spec, args.out)
+    log.info("rendered %d frames (%d beams) to %s", spec.duration, spec.sensor.beam_count, args.out)
     for kind, path in paths.items():
         log.info("  %s: %s", kind, path)
     return EXIT_OK
@@ -140,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         parsers[name] = sub.add_parser(name, help=help_text)
         parsers[name].add_argument("--config", help="declarative JSON configuration file")
     parsers["simulate"].add_argument("--seed", type=int, help="override the configured random seed")
-    parsers["simulate"].add_argument("--out", help="output directory (default: scene_out)")
+    parsers["simulate"].add_argument("--out", default="scene_out", help="output directory (default: %(default)s)")
     parsers["annotate"].add_argument("--jobs", type=int, help="override the configured worker count")
     return parser
 

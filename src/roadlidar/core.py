@@ -32,6 +32,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TypeVar
@@ -285,6 +287,43 @@ def json_floats(value: Any, n: int) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ValueError(f"expected a list of {n} numbers, got {value!r}")
     return tuple(float(v) for v in value)
+
+
+# ---------------------------------------------------------------------------
+# Publishing outputs
+# ---------------------------------------------------------------------------
+
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
+def publish(outputs: Mapping[Path, Callable[[Path], None]]) -> None:
+    """Replace each target path, a file or a directory, with what its writer
+    writes; every command publishes its outputs through this one call.
+
+    A writer gets the target's sibling ``.<name>.partial`` (parents created)
+    and writes the file, or creates the directory, there.  When all have
+    returned, each is renamed over its target, a directory replacing the old
+    one whole.  If a writer raises, an interrupt included, every staged path
+    is removed and no target is touched.
+    """
+    staged = {target: target.with_name(f".{target.name}.partial") for target in outputs}
+    try:
+        for target, write in outputs.items():
+            staged[target].parent.mkdir(parents=True, exist_ok=True)
+            _remove(staged[target])
+            write(staged[target])
+        for target, partial in staged.items():
+            if target.is_dir():
+                shutil.rmtree(target)
+            os.replace(partial, target)
+    except BaseException:
+        for partial in staged.values():
+            _remove(partial)
+        raise
 
 
 # ---------------------------------------------------------------------------

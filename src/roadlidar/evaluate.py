@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, LabelClass, LabelSource, ObjectLabel, read_labels
+from .core import DataError, LabelClass, LabelSource, ObjectLabel, publish, read_labels
 
 DEFAULT_IOU_THRESHOLDS = (0.25, 0.3, 0.5)
 
@@ -374,12 +374,13 @@ def evaluate(
     """Score a directory of predictions against a directory of references.
 
     Directories are aligned by frame stem.  When ``report_path`` is given
-    the machine-readable report is written there.
+    the machine-readable report is written there by ``publish``, so a run
+    cut short keeps the previous report whole.
     """
     thresholds = validate_iou_thresholds(thresholds)
     preds = read_labels(pred_dir, source=LabelSource.EXTERNAL)
     truths = read_labels(truth_dir, source=LabelSource.TEACHER)
     report = evaluate_labels(preds, truths, thresholds)
     if report_path is not None:
-        Path(report_path).write_text(report.to_text(), encoding="utf-8")
+        publish({Path(report_path): lambda path: path.write_text(report.to_text(), encoding="utf-8")})
     return report

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import shutil
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -46,6 +44,7 @@ from .core import (
     json_floats,
     list_frame_files,
     load_frame_sequence,
+    publish,
     read_frame_file,
     read_json_config,
     read_labels,
@@ -175,15 +174,14 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
 
     Stages: unit unification, cropping, background model over the query
     window, then per frame background filtering, clustering and annotation.
-    Outputs under ``<output_root>/<name>/``: ``labels/``, the background
-    model sidecar, ``stats.json`` and ``rejects.log``.  All are written after
-    the last frame, each replaced whole, so a run that fails or is cut short
-    leaves the previous outputs as they were instead of a mix of old and new.
+    Outputs under ``<output_root>/<name>/``: ``labels/``, ``stats.json``,
+    ``rejects.log`` and the background model sidecar, published together
+    by ``publish`` after the last frame: a run that fails or is cut short,
+    even while writing them, leaves the previous four as they were.
     """
     cfg = entry.teacher
     out_dir = Path(output_root) / entry.name
     labels_dir = out_dir / "labels"
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     seq = load_frame_sequence(entry.frames_dir, entry.meta)
     seq = unify_units(seq)
@@ -194,8 +192,8 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
         model = load_background_model(entry.background_model_in)
         if model.n_total != cfg.n_total:
             raise DataError(
-                f"background model arity {model.n_total} does not match the "
-                f"sensor's {cfg.n_total} beams"
+                f"background model {entry.background_model_in} has arity {model.n_total}, "
+                f"but the sensor has {cfg.n_total} beams"
             )
     else:
         query = extract_query_frames(seq, cfg.n_query)
@@ -204,24 +202,17 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
 
     rejects: list[RejectedBox] = []
     labels_by_stem: dict[str, list[ObjectLabel]] = {}
-    points_data = 0
-    points_removed = 0
-    clusters_total = 0
-    noise_total = 0
-    labels_total = 0
+    points_data = points_removed = clusters_total = noise_total = 0
     for frame, stem in zip(seq.frames, seq.stems):
         n_before = frame.n_data_points
         filtered = filter_frame(frame, model, cfg.d_threshold)
         clusters, noise = dbscan(filtered, cfg.epsilon, cfg.min_pts)
-        labels = annotate_frame(filtered, clusters, cfg, reject_sink=rejects.append)
-        labels_by_stem[stem] = labels
+        labels_by_stem[stem] = annotate_frame(filtered, clusters, cfg, reject_sink=rejects.append)
         points_data += n_before
         points_removed += n_before - filtered.n_data_points
         clusters_total += len(clusters)
         noise_total += len(noise)
-        labels_total += len(labels)
 
-    _publish_whole(labels_dir, lambda staged: write_labels(labels_by_stem, staged))
     stats = {
         "dataset": entry.name,
         "frames": len(seq),
@@ -231,54 +222,17 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
         "clusters_found": clusters_total,
         "noise_points": noise_total,
         "boxes_rejected": len(rejects),
-        "labels_written": labels_total,
+        "labels_written": sum(map(len, labels_by_stem.values())),
     }
-    _write_atomic(out_dir / "stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
-    _write_atomic(out_dir / "rejects.log", "".join(r.format_line() + "\n" for r in rejects))
-    _write_atomic(out_dir / "background.model", lambda partial: save_background_model(model, partial))
+    stats_text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
+    rejects_text = "".join(r.format_line() + "\n" for r in rejects)
+    publish({
+        labels_dir: partial(write_labels, labels_by_stem),
+        out_dir / "stats.json": lambda path: path.write_text(stats_text, encoding="utf-8"),
+        out_dir / "rejects.log": lambda path: path.write_text(rejects_text, encoding="utf-8"),
+        out_dir / "background.model": partial(save_background_model, model),
+    })
     return TeacherRunResult(entry.name, labels_dir, stats)
-
-
-def _stage(directory: Path, write: Callable[[Path], None]) -> Path:
-    """Fill a sibling staging directory of ``directory`` by ``write``; return it.
-
-    If ``write`` raises, the staging directory is removed again.
-    """
-    staged = directory.with_name(f".{directory.name}.partial")
-    shutil.rmtree(staged, ignore_errors=True)
-    staged.mkdir(parents=True)
-    try:
-        write(staged)
-    except BaseException:
-        shutil.rmtree(staged, ignore_errors=True)
-        raise
-    return staged
-
-
-def _publish(staged: Path, directory: Path) -> None:
-    shutil.rmtree(directory, ignore_errors=True)
-    os.replace(staged, directory)
-
-
-def _publish_whole(directory: Path, write: Callable[[Path], None]) -> None:
-    """Replace ``directory`` by exactly the files ``write`` puts into it.
-
-    A rerun therefore leaves no file of a frame that no longer exists.  If
-    ``write`` raises, ``directory`` is left as it was.
-    """
-    _publish(_stage(directory, write), directory)
-
-
-def _write_atomic(path: Path, content: str | Callable[[Path], None]) -> None:
-    """Write ``path`` through a sibling temporary file, so that a run cut short
-    leaves the previous file whole instead of a truncated one.  ``content`` is
-    the text, or a function that writes the file it is given."""
-    partial = path.with_name(f".{path.name}.partial")
-    if callable(content):
-        content(partial)
-    else:
-        partial.write_text(content, encoding="utf-8")
-    os.replace(partial, path)
 
 
 def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[str, str]]:
@@ -289,8 +243,9 @@ def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[s
     """
     results: list[TeacherRunResult] = []
     failures: dict[str, str] = {}
-    use_pool = config.parallelism > 1 and len(config.datasets) > 1
-    with ProcessPoolExecutor(max_workers=config.parallelism) if use_pool else nullcontext() as pool:
+    # A pool starts all of its workers at the first submit: ask for no more than needed.
+    workers = min(config.parallelism, len(config.datasets))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         futures = [
             pool.submit(run_teacher, entry, config.output_root) if pool else None
             for entry in config.datasets
@@ -335,11 +290,12 @@ def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
 
 
 def _write_merged_frames(item: MergeInput, files: list[Path], directory: Path) -> None:
-    """Transform each frame file into ``directory``, one file at a time.
+    """Create ``directory`` and transform each frame file into it, one at a time.
 
     An overflow is not warned about: ``write_frame_file`` rejects the
     non-finite value it leaves, and the error names the source file.
     """
+    directory.mkdir()
     for file in files:
         xyz, padding = read_frame_file(file, item.meta.beam_count)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -361,11 +317,10 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     one ``name frame_path label_path`` line per frame.  No labels are created,
     dropped or deduplicated by merging.  Frames are transformed one file at
     a time, with the float64 arithmetic of ``unify_units`` and
-    ``unify_datasets``.  Every input is staged before any is published, and
-    each dataset's ``frames/`` and ``labels/`` are then replaced whole, so a
-    rerun leaves no stale files, and a failure on any input (say, a
-    coordinate that is not finite as float32) leaves the output root and
-    ``index.txt`` as they were.
+    ``unify_datasets``.  Every dataset's ``frames/`` and ``labels/`` and
+    ``index.txt`` are published together by ``publish``: a rerun leaves no
+    stale files, and a failure on any input (say, a coordinate that is not
+    finite as float32) leaves the output root as it was.
     """
     if not inputs:
         raise ConfigError("merge needs at least one labeled dataset")
@@ -373,39 +328,32 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     if len(set(names)) != len(names):
         raise ConfigError("merge input names must be distinct (they name output directories)")
     output_root = Path(output_root)
-    output_root.mkdir(parents=True, exist_ok=True)
     index_lines = []
-    staged: list[tuple[Path, Path]] = []
-    try:
-        for item in inputs:
-            files = list_frame_files(item.frames_dir)
-            stems = [file.stem for file in files]
-            labels = read_labels(item.labels_dir)
-            missing = sorted(set(stems) - set(labels))
-            if missing:
-                raise DataError(
-                    f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
-                )
-            frames_out = output_root / item.name / "frames"
-            labels_out = output_root / item.name / "labels"
-            transformed = {
-                stem: [transform_label(lb, item.transform) for lb in labels[stem]]
-                for stem in stems
-            }
-            staged.append((_stage(frames_out, lambda d: _write_merged_frames(item, files, d)), frames_out))
-            staged.append((_stage(labels_out, lambda d: write_labels(transformed, d)), labels_out))
-            index_lines += [
-                f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
-                for stem in stems
-            ]
-    except BaseException:
-        for directory, _ in staged:
-            shutil.rmtree(directory, ignore_errors=True)
-        raise
-    for directory, target in staged:
-        _publish(directory, target)
+    outputs = {}
+    for item in inputs:
+        files = list_frame_files(item.frames_dir)
+        stems = [file.stem for file in files]
+        labels = read_labels(item.labels_dir)
+        missing = sorted(set(stems) - set(labels))
+        if missing:
+            raise DataError(
+                f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
+            )
+        frames_out = output_root / item.name / "frames"
+        labels_out = output_root / item.name / "labels"
+        transformed = {
+            stem: [transform_label(lb, item.transform) for lb in labels[stem]]
+            for stem in stems
+        }
+        outputs[frames_out] = partial(_write_merged_frames, item, files)
+        outputs[labels_out] = partial(write_labels, transformed)
+        index_lines += [
+            f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
+            for stem in stems
+        ]
     index_path = output_root / "index.txt"
-    _write_atomic(index_path, "".join(index_lines))
+    outputs[index_path] = lambda path: path.write_text("".join(index_lines), encoding="utf-8")
+    publish(outputs)
     return index_path
 
 
@@ -443,15 +391,15 @@ def iterate(
 
     Predictions are read as external (an in-memory tag that label files do
     not carry), thresholded on score, and written to
-    ``<workspace>/round_NNN/``, replaced whole so that a round left behind
-    by an interrupted run keeps no stale files; the workspace manifest
-    records the round index and provenance.  Running on predictions
-    identical to the previous round's labels reproduces them
-    byte-identically (fixed point).
+    ``<workspace>/round_NNN/``; the workspace manifest records the round
+    index and provenance.  The round directory and the manifest are
+    published together by ``publish``, so a round left behind by an
+    interrupted run keeps no stale files.  Running on predictions identical
+    to the previous round's labels reproduces them byte-identically (fixed
+    point).
     """
     score_threshold = validate_score_threshold(score_threshold)
     workspace = Path(workspace)
-    workspace.mkdir(parents=True, exist_ok=True)
     predictions = read_labels(predictions_dir, source=LabelSource.EXTERNAL)
     if not predictions:
         raise DataError(f"no prediction files in {predictions_dir}")
@@ -459,18 +407,15 @@ def iterate(
     round_index = len(manifest["rounds"]) + 1
     round_dir = workspace / f"round_{round_index:03d}"
 
-    kept_total = 0
-    next_labels = {}
-    for stem, labels in predictions.items():
-        kept = [lb for lb in labels if lb.score >= score_threshold]
-        kept_total += len(kept)
-        next_labels[stem] = kept
+    next_labels = {
+        stem: [lb for lb in labels if lb.score >= score_threshold] for stem, labels in predictions.items()
+    }
+    kept_total = sum(map(len, next_labels.values()))
     if kept_total == 0:
         log.warning(
             "iterate: every prediction fell below score threshold %.3f; "
             "round %d labels are empty", score_threshold, round_index,
         )
-    _publish_whole(round_dir, lambda staged: write_labels(next_labels, staged))
     manifest["rounds"].append(
         {
             "round": round_index,
@@ -480,5 +425,9 @@ def iterate(
             "labels_kept": kept_total,
         }
     )
-    _write_atomic(workspace / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    publish({
+        round_dir: partial(write_labels, next_labels),
+        workspace / MANIFEST_NAME: lambda path: path.write_text(manifest_text, encoding="utf-8"),
+    })
     return round_dir

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,10 @@ from .core import (
     SensorMeta,
     json_floats,
     normalize_yaw_half,
+    publish,
     read_json_config,
     write_frame_file,
-    write_label_file,
+    write_labels,
 )
 
 MASK_BACKGROUND = 0
@@ -362,20 +364,30 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
     """Render and write frames/, truth/ and masks/ under ``out_dir``.
 
     Frames use the standard .bin format, truth boxes the label format, and
-    masks are one raw byte per point per frame (``<stem>.mask``).
+    masks are one raw byte per point per frame (``<stem>.mask``).  The three
+    directories are published together by ``publish``, each replacing the
+    previous one whole, so a shorter scene leaves no frames of a longer one.
     """
     out_dir = Path(out_dir)
-    frames_dir = out_dir / "frames"
-    truth_dir = out_dir / "truth"
-    masks_dir = out_dir / "masks"
-    for d in (frames_dir, truth_dir, masks_dir):
-        d.mkdir(parents=True, exist_ok=True)
     seq, masks, truths = render_sequence(spec)
-    for frame, stem, mask, truth in zip(seq.frames, seq.stems, masks, truths):
-        write_frame_file(frames_dir / f"{stem}.bin", frame.xyz)
-        (masks_dir / f"{stem}.mask").write_bytes(mask.tobytes())
-        write_label_file(truth, truth_dir / f"{stem}.txt")
-    return {"frames": frames_dir, "truth": truth_dir, "masks": masks_dir}
+
+    def write_frames(directory: Path) -> None:
+        directory.mkdir()
+        for frame, stem in zip(seq.frames, seq.stems):
+            write_frame_file(directory / f"{stem}.bin", frame.xyz)
+
+    def write_masks(directory: Path) -> None:
+        directory.mkdir()
+        for mask, stem in zip(masks, seq.stems):
+            (directory / f"{stem}.mask").write_bytes(mask.tobytes())
+
+    paths = {"frames": out_dir / "frames", "truth": out_dir / "truth", "masks": out_dir / "masks"}
+    publish({
+        paths["frames"]: write_frames,
+        paths["truth"]: partial(write_labels, dict(zip(seq.stems, truths))),
+        paths["masks"]: write_masks,
+    })
+    return paths
 
 
 def read_mask(path: str | Path) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import shutil
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from oracles import naive_merge_frames
 
 from roadlidar import pipeline
+from roadlidar.background import BackgroundModel, save_background_model
 from roadlidar.cli import build_parser, main
 from roadlidar.core import (
     ConfigError,
@@ -109,26 +111,30 @@ class TestRunTeacher:
         assert tagged
         assert all(lb.label_class is LabelClass.VEHICLE for lb in tagged)
 
+    @staticmethod
+    def _tall_h_min(scene_dir):
+        """An entry whose h_min rejects the 1.5 m tall vehicle: other labels and rejects."""
+        entry = _entry(scene_dir)
+        return dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, h_min=2.0))
+
     def test_interrupted_stats_write_keeps_previous_stats(self, scene_dir, tmp_path, monkeypatch):
         run_teacher(_entry(scene_dir), tmp_path)
-        stats = tmp_path / "site_a" / "stats.json"
-        before = stats.read_bytes()
+        before = _tree_bytes(tmp_path / "site_a")
         _cut_short_writes(monkeypatch, "stats")
         with pytest.raises(KeyboardInterrupt):
-            run_teacher(_entry(scene_dir), tmp_path)
-        assert stats.read_bytes() == before
+            run_teacher(self._tall_h_min(scene_dir), tmp_path)
+        assert _tree_bytes(tmp_path / "site_a") == before
+        assert not list(tmp_path.rglob("*.partial"))
 
     def test_interrupted_rejects_write_keeps_previous_rejects(self, scene_dir, tmp_path, monkeypatch):
-        entry = _entry(scene_dir)
-        entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, h_min=2.0))
-        run_teacher(entry, tmp_path)
-        rejects = tmp_path / "site_a" / "rejects.log"
-        before = rejects.read_bytes()
-        assert before  # the 1.5 m tall vehicle is rejected as height<h_min
+        run_teacher(self._tall_h_min(scene_dir), tmp_path)
+        before = _tree_bytes(tmp_path / "site_a")
+        assert before["rejects.log"]  # the 1.5 m tall vehicle is rejected as height<h_min
         _cut_short_writes(monkeypatch, "rejects")
         with pytest.raises(KeyboardInterrupt):
-            run_teacher(entry, tmp_path)
-        assert rejects.read_bytes() == before
+            run_teacher(_entry(scene_dir), tmp_path)
+        assert _tree_bytes(tmp_path / "site_a") == before
+        assert not list(tmp_path.rglob("*.partial"))
 
     def test_failure_in_frame_loop_keeps_previous_outputs(self, scene_dir, tmp_path, monkeypatch):
         run_teacher(_entry(scene_dir), tmp_path)
@@ -255,6 +261,17 @@ class TestMergeSupersets:
         ds_dir = tmp_path / "merged" / "site_a"
         assert sorted(f.stem for f in (ds_dir / "frames").iterdir()) == stems
         assert sorted(f.stem for f in (ds_dir / "labels").iterdir()) == stems
+        assert not list((tmp_path / "merged").rglob("*.partial"))
+
+    def test_interrupted_index_write_keeps_previous_output(self, scene_dir, tmp_path, monkeypatch):
+        item = self._six_frame_input(scene_dir, tmp_path)
+        merge_supersets([item], tmp_path / "merged")
+        before = _tree_bytes(tmp_path / "merged")
+        sorted(item.frames_dir.glob("*.bin"))[0].unlink()
+        _cut_short_writes(monkeypatch, "index")
+        with pytest.raises(KeyboardInterrupt):
+            merge_supersets([item], tmp_path / "merged")
+        assert _tree_bytes(tmp_path / "merged") == before
         assert not list((tmp_path / "merged").rglob("*.partial"))
 
     def test_duplicate_input_names_rejected(self, scene_dir, tmp_path):
@@ -494,6 +511,8 @@ class TestIterate:
             iterate(pred_dir, ws)
         monkeypatch.undo()
         assert (ws / "manifest.json").read_bytes() == before
+        assert not list(ws.glob("*.partial"))
+        assert not (ws / "round_002").exists()
         assert iterate(pred_dir, ws).name == "round_002"
 
     def test_labels_retagged_external(self, tmp_path):
@@ -577,6 +596,85 @@ class TestCli:
         eval_path.write_text(json.dumps(eval_cfg))
         assert main(["evaluate", "--config", str(eval_path)]) == 0
         assert (tmp_path / "report.txt").exists()
+
+    def test_interrupted_report_write_keeps_previous_report(self, scene_dir, tmp_path, monkeypatch):
+        out, _ = scene_dir
+        report = tmp_path / "report.txt"
+
+        def evaluate_cli(pred_dir):
+            path = tmp_path / "evaluate.json"
+            path.write_text(json.dumps({
+                "pred_dir": str(pred_dir), "truth_dir": str(out / "truth"), "report": str(report),
+            }))
+            return main(["evaluate", "--config", str(path)])
+
+        assert evaluate_cli(out / "truth") == 0
+        before = report.read_bytes()
+        (tmp_path / "no_preds").mkdir()  # a report that went through would differ
+        _cut_short_writes(monkeypatch, "report")
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_cli(tmp_path / "no_preds")
+        assert report.read_bytes() == before
+        assert not list(tmp_path.glob("*.partial"))
+
+    def _annotate_with_model(self, scene_dir, tmp_path, model):
+        """Annotate once, then again from the sidecar ``model``; return the second exit code."""
+        cfg = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["annotate", "--config", str(path)]) == 0
+        before = _tree_bytes(tmp_path / "out")
+        sidecar = tmp_path / "model.bin"
+        save_background_model(model, sidecar)
+        cfg["datasets"][0]["background_model_in"] = str(sidecar)
+        path.write_text(json.dumps(cfg))
+        code = main(["annotate", "--config", str(path)])
+        assert _tree_bytes(tmp_path / "out") == before
+        return code, sidecar
+
+    def test_sidecar_without_tall_bins_is_data_error(self, scene_dir, tmp_path, caplog):
+        n_total = scene_dir[1].sensor.beam_count
+        code, sidecar = self._annotate_with_model(
+            scene_dir, tmp_path, BackgroundModel(np.zeros((n_total, 0)))
+        )
+        assert code == 2
+        assert f"{sidecar} has no tall bins" in caplog.text
+
+    def test_sidecar_arity_mismatch_names_the_file(self, scene_dir, tmp_path, caplog):
+        code, sidecar = self._annotate_with_model(scene_dir, tmp_path, BackgroundModel(np.zeros((4, 3))))
+        assert code == 2
+        assert f"background model {sidecar} has arity 4" in caplog.text
+
+    def test_pool_capped_at_dataset_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool:
+            """Runs each task in this process and records the worker count asked for."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:  # noqa: BLE001 - delivered through the future
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        entries = [
+            DatasetEntry(name, tmp_path / name, SensorMeta(2, 2), _teacher_cfg(4)) for name in ("a", "b")
+        ]
+        results, failures = run_annotate(PipelineConfig(entries, tmp_path / "out", parallelism=64))
+        assert workers == [2]
+        assert not results and set(failures) == {"a", "b"}
 
     def test_merge_cli(self, scene_dir, tmp_path):
         out, spec = scene_dir

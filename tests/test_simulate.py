@@ -197,6 +197,13 @@ class TestSceneOutputs:
         # mask padding agrees with the loaded frame's padding for this scene
         np.testing.assert_array_equal(mask == MASK_PADDING, seq.frames[0].padding)
 
+    def test_shorter_rerun_leaves_no_stale_files(self, tmp_path):
+        write_scene_outputs(_scene(duration=5), tmp_path)
+        write_scene_outputs(_scene(duration=3), tmp_path)
+        for kind in ("frames", "truth", "masks"):
+            assert len(list((tmp_path / kind).iterdir())) == 3
+        assert not list(tmp_path.rglob("*.partial"))
+
     def test_default_scene_shape(self):
         spec = default_scene(duration=1)
         assert spec.sensor.beam_count <= 60000
