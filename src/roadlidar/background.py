@@ -91,9 +91,10 @@ def extract_query_frames(seq: FrameSequence, n_query: int) -> FrameSequence:
 def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
     """Bin every beam's ranges across the query frames.
 
-    Equivalent to the naive per-beam double loop (see tests/oracles.py) but
-    vectorized; the accumulation order within each bin is query-frame order,
-    so the two agree bit-for-bit.
+    Equivalent to the naive per-beam double loop (see tests/oracles.py), in
+    two passes over the frames: one for each beam's range extent, one to
+    bin.  A frame gives each beam at most one range, so every bin is summed
+    in query-frame order and the two agree bit-for-bit.
     """
     if n_bin < 1:
         raise DataError("n_bin must be >= 1")
@@ -103,34 +104,32 @@ def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
     n_total = frames[0].n_points
     for f in frames:
         if f.n_points != n_total:
-            raise DataError("query frames must share one arity; pad first")
-    n_query = len(frames)
+            raise DataError("query frames must share one arity, the sensor's beam count")
 
-    # ranges[i, j]: beam i, query frame j (beam-major so per-bin accumulation
-    # order matches the per-beam reference loop).
-    ranges = np.empty((n_total, n_query))
-    valid = np.empty((n_total, n_query), dtype=bool)
-    for j, f in enumerate(frames):
-        ranges[:, j] = point_ranges(f.xyz)
-        valid[:, j] = ~f.padding
-
-    any_valid = valid.any(axis=1)
-    pos_inf = np.where(valid, ranges, np.inf)
-    neg_inf = np.where(valid, ranges, -np.inf)
-    d_min = np.where(any_valid, pos_inf.min(axis=1), 0.0)
-    d_max = np.where(any_valid, neg_inf.max(axis=1), 0.0)
+    seen = np.zeros(n_total, dtype=bool)
+    d_min = np.full(n_total, np.inf)
+    d_max = np.full(n_total, -np.inf)
+    for f in frames:
+        r = point_ranges(f.xyz)
+        data = ~f.padding
+        seen |= data
+        np.minimum(d_min, r, out=d_min, where=data)
+        np.maximum(d_max, r, out=d_max, where=data)
+    d_min[~seen] = 0.0
+    d_max[~seen] = 0.0
     width = (d_max - d_min) / n_bin
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.floor((ranges - d_min[:, None]) / width[:, None])
-    k = np.where(width[:, None] > 0, k, 0.0)
-    k = np.clip(k, 0, n_bin - 1).astype(np.int64)
-
-    flat = (np.arange(n_total)[:, None] * n_bin + k)[valid]
     bin_sum = np.zeros(n_total * n_bin)
     bin_count = np.zeros(n_total * n_bin, dtype=np.int64)
-    np.add.at(bin_sum, flat, ranges[valid])
-    np.add.at(bin_count, flat, 1)
+    for f in frames:
+        beams = np.flatnonzero(~f.padding)
+        r = point_ranges(f.xyz)[beams]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.floor((r - d_min[beams]) / width[beams])
+        k = np.where(width[beams] > 0, k, 0.0)
+        flat = beams * n_bin + np.clip(k, 0, n_bin - 1).astype(np.int64)
+        bin_sum[flat] += r
+        bin_count[flat] += 1
     bin_sum = bin_sum.reshape(n_total, n_bin)
     bin_count = bin_count.reshape(n_total, n_bin)
     with np.errstate(invalid="ignore"):

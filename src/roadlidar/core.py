@@ -223,10 +223,6 @@ class ObjectLabel:
         if not 0.0 <= self.score <= 1.0:
             raise DataError("score must be in [0, 1]")
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.center_x, self.center_y, self.center_z])
-
 
 @dataclass(frozen=True)
 class TeacherConfig:
@@ -307,8 +303,10 @@ def publish(outputs: Mapping[Path, Callable[[Path], None]]) -> None:
     A writer gets the target's sibling ``.<name>.partial`` (parents created)
     and writes the file, or creates the directory, there.  When all have
     returned, each is renamed over its target, a directory replacing the old
-    one whole.  If a writer raises, an interrupt included, every staged path
-    is removed and no target is touched.
+    one whole.  If a writer raises, an interrupt included, or an existing
+    target is a directory where a file was written or the reverse (a
+    DataError naming it), every staged path is removed and no target is
+    touched.
     """
     staged = {target: target.with_name(f".{target.name}.partial") for target in outputs}
     try:
@@ -316,6 +314,11 @@ def publish(outputs: Mapping[Path, Callable[[Path], None]]) -> None:
             staged[target].parent.mkdir(parents=True, exist_ok=True)
             _remove(staged[target])
             write(staged[target])
+        for target, partial in staged.items():
+            if target.exists() and target.is_dir() != partial.is_dir():
+                kinds = ("file", "directory")
+                raise DataError(f"cannot replace the {kinds[target.is_dir()]} {target} "
+                                f"with a {kinds[partial.is_dir()]}")
         for target, partial in staged.items():
             if target.is_dir():
                 shutil.rmtree(target)

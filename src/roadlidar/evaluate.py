@@ -193,10 +193,6 @@ class Matching:
     order: list[int]
     tp: list[bool]
 
-    @property
-    def tp_count(self) -> int:
-        return sum(self.tp)
-
 
 def _rank_order(preds: list[ObjectLabel]) -> list[int]:
     # Descending score; ties broken by ascending center distance to the
@@ -218,12 +214,17 @@ def match_detections(
     order = _rank_order(preds)
     if iou_matrix is None:
         iou_matrix = iou_matrices([(preds, truths)])[0]
-    taken = np.zeros(len(truths), dtype=bool)
+    return Matching(order=order, tp=_greedy_tp(order, iou_matrix, iou_threshold))
+
+
+def _greedy_tp(order: list[int], iou_matrix: np.ndarray, iou_threshold: float) -> list[bool]:
+    """Whether each prediction, taken in ``order``, claims a reference box."""
+    taken = np.zeros(iou_matrix.shape[1], dtype=bool)
     tp: list[bool] = []
     for i in order:
         best_j = -1
         best_iou = 0.0
-        for j in range(len(truths)):
+        for j in range(len(taken)):
             if taken[j]:
                 continue
             v = iou_matrix[i, j]
@@ -233,7 +234,7 @@ def match_detections(
         if best_j >= 0:
             taken[best_j] = True
         tp.append(best_j >= 0)
-    return Matching(order=order, tp=tp)
+    return tp
 
 
 def average_precision(tp_flags: list[bool], n_truth: int) -> tuple[float, bool]:
@@ -307,14 +308,6 @@ class EvalReport:
         return "\n".join(rows)
 
 
-@dataclass
-class _PooledDetection:
-    score: float
-    stem: str
-    rank_in_frame: int
-    tp: bool
-
-
 def evaluate_labels(
     preds_by_stem: dict[str, list[ObjectLabel]],
     truths_by_stem: dict[str, list[ObjectLabel]],
@@ -344,19 +337,21 @@ def evaluate_labels(
         ]
         n_truth_total = sum(len(truths) for _, truths in frames)
         matrices = iou_matrices(frames)
+        orders = [_rank_order(preds) for preds, _ in frames]
+        # Pooled rank: score desc, then (stem, in-frame rank) so the result
+        # is invariant to frame processing order; frame f holds the f-th stem
+        # in sorted order, so f ranks as its stem does.
+        pooled = sorted(
+            (-preds[i].score, f, rank)
+            for f, ((preds, _), order) in enumerate(zip(frames, orders))
+            for rank, i in enumerate(order)
+        )
         for thr in thresholds:
-            pooled: list[_PooledDetection] = []
-            tp_total = 0
-            for stem, (preds, truths), iou in zip(stems, frames, matrices):
-                m = match_detections(preds, truths, thr, iou_matrix=iou)
-                tp_total += m.tp_count
-                for rank, i in enumerate(m.order):
-                    pooled.append(_PooledDetection(preds[i].score, stem, rank, m.tp[rank]))
-            # Pooled rank: score desc, then (stem, in-frame rank) so the
-            # result is invariant to frame processing order.
-            pooled.sort(key=lambda d: (-d.score, d.stem, d.rank_in_frame))
-            ap, defined = average_precision([d.tp for d in pooled], n_truth_total)
-            fp_total = len(pooled) - tp_total
+            tps = [_greedy_tp(order, iou, thr) for order, iou in zip(orders, matrices)]
+            tp_flags = [tps[f][rank] for _, f, rank in pooled]
+            tp_total = sum(tp_flags)
+            ap, defined = average_precision(tp_flags, n_truth_total)
+            fp_total = len(tp_flags) - tp_total
             fn_total = n_truth_total - tp_total
             recall = tp_total / n_truth_total if n_truth_total else 0.0
             report.records[(cls, thr)] = MetricRecord(

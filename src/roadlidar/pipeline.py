@@ -36,7 +36,6 @@ from .core import (
     ConfigError,
     CropBounds,
     DataError,
-    FrameSequence,
     LabelSource,
     ObjectLabel,
     SensorMeta,
@@ -185,8 +184,9 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
 
     seq = load_frame_sequence(entry.frames_dir, entry.meta)
     seq = unify_units(seq)
-    frames = [crop_frame(f, cfg.crop) for f in seq.frames]
-    seq = FrameSequence(frames, seq.meta, seq.stems)
+    # One frame at a time, so no frame is alive next to its cropped copy.
+    for i, frame in enumerate(seq.frames):
+        seq.frames[i] = crop_frame(frame, cfg.crop)
 
     if entry.background_model_in is not None:
         model = load_background_model(entry.background_model_in)

@@ -206,10 +206,6 @@ class Actor:
         if self.start_time < 0:
             raise ConfigError("actor start_time must be >= 0")
 
-    @property
-    def height(self) -> float:
-        return self.dims[2] if self.shape == "cuboid" else self.dims[1]
-
     def pose_at(self, sim_time: float) -> tuple[float, float, float] | None:
         """(x, y, heading) at a time, or None before spawn."""
         if sim_time < self.start_time:

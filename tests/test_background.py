@@ -1,5 +1,7 @@
 """Background histogram, tall-bin selection and the point filter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,22 @@ class TestBuildHistogram:
         # an empty query set cannot even be constructed
         with pytest.raises(DataError, match="empty sequence"):
             FrameSequence([], META)
+
+    def test_memory_stays_below_two_range_matrices(self):
+        n_total, n_query = 20_000, 50
+        rng = np.random.default_rng(22)
+        arrays = [rng.uniform(-60, 60, (n_total, 3)) for _ in range(n_query)]
+        paddings = [rng.random(n_total) < 0.2 for _ in range(n_query)]
+        seq = _seq_from_arrays(arrays, paddings)
+        del arrays
+        tracemalloc.start()
+        try:
+            build_histogram(seq, n_bin=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (n_total, n_query) float64 array of ranges is 8 MB here.
+        assert peak < 2 * n_total * n_query * 8
 
 
 class TestSelectBackground:

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import shutil
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from roadlidar.core import (
     ObjectLabel,
     SensorMeta,
     TeacherConfig,
+    load_frame_sequence,
     read_labels,
     write_labels,
 )
@@ -65,6 +69,16 @@ def _mini_scene(seed=11, duration=30):
         duration=duration,
         seed=seed,
     )
+
+
+_run_teacher = pipeline.run_teacher
+
+
+def _kill_worker_on_b(entry, output_root):
+    """``run_teacher``, except that the process given dataset ``b`` dies at once."""
+    if entry.name == "b":
+        os._exit(1)
+    return _run_teacher(entry, output_root)
 
 
 def _teacher_cfg(n_total, d_threshold=0.2, n_query=10):
@@ -150,6 +164,27 @@ class TestRunTeacher:
         with pytest.raises(RuntimeError, match="clustering failed"):
             run_teacher(entry, tmp_path)
         assert _tree_bytes(tmp_path / "site_a") == before
+
+    def test_peak_memory_below_two_copies_of_the_frames(self, tmp_path):
+        spec = _mini_scene(duration=40)
+        write_scene_outputs(spec, tmp_path / "scene")
+        entry = _entry((tmp_path / "scene", spec))
+        # The wall at x = 28 m lies outside this crop, so every frame loses points.
+        crop = CropBounds(0, 25, -25, 25, -1, 8)
+        entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, crop=crop))
+        seq = load_frame_sequence(entry.frames_dir, entry.meta)
+        assert all((~crop.contains(f.xyz) & ~f.padding).any() for f in seq.frames)
+        frames_bytes = sum(f.xyz.nbytes + f.padding.nbytes for f in seq.frames)
+        del seq
+        run_teacher(entry, tmp_path / "warm")  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            run_teacher(entry, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every frame alive next to its cropped copy would take twice the frames' bytes.
+        assert peak < 1.75 * frames_bytes
 
     def test_empty_frame_directory(self, tmp_path):
         frames = tmp_path / "frames"
@@ -616,6 +651,42 @@ class TestCli:
             evaluate_cli(tmp_path / "no_preds")
         assert report.read_bytes() == before
         assert not list(tmp_path.glob("*.partial"))
+
+    def test_report_over_a_directory_is_data_error(self, scene_dir, tmp_path, caplog):
+        out, _ = scene_dir
+        keep = tmp_path / "keep"
+        keep.mkdir()
+        (keep / "file.txt").write_text("kept\n")
+        path = tmp_path / "evaluate.json"
+        path.write_text(json.dumps({
+            "pred_dir": str(out / "truth"), "truth_dir": str(out / "truth"), "report": str(keep),
+        }))
+        assert main(["evaluate", "--config", str(path)]) == 2
+        assert f"cannot replace the directory {keep} with a file" in caplog.text
+        assert _tree_bytes(keep) == {"file.txt": b"kept\n"}
+        assert not list(tmp_path.rglob("*.partial"))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched run_teacher reaches the workers only through fork")
+    def test_killed_worker_fails_every_dataset_and_keeps_outputs(
+        self, scene_dir, tmp_path, monkeypatch, caplog
+    ):
+        cfg = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        site = cfg["datasets"][0]
+        cfg["datasets"] = [{**site, "name": "a"}, {**site, "name": "b"}]
+        cfg["parallelism"] = 2
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["annotate", "--config", str(path)]) == 0
+        before = _tree_bytes(tmp_path / "out")
+        monkeypatch.setattr(pipeline, "run_teacher", _kill_worker_on_b)
+        assert main(["annotate", "--config", str(path)]) == 2
+        # The pool breaks as a whole: the dataset whose worker lived fails too.
+        assert "dataset a failed" in caplog.text
+        assert "dataset b failed" in caplog.text
+        assert "terminated abruptly" in caplog.text
+        assert _tree_bytes(tmp_path / "out") == before
+        assert not list(tmp_path.rglob("*.partial"))
 
     def _annotate_with_model(self, scene_dir, tmp_path, model):
         """Annotate once, then again from the sidecar ``model``; return the second exit code."""
