@@ -35,7 +35,7 @@ from .background import (
 )
 from .clustering import dbscan
 from .annotate import FittedBox, annotate_frame, classify, fit_bbox, validate_bbox
-from .evaluate import EvalReport, average_precision, evaluate, iou_3d, match_detections
+from .evaluate import EvalReport, average_precision, evaluate, iou_3d
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "fit_bbox",
     "iou_3d",
     "load_frame_sequence",
-    "match_detections",
     "pad_frame",
     "read_labels",
     "select_background",

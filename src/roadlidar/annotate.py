@@ -36,7 +36,8 @@ DEGENERATE_FLOOR = 0.01
 
 @dataclass(frozen=True)
 class FittedBox:
-    """Oriented box around one cluster; ``length >= width`` always holds."""
+    """Oriented box around one cluster; ``length >= width`` always holds, so
+    ``length`` is the base length the size heuristics compare."""
 
     center_x: float
     center_y: float
@@ -45,11 +46,6 @@ class FittedBox:
     width: float
     height: float
     yaw: float
-
-    @property
-    def base_length(self) -> float:
-        """The longer horizontal extent, the quantity the heuristics compare."""
-        return self.length
 
 
 @dataclass(frozen=True)
@@ -171,26 +167,26 @@ def fit_bbox(cluster: np.ndarray, frame: Frame) -> FittedBox:
 def validate_bbox(box: FittedBox, cfg: TeacherConfig) -> tuple[bool, str]:
     """Apply the three size gates; returns (valid, failed_predicate).
 
-    Valid iff base_length >= l_min, height >= h_min and
-    |base_length - height| >= beta_min.  The last gate drops shape-ambiguous
+    Valid iff length >= l_min, height >= h_min and
+    |length - height| >= beta_min.  The last gate drops shape-ambiguous
     boxes instead of guessing their class.
     """
-    if box.base_length < cfg.l_min:
+    if box.length < cfg.l_min:
         return False, "base_length<l_min"
     if box.height < cfg.h_min:
         return False, "height<h_min"
-    if abs(box.base_length - box.height) < cfg.beta_min:
+    if abs(box.length - box.height) < cfg.beta_min:
         return False, "|base_length-height|<beta_min"
     return True, ""
 
 
 def classify(box: FittedBox) -> LabelClass:
     """Vehicle if longer than tall, pedestrian if taller than long."""
-    if box.base_length > box.height:
+    if box.length > box.height:
         return LabelClass.VEHICLE
-    if box.base_length < box.height:
+    if box.length < box.height:
         return LabelClass.PEDESTRIAN
-    raise InternalError("base_length == height should have been rejected by validation")
+    raise InternalError("length == height should have been rejected by validation")
 
 
 def annotate_frame(
@@ -211,7 +207,7 @@ def annotate_frame(
         ok, reason = validate_bbox(box, cfg)
         if not ok:
             if reject_sink is not None:
-                reject_sink(RejectedBox(frame.timestamp_index, box.base_length, box.height, reason))
+                reject_sink(RejectedBox(frame.timestamp_index, box.length, box.height, reason))
             continue
         labels.append(
             ObjectLabel(

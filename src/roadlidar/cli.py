@@ -17,8 +17,8 @@ one), a sensor ``unit_scale`` or ``merge`` scale that is not finite and
 positive, ``evaluate`` thresholds that are empty, outside (0, 1] or equal at
 two decimals, an ``iterate`` score_threshold outside [0, 1] or NaN, and
 ``--jobs`` below 1.  Exit 2 covers input data that cannot be used, such as
-a frame file whose record count is not the sensor's beam count or that
-holds a coordinate that is not finite.
+a frame file that cannot be read, whose record count is not the sensor's
+beam count or that holds a coordinate that is not finite.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     config = parse_pipeline_config(args.config)
     if args.jobs is not None:
         config = dataclasses.replace(config, parallelism=args.jobs)
-    results, failures = run_annotate(config)
-    for result in results:
-        log.info("dataset %s: %s", result.name, json.dumps(result.stats, sort_keys=True))
+    stats, failures = run_annotate(config)
+    for dataset in stats:
+        log.info("dataset %s: %s", dataset["dataset"], json.dumps(dataset, sort_keys=True))
     if failures:
         for name, message in sorted(failures.items()):
             log.error("dataset %s failed: %s", name, message)

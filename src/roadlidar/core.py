@@ -337,10 +337,13 @@ def read_frame_file(path: Path, beam_count: int) -> tuple[np.ndarray, np.ndarray
     """Read one .bin frame file: its xyz as an (n, 3) float64 array and its
     padding mask, the all-zero rows (``-0.0`` counts as zero).
 
-    The file must hold exactly ``beam_count`` records, every x, y and z of
-    them finite; otherwise a DataError names the file.
+    The file must be readable and hold exactly ``beam_count`` records, every
+    x, y and z of them finite; otherwise a DataError names the file.
     """
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read frame file {path}: {exc}") from exc
     if len(raw) != beam_count * _POINT_RECORD_BYTES:
         raise DataError(
             f"malformed frame file {path}: {len(raw)} bytes, but the sensor's "

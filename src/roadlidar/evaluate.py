@@ -182,18 +182,6 @@ def iou_3d(a: ObjectLabel, b: ObjectLabel) -> float:
     return float(iou_matrices([([a], [b])])[0][0, 0])
 
 
-@dataclass
-class Matching:
-    """Greedy one-to-one match of one frame's predictions to references.
-
-    ``order`` gives prediction indices in evaluation rank; ``tp[r]`` says
-    whether the prediction at rank r matched.
-    """
-
-    order: list[int]
-    tp: list[bool]
-
-
 def _rank_order(preds: list[ObjectLabel]) -> list[int]:
     # Descending score; ties broken by ascending center distance to the
     # sensor, then by input order for determinism.
@@ -202,19 +190,6 @@ def _rank_order(preds: list[ObjectLabel]) -> list[int]:
         return (-p.score, math.sqrt(p.center_x**2 + p.center_y**2 + p.center_z**2), i)
 
     return sorted(range(len(preds)), key=key)
-
-
-def match_detections(
-    preds: list[ObjectLabel],
-    truths: list[ObjectLabel],
-    iou_threshold: float,
-    iou_matrix: np.ndarray | None = None,
-) -> Matching:
-    """Match one frame's predictions of one class against its references."""
-    order = _rank_order(preds)
-    if iou_matrix is None:
-        iou_matrix = iou_matrices([(preds, truths)])[0]
-    return Matching(order=order, tp=_greedy_tp(order, iou_matrix, iou_threshold))
 
 
 def _greedy_tp(order: list[int], iou_matrix: np.ndarray, iou_threshold: float) -> list[bool]:
@@ -237,17 +212,14 @@ def _greedy_tp(order: list[int], iou_matrix: np.ndarray, iou_threshold: float) -
     return tp
 
 
-def average_precision(tp_flags: list[bool], n_truth: int) -> tuple[float, bool]:
+def average_precision(tp_flags: list[bool], n_truth: int) -> float:
     """Area under the all-point-interpolated P/R curve.
 
-    ``tp_flags`` must be in pooled evaluation rank order.  Returns
-    (ap, defined); with zero reference objects AP is undefined and reported
-    as 0.0 with the flag cleared.
+    ``tp_flags`` must be in pooled evaluation rank order.  With zero
+    reference objects AP is undefined and reported as 0.0.
     """
-    if n_truth == 0:
-        return 0.0, False
-    if not tp_flags:
-        return 0.0, True
+    if n_truth == 0 or not tp_flags:
+        return 0.0
     tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
     fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
     recall = tp / n_truth
@@ -257,19 +229,22 @@ def average_precision(tp_flags: list[bool], n_truth: int) -> tuple[float, bool]:
     for i in range(len(mpre) - 2, -1, -1):
         mpre[i] = max(mpre[i], mpre[i + 1])
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1])), True
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """Scores of one (class, IoU threshold) pair, the key it is stored under."""
+    """Scores of one (class, IoU threshold) pair, the key it is stored under.
+
+    ``tp + fn`` is the number of reference objects; when it is 0, AP and
+    recall are undefined and reported as 0.0.
+    """
 
     ap: float
     recall: float
     tp: int
     fp: int
     fn: int
-    ap_defined: bool
 
 
 @dataclass
@@ -278,9 +253,6 @@ class EvalReport:
 
     thresholds: tuple[float, ...]
     records: dict[tuple[LabelClass, float], MetricRecord] = field(default_factory=dict)
-
-    def record(self, cls: LabelClass, threshold: float) -> MetricRecord:
-        return self.records[(cls, threshold)]
 
     def to_text(self) -> str:
         """Machine-readable report: one record per (class, threshold)."""
@@ -300,7 +272,7 @@ class EvalReport:
         for cls in LabelClass:
             for thr in self.thresholds:
                 r = self.records[(cls, thr)]
-                note = "" if r.ap_defined else "  (no reference objects)"
+                note = "" if r.tp + r.fn else "  (no reference objects)"
                 rows.append(
                     f"{cls.value:<12}{thr:>6.2f}{r.ap:>10.4f}{r.recall:>10.4f}"
                     f"{r.tp:>7}{r.fp:>7}{r.fn:>7}{note}"
@@ -350,12 +322,11 @@ def evaluate_labels(
             tps = [_greedy_tp(order, iou, thr) for order, iou in zip(orders, matrices)]
             tp_flags = [tps[f][rank] for _, f, rank in pooled]
             tp_total = sum(tp_flags)
-            ap, defined = average_precision(tp_flags, n_truth_total)
             fp_total = len(tp_flags) - tp_total
             fn_total = n_truth_total - tp_total
             recall = tp_total / n_truth_total if n_truth_total else 0.0
             report.records[(cls, thr)] = MetricRecord(
-                ap, recall, tp_total, fp_total, fn_total, defined
+                average_precision(tp_flags, n_truth_total), recall, tp_total, fp_total, fn_total
             )
     return report
 

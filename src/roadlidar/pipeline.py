@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -90,13 +91,6 @@ class PipelineConfig:
             raise ConfigError("parallelism must be >= 1")
 
 
-@dataclass
-class TeacherRunResult:
-    name: str
-    labels_dir: Path
-    stats: dict
-
-
 def _parse_sensor(data: dict) -> SensorMeta:
     return SensorMeta(
         rays_horizontal=int(data["rays_horizontal"]),
@@ -168,7 +162,7 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
 # Teacher run
 # ---------------------------------------------------------------------------
 
-def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResult:
+def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     """Run the full teacher on one dataset and write labels plus run artifacts.
 
     Stages: unit unification, cropping, background model over the query
@@ -177,10 +171,10 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
     ``rejects.log`` and the background model sidecar, published together
     by ``publish`` after the last frame: a run that fails or is cut short,
     even while writing them, leaves the previous four as they were.
+    Returns the statistics that ``stats.json`` holds.
     """
     cfg = entry.teacher
     out_dir = Path(output_root) / entry.name
-    labels_dir = out_dir / "labels"
 
     seq = load_frame_sequence(entry.frames_dir, entry.meta)
     seq = unify_units(seq)
@@ -227,22 +221,26 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> TeacherRunResul
     stats_text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
     rejects_text = "".join(r.format_line() + "\n" for r in rejects)
     publish({
-        labels_dir: partial(write_labels, labels_by_stem),
+        out_dir / "labels": partial(write_labels, labels_by_stem),
         out_dir / "stats.json": lambda path: path.write_text(stats_text, encoding="utf-8"),
         out_dir / "rejects.log": lambda path: path.write_text(rejects_text, encoding="utf-8"),
         out_dir / "background.model": partial(save_background_model, model),
     })
-    return TeacherRunResult(entry.name, labels_dir, stats)
+    return stats
 
 
-def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[str, str]]:
+def run_annotate(config: PipelineConfig) -> tuple[list[dict], dict[str, str]]:
     """Run every dataset's teacher; one dataset's failure leaves others intact.
 
-    Returns the successful results and a name -> error-message map for the
-    failures.
+    Returns the successful datasets' statistics, in name order, and a
+    name -> error-message map for the failures.  A worker killed outright
+    breaks the whole pool, so each dataset the pool failed reruns once,
+    alone, in a fresh one-worker pool: only a dataset that kills that
+    worker too fails.
     """
-    results: list[TeacherRunResult] = []
+    stats: list[dict] = []
     failures: dict[str, str] = {}
+    broken: list[DatasetEntry] = []
     # A pool starts all of its workers at the first submit: ask for no more than needed.
     workers = min(config.parallelism, len(config.datasets))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -252,11 +250,19 @@ def run_annotate(config: PipelineConfig) -> tuple[list[TeacherRunResult], dict[s
         ]
         for entry, future in zip(config.datasets, futures):
             try:
-                results.append(future.result() if future else run_teacher(entry, config.output_root))
+                stats.append(future.result() if future else run_teacher(entry, config.output_root))
+            except BrokenProcessPool:
+                broken.append(entry)
             except Exception as exc:  # noqa: BLE001 - isolate dataset failures
                 failures[entry.name] = str(exc)
-    results.sort(key=lambda r: r.name)
-    return results, failures
+    for entry in broken:
+        try:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                stats.append(pool.submit(run_teacher, entry, config.output_root).result())
+        except Exception as exc:  # noqa: BLE001 - isolate dataset failures
+            failures[entry.name] = str(exc)
+    stats.sort(key=lambda s: s["dataset"])
+    return stats, failures
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Domain types and file round-trips."""
+"""Domain types, file round-trips and the package's exported names."""
 
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roadlidar
 from roadlidar.core import (
     DataError,
     Frame,
@@ -240,3 +243,21 @@ class TestYawNormalization:
         assert -math.pi / 2 <= n < math.pi / 2
         # equivalent heading mod pi: sin vanishes at every multiple of pi
         assert abs(math.sin(n - yaw)) < 1e-9
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        assert len(set(roadlidar.__all__)) == len(roadlidar.__all__)
+        assert [name for name in roadlidar.__all__ if not hasattr(roadlidar, name)] == []
+
+    def test_deleted_names_stay_deleted(self):
+        evaluate = importlib.import_module("roadlidar.evaluate")
+        pipeline = importlib.import_module("roadlidar.pipeline")
+        for module, name in [
+            (roadlidar, "Matching"), (roadlidar, "match_detections"), (roadlidar, "TeacherRunResult"),
+            (evaluate, "Matching"), (evaluate, "match_detections"), (pipeline, "TeacherRunResult"),
+            (evaluate.EvalReport, "record"), (roadlidar.FittedBox, "base_length"),
+        ]:
+            assert not hasattr(module, name), name
+            assert name not in roadlidar.__all__, name
+        assert "ap_defined" not in {f.name for f in dataclasses.fields(evaluate.MetricRecord)}

@@ -25,7 +25,6 @@ from roadlidar.evaluate import (
     evaluate_labels,
     iou_3d,
     iou_matrices,
-    match_detections,
 )
 from roadlidar.pipeline import DatasetEntry, run_teacher
 from roadlidar.simulate import Actor, BoxObstacle, GroundPlane, SceneSpec, SensorModel, write_scene_outputs
@@ -219,8 +218,8 @@ class TestIouMatrices:
             crop=CropBounds(0, 40, -25, 25, -1, 8),
         )
         meta = SensorMeta(sensor.azimuth_count, sensor.elevation_count)
-        result = run_teacher(DatasetEntry("s", paths["frames"], meta, teacher), tmp_path / "out")
-        preds, truths = read_labels(result.labels_dir), read_labels(paths["truth"])
+        run_teacher(DatasetEntry("s", paths["frames"], meta, teacher), tmp_path / "out")
+        preds, truths = read_labels(tmp_path / "out" / "s" / "labels"), read_labels(paths["truth"])
         frames = [
             ([p for p in preds[stem] if p.label_class is cls],
              [t for t in truths[stem] if t.label_class is cls])
@@ -231,32 +230,49 @@ class TestIouMatrices:
         assert (values > 0).sum() >= 20 and (values == 0).sum() >= 20
 
 
+def _one_frame(preds, truths, threshold):
+    """The Vehicle record of one frame scored at one IoU threshold."""
+    report = evaluate_labels({"000000": preds}, {"000000": truths}, (threshold,))
+    return report.records[(LabelClass.VEHICLE, threshold)]
+
+
 class TestMatchDetections:
+    """Greedy matching in rank order, seen through one-frame ``evaluate_labels``.
+
+    Each rank check scores two thresholds: one that both predictions clear,
+    so the first-ranked claims the reference, and one that only the
+    prediction meant to rank first clears.  Ranked right, that prediction
+    is a TP ahead of an FP (AP 1.0); ranked wrong, the TP follows the FP
+    (AP 0.5) at either threshold.
+    """
+
     def test_exact_predictions_all_tp(self):
         rng = np.random.default_rng(33)
         truths = [_random_box(rng) for _ in range(4)]
-        m = match_detections(truths, truths, 0.5)
-        assert m.tp == [True] * 4
+        rec = _one_frame(truths, truths, 0.5)
+        assert (rec.tp, rec.fp, rec.fn) == (4, 0, 0)
 
     def test_one_prediction_no_truth(self):
-        m = match_detections([_label()], [], 0.5)
-        assert m.tp == [False]
+        rec = _one_frame([_label()], [], 0.5)
+        assert (rec.tp, rec.fp, rec.fn) == (0, 1, 0)
 
     def test_two_predictions_one_truth(self):
         truth = _label()
-        near = _label(cx=0.05)
-        nearer = _label(cx=0.01, score=0.9)
-        m = match_detections([near, nearer], [truth], 0.5)
-        # the higher-scoring prediction gets the match; the other is a false positive
-        assert m.order == [0, 1] and m.tp == [True, False]
+        near = _label(cx=0.05)  # IoU 0.95
+        far = _label(cx=0.6, score=0.9)  # IoU 0.54
+        # the higher-scoring prediction ranks first; the other is a false positive
+        for threshold in (0.5, 0.7):
+            rec = _one_frame([far, near], [truth], threshold)
+            assert (rec.tp, rec.fp, rec.fn, rec.ap) == (1, 1, 0, 1.0)
 
     def test_score_tie_broken_by_distance(self):
         truth = _label(cx=5.0)
-        far = _label(cx=5.4)
-        close = _label(cx=5.1)
-        m = match_detections([far, close], [truth], 0.3)
-        assert m.order[0] == 1  # closer to sensor ranks first on tie
-        assert m.tp == [True, False]
+        far = _label(cx=5.4)  # IoU 0.67
+        close = _label(cx=5.1)  # IoU 0.90
+        # closer to the sensor ranks first on a score tie, ahead of input order
+        for threshold in (0.3, 0.8):
+            rec = _one_frame([far, close], [truth], threshold)
+            assert (rec.tp, rec.fp, rec.fn, rec.ap) == (1, 1, 0, 1.0)
 
     def test_greedy_takes_highest_iou(self):
         t_good = _label(cx=0.1)
@@ -265,34 +281,29 @@ class TestMatchDetections:
         # overlaps t_poor (IoU 0.25) but not t_good (0.03 < 0.1), so it can
         # match only if the first prediction took t_good
         second = _label(cx=2.0, score=0.5)
-        m = match_detections([pred, second], [t_good, t_poor], 0.1)
-        assert m.tp == [True, True]
+        rec = _one_frame([pred, second], [t_poor, t_good], 0.1)
+        assert (rec.tp, rec.fp, rec.fn) == (2, 0, 0)
 
 
 class TestAveragePrecision:
     def test_perfect(self):
-        ap, defined = average_precision([True, True, True], 3)
-        assert defined and ap == pytest.approx(1.0, abs=1e-12)
+        assert average_precision([True, True, True], 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_predictions(self):
-        ap, defined = average_precision([], 5)
-        assert defined and ap == 0.0
+        assert average_precision([], 5) == 0.0
 
-    def test_no_truth_flagged_undefined(self):
-        ap, defined = average_precision([False], 0)
-        assert not defined and ap == 0.0
+    def test_no_truth_scores_zero(self):
+        assert average_precision([False], 0) == 0.0
 
     def test_hand_computed_three_detections(self):
         # detections (TP, FP, TP) over 2 truths:
         # P/R points: (1, 1/2), (1/2, 1/2), (2/3, 1);
         # interpolated: 1 on [0, 1/2], 2/3 on (1/2, 1] -> AP = 1/2 + 1/3 = 5/6
-        ap, defined = average_precision([True, False, True], 2)
-        assert defined
-        assert ap == pytest.approx(5.0 / 6.0, abs=1e-9)
+        assert average_precision([True, False, True], 2) == pytest.approx(5.0 / 6.0, abs=1e-9)
 
     def test_monotone_in_prefix_quality(self):
-        better, _ = average_precision([True, True, False, False], 4)
-        worse, _ = average_precision([False, False, True, True], 4)
+        better = average_precision([True, True, False, False], 4)
+        worse = average_precision([False, False, True, True], 4)
         assert better > worse
 
 
@@ -324,7 +335,7 @@ class TestEvaluateLabels:
         _, truths = _frame_sets(rng)
         report = evaluate_labels(truths, truths, (0.25, 0.3, 0.5))
         for thr in (0.25, 0.3, 0.5):
-            rec = report.record(LabelClass.PEDESTRIAN, thr)
+            rec = report.records[(LabelClass.PEDESTRIAN, thr)]
             assert rec.ap == pytest.approx(1.0, abs=1e-12)
             assert rec.recall == pytest.approx(1.0, abs=1e-12)
             assert rec.fp == 0 and rec.fn == 0
@@ -333,7 +344,7 @@ class TestEvaluateLabels:
         rng = np.random.default_rng(35)
         _, truths = _frame_sets(rng)
         report = evaluate_labels({}, truths, (0.5,))
-        rec = report.record(LabelClass.PEDESTRIAN, 0.5)
+        rec = report.records[(LabelClass.PEDESTRIAN, 0.5)]
         assert rec.ap == 0.0 and rec.recall == 0.0
         assert rec.tp == 0 and rec.fn > 0
 
@@ -341,11 +352,13 @@ class TestEvaluateLabels:
         rng = np.random.default_rng(42)
         _, truths = _frame_sets(rng)  # pedestrians only
         report = evaluate_labels(truths, truths, (0.5,))
-        vehicle = report.record(LabelClass.VEHICLE, 0.5)
-        assert not vehicle.ap_defined
+        vehicle = report.records[(LabelClass.VEHICLE, 0.5)]
+        assert vehicle.tp + vehicle.fn == 0
         assert vehicle.ap == 0.0
-        assert report.record(LabelClass.PEDESTRIAN, 0.5).ap_defined
-        assert "no reference objects" in report.to_table()
+        pedestrian = report.records[(LabelClass.PEDESTRIAN, 0.5)]
+        assert pedestrian.tp + pedestrian.fn > 0
+        table = report.to_table().splitlines()
+        assert [row.startswith("Vehicle") for row in table if "no reference objects" in row] == [True]
 
     @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (float("nan"),), (), (1.5,)])
     def test_thresholds_range_checked(self, thresholds):
@@ -366,8 +379,8 @@ class TestEvaluateLabels:
         shuffled_p = dict(reversed(list(preds.items())))
         shuffled_t = dict(reversed(list(truths.items())))
         r2 = evaluate_labels(shuffled_p, shuffled_t, (0.3,))
-        a = r1.record(LabelClass.PEDESTRIAN, 0.3)
-        b = r2.record(LabelClass.PEDESTRIAN, 0.3)
+        a = r1.records[(LabelClass.PEDESTRIAN, 0.3)]
+        b = r2.records[(LabelClass.PEDESTRIAN, 0.3)]
         assert a == b
 
     def test_ap_and_recall_monotone_in_threshold(self):
@@ -375,8 +388,8 @@ class TestEvaluateLabels:
         preds, truths = _frame_sets(rng, n_frames=10)
         thresholds = (0.1, 0.25, 0.4, 0.6, 0.8)
         report = evaluate_labels(preds, truths, thresholds)
-        aps = [report.record(LabelClass.PEDESTRIAN, t).ap for t in thresholds]
-        recalls = [report.record(LabelClass.PEDESTRIAN, t).recall for t in thresholds]
+        aps = [report.records[(LabelClass.PEDESTRIAN, t)].ap for t in thresholds]
+        recalls = [report.records[(LabelClass.PEDESTRIAN, t)].recall for t in thresholds]
         assert all(a1 >= a2 - 1e-12 for a1, a2 in zip(aps, aps[1:]))
         assert all(r1 >= r2 - 1e-12 for r1, r2 in zip(recalls, recalls[1:]))
 
@@ -389,7 +402,7 @@ class TestEvaluateDirectories:
         write_labels(truths, tmp_path / "pred")
         report_path = tmp_path / "report.txt"
         report = evaluate(tmp_path / "pred", tmp_path / "truth", (0.5,), report_path)
-        assert report.record(LabelClass.PEDESTRIAN, 0.5).ap == pytest.approx(1.0)
+        assert report.records[(LabelClass.PEDESTRIAN, 0.5)].ap == pytest.approx(1.0)
         text = report_path.read_text()
         assert text.splitlines()[0] == "class iou ap recall tp fp fn"
         assert "Pedestrian 0.50 1.000000 1.000000" in text
@@ -411,7 +424,7 @@ class TestEvaluateDirectories:
         partial = {k: v for i, (k, v) in enumerate(sorted(truths.items())) if i < 2}
         write_labels(partial, tmp_path / "pred")
         report = evaluate(tmp_path / "pred", tmp_path / "truth", (0.5,))
-        rec = report.record(LabelClass.PEDESTRIAN, 0.5)
+        rec = report.records[(LabelClass.PEDESTRIAN, 0.5)]
         total = sum(len(v) for v in truths.values())
         found = sum(len(v) for v in partial.values())
         assert rec.tp == found and rec.fn == total - found

@@ -1,0 +1,125 @@
+"""A pinned scene on which the teacher is not perfect, so output changes show.
+
+The default scene scores AP 1.0 at every threshold with no noise points and
+no rejected boxes, so no change to the labels can show in it.  This scene
+takes the default scene's statics and actors, but every actor is present
+from the first frame, inside the background model's query window; the beam
+grid is halved on each axis and the recording is 80 frames, to keep the
+test short.  The teacher is the README's, unchanged.
+
+The pins are the exact bytes the program wrote for this scene: the SHA-256
+of the label files, ``stats.json`` and the ``evaluate`` report.  A change
+that is meant to alter the outputs updates them and says why.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from roadlidar.cli import main
+from roadlidar.simulate import default_scene, write_scene_outputs
+
+LABELS_SHA256 = "9dbc3d70c0da2e0aef24e429a1b5ee6a68db41c3319f42d6f164e7a49f209d86"
+STATS_JSON = """\
+{
+  "boxes_rejected": 87,
+  "clusters_found": 187,
+  "dataset": "pinned",
+  "frames": 80,
+  "labels_written": 100,
+  "noise_points": 109,
+  "points_data": 883200,
+  "points_removed": 867946,
+  "points_removed_pct": 98.2729
+}
+"""
+REPORT = """\
+class iou ap recall tp fp fn
+Vehicle 0.25 0.076014 0.187500 15 22 65
+Vehicle 0.30 0.066216 0.175000 14 23 66
+Vehicle 0.50 0.033784 0.125000 10 27 70
+Pedestrian 0.25 0.333730 0.362500 58 5 102
+Pedestrian 0.30 0.322321 0.356250 57 6 103
+Pedestrian 0.50 0.145812 0.237500 38 25 122
+"""
+
+
+def pinned_scene():
+    base = default_scene(duration=80)
+    sensor = dataclasses.replace(base.sensor, azimuth_count=120, elevation_count=92)
+    actors = [dataclasses.replace(actor, start_time=0.0) for actor in base.actors]
+    return dataclasses.replace(base, sensor=sensor, actors=actors)
+
+
+def labels_sha256(directory):
+    """SHA-256 over each label file's name and bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def run_pinned_scene(root):
+    """Render the scene, annotate and evaluate it through the CLI; return the outputs."""
+    spec = pinned_scene()
+    write_scene_outputs(spec, root / "scene")
+    annotate = {
+        "output_root": str(root / "out"),
+        "datasets": [{
+            "name": "pinned",
+            "frames": str(root / "scene" / "frames"),
+            "sensor": {
+                "rays_horizontal": spec.sensor.azimuth_count,
+                "rays_vertical": spec.sensor.elevation_count,
+            },
+            "teacher": {
+                "n_query": 50, "n_bin": 10, "n_tall": 3,
+                "d_threshold": 0.2, "epsilon": 0.7, "min_pts": 5,
+                "l_min": 0.3, "h_min": 0.5, "beta_min": 0.2,
+                "crop": {"x_min": 0, "x_max": 45, "y_min": -30, "y_max": 30,
+                         "z_min": -1, "z_max": 10},
+            },
+        }],
+    }
+    evaluate = {
+        "pred_dir": str(root / "out" / "pinned" / "labels"),
+        "truth_dir": str(root / "scene" / "truth"),
+        "thresholds": [0.25, 0.3, 0.5],
+        "report": str(root / "report.txt"),
+    }
+    (root / "annotate.json").write_text(json.dumps(annotate))
+    (root / "evaluate.json").write_text(json.dumps(evaluate))
+    assert main(["annotate", "--config", str(root / "annotate.json")]) == 0
+    assert main(["evaluate", "--config", str(root / "evaluate.json")]) == 0
+    return {
+        "labels_sha256": labels_sha256(root / "out" / "pinned" / "labels"),
+        "stats": (root / "out" / "pinned" / "stats.json").read_text(encoding="utf-8"),
+        "report": (root / "report.txt").read_text(encoding="utf-8"),
+    }
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return run_pinned_scene(tmp_path_factory.mktemp("pinned"))
+
+
+def test_labels_pinned(outputs):
+    assert outputs["labels_sha256"] == LABELS_SHA256
+
+
+def test_stats_pinned(outputs):
+    assert outputs["stats"] == STATS_JSON
+
+
+def test_report_pinned(outputs):
+    assert outputs["report"] == REPORT
+
+
+def test_scene_is_not_saturated(outputs):
+    stats = json.loads(outputs["stats"])
+    assert stats["noise_points"] > 0
+    assert stats["boxes_rejected"] > 0
+    ap50 = [float(line.split()[2]) for line in outputs["report"].splitlines()[1:] if line.split()[1] == "0.50"]
+    assert len(ap50) == 2 and min(ap50) < 1.0

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import tracemalloc
 from concurrent.futures import Future
@@ -110,13 +111,14 @@ def _entry(scene, name="site_a", d_threshold=0.2):
 
 class TestRunTeacher:
     def test_labels_stats_and_artifacts(self, scene_dir, tmp_path):
-        result = run_teacher(_entry(scene_dir), tmp_path)
+        stats = run_teacher(_entry(scene_dir), tmp_path)
         out, spec = scene_dir
-        labels = read_labels(result.labels_dir)
+        labels = read_labels(tmp_path / "site_a" / "labels")
         assert len(labels) == spec.duration  # one file per frame
-        assert result.stats["frames"] == spec.duration
-        assert result.stats["points_removed_pct"] > 50
-        assert result.stats["labels_written"] > 0
+        assert stats == json.loads((tmp_path / "site_a" / "stats.json").read_text())
+        assert stats["frames"] == spec.duration
+        assert stats["points_removed_pct"] > 50
+        assert stats["labels_written"] > 0
         assert (tmp_path / "site_a" / "background.model").exists()
         assert (tmp_path / "site_a" / "stats.json").exists()
         assert (tmp_path / "site_a" / "rejects.log").exists()
@@ -199,21 +201,21 @@ class TestRunTeacher:
     def test_two_thresholds_differ_but_both_valid(self, scene_dir, tmp_path):
         tight = run_teacher(_entry(scene_dir, "tight", d_threshold=0.05), tmp_path)
         loose = run_teacher(_entry(scene_dir, "loose", d_threshold=0.6), tmp_path)
-        assert tight.stats["points_removed"] < loose.stats["points_removed"]
-        for result in (tight, loose):
-            for labs in read_labels(result.labels_dir).values():
+        assert tight["points_removed"] < loose["points_removed"]
+        for name in ("tight", "loose"):
+            for labs in read_labels(tmp_path / name / "labels").values():
                 for lb in labs:
                     assert lb.length >= lb.width > 0
 
     def test_reused_background_model(self, scene_dir, tmp_path):
-        first = run_teacher(_entry(scene_dir), tmp_path / "a")
+        run_teacher(_entry(scene_dir), tmp_path / "a")
         entry = _entry(scene_dir)
         entry2 = DatasetEntry(
             name=entry.name, frames_dir=entry.frames_dir, meta=entry.meta,
             teacher=entry.teacher,
             background_model_in=tmp_path / "a" / "site_a" / "background.model",
         )
-        second = run_teacher(entry2, tmp_path / "b")
+        run_teacher(entry2, tmp_path / "b")
         a = sorted((tmp_path / "a" / "site_a" / "labels").glob("*.txt"))
         b = sorted((tmp_path / "b" / "site_a" / "labels").glob("*.txt"))
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
@@ -232,15 +234,15 @@ class TestRunTeacher:
             datasets=[bad, good], output_root=tmp_path / "out", parallelism=parallelism
         )
         results, failures = run_annotate(config)
-        assert [r.name for r in results] == ["good"]
+        assert [stats["dataset"] for stats in results] == ["good"]
         assert set(failures) == {"bad"}
         assert (tmp_path / "out" / "good" / "labels").is_dir()
 
     def test_determinism_byte_identical(self, scene_dir, tmp_path):
-        r1 = run_teacher(_entry(scene_dir), tmp_path / "run1")
-        r2 = run_teacher(_entry(scene_dir), tmp_path / "run2")
-        files1 = sorted(Path(r1.labels_dir).glob("*.txt"))
-        files2 = sorted(Path(r2.labels_dir).glob("*.txt"))
+        run_teacher(_entry(scene_dir), tmp_path / "run1")
+        run_teacher(_entry(scene_dir), tmp_path / "run2")
+        files1 = sorted((tmp_path / "run1" / "site_a" / "labels").glob("*.txt"))
+        files2 = sorted((tmp_path / "run2" / "site_a" / "labels").glob("*.txt"))
         assert [f.name for f in files1] == [f.name for f in files2]
         for a, b in zip(files1, files2):
             assert a.read_bytes() == b.read_bytes()
@@ -258,18 +260,19 @@ class TestRunTeacher:
             name="site_a", frames_dir=frames, meta=_entry(scene_dir).meta,
             teacher=_teacher_cfg(spec.sensor.beam_count, n_query=5),
         )
-        first = run_teacher(entry, tmp_path / "out")
-        assert len(list(first.labels_dir.glob("*.txt"))) == 12
+        labels_dir = tmp_path / "out" / "site_a" / "labels"
+        run_teacher(entry, tmp_path / "out")
+        assert len(list(labels_dir.glob("*.txt"))) == 12
         for f in sorted(frames.glob("*.bin"))[2::3]:
             f.unlink()
-        result = run_teacher(entry, tmp_path / "out")
+        stats = run_teacher(entry, tmp_path / "out")
         stems = sorted(f.stem for f in frames.glob("*.bin"))
         assert len(stems) == 8
-        assert sorted(f.stem for f in result.labels_dir.glob("*.txt")) == stems
+        assert sorted(f.stem for f in labels_dir.glob("*.txt")) == stems
         assert sorted(p.name for p in (tmp_path / "out" / "site_a").iterdir()) == [
             "background.model", "labels", "rejects.log", "stats.json",
         ]
-        assert result.stats["frames"] == 8
+        assert stats["frames"] == 8
 
 
 class TestMergeSupersets:
@@ -315,30 +318,32 @@ class TestMergeSupersets:
             merge_supersets([item, item], tmp_path / "merged")
 
     def test_single_identity_dataset(self, scene_dir, tmp_path):
-        result = run_teacher(_entry(scene_dir), tmp_path / "t")
+        run_teacher(_entry(scene_dir), tmp_path / "t")
+        labels_dir = tmp_path / "t" / "site_a" / "labels"
         out, spec = scene_dir
         meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         index = merge_supersets(
-            [MergeInput("site_a", out / "frames", result.labels_dir, meta, UnificationTransform())],
+            [MergeInput("site_a", out / "frames", labels_dir, meta, UnificationTransform())],
             tmp_path / "merged",
         )
         lines = index.read_text().splitlines()
         assert len(lines) == spec.duration
         assert all(line.startswith("site_a ") for line in lines)
         merged_labels = read_labels(tmp_path / "merged" / "site_a" / "labels")
-        original = read_labels(result.labels_dir)
+        original = read_labels(labels_dir)
         assert {k: len(v) for k, v in merged_labels.items()} == {
             k: len(v) for k, v in original.items()
         }
 
     def test_two_datasets_with_provenance(self, scene_dir, tmp_path):
-        result = run_teacher(_entry(scene_dir), tmp_path / "t")
+        run_teacher(_entry(scene_dir), tmp_path / "t")
+        labels_dir = tmp_path / "t" / "site_a" / "labels"
         out, spec = scene_dir
         meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         inputs = [
-            MergeInput("a", out / "frames", result.labels_dir, meta, UnificationTransform()),
+            MergeInput("a", out / "frames", labels_dir, meta, UnificationTransform()),
             MergeInput(
-                "b", out / "frames", result.labels_dir, meta,
+                "b", out / "frames", labels_dir, meta,
                 UnificationTransform(translation=(100.0, 0.0, 0.0)),
             ),
         ]
@@ -402,15 +407,16 @@ class TestMergeSupersets:
         assert np.signbit(rec[1:3, :3]).tolist() == np.signbit(signed_zero[1:3, :3]).tolist()
 
     def test_scale_transform_matches_independent_label_transform(self, scene_dir, tmp_path):
-        result = run_teacher(_entry(scene_dir), tmp_path / "t")
+        run_teacher(_entry(scene_dir), tmp_path / "t")
+        labels_dir = tmp_path / "t" / "site_a" / "labels"
         out, spec = scene_dir
         meta = SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count)
         tf = UnificationTransform(translation=(5.0, -2.0, 0.0), scale=2.0)
         merge_supersets(
-            [MergeInput("s", out / "frames", result.labels_dir, meta, tf)], tmp_path / "merged"
+            [MergeInput("s", out / "frames", labels_dir, meta, tf)], tmp_path / "merged"
         )
         merged = read_labels(tmp_path / "merged" / "s" / "labels")
-        original = read_labels(result.labels_dir)
+        original = read_labels(labels_dir)
         for stem, labels in original.items():
             expected = [transform_label(lb, tf) for lb in labels]
             got = merged[stem]
@@ -668,7 +674,7 @@ class TestCli:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched run_teacher reaches the workers only through fork")
-    def test_killed_worker_fails_every_dataset_and_keeps_outputs(
+    def test_killed_worker_fails_only_its_dataset_and_keeps_its_outputs(
         self, scene_dir, tmp_path, monkeypatch, caplog
     ):
         cfg = TestConfigParsing()._config_dict(scene_dir, tmp_path)
@@ -679,13 +685,24 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["annotate", "--config", str(path)]) == 0
         before = _tree_bytes(tmp_path / "out")
+        # Outputs that differ from a's rerun show that a was written again.
+        for name in ("a", "b"):
+            (tmp_path / "out" / name / "stats.json").write_text("stale\n")
+        stale = _tree_bytes(tmp_path / "out")
         monkeypatch.setattr(pipeline, "run_teacher", _kill_worker_on_b)
+        caplog.clear()
         assert main(["annotate", "--config", str(path)]) == 2
-        # The pool breaks as a whole: the dataset whose worker lived fails too.
-        assert "dataset a failed" in caplog.text
-        assert "dataset b failed" in caplog.text
-        assert "terminated abruptly" in caplog.text
-        assert _tree_bytes(tmp_path / "out") == before
+        # The pool breaks as a whole, but a reruns alone and succeeds;
+        # b kills its fresh pool too and fails with the pool's message.
+        assert "dataset a failed" not in caplog.text
+        assert re.search("dataset b failed: .*terminated abruptly", caplog.text)
+        after = _tree_bytes(tmp_path / "out")
+        assert {k: v for k, v in after.items() if k.startswith("a/")} == {
+            k: v for k, v in before.items() if k.startswith("a/")
+        }
+        assert {k: v for k, v in after.items() if k.startswith("b/")} == {
+            k: v for k, v in stale.items() if k.startswith("b/")
+        }
         assert not list(tmp_path.rglob("*.partial"))
 
     def _annotate_with_model(self, scene_dir, tmp_path, model):
@@ -749,14 +766,15 @@ class TestCli:
 
     def test_merge_cli(self, scene_dir, tmp_path):
         out, spec = scene_dir
-        result = run_teacher(_entry(scene_dir), tmp_path / "t")
+        run_teacher(_entry(scene_dir), tmp_path / "t")
+        labels_dir = tmp_path / "t" / "site_a" / "labels"
         merge_cfg = {
             "output_root": str(tmp_path / "merged"),
             "inputs": [
                 {
                     "name": "site_a",
                     "frames": str(out / "frames"),
-                    "labels": str(result.labels_dir),
+                    "labels": str(labels_dir),
                     "sensor": {
                         "name": "mini",
                         "rays_horizontal": spec.sensor.azimuth_count,
@@ -771,7 +789,7 @@ class TestCli:
         assert main(["merge", "--config", str(path)]) == 0
         assert (tmp_path / "merged" / "index.txt").exists()
         merged = read_labels(tmp_path / "merged" / "site_a" / "labels")
-        original = read_labels(result.labels_dir)
+        original = read_labels(labels_dir)
         total_merged = sum(len(v) for v in merged.values())
         total_original = sum(len(v) for v in original.values())
         assert total_merged == total_original  # merging never creates or drops labels
@@ -788,6 +806,31 @@ class TestCli:
             }],
         }))
         return path
+
+    @pytest.mark.parametrize("command", ["annotate", "merge"])
+    def test_unreadable_frame_file_is_data_error(self, tmp_path, caplog, command):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        for k in range(2):
+            np.full((4, 4), k + 1.0, dtype="<f4").tofile(frames / f"00000{k}.bin")
+        (frames / "000002.bin").mkdir()
+        write_labels({f"00000{k}": [] for k in range(3)}, labels)
+        path = self._merge_config(tmp_path, frames, labels, {})
+        if command == "annotate":
+            path.write_text(json.dumps({
+                "output_root": str(tmp_path / "out"),
+                "datasets": [{
+                    "name": "site_a", "frames": str(frames),
+                    "sensor": {"rays_horizontal": 2, "rays_vertical": 2},
+                    "teacher": {
+                        "n_query": 2, "n_bin": 2, "n_tall": 1, "d_threshold": 0.2,
+                        "epsilon": 0.7, "min_pts": 2, "l_min": 0.3, "h_min": 0.5, "beta_min": 0.2,
+                        "crop": {"x_min": -9, "x_max": 9, "y_min": -9, "y_max": 9, "z_min": -9, "z_max": 9},
+                    },
+                }],
+            }))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"cannot read frame file {frames / '000002.bin'}" in caplog.text
 
     def test_merge_failure_keeps_previous_output(self, tmp_path, caplog):
         frames, labels = tmp_path / "frames", tmp_path / "labels"
@@ -858,7 +901,7 @@ class TestCli:
         seq_results, seq_fail = run_annotate(seq_cfg)
         par_results, par_fail = run_annotate(par_cfg)
         assert not seq_fail and not par_fail
-        assert [r.name for r in seq_results] == [r.name for r in par_results]
+        assert seq_results == par_results
         for name in ("a", "b"):
             s = sorted((tmp_path / "seq" / name / "labels").glob("*.txt"))
             p = sorted((tmp_path / "par" / name / "labels").glob("*.txt"))
