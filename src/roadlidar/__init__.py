@@ -35,7 +35,7 @@ from .background import (
 )
 from .clustering import dbscan
 from .annotate import FittedBox, annotate_frame, classify, fit_bbox, validate_bbox
-from .evaluate import EvalReport, average_precision, evaluate, iou_3d
+from .evaluate import EvalReport, average_precision, iou_3d
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "classify",
     "crop_frame",
     "dbscan",
-    "evaluate",
     "extract_query_frames",
     "filter_frame",
     "fit_bbox",

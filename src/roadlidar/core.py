@@ -300,13 +300,13 @@ def publish(outputs: Mapping[Path, Callable[[Path], None]]) -> None:
     """Replace each target path, a file or a directory, with what its writer
     writes; every command publishes its outputs through this one call.
 
-    A writer gets the target's sibling ``.<name>.partial`` (parents created)
-    and writes the file, or creates the directory, there.  When all have
-    returned, each is renamed over its target, a directory replacing the old
-    one whole.  If a writer raises, an interrupt included, or an existing
-    target is a directory where a file was written or the reverse (a
-    DataError naming it), every staged path is removed and no target is
-    touched.
+    Writers run one at a time, in the mapping's order.  A writer gets the
+    target's sibling ``.<name>.partial`` (parents created) and writes the
+    file, or creates the directory, there.  When all have returned, each is
+    renamed over its target, a directory replacing the old one whole.  If a
+    writer raises, an interrupt included, or an existing target is a
+    directory where a file was written or the reverse (a DataError naming
+    it), every staged path is removed and no target is touched.
     """
     staged = {target: target.with_name(f".{target.name}.partial") for target in outputs}
     try:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +27,6 @@ import numpy as np
 from .annotate import RejectedBox, annotate_frame
 from .background import (
     build_histogram,
-    extract_query_frames,
     filter_frame,
     load_background_model,
     save_background_model,
@@ -37,13 +37,14 @@ from .core import (
     ConfigError,
     CropBounds,
     DataError,
+    Frame,
+    FrameSequence,
     LabelSource,
     ObjectLabel,
     SensorMeta,
     TeacherConfig,
     json_floats,
     list_frame_files,
-    load_frame_sequence,
     publish,
     read_frame_file,
     read_json_config,
@@ -51,7 +52,7 @@ from .core import (
     write_frame_file,
     write_labels,
 )
-from .preprocess import UnificationTransform, apply_transform_points, crop_frame, transform_label, unify_units
+from .preprocess import UnificationTransform, apply_transform_points, crop_frame, transform_label
 
 log = logging.getLogger(__name__)
 
@@ -162,11 +163,25 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
 # Teacher run
 # ---------------------------------------------------------------------------
 
+def _read_cropped_frame(file: Path, timestamp_index: int, meta: SensorMeta, crop: CropBounds) -> Frame:
+    """One frame file in meters, cropped: what ``load_frame_sequence``,
+    ``unify_units`` and ``crop_frame`` make of it, with the same bits."""
+    xyz, padding = read_frame_file(file, meta.beam_count)
+    if meta.unit_scale != 1.0:
+        xyz *= meta.unit_scale
+    return crop_frame(Frame(timestamp_index, xyz, padding), crop)
+
+
 def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     """Run the full teacher on one dataset and write labels plus run artifacts.
 
     Stages: unit unification, cropping, background model over the query
     window, then per frame background filtering, clustering and annotation.
+    Frames stream from disk: the first ``n_query`` are read and kept for the
+    model (none when ``background_model_in`` is set), then each is taken in
+    turn and dropped once labeled, and every later file is read when its
+    turn comes.  Peak memory is the query window plus one frame, whatever
+    the recording length; only labels, rejects and counts accumulate.
     Outputs under ``<output_root>/<name>/``: ``labels/``, ``stats.json``,
     ``rejects.log`` and the background model sidecar, published together
     by ``publish`` after the last frame: a run that fails or is cut short,
@@ -175,13 +190,9 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     """
     cfg = entry.teacher
     out_dir = Path(output_root) / entry.name
+    files = list_frame_files(entry.frames_dir)
 
-    seq = load_frame_sequence(entry.frames_dir, entry.meta)
-    seq = unify_units(seq)
-    # One frame at a time, so no frame is alive next to its cropped copy.
-    for i, frame in enumerate(seq.frames):
-        seq.frames[i] = crop_frame(frame, cfg.crop)
-
+    query: deque[Frame] = deque()
     if entry.background_model_in is not None:
         model = load_background_model(entry.background_model_in)
         if model.n_total != cfg.n_total:
@@ -190,18 +201,26 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
                 f"but the sensor has {cfg.n_total} beams"
             )
     else:
-        query = extract_query_frames(seq, cfg.n_query)
-        hist = build_histogram(query, cfg.n_bin)
-        model = select_background(hist, cfg.n_tall)
+        if cfg.n_query > len(files):
+            raise DataError(f"n_query {cfg.n_query} exceeds sequence length {len(files)}")
+        query.extend(
+            _read_cropped_frame(file, t, entry.meta, cfg.crop)
+            for t, file in enumerate(files[:cfg.n_query], start=1)
+        )
+        # No name keeps the sequence or the histogram: ``query`` alone holds
+        # the window, so each query frame is freed once it is labeled.
+        metric = replace(entry.meta, unit_scale=1.0)
+        model = select_background(build_histogram(FrameSequence(list(query), metric), cfg.n_bin), cfg.n_tall)
 
     rejects: list[RejectedBox] = []
     labels_by_stem: dict[str, list[ObjectLabel]] = {}
     points_data = points_removed = clusters_total = noise_total = 0
-    for frame, stem in zip(seq.frames, seq.stems):
+    for t, file in enumerate(files, start=1):
+        frame = query.popleft() if query else _read_cropped_frame(file, t, entry.meta, cfg.crop)
         n_before = frame.n_data_points
         filtered = filter_frame(frame, model, cfg.d_threshold)
         clusters, noise = dbscan(filtered, cfg.epsilon, cfg.min_pts)
-        labels_by_stem[stem] = annotate_frame(filtered, clusters, cfg, reject_sink=rejects.append)
+        labels_by_stem[file.stem] = annotate_frame(filtered, clusters, cfg, reject_sink=rejects.append)
         points_data += n_before
         points_removed += n_before - filtered.n_data_points
         clusters_total += len(clusters)
@@ -209,7 +228,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
 
     stats = {
         "dataset": entry.name,
-        "frames": len(seq),
+        "frames": len(files),
         "points_data": points_data,
         "points_removed": points_removed,
         "points_removed_pct": round(100.0 * points_removed / points_data, 4) if points_data else 0.0,

@@ -360,27 +360,35 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
     """Render and write frames/, truth/ and masks/ under ``out_dir``.
 
     Frames use the standard .bin format, truth boxes the label format, and
-    masks are one raw byte per point per frame (``<stem>.mask``).  The three
+    masks are one raw byte per point per frame (``<stem>.mask``).  Frames
+    are rendered and written one at a time, so only the masks and truth
+    boxes of the frames before accumulate, not their points.  The three
     directories are published together by ``publish``, each replacing the
     previous one whole, so a shorter scene leaves no frames of a longer one.
     """
     out_dir = Path(out_dir)
-    seq, masks, truths = render_sequence(spec)
+    masks: dict[str, np.ndarray] = {}
+    truths: dict[str, list[ObjectLabel]] = {}
 
     def write_frames(directory: Path) -> None:
         directory.mkdir()
-        for frame, stem in zip(seq.frames, seq.stems):
+        dirs = spec.sensor.directions()
+        for k in range(1, spec.duration + 1):
+            stem = f"{k:06d}"
+            frame, masks[stem], truths[stem] = render_frame(spec, dirs, k)
             write_frame_file(directory / f"{stem}.bin", frame.xyz)
 
     def write_masks(directory: Path) -> None:
         directory.mkdir()
-        for mask, stem in zip(masks, seq.stems):
+        for stem, mask in masks.items():
             (directory / f"{stem}.mask").write_bytes(mask.tobytes())
 
     paths = {"frames": out_dir / "frames", "truth": out_dir / "truth", "masks": out_dir / "masks"}
+    # ``publish`` runs the writers in this order: the frames writer renders
+    # the masks and truth boxes the other two write.
     publish({
         paths["frames"]: write_frames,
-        paths["truth"]: partial(write_labels, dict(zip(seq.stems, truths))),
+        paths["truth"]: partial(write_labels, truths),
         paths["masks"]: write_masks,
     })
     return paths

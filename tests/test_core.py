@@ -1,8 +1,8 @@
 """Domain types, file round-trips and the package's exported names."""
 
 import dataclasses
-import importlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roadlidar
+import roadlidar.evaluate
+import roadlidar.pipeline
 from roadlidar.core import (
     DataError,
     Frame,
@@ -251,8 +253,7 @@ class TestPackageExports:
         assert [name for name in roadlidar.__all__ if not hasattr(roadlidar, name)] == []
 
     def test_deleted_names_stay_deleted(self):
-        evaluate = importlib.import_module("roadlidar.evaluate")
-        pipeline = importlib.import_module("roadlidar.pipeline")
+        evaluate, pipeline = roadlidar.evaluate, roadlidar.pipeline
         for module, name in [
             (roadlidar, "Matching"), (roadlidar, "match_detections"), (roadlidar, "TeacherRunResult"),
             (evaluate, "Matching"), (evaluate, "match_detections"), (pipeline, "TeacherRunResult"),
@@ -261,3 +262,10 @@ class TestPackageExports:
             assert not hasattr(module, name), name
             assert name not in roadlidar.__all__, name
         assert "ap_defined" not in {f.name for f in dataclasses.fields(evaluate.MetricRecord)}
+
+    def test_evaluate_names_the_submodule(self):
+        import roadlidar.evaluate as ev
+
+        assert isinstance(ev, types.ModuleType)
+        assert callable(ev.evaluate_labels) and callable(ev.evaluate)
+        assert "evaluate" not in roadlidar.__all__

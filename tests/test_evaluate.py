@@ -1,6 +1,5 @@
 """IoU, matching, average precision and directory-level evaluation."""
 
-import importlib
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import naive_iou_matrix
 
+import roadlidar.evaluate
 from roadlidar.core import (
     CropBounds,
     DataError,
@@ -186,8 +186,7 @@ class TestIouMatrices:
             shifted = [_label(t.center_x + 0.2, t.center_y, t.center_z, t.length, t.width, t.height, t.yaw)
                        for t in truths[:3]]
             frames.append((shifted + [_random_box(rng)], truths))
-        # the package's evaluate() shadows the module as an attribute
-        monkeypatch.setattr(importlib.import_module("roadlidar.evaluate"), "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(roadlidar.evaluate, "_PAIR_BLOCK", 7)
         _assert_matrices_match_naive(frames)
         assert sum(int((m > 0).sum()) for m in iou_matrices(frames)) >= 15
 

@@ -15,11 +15,21 @@ import pytest
 from oracles import naive_merge_frames
 
 from roadlidar import pipeline
-from roadlidar.background import BackgroundModel, save_background_model
+from roadlidar.annotate import annotate_frame
+from roadlidar.background import (
+    BackgroundModel,
+    build_histogram,
+    extract_query_frames,
+    filter_frame,
+    save_background_model,
+    select_background,
+)
 from roadlidar.cli import build_parser, main
+from roadlidar.clustering import dbscan
 from roadlidar.core import (
     ConfigError,
     CropBounds,
+    FrameSequence,
     LabelClass,
     LabelSource,
     ObjectLabel,
@@ -39,7 +49,7 @@ from roadlidar.pipeline import (
     run_annotate,
     run_teacher,
 )
-from roadlidar.preprocess import UnificationTransform, transform_label
+from roadlidar.preprocess import UnificationTransform, crop_frame, transform_label, unify_units
 from roadlidar.simulate import (
     Actor,
     BoxObstacle,
@@ -107,6 +117,39 @@ def _entry(scene, name="site_a", d_threshold=0.2):
         meta=meta,
         teacher=_teacher_cfg(spec.sensor.beam_count, d_threshold),
     )
+
+
+def _composed_teacher(entry, out_dir):
+    """The teacher as the public stages compose it, with the whole sequence in
+    memory: the reference the streamed ``run_teacher`` matches byte for byte.
+    Writes the same four outputs under ``out_dir``."""
+    cfg = entry.teacher
+    seq = unify_units(load_frame_sequence(entry.frames_dir, entry.meta))
+    seq = FrameSequence([crop_frame(f, cfg.crop) for f in seq.frames], seq.meta, seq.stems)
+    hist = build_histogram(extract_query_frames(seq, cfg.n_query), cfg.n_bin)
+    model = select_background(hist, cfg.n_tall)
+    rejects, labels = [], {}
+    points_data = points_removed = clusters_found = noise_points = 0
+    for frame, stem in zip(seq.frames, seq.stems):
+        filtered = filter_frame(frame, model, cfg.d_threshold)
+        clusters, noise = dbscan(filtered, cfg.epsilon, cfg.min_pts)
+        labels[stem] = annotate_frame(filtered, clusters, cfg, reject_sink=rejects.append)
+        points_data += frame.n_data_points
+        points_removed += frame.n_data_points - filtered.n_data_points
+        clusters_found += len(clusters)
+        noise_points += len(noise)
+    stats = {
+        "dataset": entry.name, "frames": len(seq), "points_data": points_data,
+        "points_removed": points_removed,
+        "points_removed_pct": round(100.0 * points_removed / points_data, 4),
+        "clusters_found": clusters_found, "noise_points": noise_points,
+        "boxes_rejected": len(rejects), "labels_written": sum(map(len, labels.values())),
+    }
+    write_labels(labels, out_dir / "labels")
+    (out_dir / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    (out_dir / "rejects.log").write_text("".join(r.format_line() + "\n" for r in rejects))
+    save_background_model(model, out_dir / "background.model")
+
 
 
 class TestRunTeacher:
@@ -187,6 +230,45 @@ class TestRunTeacher:
             tracemalloc.stop()
         # Every frame alive next to its cropped copy would take twice the frames' bytes.
         assert peak < 1.75 * frames_bytes
+
+    def test_peak_memory_flat_in_frame_count(self, tmp_path):
+        spec = _mini_scene(duration=120)
+        write_scene_outputs(spec, tmp_path / "long")
+        short = tmp_path / "short" / "frames"
+        short.mkdir(parents=True)
+        for src in sorted((tmp_path / "long" / "frames").glob("*.bin"))[:40]:
+            shutil.copy(src, short / src.name)
+        peaks = {}
+        for name in ("short", "long"):
+            entry = _entry((tmp_path / name, spec))
+            run_teacher(entry, tmp_path / "warm")  # lazy imports happen outside the trace
+            tracemalloc.start()
+            try:
+                run_teacher(entry, tmp_path / "out")
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Holding every frame, 120 frames take three times the bytes of 40.
+        assert peaks["long"] < 1.2 * peaks["short"]
+
+    @pytest.mark.parametrize("unit_scale", [1.0, 0.01])
+    def test_same_bytes_as_the_composed_stages(self, scene_dir, tmp_path, unit_scale):
+        out, spec = scene_dir
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for src in sorted((out / "frames").glob("*.bin")):
+            # frames written in the source unit: centimetres at unit_scale 0.01
+            (np.fromfile(src, dtype="<f4") / np.float32(unit_scale)).astype("<f4").tofile(frames / src.name)
+        entry = _entry(scene_dir)
+        # a smaller epsilon splits the vehicle: labels, rejects and noise all non-empty
+        entry = dataclasses.replace(
+            entry, frames_dir=frames, meta=dataclasses.replace(entry.meta, unit_scale=unit_scale),
+            teacher=dataclasses.replace(entry.teacher, epsilon=0.4),
+        )
+        stats = run_teacher(entry, tmp_path / "streamed")
+        assert stats["labels_written"] and stats["boxes_rejected"] and stats["noise_points"]
+        _composed_teacher(entry, tmp_path / "composed")
+        assert _tree_bytes(tmp_path / "streamed" / "site_a") == _tree_bytes(tmp_path / "composed")
 
     def test_empty_frame_directory(self, tmp_path):
         frames = tmp_path / "frames"
@@ -971,6 +1053,44 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 2
         assert caplog.text.count(str(bad)) == 1  # named, and logged once
         assert _tree_bytes(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "nan-coordinate"])
+    def test_bad_frame_after_the_query_window_is_data_error(self, scene_dir, tmp_path, caplog, corrupt):
+        out, spec = scene_dir
+        frames = tmp_path / "frames"
+        shutil.copytree(out / "frames", frames)
+        cfg = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        cfg["datasets"][0]["frames"] = str(frames)
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["annotate", "--config", str(path)]) == 0
+        before = _tree_bytes(tmp_path / "out")
+        # A shorter query window gives another model and other labels, so
+        # any output written before the bad frame was reached would show.
+        cfg["datasets"][0]["teacher"]["n_query"] = 5
+        path.write_text(json.dumps(cfg))
+        bad = sorted(frames.glob("*.bin"))[spec.duration - 3]  # read late in the frame loop
+        rec = np.fromfile(bad, dtype="<f4")
+        if corrupt == "truncated":
+            rec = rec[: len(rec) // 2]
+        else:
+            rec[4 * 100 + 1] = np.nan  # beam 100's y
+        rec.tofile(bad)
+        caplog.clear()
+        assert main(["annotate", "--config", str(path)]) == 2
+        assert caplog.text.count(str(bad)) == 1
+        assert _tree_bytes(tmp_path / "out") == before
+        assert not list(tmp_path.rglob("*.partial"))
+
+    def test_n_query_beyond_the_frame_count_is_data_error(self, scene_dir, tmp_path, caplog):
+        _, spec = scene_dir
+        cfg = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        cfg["datasets"][0]["teacher"]["n_query"] = spec.duration + 1
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["annotate", "--config", str(path)]) == 2
+        assert f"n_query {spec.duration + 1} exceeds sequence length {spec.duration}" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["annotate", "merge", "evaluate", "iterate"])
     def test_missing_config_is_config_error(self, command):

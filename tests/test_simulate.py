@@ -1,9 +1,20 @@
 """Ray-cast scene rendering: determinism, kinematics, output contracts."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from roadlidar.core import ConfigError, LabelClass, SensorMeta, load_frame_sequence, read_labels
+from roadlidar.core import (
+    ConfigError,
+    LabelClass,
+    SensorMeta,
+    format_label_line,
+    load_frame_sequence,
+    read_labels,
+    write_frame_file,
+)
 from roadlidar.simulate import (
     Actor,
     BoxObstacle,
@@ -203,6 +214,38 @@ class TestSceneOutputs:
         for kind in ("frames", "truth", "masks"):
             assert len(list((tmp_path / kind).iterdir())) == 3
         assert not list(tmp_path.rglob("*.partial"))
+
+    def test_outputs_are_the_rendered_sequence_bytes(self, tmp_path):
+        actor = Actor("cuboid", (2.0, 1.0, 1.4), ((12.0, -1.0), (12.0, 2.0)), speed=2.0)
+        spec = _scene([actor], noise=0.01, duration=4)
+        paths = write_scene_outputs(spec, tmp_path / "out")
+        seq, masks, truths = render_sequence(spec)
+        for frame, mask, truth, stem in zip(seq.frames, masks, truths, seq.stems):
+            write_frame_file(tmp_path / "frame.bin", frame.xyz)
+            assert (paths["frames"] / f"{stem}.bin").read_bytes() == (tmp_path / "frame.bin").read_bytes()
+            assert (paths["masks"] / f"{stem}.mask").read_bytes() == mask.tobytes()
+            lines = "".join(format_label_line(lb) + "\n" for lb in truth)
+            assert (paths["truth"] / f"{stem}.txt").read_text() == lines
+        assert any(truths)
+
+    def test_peak_memory_nearly_flat_in_duration(self, tmp_path):
+        actor = Actor("cuboid", (2.0, 1.0, 1.4), ((12.0, -1.0), (12.0, 2.0)), speed=2.0)
+        peaks = {}
+        for duration in (20, 60):
+            spec = _scene([actor], noise=0.01, duration=duration)
+            spec = dataclasses.replace(
+                spec, sensor=dataclasses.replace(spec.sensor, azimuth_count=120, elevation_count=80)
+            )
+            write_scene_outputs(spec, tmp_path / "warm")  # lazy imports happen outside the trace
+            tracemalloc.start()
+            try:
+                write_scene_outputs(spec, tmp_path / "out")
+                peaks[duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Only the masks (a byte a beam) and truth boxes accumulate; holding
+        # every frame, 60 frames take three times the bytes of 20.
+        assert peaks[60] < 1.2 * peaks[20]
 
     def test_default_scene_shape(self):
         spec = default_scene(duration=1)
