@@ -1,9 +1,12 @@
 """Bounding-box fitting, size-heuristic validation and class assignment.
 
 A cluster becomes a box whose footprint is the minimum-area rotated
-rectangle of its XY projection (rotating calipers over Qhull's 2D convex hull)
-and whose height spans the cluster's z extent.  Degenerate projections
-(single point, collinear) floor the collapsed dimensions at 1 cm.
+rectangle of its XY projection and whose height spans the cluster's z
+extent.  All clusters of a frame are fitted in one batched pass: quickhull
+(Barber, Dobkin & Huhdanpaa 1996) grows every cluster's convex hull at once,
+then rotating calipers (Toussaint 1983) project each hull onto each of its
+edge directions.  Degenerate projections (single point, collinear) floor the
+collapsed dimensions at 1 cm.
 
 Validation and classification follow simple shape rules: a box must clear a
 minimum base length and height, and its base length must differ from its
@@ -59,109 +62,191 @@ class RejectedBox:
         return f"{self.frame_index} {self.base_length:.6f} {self.height:.6f} {self.reason}"
 
 
-def convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Convex hull of (n, 2) points, counter-clockwise, no collinear vertices.
+def _cross(ax, ay, bx, by, px, py):
+    """Orientation of p against the directed line a -> b; negative to its right."""
+    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
 
-    Qhull's hull, started at the lexicographically smallest vertex.  Returns
-    1 point for a degenerate single-point set and the 2 end points for
-    collinear input, which Qhull rejects as flat.
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ..."""
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
+
+
+def _convex_hulls(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Convex hull of each cluster of the points (x, y); cluster k starts at ``starts[k]``.
+
+    Quickhull over every cluster at once: each round splits every open edge
+    at its farthest point strictly to its right.  Returns the vertices' x, y
+    and the vertex count of each hull, hull after hull, counter-clockwise
+    from the lexicographic minimum L: L, the lower chain ascending, the
+    lexicographic maximum R, the upper chain descending, with no collinear
+    vertex.  A hull of two vertices has all its points collinear; the two
+    are equal when all the points are.
     """
-    # Deferred: importing scipy.spatial adds ~0.1 s to every CLI start, and
-    # only annotate fits boxes.
-    from scipy.spatial import ConvexHull, QhullError
+    n = len(starts)
+    owner = np.repeat(np.arange(n), np.diff(np.append(starts, len(x))))
+    lx = np.minimum.reduceat(x, starts)
+    ly = np.minimum.reduceat(np.where(x == lx[owner], y, np.inf), starts)
+    rx = np.maximum.reduceat(x, starts)
+    ry = np.maximum.reduceat(np.where(x == rx[owner], y, -np.inf), starts)
+    # Open edges a -> b, each with the candidate points (px, py) that may lie
+    # strictly to its right, grouped by edge.  L -> R seeds cluster k's lower
+    # chain (edge 2k), R -> L its upper chain (edge 2k + 1), which gets every
+    # point not right of L -> R.
+    ax, ay, bx, by = _interleave(lx, rx), _interleave(ly, ry), _interleave(rx, lx), _interleave(ry, ly)
+    e_cluster = np.repeat(np.arange(n), 2)
+    e_upper = np.tile([False, True], n)
+    edge = 2 * owner + (_cross(lx[owner], ly[owner], rx[owner], ry[owner], x, y) >= 0)
+    order = np.argsort(edge, kind="stable")
+    edge, px, py = edge[order], x[order], y[order]
+    found = []
+    while True:
+        cross = _cross(ax[edge], ay[edge], bx[edge], by[edge], px, py)
+        out = np.flatnonzero(cross < 0)
+        if not len(out):
+            break
+        edge, cross, px, py = edge[out], cross[out], px[out], py[out]
+        new_run = np.concatenate([[True], edge[1:] != edge[:-1]])
+        first, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
+        far = cross == np.minimum.reduceat(cross, first)[run]
+        # Of equally far points the lexicographic minimum, an end of their
+        # collinear run, so that no collinear vertex is kept.
+        sx = np.minimum.reduceat(np.where(far, px, np.inf), first)
+        sy = np.minimum.reduceat(np.where(far & (px == sx[run]), py, np.inf), first)
+        split = edge[first]
+        found.append((sx, sy, e_cluster[split], e_upper[split]))
+        # Edge k of this round becomes a -> s (2k) and s -> b (2k + 1); a
+        # point right of neither leaves at the next round's test.
+        left = _cross(ax[edge], ay[edge], sx[run], sy[run], px, py) < 0
+        ax, ay = _interleave(ax[split], sx), _interleave(ay[split], sy)
+        bx, by = _interleave(sx, bx[split]), _interleave(sy, by[split])
+        e_cluster, e_upper = np.repeat(e_cluster[split], 2), np.repeat(e_upper[split], 2)
+        edge = 2 * run + ~left
+        order = np.argsort(edge, kind="stable")
+        edge, px, py = edge[order], px[order], py[order]
 
-    pts = np.unique(points, axis=0)
-    if len(pts) <= 2:
-        return pts
-    try:
-        vertices = ConvexHull(pts).vertices
-    except QhullError:
-        # flat within Qhull's precision: the extremes along the wider axis
-        axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
-        return pts[sorted({int(pts[:, axis].argmin()), int(pts[:, axis].argmax())})]
-    # pts is sorted, so the smallest index is the lexicographic minimum
-    return pts[np.roll(vertices, -int(vertices.argmin()))]
+    vx = np.concatenate([lx, rx, *(f[0] for f in found)])
+    vy = np.concatenate([ly, ry, *(f[1] for f in found)])
+    cluster = np.concatenate([np.arange(n), np.arange(n), *(f[2] for f in found)])
+    # 0 for L, 1 for the lower chain, 2 for R, 3 for the upper chain
+    part = np.concatenate([np.zeros(n), np.full(n, 2), *(1 + 2 * f[3] for f in found)])
+    sign = np.where(part == 3, -1.0, 1.0)
+    order = np.lexsort((sign * vy, sign * vx, part, cluster))
+    return vx[order], vy[order], np.bincount(cluster, minlength=n)
+
+
+def _min_area_rects(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> list[tuple[float, ...]]:
+    """Minimum-area enclosing rectangle of each cluster of the points (x, y).
+
+    Returns (center x, center y, long side, short side, yaw) per cluster,
+    with yaw the long-axis angle in [-pi/2, pi/2).  Uses the edge-alignment
+    property of the optimal rectangle: one side is collinear with a hull
+    edge, so each hull is projected onto each of its edges' directions, all
+    (edge, vertex) pairs of all hulls at once.
+    """
+    hx, hy, hn = _convex_hulls(x, y, starts)
+    hs = np.cumsum(hn) - hn
+    # Edge i of a polygon hull runs from vertex i to the next, the last
+    # back to the first; each edge pairs with each vertex of its hull.
+    vn, vs = np.repeat(hn, hn), np.repeat(hs, hn)
+    ev = np.flatnonzero(vn >= 3)
+    nxt = np.where(ev + 1 < vs[ev] + vn[ev], ev + 1, vs[ev])
+    # The angles and their sine and cosine come from math: numpy's may
+    # differ in the last ulp, which would move the labels.
+    thetas = list(map(math.atan2, (hy[nxt] - hy[ev]).tolist(), (hx[nxt] - hx[ev]).tolist()))
+    c = np.array(list(map(math.cos, thetas)))
+    s = np.array(list(map(math.sin, thetas)))
+    m = vn[ev]
+    first = np.cumsum(m) - m
+    pair_edge = np.repeat(np.arange(len(ev)), m)
+    pair_vertex = np.repeat(vs[ev] - first, m) + np.arange(len(pair_edge))
+    px, py = hx[pair_vertex], hy[pair_vertex]
+    c, s = c[pair_edge], s[pair_edge]
+    u = px * c + py * s
+    v = -px * s + py * c
+    u_min, u_max = np.minimum.reduceat(u, first), np.maximum.reduceat(u, first)
+    v_min, v_max = np.minimum.reduceat(v, first), np.maximum.reduceat(v, first)
+    du, dv = u_max - u_min, v_max - v_min
+    area, du, dv = (du * dv).tolist(), du.tolist(), dv.tolist()
+    u_mid = ((u_max + u_min) / 2.0).tolist()
+    v_mid = ((v_max + v_min) / 2.0).tolist()
+
+    rects = []
+    hxl, hyl = hx.tolist(), hy.tolist()
+    e0 = 0  # first edge of the next polygon hull
+    for a, n in zip(hs.tolist(), hn.tolist()):
+        if n == 2:
+            dx, dy = hxl[a + 1] - hxl[a], hyl[a + 1] - hyl[a]
+            rects.append((
+                (hxl[a] + hxl[a + 1]) / 2.0, (hyl[a] + hyl[a + 1]) / 2.0,
+                float(np.hypot(dx, dy)), 0.0, normalize_yaw_half(math.atan2(dy, dx)),
+            ))
+            continue
+        best = e0
+        for i in range(e0 + 1, e0 + n):
+            # exact area ties are geometric facts (every edge-aligned rectangle
+            # of an acute triangle has area 2x the triangle), so break them by
+            # the rotation-invariant longer side
+            tie_band = 1e-9 * max(area[i], area[best])
+            if area[i] < area[best] - tie_band or (
+                abs(area[i] - area[best]) <= tie_band
+                and max(du[i], dv[i]) > max(du[best], dv[best])
+            ):
+                best = i
+        e0 += n
+        theta = thetas[best]
+        uc, vc = u_mid[best], v_mid[best]
+        cos, sin = math.cos(theta), math.sin(theta)
+        center = (uc * cos - vc * sin, uc * sin + vc * cos)
+        if du[best] >= dv[best]:
+            rects.append((*center, du[best], dv[best], normalize_yaw_half(theta)))
+        else:
+            rects.append((*center, dv[best], du[best], normalize_yaw_half(theta + math.pi / 2.0)))
+    return rects
 
 
 def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Minimum-area enclosing rectangle of 2D points.
+    """Minimum-area enclosing rectangle of (n, 2) points.
 
     Returns (center, long_side, short_side, yaw) with yaw the long-axis
-    angle in [-pi/2, pi/2).  Uses the edge-alignment property of the optimal
-    rectangle: one side is collinear with a hull edge.
+    angle in [-pi/2, pi/2).
     """
-    hull = convex_hull_2d(points)
-    if len(hull) == 1:
-        return hull[0], 0.0, 0.0, 0.0
-    if len(hull) == 2:
-        d = hull[1] - hull[0]
-        yaw = normalize_yaw_half(math.atan2(d[1], d[0]))
-        return (hull[0] + hull[1]) / 2.0, float(np.hypot(d[0], d[1])), 0.0, yaw
-
-    # One row per hull edge, one column per hull point.  The angles and
-    # their sine and cosine come from math: numpy's may differ in the last
-    # ulp, which would move the labels.
-    edges = np.roll(hull, -1, axis=0) - hull
-    thetas = [math.atan2(dy, dx) for dx, dy in edges]
-    c = np.array([math.cos(t) for t in thetas])[:, None]
-    s = np.array([math.sin(t) for t in thetas])[:, None]
-    x, y = hull[:, 0], hull[:, 1]
-    u = x * c + y * s
-    v = -x * s + y * c
-    u_min, u_max = u.min(axis=1), u.max(axis=1)
-    v_min, v_max = v.min(axis=1), v.max(axis=1)
-    du = u_max - u_min
-    dv = v_max - v_min
-    area = du * dv
-
-    best = 0
-    for i in range(1, len(thetas)):
-        # exact area ties are geometric facts (every edge-aligned rectangle
-        # of an acute triangle has area 2x the triangle), so break them by
-        # the rotation-invariant longer side
-        tie_band = 1e-9 * max(area[i], area[best])
-        if area[i] < area[best] - tie_band or (
-            abs(area[i] - area[best]) <= tie_band
-            and max(du[i], dv[i]) > max(du[best], dv[best])
-        ):
-            best = i
-
-    theta = thetas[best]
-    uc = (u_max[best] + u_min[best]) / 2.0
-    vc = (v_max[best] + v_min[best]) / 2.0
-    c, s = math.cos(theta), math.sin(theta)
-    center = np.array([uc * c - vc * s, uc * s + vc * c])
-    du, dv = du[best], dv[best]
-    if du >= dv:
-        return center, float(du), float(dv), normalize_yaw_half(theta)
-    return center, float(dv), float(du), normalize_yaw_half(theta + math.pi / 2.0)
+    pts = np.asarray(points, dtype=np.float64)
+    cx, cy, long_side, short_side, yaw = _min_area_rects(pts[:, 0], pts[:, 1], np.zeros(1, dtype=np.intp))[0]
+    return np.array([cx, cy]), long_side, short_side, yaw
 
 
-def fit_bbox(cluster: np.ndarray, frame: Frame) -> FittedBox:
-    """Fit the minimal oriented box around a cluster's points.
+def fit_boxes(frame: Frame, clusters: list[np.ndarray]) -> list[FittedBox]:
+    """Fit the minimal oriented box around each cluster's points, all at once.
 
-    ``cluster`` holds the indices of the cluster's points in ``frame``.
-
-    Height spans [min z, max z]; collapsed dimensions are floored at
+    Each cluster holds the indices of its points in ``frame``.  Height
+    spans [min z, max z]; collapsed dimensions are floored at
     DEGENERATE_FLOOR so every fitted box has positive volume.  Flooring only
     grows the box around its center, so containment of the cluster (within
     1e-6) is preserved.
     """
-    if len(cluster) == 0:
+    sizes = np.array([len(cluster) for cluster in clusters], dtype=np.intp)
+    if not sizes.all():
         raise DataError("cannot fit a box to an empty cluster")
-    pts = frame.xyz[cluster]
-    z_min = float(pts[:, 2].min())
-    z_max = float(pts[:, 2].max())
-    center, long_side, short_side, yaw = min_area_rect(pts[:, :2])
-    return FittedBox(
-        center_x=float(center[0]),
-        center_y=float(center[1]),
-        center_z=(z_min + z_max) / 2.0,
-        length=max(long_side, DEGENERATE_FLOOR),
-        width=max(short_side, DEGENERATE_FLOOR),
-        height=max(z_max - z_min, DEGENERATE_FLOOR),
-        yaw=yaw,
-    )
+    if not len(sizes):
+        return []
+    pts = frame.xyz[np.concatenate(clusters)]
+    starts = np.cumsum(sizes) - sizes
+    z_min = np.minimum.reduceat(pts[:, 2], starts).tolist()
+    z_max = np.maximum.reduceat(pts[:, 2], starts).tolist()
+    rects = _min_area_rects(pts[:, 0].copy(), pts[:, 1].copy(), starts)
+    return [
+        FittedBox(cx, cy, (lo + hi) / 2.0, max(long_side, DEGENERATE_FLOOR),
+                  max(short_side, DEGENERATE_FLOOR), max(hi - lo, DEGENERATE_FLOOR), yaw)
+        for (cx, cy, long_side, short_side, yaw), lo, hi in zip(rects, z_min, z_max)
+    ]
+
+
+def fit_bbox(cluster: np.ndarray, frame: Frame) -> FittedBox:
+    """``fit_boxes`` for one cluster."""
+    return fit_boxes(frame, [cluster])[0]
 
 
 def validate_bbox(box: FittedBox, cfg: TeacherConfig) -> tuple[bool, str]:
@@ -202,8 +287,7 @@ def annotate_frame(
     to it for the rejects log.
     """
     labels = []
-    for cluster in clusters:
-        box = fit_bbox(cluster, frame)
+    for box in fit_boxes(frame, clusters):
         ok, reason = validate_bbox(box, cfg)
         if not ok:
             if reject_sink is not None:

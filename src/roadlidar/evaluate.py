@@ -61,6 +61,22 @@ def _box_arrays(labels: list[ObjectLabel]) -> tuple[np.ndarray, ...]:
     return cz, height, length * width * height, corners
 
 
+def _separated(poly: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether, per pair, every corner of ``other`` lies strictly outside one
+    edge of ``poly``; both are (P, 4, 2), counter-clockwise.
+
+    The outside test is the clip's inside test negated.  A separated pair
+    must not reach the clip: along a side line the two boxes share, it can
+    leave a rounding sliver that scores about 1e-16, or NaN from a crossing
+    on a near-parallel segment.
+    """
+    a = poly[:, :, None, :]
+    edge = np.roll(poly, -1, axis=1)[:, :, None, :] - a
+    p = other[:, None, :, :]
+    cross = edge[..., 0] * (p[..., 1] - a[..., 1]) - edge[..., 1] * (p[..., 0] - a[..., 0])
+    return (cross < 0).all(axis=2).any(axis=1)
+
+
 def _clip_pairs(subject: np.ndarray, clipper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sutherland-Hodgman clip of each subject polygon by its convex CCW clipper.
 
@@ -134,7 +150,10 @@ def _pair_ious(pred_boxes: tuple[np.ndarray, ...], truth_boxes: tuple[np.ndarray
     dz = (np.minimum(pz[pi] + ph[pi] / 2.0, tz[ti] + th[ti] / 2.0)
           - np.maximum(pz[pi] - ph[pi] / 2.0, tz[ti] - th[ti] / 2.0))
     overlap = np.nonzero(dz > 0)[0]
-    clipped, poly, count = _clip_pairs(pcorners[pi[overlap]], tcorners[ti[overlap]])
+    pc, tc = pcorners[pi[overlap]], tcorners[ti[overlap]]
+    joint = ~(_separated(pc, tc) | _separated(tc, pc))
+    overlap = overlap[joint]
+    clipped, poly, count = _clip_pairs(pc[joint], tc[joint])
     hit = overlap[clipped]
     area = _polygon_areas(poly, count)
     inter = area * dz[hit]
@@ -156,10 +175,11 @@ def iou_matrices(frames: list[tuple[list[ObjectLabel], list[ObjectLabel]]]) -> l
     """The (len(preds), len(truths)) volume-IoU matrix of each (preds, truths) frame.
 
     The frames are computed as one batch of prediction/truth pairs.  A pair
-    whose z-intervals do not overlap scores 0.0 unclipped; the others clip
-    the prediction's footprint by the truth's, and score 0.0 once the clip
-    is empty.  Every value is bit-identical to the one-pair computation
-    that ``tests/oracles.py::naive_iou_3d`` keeps.
+    whose z-intervals do not overlap, or whose footprints a side of either
+    rectangle separates, scores 0.0 unclipped; the others clip the
+    prediction's footprint by the truth's, and score 0.0 once the clip is
+    empty.  Every value is bit-identical to the one-pair computation that
+    ``tests/oracles.py::naive_iou_3d`` keeps.
     """
     n_pred = np.array([len(ps) for ps, _ in frames], dtype=np.int64)
     n_truth = np.array([len(ts) for _, ts in frames], dtype=np.int64)

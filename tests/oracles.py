@@ -6,15 +6,17 @@ published per-point histogram / filtering procedure directly, with the same
 documented conventions as the production code (last-bin clamp, degenerate
 single-bin rule, padding exclusion, count-based tallness with low-index tie
 break), so agreement must be exact.  The box fit is Andrew's monotone chain
-and a per-edge caliper loop; production uses Qhull and one vectorised
-projection, and the two must agree bit for bit.  ``pairs_dbscan`` is the
+and a per-edge caliper loop, one cluster at a time; production runs
+quickhull and the caliper projections over every cluster of a frame at
+once, and the two must agree bit for bit.  ``pairs_dbscan`` is the
 earlier production DBSCAN, which builds every neighbor pair on an epsilon
 grid; it needs memory linear in the pair count rather than quadratic in the
 point count, so it checks real-size frames that ``brute_dbscan`` cannot.
 ``naive_merge_frames`` is the earlier merge of frame files, which built the
 whole sequence in memory before writing it out.  ``naive_iou_3d`` is the
-earlier per-pair IoU: pure-Python Sutherland-Hodgman on every pair; the
-batched IoU matrices must equal it bit for bit.
+earlier per-pair IoU: pure-Python Sutherland-Hodgman on every pair whose
+footprints no rectangle side separates; the batched IoU matrices must equal
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -396,6 +398,16 @@ def _naive_clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
     return np.array(output) if output else np.empty((0, 2))
 
 
+def _naive_separated(poly: np.ndarray, other: np.ndarray) -> bool:
+    """Whether every corner of ``other`` lies strictly outside one edge of the convex CCW ``poly``."""
+    for i in range(len(poly)):
+        a = poly[i]
+        edge = poly[(i + 1) % len(poly)] - a
+        if all(edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) < 0 for p in other):
+            return True
+    return False
+
+
 def _naive_polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
@@ -410,9 +422,12 @@ def naive_iou_3d(a, b) -> float:
     dz = min(za1, zb1) - max(za0, zb0)
     if dz <= 0:
         return 0.0
-    inter_fp = _naive_polygon_area(
-        _naive_clip_polygon(_naive_footprint_corners(a), _naive_footprint_corners(b))
-    )
+    corners_a, corners_b = _naive_footprint_corners(a), _naive_footprint_corners(b)
+    # separated on a side of either rectangle: exactly 0.0, with no clip to
+    # leave a rounding sliver along a shared side line
+    if _naive_separated(corners_a, corners_b) or _naive_separated(corners_b, corners_a):
+        return 0.0
+    inter_fp = _naive_polygon_area(_naive_clip_polygon(corners_a, corners_b))
     if inter_fp <= 0:
         return 0.0
     inter = inter_fp * dz

@@ -1,5 +1,7 @@
 """Box fitting, validation heuristics and classification."""
 
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -30,6 +32,14 @@ from roadlidar.core import (
     ObjectLabel,
     TeacherConfig,
     format_label_line,
+)
+from roadlidar.simulate import (
+    Actor,
+    BoxObstacle,
+    GroundPlane,
+    SceneSpec,
+    SensorModel,
+    write_scene_outputs,
 )
 
 CFG = TeacherConfig(
@@ -143,7 +153,7 @@ def _rect_line(rect):
 
 
 class TestMinAreaRectOracle:
-    """Qhull plus the vectorised calipers against the hand-written reference."""
+    """The batched quickhull and calipers against the hand-written reference."""
 
     def _assert_identical(self, pts):
         pts = np.asarray(pts, dtype=np.float64)
@@ -163,9 +173,8 @@ class TestMinAreaRectOracle:
         grid = [[x, y] for x in np.linspace(2.0, 6.0, 9) for y in np.linspace(-1.0, 1.0, 5)]
         self._assert_identical(square)
         self._assert_identical(grid)
-        # Rotated squares with points inside: Qhull sometimes lists the
-        # vertices from another start than the chain, and the parallel sides
-        # tie on area, so the start decides which side wins.
+        # Rotated squares with points inside: the parallel sides tie on
+        # area, so the hull's start vertex decides which side wins.
         rng = np.random.default_rng(32)
         for _ in range(200):
             yaw = rng.uniform(0.0, math.pi)
@@ -188,14 +197,110 @@ class TestMinAreaRectOracle:
         self._assert_identical([[-3.5, 7.25]])
 
     def test_flat_within_precision(self):
-        # Qhull rejects these as flat while the chain keeps a sliver hull, so
-        # the rectangles may differ in the last ulp; the label lines may not.
+        # Nearly collinear points: the chain and the quickhull each keep a
+        # sliver hull but round their orientation tests differently, so the
+        # rectangles may differ in the last ulp; the label lines may not.
         bend = [[0.0, 0.0], [1.0, 1.0 + 1e-15], [2.0, 2.0]]
         ulp_x = np.nextafter(10.0, 11.0)
         near_vertical = [[ulp_x, 0.0], [10.0, 1.0], [10.0, 2.0]]
         for pts in (bend, near_vertical):
             pts = np.asarray(pts)
             assert _rect_line(min_area_rect(pts)) == _rect_line(naive_min_area_rect(pts))
+
+
+def _naive_box(pts):
+    """The box ``fit_bbox`` must give for (n, 3) points, from the reference rectangle."""
+    center, long_side, short_side, yaw = naive_min_area_rect(pts[:, :2])
+    z_min, z_max = float(pts[:, 2].min()), float(pts[:, 2].max())
+    return FittedBox(
+        float(center[0]), float(center[1]), (z_min + z_max) / 2.0,
+        max(long_side, DEGENERATE_FLOOR), max(short_side, DEGENERATE_FLOOR),
+        max(z_max - z_min, DEGENERATE_FLOOR), yaw,
+    )
+
+
+def _box_line(box):
+    return format_label_line(ObjectLabel(
+        box.center_x, box.center_y, box.center_z, box.length, box.width, box.height,
+        box.yaw, LabelClass.VEHICLE, 1.0,
+    ))
+
+
+class TestBatchedFit:
+    """Every kind of cluster in one frame, so one cluster's hull bookkeeping
+    cannot leak into its neighbours'."""
+
+    def _scene(self):
+        rng = np.random.default_rng(41)
+        footprints = [
+            [[3.0, -2.0]],
+            [[1.0, 2.0]] * 5,
+            [[1.0, 2.0], [3.0, 2.5], [1.0, 2.0], [2.0, 4.0], [3.0, 2.5]],
+            [[t, t] for t in np.linspace(0.0, 1.0, 7)],
+            [[t, -2.0 * t] for t in range(-3, 4)],
+            [[5.0, y] for y in (3.0, -1.0, 0.5, 2.0)],
+            [[0.0, 0.0], [4.0, 0.5], [1.5, 3.0]],
+            # runs of equally far points, parallel to L -> R
+            [[0.0, 0.0], [6.0, 0.0], [2.0, -1.0], [4.0, -1.0], [3.0, -1.0], [1.0, -1.0],
+             [5.0, 1.0], [3.0, 1.0], [2.0, 1.0], [4.0, 1.0], [3.0, 0.0]],
+        ]
+        for _ in range(20):
+            n = int(rng.integers(3, 300))
+            xy = rng.normal(0.0, 1.0, (n, 2)) * rng.uniform(0.1, 3.0, 2) + rng.uniform(-60.0, 60.0, 2)
+            footprints.append(xy.astype(np.float32))
+        for _ in range(20):
+            yaw = rng.uniform(0.0, math.pi)
+            c, s = math.cos(yaw), math.sin(yaw)
+            local = np.vstack([[[-1, -1], [1, -1], [1, 1], [-1, 1]], rng.uniform(-1, 1, (60, 2))])
+            footprints.append(local @ np.array([[c, s], [-s, c]]) + rng.uniform(-30, 30, 2))
+        # flat within precision: only the label line is pinned
+        slivers = [[[0.0, 0.0], [1.0, 1.0 + 1e-15], [2.0, 2.0]],
+                   [[np.nextafter(10.0, 11.0), 0.0], [10.0, 1.0], [10.0, 2.0]]]
+        footprints += slivers
+
+        xy = np.vstack([np.asarray(f, dtype=np.float64) for f in footprints])
+        sizes = [len(f) for f in footprints]
+        # each cluster's points at shuffled places in the frame
+        place = rng.permutation(len(xy))
+        clusters = np.split(place, np.cumsum(sizes)[:-1])
+        exact = [True] * (len(footprints) - len(slivers)) + [False] * len(slivers)
+        # two clusters that share point indices with others
+        clusters += [np.concatenate([clusters[8][:5], clusters[30]]), clusters[9][::2]]
+        exact += [True, True]
+        xyz = np.zeros((len(xy), 3))
+        xyz[place, :2] = xy
+        xyz[:, 2] = rng.uniform(0.0, 3.0, len(xy))
+        order = rng.permutation(len(clusters))
+        return _frame(xyz), [clusters[k] for k in order], [exact[k] for k in order]
+
+    def test_every_box_matches_the_reference(self):
+        frame, clusters, exact = self._scene()
+        cfg = dataclasses.replace(CFG, l_min=1e-12, h_min=1e-12, beta_min=1e-12)
+        rejects: list[RejectedBox] = []
+        labels = annotate_frame(frame, clusters, cfg, rejects.append)
+        expected_labels, expected_rejects = [], []
+        for cluster, is_exact in zip(clusters, exact):
+            want = _naive_box(frame.xyz[cluster])
+            got = fit_bbox(cluster, frame)
+            if is_exact:
+                assert got == want
+            else:
+                assert _box_line(got) == _box_line(want)
+            ok, reason = validate_bbox(want, cfg)
+            if ok:
+                expected_labels.append((want, classify(want), is_exact))
+            else:
+                expected_rejects.append(RejectedBox(1, want.length, want.height, reason))
+        assert rejects == expected_rejects
+        assert len(labels) == len(expected_labels)
+        for label, (want, cls, is_exact) in zip(labels, expected_labels):
+            assert label.label_class is cls
+            box = FittedBox(label.center_x, label.center_y, label.center_z,
+                            label.length, label.width, label.height, label.yaw)
+            if is_exact:
+                assert box == want
+            else:
+                assert _box_line(box) == _box_line(want)
 
 
 def test_cli_import_defers_qhull():
@@ -206,6 +311,51 @@ def test_cli_import_defers_qhull():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_annotate_never_imports_scipy_spatial(tmp_path):
+    """Neither the CLI process nor a pool worker imports scipy.spatial to fit boxes."""
+    sensor = SensorModel(
+        origin=(0, 0, 3.0), azimuth_deg=(-24, 24), azimuth_count=120,
+        elevation_deg=(-22, -3), elevation_count=80, range_noise_sigma=0.01, max_range=60.0,
+    )
+    spec = SceneSpec(
+        sensor=sensor,
+        static=[GroundPlane(0.0), BoxObstacle((28.0, 0.0, 3.0), (1.0, 36.0, 6.0))],
+        actors=[Actor("cuboid", (3.8, 1.7, 1.5), ((14.0, -3.5), (14.0, 4.0)), 2.0, 1.2)],
+        duration=20, seed=11,
+    )
+    write_scene_outputs(spec, tmp_path / "scene")
+    teacher = {
+        "n_query": 10, "n_bin": 10, "n_tall": 3, "d_threshold": 0.2, "epsilon": 0.7,
+        "min_pts": 5, "l_min": 0.3, "h_min": 0.5, "beta_min": 0.2,
+        "crop": {"x_min": 0, "x_max": 40, "y_min": -25, "y_max": 25, "z_min": -1, "z_max": 8},
+    }
+    config = {
+        "output_root": str(tmp_path / "out"),
+        "parallelism": 2,
+        "datasets": [
+            {"name": name, "frames": str(tmp_path / "scene" / "frames"), "teacher": teacher,
+             "sensor": {"rays_horizontal": 120, "rays_vertical": 80}}
+            for name in ("a", "b")
+        ],
+    }
+    (tmp_path / "annotate.json").write_text(json.dumps(config))
+    src = str(Path(roadlidar.__file__).resolve().parents[1])
+    code = (
+        "import sys; from roadlidar.cli import main; "
+        "code = main(['annotate', '--config', sys.argv[1]]); print(code, 'scipy.spatial' in sys.modules)"
+    )
+    # -X importtime reports every import, a pool worker's too, on stderr
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code, str(tmp_path / "annotate.json")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]
+    assert "scipy.spatial" not in out.stderr
+    for name in ("a", "b"):
+        stats = json.loads((tmp_path / "out" / name / "stats.json").read_text())
+        assert stats["labels_written"] > 0
 
 
 def _box(base, height):

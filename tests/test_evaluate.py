@@ -1,6 +1,7 @@
 """IoU, matching, average precision and directory-level evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,16 +168,36 @@ class TestIouMatrices:
                 1.4589546985817727, 1.0, -0.6044537865541573)),
     ], ids=["gap-0.13m", "gap-1.7mm"])
     def test_disjoint_circumcircles_with_collinear_sides(self, a, b):
-        # The one-pair clip scores these disjoint boxes 1e-16 and NaN: a
-        # rounding sliver along the shared side line.  No test on distance
-        # alone may score them 0.0 in its place.
+        # A clip scores these disjoint boxes 1e-16 and NaN, a rounding
+        # sliver along the shared side line; the separating side must score
+        # them exactly 0.0 first, with no divide-by-zero warning.
         gap = math.hypot(a.center_x - b.center_x, a.center_y - b.center_y) - _circumradius(a) - _circumradius(b)
         assert gap > 1e-3
         frames = [([a, b], [a, b])]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             off_diagonal = naive_iou_matrix(*frames[0])[[0, 1], [1, 0]]
-        assert not np.all(off_diagonal == 0.0)
-        _assert_matrices_match_naive(frames)
+            assert off_diagonal.tolist() == [0.0, 0.0]
+            _assert_matrices_match_naive(frames)
+
+    def test_end_to_end_boxes_score_zero(self):
+        # Same-yaw boxes one after the other along their heading, with gaps
+        # from 1e-9 to 0.1 of their length: their side lines coincide up to
+        # rounding, and every pair is disjoint.
+        rng = np.random.default_rng(45)
+        frames = []
+        for _ in range(20_000):
+            a = _random_box(rng)
+            step = a.length * (1.0 + 10.0 ** rng.uniform(-9.0, -1.0))
+            b = _label(a.center_x + step * math.cos(a.yaw), a.center_y + step * math.sin(a.yaw),
+                       a.center_z, a.length, a.width, a.height, a.yaw)
+            frames.append(([a], [b]) if rng.integers(2) else ([b], [a]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.concatenate([m.ravel() for m in iou_matrices(frames)])
+            naive = np.concatenate([naive_iou_matrix(*frame).ravel() for frame in frames[:2_000]])
+        assert values.tolist() == [0.0] * len(frames)
+        assert naive.tolist() == [0.0] * 2_000
 
     def test_pairs_split_over_blocks(self, monkeypatch):
         rng = np.random.default_rng(43)

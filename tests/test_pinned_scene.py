@@ -7,7 +7,10 @@ from the first frame, inside the background model's query window; the beam
 grid is halved on each axis and the recording is 80 frames, to keep the
 test short.  The teacher is the README's, unchanged.
 
-The pins are the exact bytes the program wrote for this scene: the SHA-256
+A second scene is the same with range noise of 0.08 m instead of 0.01 m:
+its many noise points and rejected boxes give the box fit noisy clusters.
+
+The pins are the exact bytes the program wrote for each scene: the SHA-256
 of the label files, ``stats.json`` and the ``evaluate`` report.  A change
 that is meant to alter the outputs updates them and says why.
 """
@@ -44,13 +47,41 @@ Pedestrian 0.25 0.333730 0.362500 58 5 102
 Pedestrian 0.30 0.322321 0.356250 57 6 103
 Pedestrian 0.50 0.145812 0.237500 38 25 122
 """
+NOISY_LABELS_SHA256 = "d5b0363040b003ac52f65e5c8f956a0eb5f2e959b7b1775151939ae8c48f3c57"
+NOISY_STATS_JSON = """\
+{
+  "boxes_rejected": 61,
+  "clusters_found": 247,
+  "dataset": "pinned",
+  "frames": 80,
+  "labels_written": 186,
+  "noise_points": 3877,
+  "points_data": 883200,
+  "points_removed": 860736,
+  "points_removed_pct": 97.4565
+}
+"""
+NOISY_REPORT = """\
+class iou ap recall tp fp fn
+Vehicle 0.25 0.190549 0.312500 25 16 55
+Vehicle 0.30 0.134451 0.262500 21 20 59
+Vehicle 0.50 0.068598 0.187500 15 26 65
+Pedestrian 0.25 0.562309 0.712500 114 31 46
+Pedestrian 0.30 0.334359 0.550000 88 57 72
+Pedestrian 0.50 0.053168 0.218750 35 110 125
+"""
 
 
-def pinned_scene():
-    base = default_scene(duration=80)
+def pinned_scene(range_noise_sigma=0.01):
+    base = default_scene(duration=80, range_noise_sigma=range_noise_sigma)
     sensor = dataclasses.replace(base.sensor, azimuth_count=120, elevation_count=92)
     actors = [dataclasses.replace(actor, start_time=0.0) for actor in base.actors]
     return dataclasses.replace(base, sensor=sensor, actors=actors)
+
+
+def noisy_pinned_scene():
+    """The pinned scene with 0.08 m of range noise: many noise points and rejects."""
+    return pinned_scene(range_noise_sigma=0.08)
 
 
 def labels_sha256(directory):
@@ -61,9 +92,8 @@ def labels_sha256(directory):
     return digest.hexdigest()
 
 
-def run_pinned_scene(root):
+def run_pinned_scene(root, spec):
     """Render the scene, annotate and evaluate it through the CLI; return the outputs."""
-    spec = pinned_scene()
     write_scene_outputs(spec, root / "scene")
     annotate = {
         "output_root": str(root / "out"),
@@ -102,7 +132,12 @@ def run_pinned_scene(root):
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    return run_pinned_scene(tmp_path_factory.mktemp("pinned"))
+    return run_pinned_scene(tmp_path_factory.mktemp("pinned"), pinned_scene())
+
+
+@pytest.fixture(scope="module")
+def noisy_outputs(tmp_path_factory):
+    return run_pinned_scene(tmp_path_factory.mktemp("noisy"), noisy_pinned_scene())
 
 
 def test_labels_pinned(outputs):
@@ -123,3 +158,15 @@ def test_scene_is_not_saturated(outputs):
     assert stats["boxes_rejected"] > 0
     ap50 = [float(line.split()[2]) for line in outputs["report"].splitlines()[1:] if line.split()[1] == "0.50"]
     assert len(ap50) == 2 and min(ap50) < 1.0
+
+
+def test_noisy_labels_pinned(noisy_outputs):
+    assert noisy_outputs["labels_sha256"] == NOISY_LABELS_SHA256
+
+
+def test_noisy_stats_pinned(noisy_outputs):
+    assert noisy_outputs["stats"] == NOISY_STATS_JSON
+
+
+def test_noisy_report_pinned(noisy_outputs):
+    assert noisy_outputs["report"] == NOISY_REPORT
