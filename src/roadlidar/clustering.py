@@ -33,6 +33,10 @@ disagree with the oracle.
   So every core-core pair within epsilon is either chained, tested as a
   pair, or joins two cells that were already connected: the components
   are those of the full epsilon-graph without building it.
+* The components are joined in numpy, by hook and jump over input indices,
+  one batch of edges at a time, so each witness round joins only its new
+  edges.  Each root ends as its cluster's smallest core index, which is
+  the reference's cluster order.
 
 Cell keys are compressed per axis, clipping gaps between occupied key values
 to 3, which keeps every window relation; cells are then coded by the rank
@@ -43,8 +47,6 @@ for any frame that fits in memory.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import DataError, Frame
 
@@ -72,10 +74,25 @@ def _block_pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarr
     return a_start[block] + local // b_size[block], b_start[block] + local % b_size[block]
 
 
-def _components(n: int, edges_i: list, edges_j: list) -> np.ndarray:
-    i, j = np.concatenate(edges_i), np.concatenate(edges_j)
-    graph = csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+def _join(comp: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Join the trees of the parent array ``comp`` along edges (i, j), in place.
+
+    Hook and jump (Shiloach & Vishkin 1982): point every node at its root,
+    drop the edges whose roots agree, and hook each larger root onto the
+    smallest root it shares an edge with.  A root that survives two rounds
+    absorbed another in the first, so live roots halve every two rounds (if
+    any one hook won, a star could take a round per branch).  On return
+    every node points at its root, the smallest node of its component.
+    """
+    while True:
+        while not np.array_equal(up := comp[comp], comp):
+            comp[:] = up
+        ri, rj = comp[i], comp[j]
+        differ = ri != rj
+        if not differ.any():
+            return
+        i, j, ri, rj = i[differ], j[differ], ri[differ], rj[differ]
+        np.minimum.at(comp, np.maximum(ri, rj), np.minimum(ri, rj))
 
 
 def dbscan_labels(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
@@ -135,36 +152,28 @@ def dbscan_labels(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
     pi, pj = pi[hit], pj[hit]
     core = dense[cell_of] | (np.bincount(pi, minlength=n) >= min_pts)
 
-    # core graph: chains through dense cells, core-core pairs, then witnesses
+    # core graph over input indices: chains through dense cells, core-core
+    # pairs, then witnesses
+    comp = np.arange(n)
     chain = np.flatnonzero(dense[cell_of[:-1]] & (cell_of[:-1] == cell_of[1:]))
     linked = core[pi] & core[pj]
-    edges_i, edges_j = [chain, pi[linked]], [chain + 1, pj[linked]]
     pair = dense[a] & dense[b] & (b > a)
     a, b, ring = a[pair], b[pair], ring[pair]
     first = ring == 1
     wi, wj = _block_pairs(start[a[first]], np.ones(first.sum(), dtype=np.int64),
                           start[b[first]], size[b[first]])
     hit = within(wi, wj)
-    edges_i.append(wi[hit])
-    edges_j.append(wj[hit])
-    comp = _components(n, edges_i, edges_j)
+    _join(comp, order[np.concatenate((chain, pi[linked], wi[hit]))],
+          order[np.concatenate((chain + 1, pj[linked], wj[hit]))])
     for r in (1, 2):
-        todo = (ring == r) & (comp[start[a]] != comp[start[b]])
+        todo = (ring == r) & (comp[order[start[a]]] != comp[order[start[b]]])
         wi, wj = _block_pairs(start[a[todo]], size[a[todo]], start[b[todo]], size[b[todo]])
         hit = within(wi, wj)
-        if hit.any():
-            edges_i.append(wi[hit])
-            edges_j.append(wj[hit])
-            comp = _components(n, edges_i, edges_j)
+        _join(comp, order[wi[hit]], order[wj[hit]])
 
     # number clusters by ascending smallest core index (reference scan order)
-    comp_of = np.empty(n, dtype=np.int64)
-    comp_of[order] = comp
-    core_idx = np.sort(order[core])
-    roots, first_core = np.unique(comp_of[core_idx], return_index=True)
-    rank = np.empty(n, dtype=np.int64)
-    rank[roots[np.argsort(first_core)]] = np.arange(len(roots))
-    labels[core_idx] = rank[comp_of[core_idx]]
+    core_idx = order[core]
+    labels[core_idx] = np.unique(comp[core_idx], return_inverse=True)[1]
 
     # border points: earliest-numbered cluster with a core neighbor claims them
     border = ~core[pi] & core[pj]
@@ -187,6 +196,7 @@ def dbscan(frame: Frame, epsilon: float, min_pts: int) -> tuple[list[np.ndarray]
         raise DataError("min_pts must be >= 1")
     active = np.nonzero(~frame.padding)[0]
     labels = dbscan_labels(frame.xyz[active], epsilon, min_pts)
-    clusters = [active[labels == cid] for cid in range(labels.max() + 1 if labels.size else 0)]
-    noise = active[labels == NOISE]
+    # one stable sort splits noise (label -1) first, then each cluster in id order
+    bounds = np.cumsum(np.bincount(labels + 1, minlength=1))[:-1]
+    noise, *clusters = np.split(active[np.argsort(labels, kind="stable")], bounds)
     return clusters, noise

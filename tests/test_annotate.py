@@ -303,18 +303,22 @@ class TestBatchedFit:
                 assert _box_line(box) == _box_line(want)
 
 
-def test_cli_import_defers_qhull():
+# the names of the loaded modules that are scipy or under it
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy():
     src = str(Path(roadlidar.__file__).resolve().parents[1])
-    code = "import sys, roadlidar.cli; print('scipy.spatial' in sys.modules)"
+    code = f"import sys, roadlidar.cli; print({SCIPY_MODULES})"
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_annotate_never_imports_scipy_spatial(tmp_path):
-    """Neither the CLI process nor a pool worker imports scipy.spatial to fit boxes."""
+    """Neither the CLI process nor a pool worker imports any scipy module."""
     sensor = SensorModel(
         origin=(0, 0, 3.0), azimuth_deg=(-24, 24), azimuth_count=120,
         elevation_deg=(-22, -3), elevation_count=80, range_noise_sigma=0.01, max_range=60.0,
@@ -344,15 +348,18 @@ def test_annotate_never_imports_scipy_spatial(tmp_path):
     src = str(Path(roadlidar.__file__).resolve().parents[1])
     code = (
         "import sys; from roadlidar.cli import main; "
-        "code = main(['annotate', '--config', sys.argv[1]]); print(code, 'scipy.spatial' in sys.modules)"
+        f"code = main(['annotate', '--config', sys.argv[1]]); print(code, {SCIPY_MODULES})"
     )
     # -X importtime reports every import, a pool worker's too, on stderr
     out = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", code, str(tmp_path / "annotate.json")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["0", "False"]
-    assert "scipy.spatial" not in out.stderr
+    assert out.stdout.split() == ["0", "[]"]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "roadlidar.clustering" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
     for name in ("a", "b"):
         stats = json.loads((tmp_path / "out" / name / "stats.json").read_text())
         assert stats["labels_written"] > 0

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from roadlidar.clustering import NOISE, dbscan, dbscan_labels
+from roadlidar.clustering import NOISE, _join, dbscan, dbscan_labels
 from roadlidar.core import DataError, Frame
 
-from oracles import brute_dbscan, canonical_partition
+from oracles import brute_dbscan, canonical_partition, pairs_dbscan
 
 
 def _frame(pts, padding=None):
@@ -83,11 +85,23 @@ class TestDbscanBasics:
 class TestDbscanProperties:
     def test_partition_covers_all_points(self):
         rng = np.random.default_rng(4)
-        pts = rng.uniform(-5, 5, (200, 3))
-        frame = _frame(pts)
-        clusters, noise = dbscan(frame, epsilon=0.8, min_pts=4)
-        indices = [i for c in clusters for i in c.tolist()] + noise.tolist()
-        assert sorted(indices) == list(range(200))  # disjoint and complete
+        few = rng.uniform(-5, 5, (200, 3))
+        # 3,375 tight clumps on a grid, with scattered points and padding
+        grid = _lattice(2.0, side=15).repeat(5, axis=0) + rng.normal(0, 0.05, (15**3 * 5, 3))
+        many = np.vstack([grid, rng.uniform(0, 28, (2000, 3))])[rng.permutation(len(grid) + 2000)]
+        frames = [_frame(few), _frame(many, rng.random(len(many)) < 0.05)]
+        for frame in frames:
+            clusters, noise = dbscan(frame, epsilon=0.8, min_pts=4)
+            active = np.flatnonzero(~frame.padding)
+            indices = [i for c in clusters for i in c.tolist()] + noise.tolist()
+            assert sorted(indices) == active.tolist()  # disjoint and complete
+            # each cluster holds its frame indices in ascending order, in label order
+            labels = dbscan_labels(frame.xyz[active], 0.8, 4)
+            assert len(clusters) == labels.max() + 1
+            for cid, cluster in enumerate(clusters):
+                np.testing.assert_array_equal(cluster, active[labels == cid])
+            np.testing.assert_array_equal(noise, active[labels == NOISE])
+        assert len(clusters) > 2500
 
     def test_oracle_equivalence_random_frames(self):
         rng = np.random.default_rng(5)
@@ -252,3 +266,83 @@ class TestCellEdgeCases:
     def test_integer_lattice_ties_match_brute_force(self, coords, eps, scale, min_pts):
         pts = np.array(coords, dtype=np.float64) * scale
         self._assert_brute(pts, eps * scale, min_pts)
+
+
+def _components(n, i, j):
+    graph = csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _shuffled_path(n, rng):
+    """A path through n nodes, its nodes and its edges in random order."""
+    perm = rng.permutation(n)
+    edges = rng.permutation(n - 1)
+    return perm[:-1][edges], perm[1:][edges]
+
+
+def _graphs():
+    """(n, i, j): empty, random with self-loops and duplicates, paths and stars."""
+    rng = np.random.default_rng(41)
+    none = np.empty(0, dtype=np.int64)
+    yield 1, none, none
+    yield 50, none, none
+    for _ in range(30):
+        n = int(rng.integers(1, 400))
+        m = int(rng.integers(0, 2 * n))
+        i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+        loops = rng.integers(0, n, m // 4 + 1)
+        again = rng.integers(0, m, m // 3) if m else none
+        yield n, np.concatenate((i, loops, j[again])), np.concatenate((j, loops, i[again]))
+    n = 20_000
+    yield n, *_shuffled_path(n, rng)
+    yield n, np.arange(1, n), np.arange(n - 1)  # a path in ascending order
+    leaves = np.arange(n - 1)
+    yield n, np.full(n - 1, n - 1), leaves  # a star whose centre is the largest node
+    yield n, leaves[::-1], np.full(n - 1, n - 1)
+
+
+class TestJoin:
+    @pytest.mark.parametrize("graph", list(_graphs()), ids=lambda g: f"n{g[0]}_m{len(g[1])}")
+    def test_matches_connected_components(self, graph):
+        n, i, j = graph
+        comp = np.arange(n)
+        _join(comp, i, j)
+        want = _components(n, i, j)
+        assert canonical_partition(np.unique(comp, return_inverse=True)[1]) == canonical_partition(want)
+        # every node points at its root, the smallest index of its component
+        _, smallest = np.unique(want, return_index=True)
+        np.testing.assert_array_equal(comp, smallest[want])
+
+    def test_joining_in_batches_matches_one_batch(self):
+        n = 20_000
+        i, j = _shuffled_path(n, np.random.default_rng(44))
+        whole = np.arange(n)
+        _join(whole, i, j)
+        batches = np.arange(n)
+        for part in np.array_split(np.arange(len(i)), 3):
+            _join(batches, i[part], j[part])
+        np.testing.assert_array_equal(batches, whole)
+
+
+class TestLongChains:
+    """One cluster reached only through long chains, in shuffled input order."""
+
+    @pytest.mark.parametrize("spacing, min_pts", [(0.5, 3), (0.1, 3)])
+    def test_shuffled_line(self, spacing, min_pts):
+        # at 0.5 every cell holds one point; at 0.1 dense cells join by witnesses
+        rng = np.random.default_rng(42)
+        x = np.arange(20_000) * spacing
+        pts = np.c_[x, np.zeros_like(x), np.zeros_like(x)][rng.permutation(len(x))]
+        labels = dbscan_labels(pts, 0.7, min_pts)
+        np.testing.assert_array_equal(labels, pairs_dbscan(pts, 0.7, min_pts))
+        assert (labels == 0).all()
+
+    def test_shuffled_spiral(self):
+        # ten turns 2 m apart, points at most 0.12 m apart along the arc
+        rng = np.random.default_rng(43)
+        t = np.linspace(0.0, 20 * np.pi, 12_000)
+        r = 2.0 + t / np.pi
+        pts = np.c_[r * np.cos(t), r * np.sin(t), np.zeros_like(t)][rng.permutation(len(t))]
+        labels = dbscan_labels(pts, 0.7, 4)
+        np.testing.assert_array_equal(labels, pairs_dbscan(pts, 0.7, 4))
+        assert (labels == 0).all()

@@ -9,6 +9,9 @@ test short.  The teacher is the README's, unchanged.
 
 A second scene is the same with range noise of 0.08 m instead of 0.01 m:
 its many noise points and rejected boxes give the box fit noisy clusters.
+A third raises the top of the elevation span from -2 to +10 degrees: the
+same 92 beam rows spread over 35 degrees instead of 23, so fewer of them
+fall on each actor.
 
 The pins are the exact bytes the program wrote for each scene: the SHA-256
 of the label files, ``stats.json`` and the ``evaluate`` report.  A change
@@ -70,11 +73,36 @@ Pedestrian 0.25 0.562309 0.712500 114 31 46
 Pedestrian 0.30 0.334359 0.550000 88 57 72
 Pedestrian 0.50 0.053168 0.218750 35 110 125
 """
+RAISED_LABELS_SHA256 = "2b57a50bf0988eb3e7f7d7736313c92b9d3f573b4cf0a57ff4fcf149634af058"
+RAISED_STATS_JSON = """\
+{
+  "boxes_rejected": 71,
+  "clusters_found": 187,
+  "dataset": "pinned",
+  "frames": 80,
+  "labels_written": 116,
+  "noise_points": 85,
+  "points_data": 791840,
+  "points_removed": 781815,
+  "points_removed_pct": 98.734
+}
+"""
+RAISED_REPORT = """\
+class iou ap recall tp fp fn
+Vehicle 0.25 0.020663 0.112500 9 41 71
+Vehicle 0.30 0.020663 0.112500 9 41 71
+Vehicle 0.50 0.002296 0.037500 3 47 77
+Pedestrian 0.25 0.211373 0.293750 47 19 113
+Pedestrian 0.30 0.186737 0.275000 44 22 116
+Pedestrian 0.50 0.047181 0.131250 21 45 139
+"""
 
 
-def pinned_scene(range_noise_sigma=0.01):
+def pinned_scene(range_noise_sigma=0.01, elevation_deg=(-25.0, -2.0)):
     base = default_scene(duration=80, range_noise_sigma=range_noise_sigma)
-    sensor = dataclasses.replace(base.sensor, azimuth_count=120, elevation_count=92)
+    sensor = dataclasses.replace(
+        base.sensor, azimuth_count=120, elevation_count=92, elevation_deg=elevation_deg,
+    )
     actors = [dataclasses.replace(actor, start_time=0.0) for actor in base.actors]
     return dataclasses.replace(base, sensor=sensor, actors=actors)
 
@@ -82,6 +110,11 @@ def pinned_scene(range_noise_sigma=0.01):
 def noisy_pinned_scene():
     """The pinned scene with 0.08 m of range noise: many noise points and rejects."""
     return pinned_scene(range_noise_sigma=0.08)
+
+
+def raised_pinned_scene():
+    """The pinned scene with the elevation span raised to +10 degrees."""
+    return pinned_scene(elevation_deg=(-25.0, 10.0))
 
 
 def labels_sha256(directory):
@@ -140,6 +173,11 @@ def noisy_outputs(tmp_path_factory):
     return run_pinned_scene(tmp_path_factory.mktemp("noisy"), noisy_pinned_scene())
 
 
+@pytest.fixture(scope="module")
+def raised_outputs(tmp_path_factory):
+    return run_pinned_scene(tmp_path_factory.mktemp("raised"), raised_pinned_scene())
+
+
 def test_labels_pinned(outputs):
     assert outputs["labels_sha256"] == LABELS_SHA256
 
@@ -170,3 +208,15 @@ def test_noisy_stats_pinned(noisy_outputs):
 
 def test_noisy_report_pinned(noisy_outputs):
     assert noisy_outputs["report"] == NOISY_REPORT
+
+
+def test_raised_labels_pinned(raised_outputs):
+    assert raised_outputs["labels_sha256"] == RAISED_LABELS_SHA256
+
+
+def test_raised_stats_pinned(raised_outputs):
+    assert raised_outputs["stats"] == RAISED_STATS_JSON
+
+
+def test_raised_report_pinned(raised_outputs):
+    assert raised_outputs["report"] == RAISED_REPORT
