@@ -22,6 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -88,30 +89,25 @@ def extract_query_frames(seq: FrameSequence, n_query: int) -> FrameSequence:
     return FrameSequence(seq.frames[:n_query], seq.meta, seq.stems[:n_query])
 
 
-def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
-    """Bin every beam's ranges across the query frames.
+def histogram_of_ranges(
+    window: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]], n_total: int, n_bin: int
+) -> DistanceHistogram:
+    """Bin every beam's ranges across a query window, one frame at a time.
 
-    Equivalent to the naive per-beam double loop (see tests/oracles.py), in
-    two passes over the frames: one for each beam's range extent, one to
-    bin.  A frame gives each beam at most one range, so every bin is summed
-    in query-frame order and the two agree bit-for-bit.
+    ``window()`` yields each query frame's ``(ranges, data)``: the range of
+    every beam and the mask of the beams that hold data.  It is called twice,
+    once for each beam's range extent and once to bin, so a window that
+    makes each frame's arrays on demand holds one at a time.  A frame gives
+    each beam at most one range, so every bin is summed in query-frame order
+    and the result agrees bit-for-bit with the naive per-beam double loop
+    (see tests/oracles.py).  Ranges of beams without data are never read.
     """
     if n_bin < 1:
         raise DataError("n_bin must be >= 1")
-    frames = query.frames
-    if not frames:
-        raise DataError("empty query set")
-    n_total = frames[0].n_points
-    for f in frames:
-        if f.n_points != n_total:
-            raise DataError("query frames must share one arity, the sensor's beam count")
-
     seen = np.zeros(n_total, dtype=bool)
     d_min = np.full(n_total, np.inf)
     d_max = np.full(n_total, -np.inf)
-    for f in frames:
-        r = point_ranges(f.xyz)
-        data = ~f.padding
+    for r, data in window():
         seen |= data
         np.minimum(d_min, r, out=d_min, where=data)
         np.maximum(d_max, r, out=d_max, where=data)
@@ -121,9 +117,9 @@ def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
 
     bin_sum = np.zeros(n_total * n_bin)
     bin_count = np.zeros(n_total * n_bin, dtype=np.int64)
-    for f in frames:
-        beams = np.flatnonzero(~f.padding)
-        r = point_ranges(f.xyz)[beams]
+    for r, data in window():
+        beams = np.flatnonzero(data)
+        r = r[beams]
         with np.errstate(divide="ignore", invalid="ignore"):
             k = np.floor((r - d_min[beams]) / width[beams])
         k = np.where(width[beams] > 0, k, 0.0)
@@ -141,6 +137,21 @@ def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
     )
 
 
+def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
+    """Bin every beam's ranges across the query frames (``histogram_of_ranges``
+    over each frame's ranges and non-padding mask)."""
+    frames = query.frames
+    if not frames:
+        raise DataError("empty query set")
+    n_total = frames[0].n_points
+    for f in frames:
+        if f.n_points != n_total:
+            raise DataError("query frames must share one arity, the sensor's beam count")
+    return histogram_of_ranges(
+        lambda: ((point_ranges(f.xyz), ~f.padding) for f in frames), n_total, n_bin
+    )
+
+
 def select_background(hist: DistanceHistogram, n_tall: int) -> BackgroundModel:
     """Keep the means of the ``n_tall`` most populated occupied bins per beam."""
     if n_tall < 1 or n_tall > hist.n_bin:
@@ -154,12 +165,31 @@ def select_background(hist: DistanceHistogram, n_tall: int) -> BackgroundModel:
     return BackgroundModel(tall=tall)
 
 
+def near_background(r: np.ndarray, model: BackgroundModel, d_threshold: float) -> np.ndarray:
+    """Mask of the ranges ``r`` (one per beam) within ``d_threshold`` of one
+    of their beam's tall-bin means: ``|r - d| <= d_threshold``.
+
+    One tall-bin column at a time, into reused buffers.  A NaN column entry
+    (a beam with fewer occupied bins than ``n_tall``) never matches.
+    """
+    near = np.zeros(len(r), dtype=bool)
+    diff = np.empty(len(r))
+    hit = np.empty(len(r), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for d in model.tall.T:
+            np.subtract(r, d, out=diff)
+            np.abs(diff, out=diff)
+            np.less_equal(diff, d_threshold, out=hit)
+            near |= hit
+    return near
+
+
 def background_mask(frame: Frame, model: BackgroundModel, d_threshold: float) -> np.ndarray:
     """Boolean mask of the background points, the ones filter_frame removes.
 
     A non-padding point at beam i is background iff some tall-bin mean d of
-    beam i satisfies ``|range - d| <= d_threshold``.  Padding is never
-    background.
+    beam i satisfies ``|range - d| <= d_threshold`` (``near_background``).
+    Padding is never background.
     """
     if d_threshold <= 0:
         raise DataError("d_threshold must be positive")
@@ -167,10 +197,7 @@ def background_mask(frame: Frame, model: BackgroundModel, d_threshold: float) ->
         raise DataError(
             f"arity mismatch: frame has {frame.n_points} points, model expects {model.n_total}"
         )
-    r = point_ranges(frame.xyz)
-    with np.errstate(invalid="ignore"):
-        near = np.abs(r[:, None] - model.tall) <= d_threshold
-    return near.any(axis=1) & ~frame.padding
+    return near_background(point_ranges(frame.xyz), model, d_threshold) & ~frame.padding
 
 
 def filter_frame(frame: Frame, model: BackgroundModel, d_threshold: float) -> Frame:

@@ -252,8 +252,9 @@ class TeacherConfig:
         if self.min_pts < 1:
             raise ConfigError("min_pts must be >= 1")
         for name in ("d_threshold", "epsilon", "l_min", "h_min", "beta_min"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 
 def read_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
@@ -338,7 +339,9 @@ def read_frame_file(path: Path, beam_count: int) -> tuple[np.ndarray, np.ndarray
     padding mask, the all-zero rows (``-0.0`` counts as zero).
 
     The file must be readable and hold exactly ``beam_count`` records, every
-    x, y and z of them finite; otherwise a DataError names the file.
+    x, y and z of them finite; otherwise a DataError names the file.  The
+    xyz is column-major: the per-beam stages read it one coordinate at a
+    time, and a contiguous column reads several times faster.
     """
     try:
         raw = Path(path).read_bytes()
@@ -350,7 +353,7 @@ def read_frame_file(path: Path, beam_count: int) -> tuple[np.ndarray, np.ndarray
             f"{beam_count} beams take {beam_count * _POINT_RECORD_BYTES} "
             f"({_POINT_RECORD_BYTES} bytes each)"
         )
-    xyz = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64)
+    xyz = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64, order="F")
     if not np.isfinite(xyz).all():
         raise DataError(f"malformed frame file {path}: a coordinate is not finite")
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -26,9 +25,11 @@ import numpy as np
 
 from .annotate import RejectedBox, annotate_frame
 from .background import (
-    build_histogram,
-    filter_frame,
+    DistanceHistogram,
+    histogram_of_ranges,
     load_background_model,
+    near_background,
+    point_ranges,
     save_background_model,
     select_background,
 )
@@ -38,7 +39,6 @@ from .core import (
     CropBounds,
     DataError,
     Frame,
-    FrameSequence,
     LabelSource,
     ObjectLabel,
     SensorMeta,
@@ -52,7 +52,7 @@ from .core import (
     write_frame_file,
     write_labels,
 )
-from .preprocess import UnificationTransform, apply_transform_points, crop_frame, transform_label
+from .preprocess import UnificationTransform, apply_transform_points, transform_label
 
 log = logging.getLogger(__name__)
 
@@ -163,13 +163,27 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
 # Teacher run
 # ---------------------------------------------------------------------------
 
-def _read_cropped_frame(file: Path, timestamp_index: int, meta: SensorMeta, crop: CropBounds) -> Frame:
-    """One frame file in meters, cropped: what ``load_frame_sequence``,
-    ``unify_units`` and ``crop_frame`` make of it, with the same bits."""
+def _read_beams(file: Path, meta: SensorMeta, crop: CropBounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame file in meters, as its xyz, each beam's range and the mask
+    of the beams that hold data inside the crop.
+
+    The bits are those of ``load_frame_sequence``, ``unify_units`` and
+    ``crop_frame``, but nothing is copied: a cropped beam keeps its point
+    and is only masked out.
+    """
     xyz, padding = read_frame_file(file, meta.beam_count)
     if meta.unit_scale != 1.0:
         xyz *= meta.unit_scale
-    return crop_frame(Frame(timestamp_index, xyz, padding), crop)
+    return xyz, point_ranges(xyz), ~padding & crop.contains(xyz)
+
+
+def _query_histogram(files: list[Path], meta: SensorMeta, cfg: TeacherConfig) -> DistanceHistogram:
+    """The histogram of the first ``n_query`` files, which are read once and
+    kept, until it is built, only as each beam's range and data mask."""
+    if cfg.n_query > len(files):
+        raise DataError(f"n_query {cfg.n_query} exceeds sequence length {len(files)}")
+    window = [_read_beams(file, meta, cfg.crop)[1:] for file in files[:cfg.n_query]]
+    return histogram_of_ranges(lambda: window, cfg.n_total, cfg.n_bin)
 
 
 def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
@@ -177,11 +191,15 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
 
     Stages: unit unification, cropping, background model over the query
     window, then per frame background filtering, clustering and annotation.
-    Frames stream from disk: the first ``n_query`` are read and kept for the
-    model (none when ``background_model_in`` is set), then each is taken in
-    turn and dropped once labeled, and every later file is read when its
-    turn comes.  Peak memory is the query window plus one frame, whatever
-    the recording length; only labels, rejects and counts accumulate.
+    Frames stream from disk, one pass over each frame's beams: the first
+    ``n_query`` files are read for the model (none when
+    ``background_model_in`` is set), keeping only each beam's range and
+    data mask, then every file is read in turn.  Its ranges are computed
+    once; the crop and the filter are masks over them, and only the
+    foreground points left are copied out, into the compact frame that
+    DBSCAN and the box fit take.  Peak memory is the query window's ranges
+    plus one frame, whatever the recording length; only labels, rejects
+    and counts accumulate.
     Outputs under ``<output_root>/<name>/``: ``labels/``, ``stats.json``,
     ``rejects.log`` and the background model sidecar, published together
     by ``publish`` after the last frame: a run that fails or is cut short,
@@ -192,7 +210,6 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     out_dir = Path(output_root) / entry.name
     files = list_frame_files(entry.frames_dir)
 
-    query: deque[Frame] = deque()
     if entry.background_model_in is not None:
         model = load_background_model(entry.background_model_in)
         if model.n_total != cfg.n_total:
@@ -201,28 +218,20 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
                 f"but the sensor has {cfg.n_total} beams"
             )
     else:
-        if cfg.n_query > len(files):
-            raise DataError(f"n_query {cfg.n_query} exceeds sequence length {len(files)}")
-        query.extend(
-            _read_cropped_frame(file, t, entry.meta, cfg.crop)
-            for t, file in enumerate(files[:cfg.n_query], start=1)
-        )
-        # No name keeps the sequence or the histogram: ``query`` alone holds
-        # the window, so each query frame is freed once it is labeled.
-        metric = replace(entry.meta, unit_scale=1.0)
-        model = select_background(build_histogram(FrameSequence(list(query), metric), cfg.n_bin), cfg.n_tall)
+        model = select_background(_query_histogram(files, entry.meta, cfg), cfg.n_tall)
 
     rejects: list[RejectedBox] = []
     labels_by_stem: dict[str, list[ObjectLabel]] = {}
     points_data = points_removed = clusters_total = noise_total = 0
     for t, file in enumerate(files, start=1):
-        frame = query.popleft() if query else _read_cropped_frame(file, t, entry.meta, cfg.crop)
-        n_before = frame.n_data_points
-        filtered = filter_frame(frame, model, cfg.d_threshold)
-        clusters, noise = dbscan(filtered, cfg.epsilon, cfg.min_pts)
-        labels_by_stem[file.stem] = annotate_frame(filtered, clusters, cfg, reject_sink=rejects.append)
-        points_data += n_before
-        points_removed += n_before - filtered.n_data_points
+        xyz, ranges, data = _read_beams(file, entry.meta, cfg.crop)
+        active = np.flatnonzero(data & ~near_background(ranges, model, cfg.d_threshold))
+        foreground = Frame(t, xyz[active], np.zeros(len(active), dtype=bool))
+        clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
+        labels_by_stem[file.stem] = annotate_frame(foreground, clusters, cfg, reject_sink=rejects.append)
+        n_data = int(np.count_nonzero(data))
+        points_data += n_data
+        points_removed += n_data - len(active)
         clusters_total += len(clusters)
         noise_total += len(noise)
 

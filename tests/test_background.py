@@ -9,8 +9,11 @@ from roadlidar.background import (
     background_mask,
     build_histogram,
     extract_query_frames,
+    BackgroundModel,
     filter_frame,
     load_background_model,
+    near_background,
+    point_ranges,
     save_background_model,
     select_background,
 )
@@ -261,6 +264,32 @@ class TestFilterFrame:
                 np.testing.assert_array_equal(got.padding, expected_padding)
                 np.testing.assert_array_equal(got.xyz[expected_padding], 0.0)
                 np.testing.assert_array_equal(got.xyz[~expected_padding], frame.xyz[~expected_padding])
+
+    @staticmethod
+    def _kernel_and_oracle(xyz, tall, d_threshold):
+        """``near_background`` on data points, and ``naive_filter``'s decisions."""
+        xyz = np.asarray(xyz, dtype=np.float64)
+        model = BackgroundModel(tall=np.asarray(tall, dtype=np.float64))
+        got = near_background(point_ranges(xyz), model, d_threshold)
+        expected = naive_filter(xyz, np.zeros(len(xyz), dtype=bool), model.tall, d_threshold)
+        return got.tolist(), expected
+
+    def test_kernel_removes_a_point_exactly_on_the_boundary(self):
+        # |5.0 - 5.25| == 0.25 exactly in binary, so the closed test holds;
+        # a hair further out on either side it does not
+        xyz = [[3.0, 4.0, 0.0], [0.0, 5.5, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 5.5]]
+        tall = [[5.25], [5.25], [np.nextafter(5.25, 6.0)], [np.nextafter(5.25, 5.0)]]
+        got, expected = self._kernel_and_oracle(xyz, tall, 0.25)
+        assert got == expected == [True, True, False, False]
+
+    def test_kernel_never_matches_a_nan_column(self):
+        # rows with fewer occupied bins than n_tall = 3 are NaN beyond them; a
+        # range close to zero would match a NaN read as 0
+        xyz = [[5.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 9.0], [0.05, 0.0, 0.0]]
+        nan = np.nan
+        tall = [[5.0, nan, nan], [nan, nan, nan], [7.0, nan, nan], [2.0, 9.1, nan], [nan, nan, 0.0]]
+        got, expected = self._kernel_and_oracle(xyz, tall, 0.25)
+        assert got == expected == [True, False, False, True, True]
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(24)

@@ -21,6 +21,7 @@ from roadlidar.background import (
     build_histogram,
     extract_query_frames,
     filter_frame,
+    load_background_model,
     save_background_model,
     select_background,
 )
@@ -126,8 +127,11 @@ def _composed_teacher(entry, out_dir):
     cfg = entry.teacher
     seq = unify_units(load_frame_sequence(entry.frames_dir, entry.meta))
     seq = FrameSequence([crop_frame(f, cfg.crop) for f in seq.frames], seq.meta, seq.stems)
-    hist = build_histogram(extract_query_frames(seq, cfg.n_query), cfg.n_bin)
-    model = select_background(hist, cfg.n_tall)
+    if entry.background_model_in is not None:
+        model = load_background_model(entry.background_model_in)
+    else:
+        hist = build_histogram(extract_query_frames(seq, cfg.n_query), cfg.n_bin)
+        model = select_background(hist, cfg.n_tall)
     rejects, labels = [], {}
     points_data = points_removed = clusters_found = noise_points = 0
     for frame, stem in zip(seq.frames, seq.stems):
@@ -231,6 +235,29 @@ class TestRunTeacher:
         # Every frame alive next to its cropped copy would take twice the frames' bytes.
         assert peak < 1.75 * frames_bytes
 
+    def test_query_window_holds_ranges_not_points(self, tmp_path):
+        spec = _mini_scene(duration=40)
+        write_scene_outputs(spec, tmp_path / "scene")
+        entry = _entry((tmp_path / "scene", spec))
+        # every frame in the window, and few bins, so the window dominates
+        n_total, n_query, n_bin = spec.sensor.beam_count, 40, 4
+        entry = dataclasses.replace(
+            entry, teacher=dataclasses.replace(entry.teacher, n_query=n_query, n_bin=n_bin),
+        )
+        run_teacher(entry, tmp_path / "warm")  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            run_teacher(entry, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Each query frame kept as ranges (float64) and a data mask is 9 bytes
+        # a beam; kept as (n, 3) float64 points and padding it would be 25.
+        window = n_query * n_total * 9
+        histogram = n_total * n_bin * 24  # bin sums, counts and means
+        frame = n_total * 25
+        assert peak < window + histogram + 6 * frame
+
     def test_peak_memory_flat_in_frame_count(self, tmp_path):
         spec = _mini_scene(duration=120)
         write_scene_outputs(spec, tmp_path / "long")
@@ -251,8 +278,12 @@ class TestRunTeacher:
         # Holding every frame, 120 frames take three times the bytes of 40.
         assert peaks["long"] < 1.2 * peaks["short"]
 
-    @pytest.mark.parametrize("unit_scale", [1.0, 0.01])
-    def test_same_bytes_as_the_composed_stages(self, scene_dir, tmp_path, unit_scale):
+    @pytest.mark.parametrize(
+        "unit_scale, variant",
+        [(scale, variant) for variant in ("query_model", "model_in", "tight_crop") for scale in (1.0, 0.01)],
+        ids=["1.0", "0.01", "1.0-model_in", "0.01-model_in", "1.0-tight_crop", "0.01-tight_crop"],
+    )
+    def test_same_bytes_as_the_composed_stages(self, scene_dir, tmp_path, unit_scale, variant):
         out, spec = scene_dir
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -265,6 +296,16 @@ class TestRunTeacher:
             entry, frames_dir=frames, meta=dataclasses.replace(entry.meta, unit_scale=unit_scale),
             teacher=dataclasses.replace(entry.teacher, epsilon=0.4),
         )
+        if variant == "model_in":
+            # a model from a shorter query window than the run's own would be
+            source = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_query=4))
+            (tmp_path / "model").mkdir()
+            _composed_teacher(source, tmp_path / "model")
+            entry = dataclasses.replace(entry, background_model_in=tmp_path / "model" / "background.model")
+        elif variant == "tight_crop":
+            # the wall at x = 28 m lies outside this crop, so every frame loses points
+            crop = CropBounds(0, 25, -25, 25, -1, 8)
+            entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, crop=crop))
         stats = run_teacher(entry, tmp_path / "streamed")
         assert stats["labels_written"] and stats["boxes_rejected"] and stats["noise_points"]
         _composed_teacher(entry, tmp_path / "composed")
@@ -691,6 +732,13 @@ class TestConfigParsing:
         assert entry.teacher.n_total == entry.meta.beam_count
         with pytest.raises(ConfigError, match="beam count"):
             dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_total=4))
+
+    @pytest.mark.parametrize("field", ["d_threshold", "epsilon", "l_min", "h_min", "beta_min"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_teacher_thresholds_must_be_finite_and_positive(self, field, value):
+        cfg = _teacher_cfg(100)
+        with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
+            dataclasses.replace(cfg, **{field: value})
 
     def test_duplicate_names_rejected(self, scene_dir, tmp_path):
         data = self._config_dict(scene_dir, tmp_path)
@@ -1173,6 +1221,18 @@ class TestCli:
             argv += ["--out", str(tmp_path / "rendered")]
         assert main(argv) == 1
         assert str(path) in caplog.text
+
+    @pytest.mark.parametrize("field", ["d_threshold", "epsilon", "l_min", "h_min", "beta_min"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_teacher_threshold_is_config_error(self, scene_dir, tmp_path, caplog, field, value):
+        # json.dumps writes the NaN and Infinity literals that json.loads accepts
+        config = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        config["datasets"][0]["teacher"][field] = value
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(config))
+        assert main(["annotate", "--config", str(path)]) == 1
+        assert f"{field} must be finite and positive" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
