@@ -34,9 +34,10 @@ import json
 import math
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -297,35 +298,38 @@ def _remove(path: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def publish(outputs: Mapping[Path, Callable[[Path], None]]) -> None:
-    """Replace each target path, a file or a directory, with what its writer
-    writes; every command publishes its outputs through this one call.
+@contextmanager
+def publish(*targets: Path) -> Iterator[list[Path]]:
+    """Replace each target path, a file or a directory, with what the block
+    writes; every command publishes its outputs through this one context.
 
-    Writers run one at a time, in the mapping's order.  A writer gets the
-    target's sibling ``.<name>.partial`` (parents created) and writes the
-    file, or creates the directory, there.  When all have returned, each is
-    renamed over its target, a directory replacing the old one whole.  If a
-    writer raises, an interrupt included, or an existing target is a
-    directory where a file was written or the reverse (a DataError naming
-    it), every staged path is removed and no target is touched.
+    ``with publish(*targets) as staged:`` yields each target's sibling
+    ``.<name>.partial``, in target order, with its parents created and any
+    partial a killed run left removed.  The block writes the file, or
+    creates the directory, at each staged path, in any order and for as
+    long as it runs.  When it exits cleanly, each is renamed over its
+    target, a directory replacing the old one whole.  If the block raises,
+    an interrupt included, or an existing target is a directory where a
+    file was written or the reverse (a DataError naming it), every staged
+    path is removed and no target is touched.
     """
-    staged = {target: target.with_name(f".{target.name}.partial") for target in outputs}
+    staged = [target.with_name(f".{target.name}.partial") for target in targets]
     try:
-        for target, write in outputs.items():
-            staged[target].parent.mkdir(parents=True, exist_ok=True)
-            _remove(staged[target])
-            write(staged[target])
-        for target, partial in staged.items():
+        for partial in staged:
+            partial.parent.mkdir(parents=True, exist_ok=True)
+            _remove(partial)
+        yield staged
+        for target, partial in zip(targets, staged):
             if target.exists() and target.is_dir() != partial.is_dir():
                 kinds = ("file", "directory")
                 raise DataError(f"cannot replace the {kinds[target.is_dir()]} {target} "
                                 f"with a {kinds[partial.is_dir()]}")
-        for target, partial in staged.items():
+        for target, partial in zip(targets, staged):
             if target.is_dir():
                 shutil.rmtree(target)
             os.replace(partial, target)
     except BaseException:
-        for partial in staged.values():
+        for partial in staged:
             _remove(partial)
         raise
 

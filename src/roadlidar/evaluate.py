@@ -368,5 +368,6 @@ def evaluate(
     truths = read_labels(truth_dir, source=LabelSource.TEACHER)
     report = evaluate_labels(preds, truths, thresholds)
     if report_path is not None:
-        publish({Path(report_path): lambda path: path.write_text(report.to_text(), encoding="utf-8")})
+        with publish(Path(report_path)) as (staged,):
+            staged.write_text(report.to_text(), encoding="utf-8")
     return report

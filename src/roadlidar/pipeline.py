@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,6 @@ from .core import (
     DataError,
     Frame,
     LabelSource,
-    ObjectLabel,
     SensorMeta,
     TeacherConfig,
     json_floats,
@@ -50,6 +48,7 @@ from .core import (
     read_json_config,
     read_labels,
     write_frame_file,
+    write_label_file,
     write_labels,
 )
 from .preprocess import UnificationTransform, apply_transform_points, transform_label
@@ -198,12 +197,14 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     once; the crop and the filter are masks over them, and only the
     foreground points left are copied out, into the compact frame that
     DBSCAN and the box fit take.  Peak memory is the query window's ranges
-    plus one frame, whatever the recording length; only labels, rejects
-    and counts accumulate.
+    plus one frame, whatever the recording length; only rejects and counts
+    accumulate.
     Outputs under ``<output_root>/<name>/``: ``labels/``, ``stats.json``,
-    ``rejects.log`` and the background model sidecar, published together
-    by ``publish`` after the last frame: a run that fails or is cut short,
-    even while writing them, leaves the previous four as they were.
+    ``rejects.log`` and the background model sidecar.  Each frame's label
+    file is written as soon as the frame is labelled, into the paths that
+    ``publish`` stages once the model is built and renames into place
+    together after the last frame: a run that fails or is cut short, even
+    while writing them, leaves the previous four as they were.
     Returns the statistics that ``stats.json`` holds.
     """
     cfg = entry.teacher
@@ -221,39 +222,39 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
         model = select_background(_query_histogram(files, entry.meta, cfg), cfg.n_tall)
 
     rejects: list[RejectedBox] = []
-    labels_by_stem: dict[str, list[ObjectLabel]] = {}
-    points_data = points_removed = clusters_total = noise_total = 0
-    for t, file in enumerate(files, start=1):
-        xyz, ranges, data = _read_beams(file, entry.meta, cfg.crop)
-        active = np.flatnonzero(data & ~near_background(ranges, model, cfg.d_threshold))
-        foreground = Frame(t, xyz[active], np.zeros(len(active), dtype=bool))
-        clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
-        labels_by_stem[file.stem] = annotate_frame(foreground, clusters, cfg, reject_sink=rejects.append)
-        n_data = int(np.count_nonzero(data))
-        points_data += n_data
-        points_removed += n_data - len(active)
-        clusters_total += len(clusters)
-        noise_total += len(noise)
+    points_data = points_removed = clusters_total = noise_total = labels_total = 0
+    with publish(
+        out_dir / "labels", out_dir / "stats.json", out_dir / "rejects.log", out_dir / "background.model"
+    ) as (labels_dir, stats_path, rejects_path, model_path):
+        labels_dir.mkdir()
+        for t, file in enumerate(files, start=1):
+            xyz, ranges, data = _read_beams(file, entry.meta, cfg.crop)
+            active = np.flatnonzero(data & ~near_background(ranges, model, cfg.d_threshold))
+            foreground = Frame(t, xyz[active], np.zeros(len(active), dtype=bool))
+            clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
+            labels = annotate_frame(foreground, clusters, cfg, reject_sink=rejects.append)
+            write_label_file(labels, labels_dir / f"{file.stem}.txt")
+            n_data = int(np.count_nonzero(data))
+            points_data += n_data
+            points_removed += n_data - len(active)
+            clusters_total += len(clusters)
+            noise_total += len(noise)
+            labels_total += len(labels)
 
-    stats = {
-        "dataset": entry.name,
-        "frames": len(files),
-        "points_data": points_data,
-        "points_removed": points_removed,
-        "points_removed_pct": round(100.0 * points_removed / points_data, 4) if points_data else 0.0,
-        "clusters_found": clusters_total,
-        "noise_points": noise_total,
-        "boxes_rejected": len(rejects),
-        "labels_written": sum(map(len, labels_by_stem.values())),
-    }
-    stats_text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
-    rejects_text = "".join(r.format_line() + "\n" for r in rejects)
-    publish({
-        out_dir / "labels": partial(write_labels, labels_by_stem),
-        out_dir / "stats.json": lambda path: path.write_text(stats_text, encoding="utf-8"),
-        out_dir / "rejects.log": lambda path: path.write_text(rejects_text, encoding="utf-8"),
-        out_dir / "background.model": partial(save_background_model, model),
-    })
+        stats = {
+            "dataset": entry.name,
+            "frames": len(files),
+            "points_data": points_data,
+            "points_removed": points_removed,
+            "points_removed_pct": round(100.0 * points_removed / points_data, 4) if points_data else 0.0,
+            "clusters_found": clusters_total,
+            "noise_points": noise_total,
+            "boxes_rejected": len(rejects),
+            "labels_written": labels_total,
+        }
+        stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        rejects_path.write_text("".join(r.format_line() + "\n" for r in rejects), encoding="utf-8")
+        save_background_model(model, model_path)
     return stats
 
 
@@ -362,32 +363,30 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     if len(set(names)) != len(names):
         raise ConfigError("merge input names must be distinct (they name output directories)")
     output_root = Path(output_root)
-    index_lines = []
-    outputs = {}
-    for item in inputs:
-        files = list_frame_files(item.frames_dir)
-        stems = [file.stem for file in files]
-        labels = read_labels(item.labels_dir)
-        missing = sorted(set(stems) - set(labels))
-        if missing:
-            raise DataError(
-                f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
-            )
-        frames_out = output_root / item.name / "frames"
-        labels_out = output_root / item.name / "labels"
-        transformed = {
-            stem: [transform_label(lb, item.transform) for lb in labels[stem]]
-            for stem in stems
-        }
-        outputs[frames_out] = partial(_write_merged_frames, item, files)
-        outputs[labels_out] = partial(write_labels, transformed)
-        index_lines += [
-            f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
-            for stem in stems
-        ]
     index_path = output_root / "index.txt"
-    outputs[index_path] = lambda path: path.write_text("".join(index_lines), encoding="utf-8")
-    publish(outputs)
+    targets = [output_root / item.name / kind for item in inputs for kind in ("frames", "labels")]
+    with publish(*targets, index_path) as staged:
+        index_lines = []
+        for item, frames_out, labels_out, frames_dir, labels_dir in zip(
+            inputs, targets[::2], targets[1::2], staged[::2], staged[1::2]
+        ):
+            files = list_frame_files(item.frames_dir)
+            stems = [file.stem for file in files]
+            labels = read_labels(item.labels_dir)
+            missing = sorted(set(stems) - set(labels))
+            if missing:
+                raise DataError(
+                    f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
+                )
+            _write_merged_frames(item, files, frames_dir)
+            write_labels({
+                stem: [transform_label(lb, item.transform) for lb in labels[stem]] for stem in stems
+            }, labels_dir)
+            index_lines += [
+                f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
+                for stem in stems
+            ]
+        staged[-1].write_text("".join(index_lines), encoding="utf-8")
     return index_path
 
 
@@ -459,9 +458,7 @@ def iterate(
             "labels_kept": kept_total,
         }
     )
-    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    publish({
-        round_dir: partial(write_labels, next_labels),
-        workspace / MANIFEST_NAME: lambda path: path.write_text(manifest_text, encoding="utf-8"),
-    })
+    with publish(round_dir, workspace / MANIFEST_NAME) as (round_staged, manifest_staged):
+        write_labels(next_labels, round_staged)
+        manifest_staged.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return round_dir

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from .core import (
     publish,
     read_json_config,
     write_frame_file,
-    write_labels,
+    write_label_file,
 )
 
 MASK_BACKGROUND = 0
@@ -360,37 +359,24 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
     """Render and write frames/, truth/ and masks/ under ``out_dir``.
 
     Frames use the standard .bin format, truth boxes the label format, and
-    masks are one raw byte per point per frame (``<stem>.mask``).  Frames
-    are rendered and written one at a time, so only the masks and truth
-    boxes of the frames before accumulate, not their points.  The three
+    masks are one raw byte per point per frame (``<stem>.mask``).  Each
+    frame is rendered and its frame, truth and mask files written before the
+    next, so memory stays flat in the scene's duration.  The three
     directories are published together by ``publish``, each replacing the
     previous one whole, so a shorter scene leaves no frames of a longer one.
     """
     out_dir = Path(out_dir)
-    masks: dict[str, np.ndarray] = {}
-    truths: dict[str, list[ObjectLabel]] = {}
-
-    def write_frames(directory: Path) -> None:
-        directory.mkdir()
+    paths = {"frames": out_dir / "frames", "truth": out_dir / "truth", "masks": out_dir / "masks"}
+    with publish(*paths.values()) as (frames_dir, truth_dir, masks_dir):
+        for directory in (frames_dir, truth_dir, masks_dir):
+            directory.mkdir()
         dirs = spec.sensor.directions()
         for k in range(1, spec.duration + 1):
             stem = f"{k:06d}"
-            frame, masks[stem], truths[stem] = render_frame(spec, dirs, k)
-            write_frame_file(directory / f"{stem}.bin", frame.xyz)
-
-    def write_masks(directory: Path) -> None:
-        directory.mkdir()
-        for stem, mask in masks.items():
-            (directory / f"{stem}.mask").write_bytes(mask.tobytes())
-
-    paths = {"frames": out_dir / "frames", "truth": out_dir / "truth", "masks": out_dir / "masks"}
-    # ``publish`` runs the writers in this order: the frames writer renders
-    # the masks and truth boxes the other two write.
-    publish({
-        paths["frames"]: write_frames,
-        paths["truth"]: partial(write_labels, truths),
-        paths["masks"]: write_masks,
-    })
+            frame, mask, truth = render_frame(spec, dirs, k)
+            write_frame_file(frames_dir / f"{stem}.bin", frame.xyz)
+            write_label_file(truth, truth_dir / f"{stem}.txt")
+            (masks_dir / f"{stem}.mask").write_bytes(mask.tobytes())
     return paths
 
 
