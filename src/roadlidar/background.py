@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -90,14 +90,13 @@ def extract_query_frames(seq: FrameSequence, n_query: int) -> FrameSequence:
 
 
 def histogram_of_ranges(
-    window: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]], n_total: int, n_bin: int
+    window: Sequence[tuple[np.ndarray, np.ndarray]], n_total: int, n_bin: int
 ) -> DistanceHistogram:
     """Bin every beam's ranges across a query window, one frame at a time.
 
-    ``window()`` yields each query frame's ``(ranges, data)``: the range of
-    every beam and the mask of the beams that hold data.  It is called twice,
-    once for each beam's range extent and once to bin, so a window that
-    makes each frame's arrays on demand holds one at a time.  A frame gives
+    ``window`` holds each query frame's ``(ranges, data)``: the range of
+    every beam and the mask of the beams that hold data.  It is read twice,
+    once for each beam's range extent and once to bin.  A frame gives
     each beam at most one range, so every bin is summed in query-frame order
     and the result agrees bit-for-bit with the naive per-beam double loop
     (see tests/oracles.py).  Ranges of beams without data are never read.
@@ -107,7 +106,7 @@ def histogram_of_ranges(
     seen = np.zeros(n_total, dtype=bool)
     d_min = np.full(n_total, np.inf)
     d_max = np.full(n_total, -np.inf)
-    for r, data in window():
+    for r, data in window:
         seen |= data
         np.minimum(d_min, r, out=d_min, where=data)
         np.maximum(d_max, r, out=d_max, where=data)
@@ -117,7 +116,7 @@ def histogram_of_ranges(
 
     bin_sum = np.zeros(n_total * n_bin)
     bin_count = np.zeros(n_total * n_bin, dtype=np.int64)
-    for r, data in window():
+    for r, data in window:
         beams = np.flatnonzero(data)
         r = r[beams]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -128,8 +127,9 @@ def histogram_of_ranges(
         bin_count[flat] += 1
     bin_sum = bin_sum.reshape(n_total, n_bin)
     bin_count = bin_count.reshape(n_total, n_bin)
-    with np.errstate(invalid="ignore"):
-        bin_mean = np.where(bin_count > 0, bin_sum / bin_count, 0.0)
+    # Each mean overwrites its bin's sum, which keeps the peak below two
+    # copies of a held window's ranges; an empty bin's sum stays 0.0.
+    bin_mean = np.divide(bin_sum, bin_count, out=bin_sum, where=bin_count > 0)
 
     return DistanceHistogram(
         n_bin=n_bin, bin_mean=bin_mean, bin_count=bin_count,
@@ -147,9 +147,7 @@ def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
     for f in frames:
         if f.n_points != n_total:
             raise DataError("query frames must share one arity, the sensor's beam count")
-    return histogram_of_ranges(
-        lambda: ((point_ranges(f.xyz), ~f.padding) for f in frames), n_total, n_bin
-    )
+    return histogram_of_ranges([(point_ranges(f.xyz), ~f.padding) for f in frames], n_total, n_bin)
 
 
 def select_background(hist: DistanceHistogram, n_tall: int) -> BackgroundModel:
@@ -191,8 +189,8 @@ def background_mask(frame: Frame, model: BackgroundModel, d_threshold: float) ->
     beam i satisfies ``|range - d| <= d_threshold`` (``near_background``).
     Padding is never background.
     """
-    if d_threshold <= 0:
-        raise DataError("d_threshold must be positive")
+    if not d_threshold > 0:  # NaN included
+        raise DataError(f"d_threshold must be positive, got {d_threshold!r}")
     if frame.n_points != model.n_total:
         raise DataError(
             f"arity mismatch: frame has {frame.n_points} points, model expects {model.n_total}"

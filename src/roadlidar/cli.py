@@ -15,10 +15,13 @@ file, invalid JSON, a missing field, a field or section of the wrong JSON
 type, an ``annotate`` dataset with a ``transform`` (only ``merge`` applies
 one), a sensor ``unit_scale`` or ``merge`` scale that is not finite and
 positive, ``evaluate`` thresholds that are empty, outside (0, 1] or equal at
-two decimals, an ``iterate`` score_threshold outside [0, 1] or NaN, and
-``--jobs`` below 1.  Exit 2 covers input data that cannot be used, such as
-a frame file that cannot be read, whose record count is not the sensor's
-beam count or that holds a coordinate that is not finite.
+two decimals, an ``iterate`` score_threshold outside [0, 1] or NaN,
+``--jobs`` below 1, and a scene seed (``--seed`` included) below 0, an
+actor speed that is not finite and positive, a jitter_sigma that is
+negative or NaN or a sensor origin that is not finite.  Exit 2 covers
+input data that cannot be used, such as a frame file that cannot be read,
+whose record count is not the sensor's beam count or that holds a
+coordinate that is not finite.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_scene(args.config) if args.config else default_scene()
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     paths = write_scene_outputs(spec, args.out)
     log.info("rendered %d frames (%d beams) to %s", spec.duration, spec.sensor.beam_count, args.out)
     for kind, path in paths.items():

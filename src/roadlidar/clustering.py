@@ -190,8 +190,8 @@ def dbscan(frame: Frame, epsilon: float, min_pts: int) -> tuple[list[np.ndarray]
     Returns the clusters as arrays of frame point indices (ascending cluster
     id) and the frame indices labeled noise.
     """
-    if epsilon <= 0:
-        raise DataError("epsilon must be positive")
+    if not epsilon > 0:  # NaN included
+        raise DataError(f"epsilon must be positive, got {epsilon!r}")
     if min_pts < 1:
         raise DataError("min_pts must be >= 1")
     active = np.nonzero(~frame.padding)[0]

@@ -207,7 +207,11 @@ def _rank_order(preds: list[ObjectLabel]) -> list[int]:
     # sensor, then by input order for determinism.
     def key(i: int) -> tuple:
         p = preds[i]
-        return (-p.score, math.sqrt(p.center_x**2 + p.center_y**2 + p.center_z**2), i)
+        try:
+            distance = math.sqrt(p.center_x**2 + p.center_y**2 + p.center_z**2)
+        except OverflowError:  # ** raises above about 1.34e154; x*x would change the bits
+            distance = math.inf
+        return (-p.score, distance, i)
 
     return sorted(range(len(preds)), key=key)
 

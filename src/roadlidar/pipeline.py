@@ -182,7 +182,7 @@ def _query_histogram(files: list[Path], meta: SensorMeta, cfg: TeacherConfig) ->
     if cfg.n_query > len(files):
         raise DataError(f"n_query {cfg.n_query} exceeds sequence length {len(files)}")
     window = [_read_beams(file, meta, cfg.crop)[1:] for file in files[:cfg.n_query]]
-    return histogram_of_ranges(lambda: window, cfg.n_total, cfg.n_bin)
+    return histogram_of_ranges(window, cfg.n_total, cfg.n_bin)
 
 
 def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:

@@ -74,6 +74,8 @@ class SensorModel:
             raise ConfigError("frequency and max_range must be positive")
         if self.range_noise_sigma < 0:
             raise ConfigError("range noise sigma must be >= 0")
+        if not all(math.isfinite(v) for v in self.origin):
+            raise ConfigError(f"sensor origin must be finite, got {self.origin!r}")
 
     @property
     def beam_count(self) -> int:
@@ -200,8 +202,8 @@ class Actor:
                 raise ConfigError("cylinder dims must be (radius, height), both positive")
         if len(self.waypoints) < 1:
             raise ConfigError("actor needs at least one waypoint")
-        if self.speed <= 0:
-            raise ConfigError("actor speed must be positive")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ConfigError(f"actor speed must be finite and positive, got {self.speed!r}")
         if self.start_time < 0:
             raise ConfigError("actor start_time must be >= 0")
 
@@ -278,6 +280,13 @@ class SceneSpec:
             raise ConfigError("duration must be >= 1")
         if self.min_truth_points < 1:
             raise ConfigError("min_truth_points must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for prim in self.static:
+            sigma = getattr(prim, "jitter_sigma", 0.0)
+            # "not >=": a NaN sigma is refused too, where "< 0" would let it render unjittered
+            if not sigma >= 0:
+                raise ConfigError(f"jitter_sigma must be >= 0, got {sigma!r}")
 
 
 def render_frame(

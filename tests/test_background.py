@@ -245,6 +245,14 @@ class TestFilterFrame:
         with pytest.raises(DataError, match="d_threshold"):
             background_mask(seq.frames[0], model, 0.0)
 
+    def test_mask_rejects_nan_threshold(self):
+        # NaN compares false with everything, so "d_threshold <= 0" let it
+        # through, and no point was background
+        seq = _seq_from_arrays([np.ones((3, 3))] * 2)
+        model = self._model(seq)
+        with pytest.raises(DataError, match="d_threshold must be positive, got nan"):
+            background_mask(seq.frames[0], model, float("nan"))
+
     def test_matches_naive_oracle_exactly(self):
         rng = np.random.default_rng(23)
         for _ in range(25):

@@ -81,6 +81,12 @@ class TestDbscanBasics:
         with pytest.raises(DataError):
             dbscan(f, epsilon=0.5, min_pts=0)
 
+    def test_nan_epsilon_rejected(self):
+        # NaN compares false with everything, so "epsilon <= 0" let it through
+        f = _frame(np.arange(150.0).reshape(50, 3))
+        with pytest.raises(DataError, match="epsilon must be positive, got nan"):
+            dbscan(f, epsilon=float("nan"), min_pts=5)
+
 
 class TestDbscanProperties:
     def test_partition_covers_all_points(self):

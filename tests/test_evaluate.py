@@ -1,5 +1,6 @@
 """IoU, matching, average precision and directory-level evaluation."""
 
+import json
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import naive_iou_matrix
 
 import roadlidar.evaluate
+from roadlidar.cli import main
 from roadlidar.core import (
     CropBounds,
     DataError,
@@ -448,3 +450,21 @@ class TestEvaluateDirectories:
         total = sum(len(v) for v in truths.values())
         found = sum(len(v) for v in partial.values())
         assert rec.tp == found and rec.fn == total - found
+
+    def test_prediction_too_far_to_square_is_a_false_positive(self, tmp_path):
+        # 1e300 is finite, but 1e300**2 raises OverflowError in Python
+        write_labels({"000001": [_label()]}, tmp_path / "truth")
+        write_labels({"000001": [_label(cx=1e300)]}, tmp_path / "pred")
+        config = tmp_path / "evaluate.json"
+        config.write_text(json.dumps({
+            "pred_dir": str(tmp_path / "pred"), "truth_dir": str(tmp_path / "truth"),
+            "thresholds": [0.5], "report": str(tmp_path / "report.txt"),
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--config", str(config)]) == 0
+        assert (tmp_path / "report.txt").read_text() == (
+            "class iou ap recall tp fp fn\n"
+            "Vehicle 0.50 0.000000 0.000000 0 1 1\n"
+            "Pedestrian 0.50 0.000000 0.000000 0 0 0\n"
+        )

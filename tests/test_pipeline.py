@@ -397,6 +397,19 @@ class TestRunTeacher:
         ]
         assert stats["frames"] == 8
 
+    def test_partials_left_by_a_killed_run_are_replaced(self, scene_dir, tmp_path):
+        site = tmp_path / "out" / "site_a"
+        (site / ".labels.partial").mkdir(parents=True)
+        (site / ".labels.partial" / "junk.txt").write_text("junk\n")
+        (site / ".stats.json.partial").write_text("{\"frames\": -1}\n")
+        stats = run_teacher(_entry(scene_dir), tmp_path / "out")
+        assert not (site / "labels" / "junk.txt").exists()
+        assert json.loads((site / "stats.json").read_text()) == stats
+        assert sorted(p.name for p in site.iterdir()) == [
+            "background.model", "labels", "rejects.log", "stats.json",
+        ]
+        assert not list(tmp_path.rglob("*.partial"))
+
 
 class TestMergeSupersets:
     def _six_frame_input(self, scene_dir, tmp_path):
@@ -1273,8 +1286,9 @@ class TestCli:
         assert main(["iterate", "--config", str(path)]) == 2
         assert not (tmp_path / "ws" / "round_001").exists()
 
-    def test_simulate_writes_outputs(self, tmp_path):
-        scene = {
+    @staticmethod
+    def _scene_config():
+        return {
             "duration": 2,
             "seed": 3,
             "sensor": {
@@ -1284,12 +1298,37 @@ class TestCli:
             "static": [{"type": "ground"}],
             "actors": [],
         }
+
+    def test_simulate_writes_outputs(self, tmp_path):
         cfg = tmp_path / "scene.json"
-        cfg.write_text(json.dumps(scene))
+        cfg.write_text(json.dumps(self._scene_config()))
         out = tmp_path / "rendered"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(list((out / "frames").glob("*.bin"))) == 2
         assert len(list((out / "masks").glob("*.mask"))) == 2
+
+    @pytest.mark.parametrize("edit, flags, message", [
+        (lambda scene: None, ["--seed", "-1"], "seed must be >= 0"),
+        (lambda scene: scene.update(seed=-1), [], "seed must be >= 0"),
+        (lambda scene: scene["actors"].append({
+            "shape": "cylinder", "radius": 0.3, "height": 1.7,
+            "waypoints": [[10, 0], [12, 0]], "speed": float("nan"),
+        }), [], "actor speed must be finite and positive"),
+        (lambda scene: scene["static"][0].update(jitter_sigma=-1.0), [], "jitter_sigma must be >= 0"),
+        (lambda scene: scene["static"][0].update(jitter_sigma=float("nan")), [], "jitter_sigma must be >= 0"),
+        (lambda scene: scene["sensor"].update(origin=[0, float("nan"), 3.0]), [], "origin must be finite"),
+        (lambda scene: scene["sensor"].update(origin=[float("inf"), 0, 3.0]), [], "origin must be finite"),
+    ], ids=["seed-flag", "seed-field", "nan-speed", "negative-jitter", "nan-jitter",
+            "nan-origin", "inf-origin"])
+    def test_bad_scene_value_is_config_error(self, tmp_path, caplog, edit, flags, message):
+        scene = self._scene_config()
+        edit(scene)
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(scene))
+        out = tmp_path / "rendered"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert message in caplog.text
+        assert not out.exists()
 
     def test_iterate_cli(self, tmp_path):
         rng = np.random.default_rng(54)
