@@ -22,6 +22,7 @@ delay (``start_time``), and hold their final pose once the path is consumed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,30 +232,20 @@ class Actor:
             travel -= seg_len[k]
         raise AssertionError("unreachable")
 
-    def primitive_at(self, sim_time: float):
+    def placed(self, sim_time: float) -> tuple[BoxObstacle | CylinderObstacle, ObjectLabel] | None:
+        """The actor's surface and its truth box at a time, or None before spawn."""
         pose = self.pose_at(sim_time)
         if pose is None:
             return None
         x, y, heading = pose
         if self.shape == "cuboid":
             length, width, height = self.dims
-            return BoxObstacle((x, y, height / 2.0), (length, width, height), heading)
-        radius, height = self.dims
-        return CylinderObstacle((x, y), radius, 0.0, height)
-
-    def truth_label(self, sim_time: float) -> ObjectLabel | None:
-        pose = self.pose_at(sim_time)
-        if pose is None:
-            return None
-        x, y, heading = pose
-        if self.shape == "cuboid":
-            length, width, height = self.dims
-            return ObjectLabel(
+            return BoxObstacle((x, y, height / 2.0), (length, width, height), heading), ObjectLabel(
                 x, y, height / 2.0, length, width, height,
                 normalize_yaw_half(heading), LabelClass.VEHICLE, 1.0, LabelSource.TEACHER,
             )
         radius, height = self.dims
-        return ObjectLabel(
+        return CylinderObstacle((x, y), radius, 0.0, height), ObjectLabel(
             x, y, height / 2.0, 2.0 * radius, 2.0 * radius, height,
             0.0, LabelClass.PEDESTRIAN, 1.0, LabelSource.TEACHER,
         )
@@ -283,79 +274,72 @@ class SceneSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for prim in self.static:
-            sigma = getattr(prim, "jitter_sigma", 0.0)
             # "not >=": a NaN sigma is refused too, where "< 0" would let it render unjittered
-            if not sigma >= 0:
-                raise ConfigError(f"jitter_sigma must be >= 0, got {sigma!r}")
+            if not prim.jitter_sigma >= 0:
+                raise ConfigError(f"jitter_sigma must be >= 0, got {prim.jitter_sigma!r}")
 
 
-def render_frame(
-    spec: SceneSpec, dirs: np.ndarray, frame_index: int
-) -> tuple[Frame, np.ndarray, list[ObjectLabel]]:
-    """Render frame ``frame_index`` (1-based): frame, mask bytes, truth boxes."""
-    origin = np.asarray(spec.sensor.origin, dtype=np.float64)
-    sim_time = (frame_index - 1) / spec.sensor.frequency_hz
+def _nearer(prim, slot: int, origin: np.ndarray, dirs: np.ndarray,
+            t_best: np.ndarray, winner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running nearest hit after ``prim``: strictly nearer wins, so a tie keeps the earlier."""
+    t = prim.intersect(origin, dirs)
+    closer = t < t_best
+    return np.where(closer, t, t_best), np.where(closer, slot, winner)
+
+
+def render_frames(spec: SceneSpec) -> Iterator[tuple[Frame, np.ndarray, list[ObjectLabel]]]:
+    """Render each frame in order: the frame (1-based index), its mask bytes, its truth boxes.
+
+    Statics do not move, and their jitter is added after the hit test, so
+    their running nearest hit per beam is computed once per scene; each
+    frame continues it over the actors present.
+    """
+    sensor = spec.sensor
+    origin = np.asarray(sensor.origin, dtype=np.float64)
+    dirs = sensor.directions()
     n = dirs.shape[0]
+    n_static = len(spec.static)
+    static_t = np.full(n, np.inf)
+    static_winner = np.full(n, -1, dtype=np.int64)
+    for slot, prim in enumerate(spec.static):
+        static_t, static_winner = _nearer(prim, slot, origin, dirs, static_t, static_winner)
 
-    prims = list(spec.static)
-    n_static = len(prims)
-    actor_slots = []
-    for actor in spec.actors:
-        prim = actor.primitive_at(sim_time)
-        if prim is not None:
-            actor_slots.append((len(prims), actor))
-            prims.append(prim)
+    for frame_index in range(1, spec.duration + 1):
+        sim_time = (frame_index - 1) / sensor.frequency_hz
+        placed = [p for p in (actor.placed(sim_time) for actor in spec.actors) if p is not None]
+        t_best, winner = static_t, static_winner
+        for slot, (prim, _) in enumerate(placed, n_static):
+            t_best, winner = _nearer(prim, slot, origin, dirs, t_best, winner)
 
-    t_best = np.full(n, np.inf)
-    winner = np.full(n, -1, dtype=np.int64)
-    for idx, prim in enumerate(prims):
-        t = prim.intersect(origin, dirs)
-        closer = t < t_best
-        t_best = np.where(closer, t, t_best)
-        winner = np.where(closer, idx, winner)
+        out_of_range = t_best > sensor.max_range
+        t_best = np.where(out_of_range, np.inf, t_best)
+        winner = np.where(out_of_range, -1, winner)
+        hit = winner >= 0
 
-    out_of_range = t_best > spec.sensor.max_range
-    t_best = np.where(out_of_range, np.inf, t_best)
-    winner = np.where(out_of_range, -1, winner)
-    hit = winner >= 0
+        rng = np.random.default_rng([spec.seed, frame_index])
+        if sensor.range_noise_sigma > 0:
+            t_best = t_best + rng.normal(0.0, sensor.range_noise_sigma, n)
 
-    rng = np.random.default_rng([spec.seed, frame_index])
-    if spec.sensor.range_noise_sigma > 0:
-        t_best = t_best + rng.normal(0.0, spec.sensor.range_noise_sigma, n)
+        xyz = np.where(hit[:, None], origin + dirs * np.where(hit, t_best, 0.0)[:, None], 0.0)
+        for slot, prim in enumerate(spec.static):
+            if prim.jitter_sigma > 0:
+                jitter = rng.normal(0.0, prim.jitter_sigma, (n, 3))
+                xyz = np.where((winner == slot)[:, None], xyz + jitter, xyz)
 
-    xyz = np.where(hit[:, None], origin + dirs * np.where(hit, t_best, 0.0)[:, None], 0.0)
-    for idx, prim in enumerate(spec.static):
-        sigma = getattr(prim, "jitter_sigma", 0.0)
-        if sigma > 0:
-            jitter = rng.normal(0.0, sigma, (n, 3))
-            sel = winner == idx
-            xyz = np.where(sel[:, None], xyz + jitter, xyz)
+        mask = np.full(n, MASK_PADDING, dtype=np.uint8)
+        mask[hit] = MASK_BACKGROUND
+        mask[hit & (winner >= n_static)] = MASK_FOREGROUND
 
-    mask = np.full(n, MASK_PADDING, dtype=np.uint8)
-    mask[hit] = MASK_BACKGROUND
-    foreground = hit & (winner >= n_static)
-    mask[foreground] = MASK_FOREGROUND
-
-    truth = []
-    for slot, actor in actor_slots:
-        if int((winner == slot).sum()) >= spec.min_truth_points:
-            label = actor.truth_label(sim_time)
-            if label is not None:
-                truth.append(label)
-
-    frame = Frame(frame_index, xyz, ~hit)
-    return frame, mask, truth
+        truth = [
+            label for slot, (_, label) in enumerate(placed, n_static)
+            if int((winner == slot).sum()) >= spec.min_truth_points
+        ]
+        yield Frame(frame_index, xyz, ~hit), mask, truth
 
 
 def render_sequence(spec: SceneSpec) -> tuple[FrameSequence, list[np.ndarray], list[list[ObjectLabel]]]:
     """Render the whole scene: frames, per-frame masks, per-frame truth boxes."""
-    dirs = spec.sensor.directions()
-    frames, masks, truths = [], [], []
-    for k in range(1, spec.duration + 1):
-        frame, mask, truth = render_frame(spec, dirs, k)
-        frames.append(frame)
-        masks.append(mask)
-        truths.append(truth)
+    frames, masks, truths = (list(column) for column in zip(*render_frames(spec)))
     seq = FrameSequence(frames, spec.sensor.meta(), [f"{k:06d}" for k in range(1, spec.duration + 1)])
     return seq, masks, truths
 
@@ -379,10 +363,8 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
     with publish(*paths.values()) as (frames_dir, truth_dir, masks_dir):
         for directory in (frames_dir, truth_dir, masks_dir):
             directory.mkdir()
-        dirs = spec.sensor.directions()
-        for k in range(1, spec.duration + 1):
-            stem = f"{k:06d}"
-            frame, mask, truth = render_frame(spec, dirs, k)
+        for frame, mask, truth in render_frames(spec):
+            stem = f"{frame.timestamp_index:06d}"
             write_frame_file(frames_dir / f"{stem}.bin", frame.xyz)
             write_label_file(truth, truth_dir / f"{stem}.txt")
             (masks_dir / f"{stem}.mask").write_bytes(mask.tobytes())
@@ -393,77 +375,59 @@ def read_mask(path: str | Path) -> np.ndarray:
     return np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
 
 
+def _present(section: dict, **parse) -> dict:
+    """Each key of ``section`` that ``parse`` names, parsed; absent keys keep their dataclass default."""
+    return {key: parse[key](value) for key, value in section.items() if key in parse}
+
+
+def _floats(n: int):
+    return lambda value: json_floats(value, n)
+
+
+def _static_from_dict(prim: dict):
+    kind = prim["type"]
+    if kind == "ground":
+        return GroundPlane(**_present(prim, z=float, jitter_sigma=float))
+    if kind == "box":
+        return BoxObstacle(
+            json_floats(prim["center"], 3), json_floats(prim["dims"], 3),
+            **_present(prim, yaw=float, jitter_sigma=float),
+        )
+    if kind == "cylinder":
+        return CylinderObstacle(
+            json_floats(prim["center"], 2), float(prim["radius"]),
+            float(prim.get("z_low", 0.0)), float(prim["z_high"]),
+            **_present(prim, jitter_sigma=float),
+        )
+    raise ConfigError(f"unknown static primitive type '{kind}'")
+
+
+def _actor_from_dict(a: dict) -> Actor:
+    if a["shape"] == "cuboid":
+        dims = (float(a["length"]), float(a["width"]), float(a["height"]))
+    else:
+        dims = (float(a["radius"]), float(a["height"]))
+    waypoints = tuple((float(x), float(y)) for x, y in a["waypoints"])
+    return Actor(a["shape"], dims, waypoints, float(a["speed"]), **_present(a, start_time=float))
+
+
 def scene_from_dict(data: dict) -> SceneSpec:
     """Build a SceneSpec from parsed declarative configuration.
 
     A malformed field raises the plain Python error; ``load_scene`` reports it
     as a ConfigError naming the file.
     """
-    sensor_cfg = data.get("sensor", {})
-    sensor = SensorModel(
-        origin=json_floats(sensor_cfg.get("origin", (0.0, 0.0, 4.0)), 3),
-        azimuth_deg=json_floats(sensor_cfg.get("azimuth_deg", (-180.0, 180.0)), 2),
-        azimuth_count=int(sensor_cfg.get("azimuth_count", 1024)),
-        elevation_deg=json_floats(sensor_cfg.get("elevation_deg", (-22.5, 22.5)), 2),
-        elevation_count=int(sensor_cfg.get("elevation_count", 64)),
-        frequency_hz=float(sensor_cfg.get("frequency_hz", 10.0)),
-        range_noise_sigma=float(sensor_cfg.get("range_noise_sigma", 0.0)),
-        max_range=float(sensor_cfg.get("max_range", 120.0)),
-    )
-    static = []
-    for prim in data.get("static", []):
-        kind = prim["type"]
-        if kind == "ground":
-            static.append(
-                GroundPlane(
-                    z=float(prim.get("z", 0.0)),
-                    jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
-                )
-            )
-        elif kind == "box":
-            static.append(
-                BoxObstacle(
-                    center=json_floats(prim["center"], 3),
-                    dims=json_floats(prim["dims"], 3),
-                    yaw=float(prim.get("yaw", 0.0)),
-                    jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
-                )
-            )
-        elif kind == "cylinder":
-            static.append(
-                CylinderObstacle(
-                    center_xy=json_floats(prim["center"], 2),
-                    radius=float(prim["radius"]),
-                    z_low=float(prim.get("z_low", 0.0)),
-                    z_high=float(prim["z_high"]),
-                    jitter_sigma=float(prim.get("jitter_sigma", 0.0)),
-                )
-            )
-        else:
-            raise ConfigError(f"unknown static primitive type '{kind}'")
-    actors = []
-    for a in data.get("actors", []):
-        if a["shape"] == "cuboid":
-            dims = (float(a["length"]), float(a["width"]), float(a["height"]))
-        else:
-            dims = (float(a["radius"]), float(a["height"]))
-        actors.append(
-            Actor(
-                shape=a["shape"],
-                dims=dims,
-                waypoints=tuple((float(x), float(y)) for x, y in a["waypoints"]),
-                speed=float(a["speed"]),
-                start_time=float(a.get("start_time", 0.0)),
-            )
-        )
-    return SceneSpec(
-        sensor=sensor,
-        static=static,
-        actors=actors,
-        duration=int(data.get("duration", 100)),
-        seed=int(data.get("seed", 0)),
-        min_truth_points=int(data.get("min_truth_points", 5)),
-    )
+    sensor = SensorModel(**_present(
+        data.get("sensor", {}),
+        origin=_floats(3), azimuth_deg=_floats(2), azimuth_count=int, elevation_deg=_floats(2),
+        elevation_count=int, frequency_hz=float, range_noise_sigma=float, max_range=float,
+    ))
+    return SceneSpec(sensor, **_present(
+        data,
+        static=lambda prims: [_static_from_dict(prim) for prim in prims],
+        actors=lambda actors: [_actor_from_dict(a) for a in actors],
+        duration=int, seed=int, min_truth_points=int,
+    ))
 
 
 def load_scene(path: str | Path) -> SceneSpec:

@@ -1,6 +1,7 @@
 """Ray-cast scene rendering: determinism, kinematics, output contracts."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,19 @@ class TestRendering:
         for frame in seq.frames[1:]:
             np.testing.assert_array_equal(frame.padding, first.padding)
 
+    def test_actor_face_at_a_static_range_stays_background(self):
+        # The actor's front face lies in the box's front face, x = 20, so
+        # both give every beam through it the same range; a tie keeps the
+        # static, which is hit-tested first.
+        wall = BoxObstacle((20.5, 0.0, 3.0), (1.0, 30.0, 6.0))
+        for face_x, foreground in ((20.0, False), (19.5, True)):
+            actor = Actor("cuboid", (2.0, 1.0, 1.5), ((face_x + 1.0, 0.0),), speed=1.0)
+            spec = dataclasses.replace(_scene([actor], duration=2), static=[GroundPlane(0.0), wall])
+            _, masks, truths = render_sequence(spec)
+            for mask, truth in zip(masks, truths):
+                assert bool((mask == MASK_FOREGROUND).any()) is foreground
+                assert bool(truth) is foreground
+
     def test_cylinder_top_cap_hit(self):
         # a short fat cylinder straight ahead: beams descending onto the top
         sensor = SensorModel(
@@ -227,6 +241,28 @@ class TestSceneOutputs:
             lines = "".join(format_label_line(lb) + "\n" for lb in truth)
             assert (paths["truth"] / f"{stem}.txt").read_text() == lines
         assert any(truths)
+
+    def test_outputs_are_pinned(self, tmp_path):
+        # Jittered statics, range noise, padding past max_range, an actor
+        # present from t = 0 and one that spawns at 0.25 s.  The pin is the
+        # SHA-256 over each output file's kind, name and bytes, in order.
+        sensor = dataclasses.replace(SMALL_SENSOR, range_noise_sigma=0.02, max_range=40.0)
+        static = [
+            GroundPlane(0.0, jitter_sigma=0.01),
+            BoxObstacle((25.0, 0.0, 3.0), (1.0, 10.0, 6.0)),
+            CylinderObstacle((18.0, 5.0), 1.0, 0.0, 4.0, jitter_sigma=0.03),
+        ]
+        actors = [
+            Actor("cuboid", (3.0, 1.5, 1.4), ((12.0, -4.0), (12.0, 4.0)), speed=3.0),
+            Actor("cylinder", (0.4, 1.7), ((9.0, 2.0), (9.0, -2.0)), speed=1.2, start_time=0.25),
+        ]
+        spec = SceneSpec(sensor=sensor, static=static, actors=actors, duration=6, seed=11)
+        paths = write_scene_outputs(spec, tmp_path)
+        digest = hashlib.sha256()
+        for kind, directory in paths.items():
+            for path in sorted(directory.iterdir()):
+                digest.update(f"{kind}/{path.name}".encode() + b"\0" + path.read_bytes() + b"\0")
+        assert digest.hexdigest() == "8472064f21b090050b0e3de05a06dfb9c7d1341472261f71d37191675bb243a0"
 
     def test_peak_memory_nearly_flat_in_duration(self, tmp_path):
         actor = Actor("cuboid", (2.0, 1.0, 1.4), ((12.0, -1.0), (12.0, 2.0)), speed=2.0)
