@@ -16,9 +16,14 @@ type, an ``annotate`` dataset with a ``transform`` (only ``merge`` applies
 one), a sensor ``unit_scale`` or ``merge`` scale that is not finite and
 positive, ``evaluate`` thresholds that are empty, outside (0, 1] or equal at
 two decimals, an ``iterate`` score_threshold outside [0, 1] or NaN,
-``--jobs`` below 1, and a scene seed (``--seed`` included) below 0, an
-actor speed that is not finite and positive, a jitter_sigma that is
-negative or NaN or a sensor origin that is not finite.  Exit 2 covers
+``--jobs`` below 1, a scene seed (``--seed`` included) below 0, and a
+scene value that is NaN or out of range: a non-finite sensor origin,
+azimuth_deg or elevation_deg, a frequency_hz or max_range that is not
+finite and positive, a range_noise_sigma or jitter_sigma that is negative
+or not finite, a non-finite ground z, box center or yaw, or cylinder center
+or z bounds, a box dims or cylinder radius that is not finite and positive,
+an actor speed or dimension that is not finite and positive, a non-finite
+waypoint coordinate and a start_time that is negative or not finite.  Exit 2 covers
 input data that cannot be used, such as a frame file that cannot be read,
 whose record count is not the sensor's beam count or that holds a
 coordinate that is not finite.

@@ -188,12 +188,17 @@ def iou_matrices(frames: list[tuple[list[ObjectLabel], list[ObjectLabel]]]) -> l
     k = np.arange(int(n_pairs.sum())) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
     pi = (np.cumsum(n_pred) - n_pred)[pair_frame] + k // n_truth[pair_frame]
     ti = (np.cumsum(n_truth) - n_truth)[pair_frame] + k % n_truth[pair_frame]
-    pred_boxes = _box_arrays([p for ps, _ in frames for p in ps])
-    truth_boxes = _box_arrays([t for _, ts in frames for t in ts])
     iou = np.zeros(len(pi))
-    for lo in range(0, len(pi), _PAIR_BLOCK):
-        block = slice(lo, lo + _PAIR_BLOCK)
-        iou[block] = _pair_ious(pred_boxes, truth_boxes, pi[block], ti[block])
+    # A finite label can be too large to multiply out: dims of 1e300 overflow
+    # its volume and corners to inf, and a rotated one's footprint tests to
+    # inf - inf = NaN.  Neither is an error; the pair scores as the one-pair
+    # computation scores it, and never as a match.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred_boxes = _box_arrays([p for ps, _ in frames for p in ps])
+        truth_boxes = _box_arrays([t for _, ts in frames for t in ts])
+        for lo in range(0, len(pi), _PAIR_BLOCK):
+            block = slice(lo, lo + _PAIR_BLOCK)
+            iou[block] = _pair_ious(pred_boxes, truth_boxes, pi[block], ti[block])
     return [m.reshape(p, t) for m, p, t in zip(np.split(iou, np.cumsum(n_pairs)[:-1]), n_pred, n_truth)]
 
 

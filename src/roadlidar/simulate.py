@@ -52,6 +52,25 @@ _EPS_T = 1e-6
 _TINY = 1e-12
 
 
+# Each check takes a number or a (nested) tuple of them, names its field, and
+# refuses NaN, which fails every comparison: a test written as "v <= 0" would
+# let it render.
+
+def _check_finite(name: str, value: float | tuple) -> None:
+    if not all(math.isfinite(v) for v in np.ravel(value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(name: str, value: float | tuple) -> None:
+    if not all(math.isfinite(v) and v > 0 for v in np.ravel(value)):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SensorModel:
     """Beam grid and noise model of the simulated unit.
@@ -71,12 +90,12 @@ class SensorModel:
     def __post_init__(self) -> None:
         if self.azimuth_count < 1 or self.elevation_count < 1:
             raise ConfigError("beam counts must be >= 1")
-        if self.frequency_hz <= 0 or self.max_range <= 0:
-            raise ConfigError("frequency and max_range must be positive")
-        if self.range_noise_sigma < 0:
-            raise ConfigError("range noise sigma must be >= 0")
-        if not all(math.isfinite(v) for v in self.origin):
-            raise ConfigError(f"sensor origin must be finite, got {self.origin!r}")
+        _check_finite("sensor origin", self.origin)
+        _check_finite("azimuth_deg", self.azimuth_deg)
+        _check_finite("elevation_deg", self.elevation_deg)
+        _check_positive("frequency_hz", self.frequency_hz)
+        _check_positive("max_range", self.max_range)
+        _check_nonnegative("range_noise_sigma", self.range_noise_sigma)
 
     @property
     def beam_count(self) -> int:
@@ -105,6 +124,9 @@ class GroundPlane:
     z: float = 0.0
     jitter_sigma: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_finite("ground z", self.z)
+
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         dz = dirs[:, 2]
         dz_safe = np.where(np.abs(dz) < _TINY, _TINY, dz)
@@ -120,6 +142,11 @@ class BoxObstacle:
     dims: tuple[float, float, float]
     yaw: float = 0.0
     jitter_sigma: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_finite("box center", self.center)
+        _check_positive("box dims", self.dims)
+        _check_finite("box yaw", self.yaw)
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
@@ -145,6 +172,11 @@ class CylinderObstacle:
     z_low: float
     z_high: float
     jitter_sigma: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_finite("cylinder center", self.center_xy)
+        _check_positive("cylinder radius", self.radius)
+        _check_finite("cylinder z_low and z_high", (self.z_low, self.z_high))
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         ox = origin[0] - self.center_xy[0]
@@ -193,20 +225,18 @@ class Actor:
     def __post_init__(self) -> None:
         if self.shape not in ("cuboid", "cylinder"):
             raise ConfigError(f"unknown actor shape '{self.shape}'")
-        if self.shape == "cuboid":
-            if len(self.dims) != 3 or any(v <= 0 for v in self.dims):
-                raise ConfigError("cuboid dims must be (length, width, height), all positive")
-            if self.dims[0] < self.dims[1]:
-                raise ConfigError("cuboid length must be >= width")
-        else:
-            if len(self.dims) != 2 or any(v <= 0 for v in self.dims):
-                raise ConfigError("cylinder dims must be (radius, height), both positive")
+        if self.shape == "cuboid" and len(self.dims) != 3:
+            raise ConfigError("cuboid dims must be (length, width, height)")
+        if self.shape == "cylinder" and len(self.dims) != 2:
+            raise ConfigError("cylinder dims must be (radius, height)")
+        _check_positive(f"{self.shape} dims", self.dims)
+        if self.shape == "cuboid" and self.dims[0] < self.dims[1]:
+            raise ConfigError("cuboid length must be >= width")
         if len(self.waypoints) < 1:
             raise ConfigError("actor needs at least one waypoint")
-        if not (math.isfinite(self.speed) and self.speed > 0):
-            raise ConfigError(f"actor speed must be finite and positive, got {self.speed!r}")
-        if self.start_time < 0:
-            raise ConfigError("actor start_time must be >= 0")
+        _check_finite("actor waypoints", self.waypoints)
+        _check_positive("actor speed", self.speed)
+        _check_nonnegative("actor start_time", self.start_time)
 
     def pose_at(self, sim_time: float) -> tuple[float, float, float] | None:
         """(x, y, heading) at a time, or None before spawn."""
@@ -274,9 +304,7 @@ class SceneSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for prim in self.static:
-            # "not >=": a NaN sigma is refused too, where "< 0" would let it render unjittered
-            if not prim.jitter_sigma >= 0:
-                raise ConfigError(f"jitter_sigma must be >= 0, got {prim.jitter_sigma!r}")
+            _check_nonnegative("jitter_sigma", prim.jitter_sigma)
 
 
 def _nearer(prim, slot: int, origin: np.ndarray, dirs: np.ndarray,

@@ -451,10 +451,11 @@ class TestEvaluateDirectories:
         found = sum(len(v) for v in partial.values())
         assert rec.tp == found and rec.fn == total - found
 
-    def test_prediction_too_far_to_square_is_a_false_positive(self, tmp_path):
-        # 1e300 is finite, but 1e300**2 raises OverflowError in Python
+    @staticmethod
+    def _report_under_warnings_as_errors(tmp_path, prediction):
+        """The report of one unit truth box against ``prediction``, through the CLI."""
         write_labels({"000001": [_label()]}, tmp_path / "truth")
-        write_labels({"000001": [_label(cx=1e300)]}, tmp_path / "pred")
+        write_labels({"000001": [prediction]}, tmp_path / "pred")
         config = tmp_path / "evaluate.json"
         config.write_text(json.dumps({
             "pred_dir": str(tmp_path / "pred"), "truth_dir": str(tmp_path / "truth"),
@@ -463,8 +464,22 @@ class TestEvaluateDirectories:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["evaluate", "--config", str(config)]) == 0
-        assert (tmp_path / "report.txt").read_text() == (
-            "class iou ap recall tp fp fn\n"
-            "Vehicle 0.50 0.000000 0.000000 0 1 1\n"
-            "Pedestrian 0.50 0.000000 0.000000 0 0 0\n"
-        )
+        return (tmp_path / "report.txt").read_text()
+
+    _ONE_FALSE_POSITIVE = (
+        "class iou ap recall tp fp fn\n"
+        "Vehicle 0.50 0.000000 0.000000 0 1 1\n"
+        "Pedestrian 0.50 0.000000 0.000000 0 0 0\n"
+    )
+
+    def test_prediction_too_far_to_square_is_a_false_positive(self, tmp_path):
+        # 1e300 is finite, but 1e300**2 raises OverflowError in Python
+        report = self._report_under_warnings_as_errors(tmp_path, _label(cx=1e300))
+        assert report == self._ONE_FALSE_POSITIVE
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.4])
+    def test_prediction_too_large_to_multiply_out_is_a_false_positive(self, tmp_path, yaw):
+        # dims of 1e300 overflow the volume and the corners to inf, and a
+        # rotated footprint's separation test meets inf - inf
+        report = self._report_under_warnings_as_errors(tmp_path, _label(l=1e300, w=1e300, h=1e300, yaw=yaw))
+        assert report == self._ONE_FALSE_POSITIVE

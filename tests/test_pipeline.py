@@ -762,6 +762,15 @@ class TestConfigParsing:
             parse_pipeline_config(path)
 
 
+NAN = float("nan")
+
+
+def _actor(**fields):
+    """A scene config's actor: a walking pedestrian, with ``fields`` changed."""
+    return {"shape": "cylinder", "radius": 0.3, "height": 1.7, "waypoints": [[10, 0], [12, 0]],
+            "speed": 1.0, **fields}
+
+
 class TestCli:
     def test_annotate_and_evaluate_exit_codes(self, scene_dir, tmp_path):
         out, spec = scene_dir
@@ -1318,8 +1327,25 @@ class TestCli:
         (lambda scene: scene["static"][0].update(jitter_sigma=float("nan")), [], "jitter_sigma must be >= 0"),
         (lambda scene: scene["sensor"].update(origin=[0, float("nan"), 3.0]), [], "origin must be finite"),
         (lambda scene: scene["sensor"].update(origin=[float("inf"), 0, 3.0]), [], "origin must be finite"),
+        (lambda scene: scene["sensor"].update(range_noise_sigma=NAN), [], "range_noise_sigma must be >= 0"),
+        (lambda scene: scene["sensor"].update(frequency_hz=NAN), [], "frequency_hz must be finite and positive"),
+        (lambda scene: scene["sensor"].update(max_range=NAN), [], "max_range must be finite and positive"),
+        (lambda scene: scene["sensor"].update(azimuth_deg=[-10, NAN]), [], "azimuth_deg must be finite"),
+        (lambda scene: scene["actors"].append(_actor(start_time=NAN)), [], "start_time must be >= 0"),
+        (lambda scene: scene["actors"].append(_actor(waypoints=[[10, 0], [12, NAN]])), [],
+         "actor waypoints must be finite"),
+        (lambda scene: scene["actors"].append(_actor(shape="cuboid", length=4.0, width=NAN, height=1.5)), [],
+         "cuboid dims must be finite and positive"),
+        (lambda scene: scene["actors"].append(_actor(radius=NAN)), [], "cylinder dims must be finite and positive"),
+        (lambda scene: scene["static"][0].update(z=NAN), [], "ground z must be finite"),
+        (lambda scene: scene["static"].append({"type": "box", "center": [20, 0, 2], "dims": [1, NAN, 4]}), [],
+         "box dims must be finite and positive"),
+        (lambda scene: scene["static"].append({"type": "cylinder", "center": [15, 2], "radius": NAN, "z_high": 3}),
+         [], "cylinder radius must be finite and positive"),
     ], ids=["seed-flag", "seed-field", "nan-speed", "negative-jitter", "nan-jitter",
-            "nan-origin", "inf-origin"])
+            "nan-origin", "inf-origin", "nan-range-noise", "nan-frequency", "nan-max-range",
+            "nan-azimuth", "nan-start-time", "nan-waypoint", "nan-cuboid-width", "nan-cylinder-radius",
+            "nan-ground-z", "nan-box-dims", "nan-static-cylinder-radius"])
     def test_bad_scene_value_is_config_error(self, tmp_path, caplog, edit, flags, message):
         scene = self._scene_config()
         edit(scene)
