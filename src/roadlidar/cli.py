@@ -16,9 +16,13 @@ type, an ``annotate`` dataset with a ``transform`` (only ``merge`` applies
 one), a sensor ``unit_scale`` or ``merge`` scale that is not finite and
 positive, ``evaluate`` thresholds that are empty, outside (0, 1] or equal at
 two decimals, an ``iterate`` score_threshold outside [0, 1] or NaN,
-``--jobs`` below 1, a scene seed (``--seed`` included) below 0, and a
-scene value that is NaN or out of range: a non-finite sensor origin,
-azimuth_deg or elevation_deg, a frequency_hz or max_range that is not
+``--jobs`` below 1, a count that is not an integral number (a bool, a
+fraction, a string or NaN: a sensor's ray counts, a teacher's n_query,
+n_bin, n_tall and min_pts, parallelism, and a scene's duration, seed,
+min_truth_points, azimuth_count and elevation_count), a scene seed
+(``--seed`` included) below 0, a static cylinder whose z_low is not below
+its z_high, and a scene value that is NaN or out of range: a non-finite
+sensor origin, azimuth_deg or elevation_deg, a frequency_hz or max_range that is not
 finite and positive, a range_noise_sigma or jitter_sigma that is negative
 or not finite, a non-finite ground z, box center or yaw, or cylinder center
 or z bounds, a box dims or cylinder radius that is not finite and positive,

@@ -14,10 +14,11 @@ On-disk formats:
   (``rays_horizontal * rays_vertical``), so record ``j`` is beam ``j`` in
   every frame; a beam without a return is an all-zero row, which loads as
   padding (a return at exactly the sensor origin cannot occur physically).
-  Intensity is read and discarded.  ``read_frame_file`` is the one place a
-  frame file is checked: a wrong record count or a coordinate that is not
-  finite is a DataError naming the file, so the stages after it may assume
-  finite data and zero padding.
+  Intensity is read and discarded, and written as zero.  ``FrameBuffers``
+  is the one frame codec (``read_frame_file`` and ``write_frame_file`` wrap
+  it), and its ``read`` the one place a frame file is checked: a wrong
+  record count or a coordinate that is not finite is a DataError naming the
+  file, so the stages after it may assume finite data and zero padding.
 * Label files: ``<stem>.txt`` -- UTF-8 text, one object per line::
 
       class cx cy cz length width height yaw score
@@ -36,6 +37,7 @@ import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -280,6 +282,16 @@ def read_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
         raise ConfigError(f"invalid config {path}: {detail}") from exc
 
 
+def json_int(value: Any, name: str) -> int:
+    """A config field holding an integral number, as an int; a bool, a
+    fraction, a string, NaN or an infinity is a ValueError naming the field."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def json_floats(value: Any, n: int) -> tuple[float, ...]:
     """A config field holding a list of exactly ``n`` numbers, as floats."""
     if not isinstance(value, (list, tuple)) or len(value) != n:
@@ -338,49 +350,102 @@ def publish(*targets: Path) -> Iterator[list[Path]]:
 # Frame file I/O
 # ---------------------------------------------------------------------------
 
+class FrameBuffers:
+    """The frame file codec: decodes and encodes the frames of one sensor
+    through arrays allocated once, for its ``beam_count``, and reused by
+    every call.
+
+    ``read`` returns views of these arrays, valid until the next ``read``;
+    ``write`` takes any (beam_count, 3) array, such a view included.  A
+    call that fails leaves the arrays to be overwritten whole by the next.
+    Each array is allocated at its first use, after ``read`` has checked a
+    file's size: a beam count too large to allocate is reported as the
+    malformed frame file it meets, and a codec that only reads, such as
+    ``read_frame_file``'s, never allocates the write record (which made a
+    loop of such reads three times slower).
+    """
+
+    def __init__(self, beam_count: int) -> None:
+        self.beam_count = beam_count
+
+    @cached_property
+    def _decoded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The file's records, its xyz and its padding mask.  The xyz is
+        column-major: the per-beam stages read it one coordinate at a time,
+        and a contiguous column reads several times faster."""
+        n = self.beam_count
+        return np.empty((n, 4), dtype="<f4"), np.empty((n, 3), order="F"), np.empty(n, dtype=bool)
+
+    @cached_property
+    def _scratch(self) -> np.ndarray:
+        return np.empty(self.beam_count, dtype=bool)
+
+    @cached_property
+    def _record(self) -> np.ndarray:
+        """The records ``write`` encodes; their intensity stays zero."""
+        return np.zeros((self.beam_count, 4), dtype="<f4")
+
+    def _all_finite(self, columns: np.ndarray) -> bool:
+        return all(np.isfinite(column, out=self._scratch).all() for column in columns.T)
+
+    def read(self, path: Path) -> tuple[np.ndarray, np.ndarray]:
+        """One .bin frame file: its xyz as a column-major (n, 3) float64
+        array and its padding mask, the all-zero rows (``-0.0`` counts as
+        zero).
+
+        The file must be readable and hold exactly ``beam_count`` records,
+        every x, y and z of them finite; otherwise a DataError names the file.
+        """
+        expected = self.beam_count * _POINT_RECORD_BYTES
+        try:
+            with open(path, "rb", buffering=0) as file:
+                size = os.fstat(file.fileno()).st_size
+                if size == expected:
+                    size = file.readinto(self._decoded[0])
+        except OSError as exc:
+            raise DataError(f"cannot read frame file {path}: {exc}") from exc
+        if size != expected:
+            raise DataError(
+                f"malformed frame file {path}: {size} bytes, but the sensor's "
+                f"{self.beam_count} beams take {expected} "
+                f"({_POINT_RECORD_BYTES} bytes each)"
+            )
+        raw, xyz, padding = self._decoded
+        np.copyto(xyz, raw[:, :3])
+        if not self._all_finite(xyz):
+            raise DataError(f"malformed frame file {path}: a coordinate is not finite")
+        np.equal(xyz[:, 0], 0.0, out=padding)
+        for axis in (1, 2):
+            padding &= np.equal(xyz[:, axis], 0.0, out=self._scratch)
+        return xyz, padding
+
+    def write(self, path: Path, xyz: np.ndarray) -> None:
+        """Write points as little-endian float32 (x, y, z, intensity) records,
+        with zero intensity.
+
+        A record that is not finite in float32 -- NaN or infinite input, or
+        a value beyond the float32 range -- is a DataError naming the file,
+        and nothing is written.
+        """
+        record = self._record
+        with np.errstate(over="ignore", invalid="ignore"):
+            for axis in range(3):
+                record[:, axis] = xyz[:, axis]
+        if not self._all_finite(record[:, :3]):
+            raise DataError(f"frame file {path}: a value is not finite as float32")
+        with open(path, "wb") as file:
+            file.write(record.data)
+
+
 def read_frame_file(path: Path, beam_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read one .bin frame file: its xyz as an (n, 3) float64 array and its
-    padding mask, the all-zero rows (``-0.0`` counts as zero).
-
-    The file must be readable and hold exactly ``beam_count`` records, every
-    x, y and z of them finite; otherwise a DataError names the file.  The
-    xyz is column-major: the per-beam stages read it one coordinate at a
-    time, and a contiguous column reads several times faster.
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read frame file {path}: {exc}") from exc
-    if len(raw) != beam_count * _POINT_RECORD_BYTES:
-        raise DataError(
-            f"malformed frame file {path}: {len(raw)} bytes, but the sensor's "
-            f"{beam_count} beams take {beam_count * _POINT_RECORD_BYTES} "
-            f"({_POINT_RECORD_BYTES} bytes each)"
-        )
-    xyz = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64, order="F")
-    if not np.isfinite(xyz).all():
-        raise DataError(f"malformed frame file {path}: a coordinate is not finite")
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    return xyz, (x == 0.0) & (y == 0.0) & (z == 0.0)
+    """Read one .bin frame file through fresh ``FrameBuffers`` (see ``read``)."""
+    return FrameBuffers(beam_count).read(path)
 
 
-def write_frame_file(path: Path, xyz: np.ndarray, intensity: np.ndarray | None = None) -> None:
-    """Write points as little-endian float32 (x, y, z, intensity) records.
-
-    A record that is not finite in float32 -- NaN or infinite input, or a
-    value beyond the float32 range -- is a DataError naming the file, and
-    nothing is written.
-    """
+def write_frame_file(path: Path, xyz: np.ndarray) -> None:
+    """Write one .bin frame file through fresh ``FrameBuffers`` (see ``write``)."""
     xyz = np.asarray(xyz, dtype=np.float64)
-    n = xyz.shape[0]
-    rec = np.zeros((n, 4), dtype="<f4")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec[:, :3] = xyz
-        if intensity is not None:
-            rec[:, 3] = np.asarray(intensity, dtype="<f4")
-    if not np.isfinite(rec).all():
-        raise DataError(f"frame file {path}: a value is not finite as float32")
-    Path(path).write_bytes(rec.tobytes())
+    FrameBuffers(xyz.shape[0]).write(path, xyz)
 
 
 def list_frame_files(path: str | Path) -> list[Path]:

@@ -38,16 +38,17 @@ from .core import (
     CropBounds,
     DataError,
     Frame,
+    FrameBuffers,
     LabelSource,
     SensorMeta,
     TeacherConfig,
     json_floats,
+    json_int,
     list_frame_files,
     publish,
     read_frame_file,
     read_json_config,
     read_labels,
-    write_frame_file,
     write_label_file,
     write_labels,
 )
@@ -93,8 +94,8 @@ class PipelineConfig:
 
 def _parse_sensor(data: dict) -> SensorMeta:
     return SensorMeta(
-        rays_horizontal=int(data["rays_horizontal"]),
-        rays_vertical=int(data["rays_vertical"]),
+        rays_horizontal=json_int(data["rays_horizontal"], "rays_horizontal"),
+        rays_vertical=json_int(data["rays_vertical"], "rays_vertical"),
         unit_scale=float(data.get("unit_scale", 1.0)),
     )
 
@@ -110,12 +111,12 @@ def _parse_crop(data: dict) -> CropBounds:
 def _parse_teacher(data: dict, n_total: int) -> TeacherConfig:
     return TeacherConfig(
         n_total=n_total,
-        n_query=int(data["n_query"]),
-        n_bin=int(data["n_bin"]),
-        n_tall=int(data["n_tall"]),
+        n_query=json_int(data["n_query"], "n_query"),
+        n_bin=json_int(data["n_bin"], "n_bin"),
+        n_tall=json_int(data["n_tall"], "n_tall"),
         d_threshold=float(data["d_threshold"]),
         epsilon=float(data["epsilon"]),
-        min_pts=int(data["min_pts"]),
+        min_pts=json_int(data["min_pts"], "min_pts"),
         l_min=float(data["l_min"]),
         h_min=float(data["h_min"]),
         beta_min=float(data["beta_min"]),
@@ -154,7 +155,7 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
     return read_json_config(path, lambda data: PipelineConfig(
         datasets=[_parse_dataset(entry) for entry in data["datasets"]],
         output_root=Path(data["output_root"]),
-        parallelism=int(data.get("parallelism", 1)),
+        parallelism=json_int(data.get("parallelism", 1), "parallelism"),
     ))
 
 
@@ -325,21 +326,24 @@ def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
 
 
 def _write_merged_frames(item: MergeInput, files: list[Path], directory: Path) -> None:
-    """Create ``directory`` and transform each frame file into it, one at a time.
+    """Create ``directory`` and transform each frame file into it, one at a
+    time, through one set of ``FrameBuffers`` and one transformed frame.
 
-    An overflow is not warned about: ``write_frame_file`` rejects the
+    An overflow is not warned about: ``FrameBuffers.write`` rejects the
     non-finite value it leaves, and the error names the source file.
     """
     directory.mkdir()
+    buffers = FrameBuffers(item.meta.beam_count)
+    transformed = None  # the first frame's result, into which every later frame is transformed
     for file in files:
-        xyz, padding = read_frame_file(file, item.meta.beam_count)
+        xyz, padding = buffers.read(file)
         with np.errstate(over="ignore", invalid="ignore"):
             if item.meta.unit_scale != 1.0:
                 xyz *= item.meta.unit_scale
             if not item.transform.is_identity:
-                xyz = apply_transform_points(xyz, padding, item.transform)
+                xyz = transformed = apply_transform_points(xyz, padding, item.transform, out=transformed)
         try:
-            write_frame_file(directory / file.name, xyz)
+            buffers.write(directory / file.name, xyz)
         except DataError as exc:
             raise DataError(f"dataset '{item.name}': cannot merge {file}: {exc}") from None
 

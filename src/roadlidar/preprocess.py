@@ -79,17 +79,22 @@ def crop_frame(frame: Frame, bounds: CropBounds) -> Frame:
     return frame.without(~bounds.contains(frame.xyz) & ~frame.padding)
 
 
-def apply_transform_points(xyz: np.ndarray, padding: np.ndarray, transform: UnificationTransform) -> np.ndarray:
-    """Map non-padding points through scale then translation, in float64.
+def apply_transform_points(
+    xyz: np.ndarray, padding: np.ndarray, transform: UnificationTransform, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Map non-padding points through scale then translation, in float64,
+    into ``out`` (a new array by default, never ``xyz``), which is returned.
 
     Padding rows keep their input bits, so a ``-0.0`` stays ``-0.0``.  The
     input is not modified.  One coordinate column at a time, which is
     contiguous in a frame that ``read_frame_file`` read.
     """
-    out = np.empty_like(xyz)
+    out = np.empty_like(xyz) if out is None else out
     for axis, shift in enumerate(transform.translation):
-        column = xyz[:, axis]
-        out[:, axis] = np.where(padding, column, column * transform.scale + shift)
+        column, target = xyz[:, axis], out[:, axis]
+        np.multiply(column, transform.scale, out=target)
+        target += shift
+        np.copyto(target, column, where=padding)
     return out
 
 

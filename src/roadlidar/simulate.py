@@ -31,16 +31,17 @@ import numpy as np
 from .core import (
     ConfigError,
     Frame,
+    FrameBuffers,
     FrameSequence,
     LabelClass,
     LabelSource,
     ObjectLabel,
     SensorMeta,
     json_floats,
+    json_int,
     normalize_yaw_half,
     publish,
     read_json_config,
-    write_frame_file,
     write_label_file,
 )
 
@@ -177,6 +178,8 @@ class CylinderObstacle:
         _check_finite("cylinder center", self.center_xy)
         _check_positive("cylinder radius", self.radius)
         _check_finite("cylinder z_low and z_high", (self.z_low, self.z_high))
+        if not self.z_low < self.z_high:
+            raise ConfigError(f"cylinder z_low must be below z_high, got {self.z_low!r} and {self.z_high!r}")
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         ox = origin[0] - self.center_xy[0]
@@ -382,18 +385,20 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
     Frames use the standard .bin format, truth boxes the label format, and
     masks are one raw byte per point per frame (``<stem>.mask``).  Each
     frame is rendered and its frame, truth and mask files written before the
-    next, so memory stays flat in the scene's duration.  The three
-    directories are published together by ``publish``, each replacing the
-    previous one whole, so a shorter scene leaves no frames of a longer one.
+    next, the frame through one set of ``FrameBuffers``, so memory stays
+    flat in the scene's duration.  The three directories are published
+    together by ``publish``, each replacing the previous one whole, so a
+    shorter scene leaves no frames of a longer one.
     """
     out_dir = Path(out_dir)
     paths = {"frames": out_dir / "frames", "truth": out_dir / "truth", "masks": out_dir / "masks"}
     with publish(*paths.values()) as (frames_dir, truth_dir, masks_dir):
         for directory in (frames_dir, truth_dir, masks_dir):
             directory.mkdir()
+        buffers = FrameBuffers(spec.sensor.beam_count)
         for frame, mask, truth in render_frames(spec):
             stem = f"{frame.timestamp_index:06d}"
-            write_frame_file(frames_dir / f"{stem}.bin", frame.xyz)
+            buffers.write(frames_dir / f"{stem}.bin", frame.xyz)
             write_label_file(truth, truth_dir / f"{stem}.txt")
             (masks_dir / f"{stem}.mask").write_bytes(mask.tobytes())
     return paths
@@ -410,6 +415,10 @@ def _present(section: dict, **parse) -> dict:
 
 def _floats(n: int):
     return lambda value: json_floats(value, n)
+
+
+def _int(name: str):
+    return lambda value: json_int(value, name)
 
 
 def _static_from_dict(prim: dict):
@@ -447,14 +456,15 @@ def scene_from_dict(data: dict) -> SceneSpec:
     """
     sensor = SensorModel(**_present(
         data.get("sensor", {}),
-        origin=_floats(3), azimuth_deg=_floats(2), azimuth_count=int, elevation_deg=_floats(2),
-        elevation_count=int, frequency_hz=float, range_noise_sigma=float, max_range=float,
+        origin=_floats(3), azimuth_deg=_floats(2), azimuth_count=_int("azimuth_count"),
+        elevation_deg=_floats(2), elevation_count=_int("elevation_count"), frequency_hz=float,
+        range_noise_sigma=float, max_range=float,
     ))
     return SceneSpec(sensor, **_present(
         data,
         static=lambda prims: [_static_from_dict(prim) for prim in prims],
         actors=lambda actors: [_actor_from_dict(a) for a in actors],
-        duration=int, seed=int, min_truth_points=int,
+        duration=_int("duration"), seed=_int("seed"), min_truth_points=_int("min_truth_points"),
     ))
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -15,10 +16,12 @@ import roadlidar.pipeline
 from roadlidar.core import (
     DataError,
     Frame,
+    FrameBuffers,
     LabelClass,
     LabelSource,
     ObjectLabel,
     SensorMeta,
+    json_int,
     load_frame_sequence,
     normalize_yaw_half,
     read_frame_file,
@@ -128,6 +131,95 @@ class TestFrameInvariants:
         (tmp_path / "f.bin").write_bytes(rec.tobytes())
         with pytest.raises(DataError, match="f.bin"):
             load_frame_sequence(tmp_path, SensorMeta(2, 1))
+
+
+
+class TestFrameBuffers:
+    """One codec reused across frames: no call sees what an earlier one left."""
+
+    @staticmethod
+    def _records(rng, n):
+        rec = np.zeros((n, 4), dtype="<f4")
+        rec[:, :3] = rng.uniform(-50, 50, (n, 3))
+        rec[:, 3] = rng.uniform(0, 255, n)  # intensity, which is never written back
+        rec[::4, :3] = 0.0
+        return rec
+
+    def test_reads_and_writes_match_the_fresh_functions(self, tmp_path):
+        rng = np.random.default_rng(3)
+        buffers = FrameBuffers(12)
+        for k in range(3):
+            src, out = tmp_path / f"{k}.bin", tmp_path / f"{k}.out"
+            self._records(rng, 12).tofile(src)
+            xyz, padding = buffers.read(src)
+            fresh_xyz, fresh_padding = read_frame_file(src, 12)
+            np.testing.assert_array_equal(xyz, fresh_xyz)
+            np.testing.assert_array_equal(padding, fresh_padding)
+            assert xyz.flags.f_contiguous
+            buffers.write(out, xyz)
+            write_frame_file(tmp_path / "fresh.bin", fresh_xyz)
+            assert out.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+            rec = np.fromfile(out, dtype="<f4").reshape(-1, 4)
+            assert not rec[:, 3].any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("failure", ["nan-read", "short-read", "inf-write", "beyond-float32-write"])
+    def test_no_stale_contents_after_a_failed_call(self, tmp_path, failure):
+        rng = np.random.default_rng(4)
+        buffers = FrameBuffers(8)
+        first, second = self._records(rng, 8), self._records(rng, 8)
+        first.tofile(tmp_path / "first.bin")
+        second.tofile(tmp_path / "second.bin")
+        buffers.read(tmp_path / "first.bin")
+        bad = tmp_path / "bad.bin"
+        if failure.endswith("read"):
+            rec = self._records(rng, 8)
+            if failure == "nan-read":
+                rec[5, 2] = np.nan
+            else:
+                rec = rec[:-1]
+            rec.tofile(bad)
+            with pytest.raises(DataError, match="bad.bin"):
+                buffers.read(bad)
+        else:
+            xyz = first[:, :3].astype(np.float64)
+            xyz[6, 2] = np.inf if failure == "inf-write" else 1e39  # the last column checked
+            with pytest.raises(DataError, match="bad.bin"):
+                buffers.write(bad, xyz)
+            assert not bad.exists()
+        xyz, padding = buffers.read(tmp_path / "second.bin")
+        np.testing.assert_array_equal(xyz, second[:, :3])
+        np.testing.assert_array_equal(padding, np.all(second[:, :3] == 0.0, axis=1))
+        buffers.write(tmp_path / "out.bin", xyz)
+        expected = second.copy()
+        expected[:, 3] = 0.0
+        assert (tmp_path / "out.bin").read_bytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [8 * 16 - 16, 8 * 16 + 1, 0])
+    def test_wrong_length_names_both_byte_counts(self, tmp_path, size):
+        (tmp_path / "f.bin").write_bytes(b"\x00" * size)
+        with pytest.raises(DataError) as excinfo:
+            FrameBuffers(8).read(tmp_path / "f.bin")
+        assert str(excinfo.value) == (
+            f"malformed frame file {tmp_path / 'f.bin'}: {size} bytes, but the sensor's "
+            "8 beams take 128 (16 bytes each)"
+        )
+
+
+
+class TestJsonInt:
+    @pytest.mark.parametrize("value", [3, 3.0, -2, 0, 10**30])
+    def test_integral_numbers_are_ints(self, value):
+        assert json_int(value, "n") == int(value)
+        assert type(json_int(value, "n")) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 2.5, "3", float("nan"), float("inf"), None, [3]],
+        ids=["true", "false", "fraction", "string", "nan", "inf", "null", "list"],
+    )
+    def test_anything_else_names_the_field(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"duration must be an integer, got {value!r}")):
+            json_int(value, "duration")
 
 
 def _random_label(rng) -> ObjectLabel:

@@ -542,6 +542,31 @@ class TestMergeSupersets:
         rec = np.fromfile(merged / "000000.bin", dtype="<f4").reshape(-1, 4)
         assert np.signbit(rec[1:3, :3]).tolist() == np.signbit(signed_zero[1:3, :3]).tolist()
 
+    def test_inputs_of_different_beam_counts_match_naive_merge(self, scene_dir, tmp_path):
+        out, spec = scene_dir
+        small = tmp_path / "small"
+        small.mkdir()
+        rng = np.random.default_rng(8)
+        for k in range(4):
+            rec = np.zeros((6, 4), dtype="<f4")
+            rec[:, :3] = rng.uniform(-20.0, 20.0, (6, 3))
+            rec[2] = -0.0
+            rec.tofile(small / f"{k:06d}.bin")
+        inputs = [
+            ("wide", out / "frames", SensorMeta(spec.sensor.azimuth_count, spec.sensor.elevation_count),
+             UnificationTransform((120.0, 0.0, 0.0), 1.1)),
+            ("small", small, SensorMeta(3, 2, 0.5), UnificationTransform((0.0, -3.0, 0.5), 2.5)),
+        ]
+        items = []
+        for name, frames, meta, transform in inputs:
+            labels = tmp_path / f"labels_{name}"
+            write_labels({f.stem: [] for f in frames.glob("*.bin")}, labels)
+            items.append(MergeInput(name, frames, labels, meta, transform))
+        merge_supersets(items, tmp_path / "merged")
+        for name, frames, meta, transform in inputs:
+            naive_merge_frames(frames, meta.unit_scale, transform, tmp_path / "naive" / name)
+            assert _tree_bytes(tmp_path / "merged" / name / "frames") == _tree_bytes(tmp_path / "naive" / name)
+
     def test_scale_transform_matches_independent_label_transform(self, scene_dir, tmp_path):
         run_teacher(_entry(scene_dir), tmp_path / "t")
         labels_dir = tmp_path / "t" / "site_a" / "labels"
@@ -984,6 +1009,30 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 2
         assert f"cannot read frame file {frames / '000002.bin'}" in caplog.text
 
+    @pytest.mark.parametrize("command", ["annotate", "merge"])
+    def test_beam_count_too_large_to_allocate_is_data_error(self, tmp_path, caplog, command):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        np.full((4, 4), 1.0, dtype="<f4").tofile(frames / "000000.bin")
+        write_labels({"000000": []}, labels)
+        sensor = {"rays_horizontal": 10**6, "rays_vertical": 10**6}  # 16 TB a frame
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({
+            "annotate": {"output_root": str(tmp_path / "out"), "datasets": [{
+                "name": "site_a", "frames": str(frames), "sensor": sensor,
+                "teacher": {"n_query": 1, "n_bin": 2, "n_tall": 1, "d_threshold": 0.2,
+                            "epsilon": 0.7, "min_pts": 2, "l_min": 0.3, "h_min": 0.5, "beta_min": 0.2,
+                            "crop": {"x_min": -9, "x_max": 9, "y_min": -9, "y_max": 9,
+                                     "z_min": -9, "z_max": 9}},
+            }]},
+            "merge": {"output_root": str(tmp_path / "out"), "inputs": [{
+                "name": "site_a", "frames": str(frames), "labels": str(labels), "sensor": sensor,
+            }]},
+        }[command]))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"malformed frame file {frames / '000000.bin'}: 64 bytes" in caplog.text
+        assert _tree_bytes(tmp_path / "out") == {}
+
     def test_merge_failure_keeps_previous_output(self, tmp_path, caplog):
         frames, labels = tmp_path / "frames", tmp_path / "labels"
         frames.mkdir()
@@ -1030,6 +1079,31 @@ class TestCli:
         assert main(["merge", "--config", str(path)]) == 2
         assert str(tmp_path / "b" / "frames" / "000001.bin") in caplog.text
         assert _tree_bytes(tmp_path / "merged") == before
+
+    @pytest.mark.parametrize("resize", [1, -16], ids=["one-byte-long", "one-record-short"])
+    def test_merge_wrong_length_frame_keeps_previous_output(self, tmp_path, caplog, resize):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        for k in range(3):
+            np.full((4, 4), k + 1.0, dtype="<f4").tofile(frames / f"00000{k}.bin")
+        write_labels({f"00000{k}": [] for k in range(3)}, labels)
+        path = self._merge_config(tmp_path, frames, labels, {"translation": [5.0, 0.0, 0.0]})
+        assert main(["merge", "--config", str(path)]) == 0
+        before = _tree_bytes(tmp_path / "merged")
+        bad = frames / "000001.bin"
+        data = bad.read_bytes()
+        bad.write_bytes(data + b"\x00" if resize > 0 else data[:resize])
+        # a new frame, so that a rerun that went through would change the tree
+        (frames / "000003.bin").write_bytes((frames / "000000.bin").read_bytes())
+        write_labels({"000003": []}, labels)
+        caplog.clear()
+        assert main(["merge", "--config", str(path)]) == 2
+        assert (
+            f"malformed frame file {bad}: {64 + resize} bytes, but the sensor's 4 beams take 64 "
+            "(16 bytes each)"
+        ) in caplog.text
+        assert _tree_bytes(tmp_path / "merged") == before
+        assert not list((tmp_path / "merged").rglob("*.partial"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -1213,6 +1287,57 @@ class TestCli:
     def test_malformed_config_is_config_error(
         self, scene_dir, tmp_path, caplog, command, where, value
     ):
+        path, argv = self._edited_config(scene_dir, tmp_path, command, where, value)
+        assert main(argv) == 1
+        assert str(path) in caplog.text
+
+    @pytest.mark.parametrize(
+        "command, where, value",
+        [
+            ("annotate", ("datasets", 0, "sensor", "rays_horizontal"), 120.5),
+            ("annotate", ("datasets", 0, "sensor", "rays_vertical"), "80"),
+            ("annotate", ("datasets", 0, "teacher", "n_query"), True),
+            ("annotate", ("datasets", 0, "teacher", "n_bin"), "10"),
+            ("annotate", ("datasets", 0, "teacher", "n_tall"), True),
+            ("annotate", ("datasets", 0, "teacher", "min_pts"), 5.5),
+            ("annotate", ("parallelism",), float("nan")),
+            ("merge", ("inputs", 0, "sensor", "rays_horizontal"), True),
+            ("merge", ("inputs", 0, "sensor", "rays_vertical"), 80.5),
+            ("simulate", ("duration",), 2.9),
+            ("simulate", ("sensor", "azimuth_count"), 20.7),
+            ("simulate", ("sensor", "elevation_count"), "4"),
+            ("simulate", ("seed",), True),
+            ("simulate", ("min_truth_points",), float("nan")),
+        ],
+        ids=[
+            "annotate-rays_horizontal-fraction", "annotate-rays_vertical-string",
+            "annotate-n_query-bool", "annotate-n_bin-string", "annotate-n_tall-bool",
+            "annotate-min_pts-fraction", "annotate-parallelism-nan",
+            "merge-rays_horizontal-bool", "merge-rays_vertical-fraction",
+            "simulate-duration-fraction", "simulate-azimuth_count-fraction",
+            "simulate-elevation_count-string", "simulate-seed-bool", "simulate-min_truth_points-nan",
+        ],
+    )
+    def test_non_integral_count_is_config_error(self, scene_dir, tmp_path, caplog, command, where, value):
+        path, argv = self._edited_config(scene_dir, tmp_path, command, where, value)
+        assert main(argv) == 1
+        assert str(path) in caplog.text
+        assert f"{where[-1]} must be an integer, got {value!r}" in caplog.text
+        assert not (tmp_path / "rendered").exists() and not (tmp_path / "out").exists()
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        scene = {**self._scene_config(), "duration": 2.0}
+        scene["sensor"]["azimuth_count"] = 20.0
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(scene))
+        out = tmp_path / "rendered"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(list((out / "frames").glob("*.bin"))) == 2
+        assert (out / "frames" / "000001.bin").stat().st_size == 20 * 10 * 16
+
+    def _edited_config(self, scene_dir, tmp_path, command, where, value):
+        """A valid ``command`` config with the field at ``where`` set to
+        ``value`` (the whole config when ``where`` is empty); its path and argv."""
         # real label directories, so a config that passed would exit 0
         write_labels({"000000": []}, tmp_path / "pred")
         write_labels({"000000": []}, tmp_path / "truth")
@@ -1241,8 +1366,7 @@ class TestCli:
         argv = [command, "--config", str(path)]
         if command == "simulate":
             argv += ["--out", str(tmp_path / "rendered")]
-        assert main(argv) == 1
-        assert str(path) in caplog.text
+        return path, argv
 
     @pytest.mark.parametrize("field", ["d_threshold", "epsilon", "l_min", "h_min", "beta_min"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
@@ -1342,10 +1466,17 @@ class TestCli:
          "box dims must be finite and positive"),
         (lambda scene: scene["static"].append({"type": "cylinder", "center": [15, 2], "radius": NAN, "z_high": 3}),
          [], "cylinder radius must be finite and positive"),
+        (lambda scene: scene["static"].append(
+            {"type": "cylinder", "center": [15, 2], "radius": 0.5, "z_low": 5, "z_high": 1}),
+         [], "cylinder z_low must be below z_high, got 5.0 and 1.0"),
+        (lambda scene: scene["static"].append(
+            {"type": "cylinder", "center": [15, 2], "radius": 0.5, "z_low": 2, "z_high": 2}),
+         [], "cylinder z_low must be below z_high, got 2.0 and 2.0"),
     ], ids=["seed-flag", "seed-field", "nan-speed", "negative-jitter", "nan-jitter",
             "nan-origin", "inf-origin", "nan-range-noise", "nan-frequency", "nan-max-range",
             "nan-azimuth", "nan-start-time", "nan-waypoint", "nan-cuboid-width", "nan-cylinder-radius",
-            "nan-ground-z", "nan-box-dims", "nan-static-cylinder-radius"])
+            "nan-ground-z", "nan-box-dims", "nan-static-cylinder-radius",
+            "upside-down-cylinder", "flat-cylinder"])
     def test_bad_scene_value_is_config_error(self, tmp_path, caplog, edit, flags, message):
         scene = self._scene_config()
         edit(scene)
