@@ -14,7 +14,6 @@ from .core import (
     DataError,
     Frame,
     FrameSequence,
-    InternalError,
     LabelClass,
     LabelSource,
     ObjectLabel,
@@ -49,7 +48,6 @@ __all__ = [
     "FittedBox",
     "Frame",
     "FrameSequence",
-    "InternalError",
     "LabelClass",
     "LabelSource",
     "ObjectLabel",

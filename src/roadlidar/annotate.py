@@ -26,7 +26,6 @@ import numpy as np
 from .core import (
     DataError,
     Frame,
-    InternalError,
     LabelClass,
     LabelSource,
     ObjectLabel,
@@ -271,7 +270,7 @@ def classify(box: FittedBox) -> LabelClass:
         return LabelClass.VEHICLE
     if box.length < box.height:
         return LabelClass.PEDESTRIAN
-    raise InternalError("length == height should have been rejected by validation")
+    raise ValueError("length == height should have been rejected by validation")
 
 
 def annotate_frame(

@@ -2,35 +2,12 @@
 
 Subcommands: ``annotate`` (run the teachers), ``merge``, ``evaluate``,
 ``simulate`` and ``iterate``.  Each reads a declarative JSON configuration
-via ``--config``, which only ``simulate`` may omit.  ``simulate --seed``
-overrides the scene's seed and ``annotate --jobs`` the configured worker
-count; no other subcommand takes either flag, so ``annotate --seed`` is a
-usage error (the teacher uses no randomness).
+via ``--config``, which only ``simulate`` may omit.
 
-Exit codes: 0 success (``--help`` included), 1 usage or configuration error,
-2 data error, 3 internal invariant violation.  Exit 1 covers a bad
-invocation (an unknown subcommand or flag, a flag value of the wrong type)
-and every malformed configuration: a missing ``--config``, an unreadable
-file, invalid JSON, a missing field, a field or section of the wrong JSON
-type, an ``annotate`` dataset with a ``transform`` (only ``merge`` applies
-one), a sensor ``unit_scale`` or ``merge`` scale that is not finite and
-positive, ``evaluate`` thresholds that are empty, outside (0, 1] or equal at
-two decimals, an ``iterate`` score_threshold outside [0, 1] or NaN,
-``--jobs`` below 1, a count that is not an integral number (a bool, a
-fraction, a string or NaN: a sensor's ray counts, a teacher's n_query,
-n_bin, n_tall and min_pts, parallelism, and a scene's duration, seed,
-min_truth_points, azimuth_count and elevation_count), a scene seed
-(``--seed`` included) below 0, a static cylinder whose z_low is not below
-its z_high, and a scene value that is NaN or out of range: a non-finite
-sensor origin, azimuth_deg or elevation_deg, a frequency_hz or max_range that is not
-finite and positive, a range_noise_sigma or jitter_sigma that is negative
-or not finite, a non-finite ground z, box center or yaw, or cylinder center
-or z bounds, a box dims or cylinder radius that is not finite and positive,
-an actor speed or dimension that is not finite and positive, a non-finite
-waypoint coordinate and a start_time that is negative or not finite.  Exit 2 covers
-input data that cannot be used, such as a frame file that cannot be read,
-whose record count is not the sensor's beam count or that holds a
-coordinate that is not finite.
+Exit codes: 0 success (``--help`` included), 1 usage or configuration
+error (a ConfigError), 2 data error (a DataError, or an OSError on any
+input or output), 3 any other exception, which is a bug.  README's CLI
+section lists what each code covers.
 """
 
 from __future__ import annotations
@@ -42,7 +19,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import ConfigError, DataError, InternalError, read_json_config
+from .core import ConfigError, DataError, read_json_config
 from .evaluate import DEFAULT_IOU_THRESHOLDS, evaluate, validate_iou_thresholds
 from .pipeline import (
     DEFAULT_ITERATE_SCORE_THRESHOLD,
@@ -164,12 +141,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA
-    except InternalError as exc:
-        log.error("internal invariant violation: %s", exc)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - map unexpected failures to exit code 3
         log.error("internal error: %s", exc)
         return EXIT_INTERNAL

@@ -15,8 +15,8 @@ On-disk formats:
   every frame; a beam without a return is an all-zero row, which loads as
   padding (a return at exactly the sensor origin cannot occur physically).
   Intensity is read and discarded, and written as zero.  ``FrameBuffers``
-  is the one frame codec (``read_frame_file`` and ``write_frame_file`` wrap
-  it), and its ``read`` the one place a frame file is checked: a wrong
+  is the one frame codec, held by each reader and writer for its whole
+  run, and its ``read`` the one place a frame file is checked: a wrong
   record count or a coordinate that is not finite is a DataError naming the
   file, so the stages after it may assume finite data and zero padding.
 * Label files: ``<stem>.txt`` -- UTF-8 text, one object per line::
@@ -55,10 +55,6 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed or missing input data (CLI exit code 2)."""
-
-
-class InternalError(RuntimeError):
-    """Violated internal invariant (CLI exit code 3)."""
 
 
 class LabelClass(enum.Enum):
@@ -130,7 +126,7 @@ class Frame:
 
     ``xyz`` is an (n, 3) float64 array; ``padding`` is an (n,) bool array
     marking filler points.  A padding point is always (0, 0, 0) and every
-    other point is finite: ``read_frame_file`` checks this where data enters,
+    other point is finite: ``FrameBuffers.read`` checks this where data enters,
     and the stages keep it true, so construction checks only shapes.  Frames
     are treated as immutable: pipeline stages return new frames and never
     write into an input array.
@@ -185,7 +181,7 @@ class FrameSequence:
         if not self.stems:
             self.stems = [f"{i:06d}" for i in range(len(self.frames))]
         if len(self.stems) != len(self.frames):
-            raise InternalError("stem count must match frame count")
+            raise DataError("stem count must match frame count")
         ts = [f.timestamp_index for f in self.frames]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DataError("timestamp_index must be strictly increasing")
@@ -358,35 +354,27 @@ class FrameBuffers:
     ``read`` returns views of these arrays, valid until the next ``read``;
     ``write`` takes any (beam_count, 3) array, such a view included.  A
     call that fails leaves the arrays to be overwritten whole by the next.
-    Each array is allocated at its first use, after ``read`` has checked a
-    file's size: a beam count too large to allocate is reported as the
-    malformed frame file it meets, and a codec that only reads, such as
-    ``read_frame_file``'s, never allocates the write record (which made a
-    loop of such reads three times slower).
+    The arrays are allocated at the first use, after ``read`` has checked a
+    file's size, so a beam count too large to allocate is reported as the
+    malformed frame file it meets.
     """
 
     def __init__(self, beam_count: int) -> None:
         self.beam_count = beam_count
 
     @cached_property
-    def _decoded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The file's records, its xyz and its padding mask.  The xyz is
-        column-major: the per-beam stages read it one coordinate at a time,
-        and a contiguous column reads several times faster."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The file's records, its xyz, its padding mask, a scratch mask and
+        the records ``write`` encodes, whose intensity stays zero.  The xyz
+        is column-major: the per-beam stages read it one coordinate at a
+        time, and a contiguous column reads several times faster."""
         n = self.beam_count
-        return np.empty((n, 4), dtype="<f4"), np.empty((n, 3), order="F"), np.empty(n, dtype=bool)
-
-    @cached_property
-    def _scratch(self) -> np.ndarray:
-        return np.empty(self.beam_count, dtype=bool)
-
-    @cached_property
-    def _record(self) -> np.ndarray:
-        """The records ``write`` encodes; their intensity stays zero."""
-        return np.zeros((self.beam_count, 4), dtype="<f4")
+        return (np.empty((n, 4), dtype="<f4"), np.empty((n, 3), order="F"), np.empty(n, dtype=bool),
+                np.empty(n, dtype=bool), np.zeros((n, 4), dtype="<f4"))
 
     def _all_finite(self, columns: np.ndarray) -> bool:
-        return all(np.isfinite(column, out=self._scratch).all() for column in columns.T)
+        scratch = self._arrays[3]
+        return all(np.isfinite(column, out=scratch).all() for column in columns.T)
 
     def read(self, path: Path) -> tuple[np.ndarray, np.ndarray]:
         """One .bin frame file: its xyz as a column-major (n, 3) float64
@@ -401,7 +389,7 @@ class FrameBuffers:
             with open(path, "rb", buffering=0) as file:
                 size = os.fstat(file.fileno()).st_size
                 if size == expected:
-                    size = file.readinto(self._decoded[0])
+                    size = file.readinto(self._arrays[0])
         except OSError as exc:
             raise DataError(f"cannot read frame file {path}: {exc}") from exc
         if size != expected:
@@ -410,13 +398,13 @@ class FrameBuffers:
                 f"{self.beam_count} beams take {expected} "
                 f"({_POINT_RECORD_BYTES} bytes each)"
             )
-        raw, xyz, padding = self._decoded
+        raw, xyz, padding, scratch, _ = self._arrays
         np.copyto(xyz, raw[:, :3])
         if not self._all_finite(xyz):
             raise DataError(f"malformed frame file {path}: a coordinate is not finite")
         np.equal(xyz[:, 0], 0.0, out=padding)
         for axis in (1, 2):
-            padding &= np.equal(xyz[:, axis], 0.0, out=self._scratch)
+            padding &= np.equal(xyz[:, axis], 0.0, out=scratch)
         return xyz, padding
 
     def write(self, path: Path, xyz: np.ndarray) -> None:
@@ -427,7 +415,7 @@ class FrameBuffers:
         a value beyond the float32 range -- is a DataError naming the file,
         and nothing is written.
         """
-        record = self._record
+        record = self._arrays[4]
         with np.errstate(over="ignore", invalid="ignore"):
             for axis in range(3):
                 record[:, axis] = xyz[:, axis]
@@ -435,17 +423,6 @@ class FrameBuffers:
             raise DataError(f"frame file {path}: a value is not finite as float32")
         with open(path, "wb") as file:
             file.write(record.data)
-
-
-def read_frame_file(path: Path, beam_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read one .bin frame file through fresh ``FrameBuffers`` (see ``read``)."""
-    return FrameBuffers(beam_count).read(path)
-
-
-def write_frame_file(path: Path, xyz: np.ndarray) -> None:
-    """Write one .bin frame file through fresh ``FrameBuffers`` (see ``write``)."""
-    xyz = np.asarray(xyz, dtype=np.float64)
-    FrameBuffers(xyz.shape[0]).write(path, xyz)
 
 
 def list_frame_files(path: str | Path) -> list[Path]:
@@ -463,12 +440,15 @@ def load_frame_sequence(path: str | Path, meta: SensorMeta) -> FrameSequence:
     """Load a directory of per-frame .bin files, lexicographic filename order.
 
     Raw units are preserved; scaling to meters happens in the preprocessor.
-    Every file is checked against ``meta`` by ``read_frame_file``.
+    Every file is read and checked against ``meta`` through one
+    ``FrameBuffers``, and each frame is copied out of it.
     """
     files = list_frame_files(path)
-    frames = [
-        Frame(t, *read_frame_file(file, meta.beam_count)) for t, file in enumerate(files, start=1)
-    ]
+    buffers = FrameBuffers(meta.beam_count)
+    frames = []
+    for t, file in enumerate(files, start=1):
+        xyz, padding = buffers.read(file)
+        frames.append(Frame(t, xyz.copy(order="F"), padding.copy()))
     return FrameSequence(frames, meta, [file.stem for file in files])
 
 
@@ -487,11 +467,7 @@ def format_label_line(label: ObjectLabel) -> str:
 
 def write_label_file(labels: Sequence[ObjectLabel], path: str | Path) -> None:
     """Write one frame's labels; an empty list produces an empty file."""
-    lines = [format_label_line(lb) + "\n" for lb in labels]
-    try:
-        Path(path).write_text("".join(lines), encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write label file {path}: {exc}") from exc
+    Path(path).write_text("".join(format_label_line(lb) + "\n" for lb in labels), encoding="utf-8")
 
 
 def read_label_file(path: str | Path, source: LabelSource = LabelSource.TEACHER) -> list[ObjectLabel]:
@@ -499,7 +475,7 @@ def read_label_file(path: str | Path, source: LabelSource = LabelSource.TEACHER)
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read label file {path}: {exc}") from exc
     labels = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -527,10 +503,7 @@ def read_label_file(path: str | Path, source: LabelSource = LabelSource.TEACHER)
 def write_labels(labels_by_stem: Mapping[str, Sequence[ObjectLabel]], directory: str | Path) -> None:
     """Write one ``<stem>.txt`` per frame under ``directory``."""
     directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create label directory {directory}: {exc}") from exc
+    directory.mkdir(parents=True, exist_ok=True)
     for stem in sorted(labels_by_stem):
         write_label_file(labels_by_stem[stem], directory / f"{stem}.txt")
 

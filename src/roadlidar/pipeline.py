@@ -46,7 +46,6 @@ from .core import (
     json_int,
     list_frame_files,
     publish,
-    read_frame_file,
     read_json_config,
     read_labels,
     write_label_file,
@@ -85,11 +84,23 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.datasets:
             raise ConfigError("pipeline needs at least one dataset")
-        names = [d.name for d in self.datasets]
-        if len(set(names)) != len(names):
-            raise ConfigError("dataset names must be distinct (they name output directories)")
+        _check_output_names([d.name for d in self.datasets], "dataset")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+
+
+def _check_output_names(names: list[str], kind: str) -> None:
+    """Names that each name an output directory must be distinct, and each
+    one plain path component: not empty, ``.`` or ``..``, and with no
+    ``/``, ``\\`` or whitespace.  Anything else is a ConfigError."""
+    for name in names:
+        if name in ("", ".", "..") or any(c in "/\\" or c.isspace() for c in name):
+            raise ConfigError(
+                f"{kind} name {name!r} must be one plain path component: "
+                "not empty, '.' or '..', and with no '/', '\\' or whitespace"
+            )
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{kind} names must be distinct (they name output directories)")
 
 
 def _parse_sensor(data: dict) -> SensorMeta:
@@ -163,26 +174,30 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
 # Teacher run
 # ---------------------------------------------------------------------------
 
-def _read_beams(file: Path, meta: SensorMeta, crop: CropBounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One frame file in meters, as its xyz, each beam's range and the mask
-    of the beams that hold data inside the crop.
+def _read_beams(
+    buffers: FrameBuffers, file: Path, meta: SensorMeta, crop: CropBounds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame file in meters, as its xyz (a view into ``buffers``), each
+    beam's range and the mask of the beams that hold data inside the crop.
 
     The bits are those of ``load_frame_sequence``, ``unify_units`` and
     ``crop_frame``, but nothing is copied: a cropped beam keeps its point
     and is only masked out.
     """
-    xyz, padding = read_frame_file(file, meta.beam_count)
+    xyz, padding = buffers.read(file)
     if meta.unit_scale != 1.0:
         xyz *= meta.unit_scale
     return xyz, point_ranges(xyz), ~padding & crop.contains(xyz)
 
 
-def _query_histogram(files: list[Path], meta: SensorMeta, cfg: TeacherConfig) -> DistanceHistogram:
+def _query_histogram(
+    buffers: FrameBuffers, files: list[Path], meta: SensorMeta, cfg: TeacherConfig
+) -> DistanceHistogram:
     """The histogram of the first ``n_query`` files, which are read once and
     kept, until it is built, only as each beam's range and data mask."""
     if cfg.n_query > len(files):
         raise DataError(f"n_query {cfg.n_query} exceeds sequence length {len(files)}")
-    window = [_read_beams(file, meta, cfg.crop)[1:] for file in files[:cfg.n_query]]
+    window = [_read_beams(buffers, file, meta, cfg.crop)[1:] for file in files[:cfg.n_query]]
     return histogram_of_ranges(window, cfg.n_total, cfg.n_bin)
 
 
@@ -191,15 +206,15 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
 
     Stages: unit unification, cropping, background model over the query
     window, then per frame background filtering, clustering and annotation.
-    Frames stream from disk, one pass over each frame's beams: the first
-    ``n_query`` files are read for the model (none when
-    ``background_model_in`` is set), keeping only each beam's range and
-    data mask, then every file is read in turn.  Its ranges are computed
-    once; the crop and the filter are masks over them, and only the
-    foreground points left are copied out, into the compact frame that
+    Frames stream from disk through one ``FrameBuffers``, in one pass over
+    each frame's beams: the first ``n_query`` files are read for the model
+    (none when ``background_model_in`` is set), keeping only each beam's
+    range and data mask, then every file is read in turn.  Its ranges are
+    computed once; the crop and the filter are masks over them, and only
+    the foreground points left are copied out, into the compact frame that
     DBSCAN and the box fit take.  Peak memory is the query window's ranges
-    plus one frame, whatever the recording length; only rejects and counts
-    accumulate.
+    plus the codec's one frame, whatever the recording length; only
+    rejects and counts accumulate.
     Outputs under ``<output_root>/<name>/``: ``labels/``, ``stats.json``,
     ``rejects.log`` and the background model sidecar.  Each frame's label
     file is written as soon as the frame is labelled, into the paths that
@@ -211,6 +226,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     cfg = entry.teacher
     out_dir = Path(output_root) / entry.name
     files = list_frame_files(entry.frames_dir)
+    buffers = FrameBuffers(cfg.n_total)
 
     if entry.background_model_in is not None:
         model = load_background_model(entry.background_model_in)
@@ -220,7 +236,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
                 f"but the sensor has {cfg.n_total} beams"
             )
     else:
-        model = select_background(_query_histogram(files, entry.meta, cfg), cfg.n_tall)
+        model = select_background(_query_histogram(buffers, files, entry.meta, cfg), cfg.n_tall)
 
     rejects: list[RejectedBox] = []
     points_data = points_removed = clusters_total = noise_total = labels_total = 0
@@ -229,7 +245,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     ) as (labels_dir, stats_path, rejects_path, model_path):
         labels_dir.mkdir()
         for t, file in enumerate(files, start=1):
-            xyz, ranges, data = _read_beams(file, entry.meta, cfg.crop)
+            xyz, ranges, data = _read_beams(buffers, file, entry.meta, cfg.crop)
             active = np.flatnonzero(data & ~near_background(ranges, model, cfg.d_threshold))
             foreground = Frame(t, xyz[active], np.zeros(len(active), dtype=bool))
             clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
@@ -354,18 +370,17 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     Frames and labels are mapped into the common coordinate frame (labels
     transform covariantly) and listed in an index file with provenance tags:
     one ``name frame_path label_path`` line per frame.  No labels are created,
-    dropped or deduplicated by merging.  Frames are transformed one file at
-    a time, with the float64 arithmetic of ``unify_units`` and
-    ``unify_datasets``.  Every dataset's ``frames/`` and ``labels/`` and
+    dropped or deduplicated by merging: every frame needs a label file and
+    every label file a frame, or the input is a DataError.  Frames are
+    transformed one file at a time, with the float64 arithmetic of
+    ``unify_units`` and ``unify_datasets``.  Every dataset's ``frames/`` and ``labels/`` and
     ``index.txt`` are published together by ``publish``: a rerun leaves no
     stale files, and a failure on any input (say, a coordinate that is not
     finite as float32) leaves the output root as it was.
     """
     if not inputs:
         raise ConfigError("merge needs at least one labeled dataset")
-    names = [item.name for item in inputs]
-    if len(set(names)) != len(names):
-        raise ConfigError("merge input names must be distinct (they name output directories)")
+    _check_output_names([item.name for item in inputs], "merge input")
     output_root = Path(output_root)
     index_path = output_root / "index.txt"
     targets = [output_root / item.name / kind for item in inputs for kind in ("frames", "labels")]
@@ -381,6 +396,11 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
             if missing:
                 raise DataError(
                     f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
+                )
+            unmatched = sorted(set(labels) - set(stems))
+            if unmatched:
+                raise DataError(
+                    f"dataset '{item.name}': no frame for label files: " + ", ".join(unmatched)
                 )
             _write_merged_frames(item, files, frames_dir)
             write_labels({

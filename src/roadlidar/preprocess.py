@@ -87,7 +87,7 @@ def apply_transform_points(
 
     Padding rows keep their input bits, so a ``-0.0`` stays ``-0.0``.  The
     input is not modified.  One coordinate column at a time, which is
-    contiguous in a frame that ``read_frame_file`` read.
+    contiguous in a frame that ``FrameBuffers.read`` read.
     """
     out = np.empty_like(xyz) if out is None else out
     for axis, shift in enumerate(transform.translation):

@@ -398,6 +398,11 @@ class TestClassify:
     def test_pedestrian(self):
         assert classify(_box(0.5, 1.7)) is LabelClass.PEDESTRIAN
 
+    def test_length_equal_to_height_is_a_value_error(self):
+        # annotate_frame never gets here: beta_min > 0 rejects such a box first
+        with pytest.raises(ValueError, match="length == height"):
+            classify(_box(1.5, 1.5))
+
 
 class TestAnnotateFrame:
     def test_zero_clusters(self):

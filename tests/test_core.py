@@ -17,6 +17,7 @@ from roadlidar.core import (
     DataError,
     Frame,
     FrameBuffers,
+    FrameSequence,
     LabelClass,
     LabelSource,
     ObjectLabel,
@@ -24,10 +25,8 @@ from roadlidar.core import (
     json_int,
     load_frame_sequence,
     normalize_yaw_half,
-    read_frame_file,
     read_label_file,
     read_labels,
-    write_frame_file,
     write_label_file,
     write_labels,
 )
@@ -37,7 +36,7 @@ META = SensorMeta(4, 2)
 
 def _write_bin(path, n_points, rng):
     pts = rng.uniform(-5, 5, (n_points, 3))
-    write_frame_file(path, pts)
+    FrameBuffers(n_points).write(path, pts)
     return pts
 
 
@@ -65,7 +64,7 @@ class TestFrameLoading:
             [1.0, 2.0, 3.0, 0.0],
         ], dtype="<f4")
         (tmp_path / "f.bin").write_bytes(rec.tobytes())
-        xyz, padding = read_frame_file(tmp_path / "f.bin", 6)
+        xyz, padding = FrameBuffers(6).read(tmp_path / "f.bin")
         assert xyz.dtype == np.float64
         np.testing.assert_array_equal(xyz, rec[:, :3])
         np.testing.assert_array_equal(padding, np.all(xyz == 0.0, axis=1))
@@ -76,7 +75,7 @@ class TestFrameLoading:
     def test_non_finite_record_is_not_written(self, tmp_path, value):
         path = tmp_path / "f.bin"
         with pytest.raises(DataError, match="f.bin"):
-            write_frame_file(path, np.array([[1.0, value, 0.0]]))
+            FrameBuffers(1).write(path, np.array([[1.0, value, 0.0]]))
         assert not path.exists()
 
     def test_misaligned_file_is_rejected(self, tmp_path):
@@ -103,7 +102,7 @@ class TestFrameLoading:
 
     def test_zero_rows_load_as_padding(self, tmp_path):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-        write_frame_file(tmp_path / "f.bin", pts)
+        FrameBuffers(3).write(tmp_path / "f.bin", pts)
         seq = load_frame_sequence(tmp_path, SensorMeta(3, 1))
         assert list(seq.frames[0].padding) == [False, True, False]
 
@@ -120,7 +119,7 @@ class TestFrameInvariants:
     def test_padding_must_be_zero(self, tmp_path):
         rec = np.array([[1.0, 2.0, 3.0, 0.0], [0.0, -0.0, 0.0, 4.0], [5.0, 6.0, 7.0, 0.0]], dtype="<f4")
         (tmp_path / "f.bin").write_bytes(rec.tobytes())
-        frame = Frame(1, *read_frame_file(tmp_path / "f.bin", 3))
+        frame = Frame(1, *FrameBuffers(3).read(tmp_path / "f.bin"))
         dropped = frame.without(np.array([True, False, False]))
         assert dropped.padding.tolist() == [True, True, False]
         np.testing.assert_array_equal(dropped.xyz[dropped.padding], 0.0)
@@ -131,6 +130,11 @@ class TestFrameInvariants:
         (tmp_path / "f.bin").write_bytes(rec.tobytes())
         with pytest.raises(DataError, match="f.bin"):
             load_frame_sequence(tmp_path, SensorMeta(2, 1))
+
+    def test_stem_count_must_match_frame_count(self):
+        frame = Frame(1, np.ones((2, 3)), np.zeros(2, dtype=bool))
+        with pytest.raises(DataError, match="stem count must match frame count"):
+            FrameSequence([frame], SensorMeta(2, 1), ["a", "b"])
 
 
 
@@ -152,12 +156,12 @@ class TestFrameBuffers:
             src, out = tmp_path / f"{k}.bin", tmp_path / f"{k}.out"
             self._records(rng, 12).tofile(src)
             xyz, padding = buffers.read(src)
-            fresh_xyz, fresh_padding = read_frame_file(src, 12)
+            fresh_xyz, fresh_padding = FrameBuffers(12).read(src)
             np.testing.assert_array_equal(xyz, fresh_xyz)
             np.testing.assert_array_equal(padding, fresh_padding)
             assert xyz.flags.f_contiguous
             buffers.write(out, xyz)
-            write_frame_file(tmp_path / "fresh.bin", fresh_xyz)
+            FrameBuffers(12).write(tmp_path / "fresh.bin", fresh_xyz)
             assert out.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
             rec = np.fromfile(out, dtype="<f4").reshape(-1, 4)
             assert not rec[:, 3].any()
@@ -350,6 +354,8 @@ class TestPackageExports:
             (roadlidar, "Matching"), (roadlidar, "match_detections"), (roadlidar, "TeacherRunResult"),
             (evaluate, "Matching"), (evaluate, "match_detections"), (pipeline, "TeacherRunResult"),
             (evaluate.EvalReport, "record"), (roadlidar.FittedBox, "base_length"),
+            (roadlidar, "InternalError"), (roadlidar.core, "InternalError"),
+            (roadlidar.core, "read_frame_file"), (roadlidar.core, "write_frame_file"),
         ]:
             assert not hasattr(module, name), name
             assert name not in roadlidar.__all__, name

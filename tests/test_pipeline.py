@@ -441,7 +441,9 @@ class TestMergeSupersets:
         item = self._six_frame_input(scene_dir, tmp_path)
         merge_supersets([item], tmp_path / "merged")
         before = _tree_bytes(tmp_path / "merged")
-        sorted(item.frames_dir.glob("*.bin"))[0].unlink()
+        first = sorted(item.frames_dir.glob("*.bin"))[0]
+        first.unlink()
+        (item.labels_dir / f"{first.stem}.txt").unlink()
         _cut_short_writes(monkeypatch, "index")
         with pytest.raises(KeyboardInterrupt):
             merge_supersets([item], tmp_path / "merged")
@@ -1073,6 +1075,7 @@ class TestCli:
         before = _tree_bytes(tmp_path / "merged")
         assert "index.txt" in before
         (tmp_path / "a" / "frames" / "000001.bin").unlink()
+        (tmp_path / "a" / "labels" / "000001.txt").unlink()
         bad = np.full((4, 4), 2.0, dtype="<f4")
         bad[1, 1] = np.nan
         bad.tofile(tmp_path / "b" / "frames" / "000001.bin")
@@ -1497,3 +1500,102 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["iterate", "--config", str(path)]) == 0
         assert (tmp_path / "ws" / "round_001").is_dir()
+
+
+# The config field each command publishes its outputs under (simulate's is --out).
+_OUTPUT_KEYS = {"annotate": "output_root", "merge": "output_root", "evaluate": "report", "iterate": "workspace"}
+
+
+class TestExitPaths:
+    """A failure on an input or an output, an OSError included, is exit 2 with
+    no traceback, no ``.partial`` left and the previous outputs as they were."""
+
+    @staticmethod
+    def _argv(tmp_path, command, config, out="rendered"):
+        """The argv that runs ``command`` on ``config``, written to a file;
+        ``out`` is simulate's output directory, relative to ``tmp_path``."""
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        flags = ["--out", str(tmp_path / out)] if command == "simulate" else []
+        return [command, "--config", str(path), *flags]
+
+    def _world(self, scene_dir, tmp_path):
+        """Each command's config, after one run of each has exited 0."""
+        out, _ = scene_dir
+        annotate = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        labels = str(tmp_path / "out" / "site_a" / "labels")
+        configs = {
+            "annotate": annotate,
+            "merge": {"output_root": str(tmp_path / "merged"), "inputs": [{
+                "name": "site_a", "frames": str(out / "frames"), "labels": labels,
+                "sensor": annotate["datasets"][0]["sensor"],
+            }]},
+            "evaluate": {"pred_dir": labels, "truth_dir": str(out / "truth"), "report": str(tmp_path / "report.txt")},
+            "iterate": {"predictions": labels, "workspace": str(tmp_path / "ws")},
+            "simulate": TestCli._scene_config(),
+        }
+        for command, config in configs.items():
+            assert main(self._argv(tmp_path, command, config)) == 0, command
+        return configs
+
+    @staticmethod
+    def _assert_kept(tmp_path, before, caplog, capsys):
+        assert _tree_bytes(tmp_path) == before
+        assert not list(tmp_path.rglob("*.partial"))
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["annotate", "merge", "evaluate", "iterate", "simulate"])
+    def test_output_under_a_regular_file_is_data_error(self, scene_dir, tmp_path, caplog, capsys, command):
+        configs = self._world(scene_dir, tmp_path)
+        (tmp_path / "blocker").write_text("a regular file\n")
+        if command in _OUTPUT_KEYS:
+            configs[command][_OUTPUT_KEYS[command]] = str(tmp_path / "blocker" / "inner")
+        argv = self._argv(tmp_path, command, configs[command], out="blocker/inner")
+        before = _tree_bytes(tmp_path)
+        caplog.clear()
+        assert main(argv) == 2
+        assert "Not a directory" in caplog.text
+        self._assert_kept(tmp_path, before, caplog, capsys)
+
+    @pytest.mark.parametrize("command", ["evaluate", "iterate", "merge"])
+    def test_label_file_that_is_not_utf8_is_data_error(self, scene_dir, tmp_path, caplog, capsys, command):
+        configs = self._world(scene_dir, tmp_path)
+        bad = sorted((tmp_path / "out" / "site_a" / "labels").glob("*.txt"))[1]
+        bad.write_bytes(b"Vehicle \xff\n")
+        argv = self._argv(tmp_path, command, configs[command])
+        before = _tree_bytes(tmp_path)
+        caplog.clear()
+        assert main(argv) == 2
+        assert f"cannot read label file {bad}" in caplog.text
+        self._assert_kept(tmp_path, before, caplog, capsys)
+
+    def test_merge_label_file_without_a_frame_is_data_error(self, scene_dir, tmp_path, caplog, capsys):
+        configs = self._world(scene_dir, tmp_path)
+        labels = tmp_path / "out" / "site_a" / "labels"
+        (labels / "999999.txt").write_text("")
+        (labels / "999998.txt").write_text("")
+        argv = self._argv(tmp_path, "merge", configs["merge"])
+        before = _tree_bytes(tmp_path)
+        assert main(argv) == 2
+        assert "dataset 'site_a': no frame for label files: 999998, 999999" in caplog.text
+        self._assert_kept(tmp_path, before, caplog, capsys)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "./s", "a\\b", "site a", "tab\tname", "line\nbreak"])
+    @pytest.mark.parametrize("command, field", [("annotate", "dataset"), ("merge", "merge input")])
+    def test_name_that_is_not_one_path_component_is_config_error(
+        self, scene_dir, tmp_path, caplog, command, field, name
+    ):
+        out, spec = scene_dir
+        config = {
+            "annotate": TestConfigParsing()._config_dict(scene_dir, tmp_path / "root"),
+            "merge": {"output_root": str(tmp_path / "root" / "merged"), "inputs": [{
+                "frames": str(out / "frames"), "labels": str(out / "truth"),
+                "sensor": {"rays_horizontal": spec.sensor.azimuth_count,
+                           "rays_vertical": spec.sensor.elevation_count},
+            }]},
+        }[command]
+        config["datasets" if command == "annotate" else "inputs"][0]["name"] = name
+        argv = self._argv(tmp_path, command, config)
+        assert main(argv) == 1
+        assert f"{field} name {name!r} must be one plain path component" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{command}.json"]

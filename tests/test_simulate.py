@@ -9,12 +9,12 @@ import pytest
 
 from roadlidar.core import (
     ConfigError,
+    FrameBuffers,
     LabelClass,
     SensorMeta,
     format_label_line,
     load_frame_sequence,
     read_labels,
-    write_frame_file,
 )
 from roadlidar.simulate import (
     Actor,
@@ -235,7 +235,7 @@ class TestSceneOutputs:
         paths = write_scene_outputs(spec, tmp_path / "out")
         seq, masks, truths = render_sequence(spec)
         for frame, mask, truth, stem in zip(seq.frames, masks, truths, seq.stems):
-            write_frame_file(tmp_path / "frame.bin", frame.xyz)
+            FrameBuffers(spec.sensor.beam_count).write(tmp_path / "frame.bin", frame.xyz)
             assert (paths["frames"] / f"{stem}.bin").read_bytes() == (tmp_path / "frame.bin").read_bytes()
             assert (paths["masks"] / f"{stem}.mask").read_bytes() == mask.tobytes()
             lines = "".join(format_label_line(lb) + "\n" for lb in truth)
