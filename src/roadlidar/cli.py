@@ -17,9 +17,8 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
-from .core import ConfigError, DataError, read_json_config
+from .core import ConfigError, DataError, json_float, json_path, read_json_config
 from .evaluate import DEFAULT_IOU_THRESHOLDS, evaluate, validate_iou_thresholds
 from .pipeline import (
     DEFAULT_ITERATE_SCORE_THRESHOLD,
@@ -63,10 +62,12 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pred_dir, truth_dir, thresholds, report_path = read_json_config(args.config, lambda data: (
-        Path(data["pred_dir"]),
-        Path(data["truth_dir"]),
-        validate_iou_thresholds(data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
-        Path(data["report"]) if "report" in data else None,
+        json_path(data["pred_dir"], "pred_dir"),
+        json_path(data["truth_dir"], "truth_dir"),
+        validate_iou_thresholds(
+            [json_float(t, "thresholds") for t in data.get("thresholds", DEFAULT_IOU_THRESHOLDS)]
+        ),
+        json_path(data["report"], "report") if "report" in data else None,
     ))
     report = evaluate(pred_dir, truth_dir, thresholds, report_path)
     print(report.to_table())
@@ -88,9 +89,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
     predictions, workspace, threshold = read_json_config(args.config, lambda data: (
-        Path(data["predictions"]),
-        Path(data["workspace"]),
-        validate_score_threshold(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
+        json_path(data["predictions"], "predictions"),
+        json_path(data["workspace"], "workspace"),
+        validate_score_threshold(
+            json_float(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD), "score_threshold")
+        ),
     ))
     round_dir = iterate(predictions, workspace, threshold)
     log.info("next-round labels written to %s", round_dir)

@@ -259,11 +259,12 @@ class TeacherConfig:
 def read_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
     """Parse a declarative JSON configuration file into settings via ``build``.
 
-    ``build`` turns the parsed JSON into typed settings and need not guard its
-    field reads: a missing field, or a field or section of the wrong JSON
-    type, surfaces as a ConfigError naming the file, as do an unreadable file,
-    invalid JSON and any ValueError (ConfigError included) that ``build``
-    raises for an out-of-range value.
+    ``build`` turns the parsed JSON into typed settings, each field through
+    the ``json_*`` reader of its kind, and need not guard its field reads: a
+    missing field, or a field or section of the wrong JSON type, surfaces as
+    a ConfigError naming the file, as do an unreadable file, invalid JSON
+    and any ValueError (ConfigError included) that ``build`` raises for an
+    out-of-range value.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -288,11 +289,33 @@ def json_int(value: Any, name: str) -> int:
     return int(value)
 
 
-def json_floats(value: Any, n: int) -> tuple[float, ...]:
+def json_float(value: Any, name: str) -> float:
+    """A config field holding a number, as a float; a bool or a string is a
+    ValueError naming the field.  NaN and the infinities pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_floats(value: Any, name: str, n: int) -> tuple[float, ...]:
     """A config field holding a list of exactly ``n`` numbers, as floats."""
     if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise ValueError(f"expected a list of {n} numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+        raise ValueError(f"{name} must be a list of {n} numbers, got {value!r}")
+    return tuple(json_float(v, name) for v in value)
+
+
+def json_path(value: Any, name: str) -> Path:
+    """A config field holding a path: a non-empty string without NUL."""
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ValueError(f"{name} must be a non-empty path string without NUL, got {value!r}")
+    return Path(value)
+
+
+def json_fields(section: Mapping[str, Any], **readers: Callable[[Any, str], Any]) -> dict[str, Any]:
+    """Each key of the JSON object ``section`` that ``readers`` names, read
+    by its reader; every other key is ignored, and an absent key keeps the
+    default of the parameter it fills."""
+    return {key: readers[key](value, key) for key, value in section.items() if key in readers}
 
 
 # ---------------------------------------------------------------------------

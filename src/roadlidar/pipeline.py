@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,11 @@ from .core import (
     LabelSource,
     SensorMeta,
     TeacherConfig,
+    json_fields,
+    json_float,
     json_floats,
     json_int,
+    json_path,
     list_frame_files,
     publish,
     read_json_config,
@@ -91,10 +95,11 @@ class PipelineConfig:
 
 def _check_output_names(names: list[str], kind: str) -> None:
     """Names that each name an output directory must be distinct, and each
-    one plain path component: not empty, ``.`` or ``..``, and with no
-    ``/``, ``\\`` or whitespace.  Anything else is a ConfigError."""
+    one plain path component: a string, not empty, ``.`` or ``..``, and with
+    no ``/``, ``\\`` or whitespace.  Anything else is a ConfigError."""
     for name in names:
-        if name in ("", ".", "..") or any(c in "/\\" or c.isspace() for c in name):
+        plain = isinstance(name, str) and name not in ("", ".", "..")
+        if not plain or any(c in "/\\" or c.isspace() for c in name):
             raise ConfigError(
                 f"{kind} name {name!r} must be one plain path component: "
                 "not empty, '.' or '..', and with no '/', '\\' or whitespace"
@@ -103,45 +108,15 @@ def _check_output_names(names: list[str], kind: str) -> None:
         raise ConfigError(f"{kind} names must be distinct (they name output directories)")
 
 
-def _parse_sensor(data: dict) -> SensorMeta:
-    return SensorMeta(
-        rays_horizontal=json_int(data["rays_horizontal"], "rays_horizontal"),
-        rays_vertical=json_int(data["rays_vertical"], "rays_vertical"),
-        unit_scale=float(data.get("unit_scale", 1.0)),
-    )
-
-
-def _parse_crop(data: dict) -> CropBounds:
-    return CropBounds(
-        float(data["x_min"]), float(data["x_max"]),
-        float(data["y_min"]), float(data["y_max"]),
-        float(data["z_min"]), float(data["z_max"]),
-    )
-
-
-def _parse_teacher(data: dict, n_total: int) -> TeacherConfig:
-    return TeacherConfig(
-        n_total=n_total,
-        n_query=json_int(data["n_query"], "n_query"),
-        n_bin=json_int(data["n_bin"], "n_bin"),
-        n_tall=json_int(data["n_tall"], "n_tall"),
-        d_threshold=float(data["d_threshold"]),
-        epsilon=float(data["epsilon"]),
-        min_pts=json_int(data["min_pts"], "min_pts"),
-        l_min=float(data["l_min"]),
-        h_min=float(data["h_min"]),
-        beta_min=float(data["beta_min"]),
-        crop=_parse_crop(data["crop"]),
-    )
-
-
-def _parse_transform(data: dict | None) -> UnificationTransform:
-    if data is None:
-        return UnificationTransform()
-    return UnificationTransform(
-        translation=json_floats(data.get("translation", (0.0, 0.0, 0.0)), 3),
-        scale=float(data.get("scale", 1.0)),
-    )
+# The readers of each config section's fields, keyed as the file spells them.
+_SENSOR_FIELDS = {"rays_horizontal": json_int, "rays_vertical": json_int, "unit_scale": json_float}
+_TEACHER_FIELDS = {
+    **dict.fromkeys(("n_query", "n_bin", "n_tall", "min_pts"), json_int),
+    **dict.fromkeys(("d_threshold", "epsilon", "l_min", "h_min", "beta_min"), json_float),
+    "crop": lambda value, name: CropBounds(**json_fields(
+        value, **dict.fromkeys(("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"), json_float)
+    )),
+}
 
 
 def _parse_dataset(entry: dict) -> DatasetEntry:
@@ -150,14 +125,13 @@ def _parse_dataset(entry: dict) -> DatasetEntry:
             f"dataset '{entry.get('name')}': annotate applies no transform; "
             "set it on the merge input instead"
         )
-    meta = _parse_sensor(entry["sensor"])
-    model_in = entry.get("background_model_in")
+    meta = SensorMeta(**json_fields(entry["sensor"], **_SENSOR_FIELDS))
     return DatasetEntry(
-        name=str(entry["name"]),
-        frames_dir=Path(entry["frames"]),
+        name=entry["name"],
+        frames_dir=json_path(entry["frames"], "frames"),
         meta=meta,
-        teacher=_parse_teacher(entry["teacher"], meta.beam_count),
-        background_model_in=Path(model_in) if model_in else None,
+        teacher=TeacherConfig(n_total=meta.beam_count, **json_fields(entry["teacher"], **_TEACHER_FIELDS)),
+        **json_fields(entry, background_model_in=json_path),
     )
 
 
@@ -165,8 +139,7 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
     """Load the declarative pipeline configuration (JSON)."""
     return read_json_config(path, lambda data: PipelineConfig(
         datasets=[_parse_dataset(entry) for entry in data["datasets"]],
-        output_root=Path(data["output_root"]),
-        parallelism=json_int(data.get("parallelism", 1), "parallelism"),
+        **json_fields(data, output_root=json_path, parallelism=json_int),
     ))
 
 
@@ -321,23 +294,25 @@ class MergeInput:
     frames_dir: Path
     labels_dir: Path
     meta: SensorMeta
-    transform: UnificationTransform
+    transform: UnificationTransform = UnificationTransform()
 
 
 def _parse_merge_input(entry: dict) -> MergeInput:
     return MergeInput(
-        name=str(entry["name"]),
-        frames_dir=Path(entry["frames"]),
-        labels_dir=Path(entry["labels"]),
-        meta=_parse_sensor(entry["sensor"]),
-        transform=_parse_transform(entry.get("transform")),
+        name=entry["name"],
+        frames_dir=json_path(entry["frames"], "frames"),
+        labels_dir=json_path(entry["labels"], "labels"),
+        meta=SensorMeta(**json_fields(entry["sensor"], **_SENSOR_FIELDS)),
+        **json_fields(entry, transform=lambda value, name: UnificationTransform(**json_fields(
+            value, translation=partial(json_floats, n=3), scale=json_float
+        ))),
     )
 
 
 def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
     """Load the merge configuration: labeled inputs and the output root."""
     return read_json_config(path, lambda data: (
-        [_parse_merge_input(entry) for entry in data["inputs"]], Path(data["output_root"])
+        [_parse_merge_input(entry) for entry in data["inputs"]], json_path(data["output_root"], "output_root")
     ))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ from .core import (
     LabelSource,
     ObjectLabel,
     SensorMeta,
+    json_fields,
+    json_float,
     json_floats,
     json_int,
     normalize_yaw_half,
@@ -408,44 +411,33 @@ def read_mask(path: str | Path) -> np.ndarray:
     return np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
 
 
-def _present(section: dict, **parse) -> dict:
-    """Each key of ``section`` that ``parse`` names, parsed; absent keys keep their dataclass default."""
-    return {key: parse[key](value) for key, value in section.items() if key in parse}
-
-
-def _floats(n: int):
-    return lambda value: json_floats(value, n)
-
-
-def _int(name: str):
-    return lambda value: json_int(value, name)
+_PAIR, _TRIPLE = partial(json_floats, n=2), partial(json_floats, n=3)
 
 
 def _static_from_dict(prim: dict):
     kind = prim["type"]
     if kind == "ground":
-        return GroundPlane(**_present(prim, z=float, jitter_sigma=float))
+        return GroundPlane(**json_fields(prim, z=json_float, jitter_sigma=json_float))
     if kind == "box":
-        return BoxObstacle(
-            json_floats(prim["center"], 3), json_floats(prim["dims"], 3),
-            **_present(prim, yaw=float, jitter_sigma=float),
-        )
+        return BoxObstacle(**json_fields(
+            prim, center=_TRIPLE, dims=_TRIPLE, yaw=json_float, jitter_sigma=json_float
+        ))
     if kind == "cylinder":
         return CylinderObstacle(
-            json_floats(prim["center"], 2), float(prim["radius"]),
-            float(prim.get("z_low", 0.0)), float(prim["z_high"]),
-            **_present(prim, jitter_sigma=float),
+            _PAIR(prim["center"], "center"), json_float(prim["radius"], "radius"),
+            json_float(prim.get("z_low", 0.0), "z_low"), json_float(prim["z_high"], "z_high"),
+            **json_fields(prim, jitter_sigma=json_float),
         )
     raise ConfigError(f"unknown static primitive type '{kind}'")
 
 
 def _actor_from_dict(a: dict) -> Actor:
-    if a["shape"] == "cuboid":
-        dims = (float(a["length"]), float(a["width"]), float(a["height"]))
-    else:
-        dims = (float(a["radius"]), float(a["height"]))
-    waypoints = tuple((float(x), float(y)) for x, y in a["waypoints"])
-    return Actor(a["shape"], dims, waypoints, float(a["speed"]), **_present(a, start_time=float))
+    keys = ("length", "width", "height") if a["shape"] == "cuboid" else ("radius", "height")
+    return Actor(
+        a["shape"], tuple(json_float(a[key], key) for key in keys),
+        tuple(_PAIR(waypoint, "waypoints") for waypoint in a["waypoints"]),
+        **json_fields(a, speed=json_float, start_time=json_float),
+    )
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
@@ -454,17 +446,16 @@ def scene_from_dict(data: dict) -> SceneSpec:
     A malformed field raises the plain Python error; ``load_scene`` reports it
     as a ConfigError naming the file.
     """
-    sensor = SensorModel(**_present(
+    sensor = SensorModel(**json_fields(
         data.get("sensor", {}),
-        origin=_floats(3), azimuth_deg=_floats(2), azimuth_count=_int("azimuth_count"),
-        elevation_deg=_floats(2), elevation_count=_int("elevation_count"), frequency_hz=float,
-        range_noise_sigma=float, max_range=float,
+        origin=_TRIPLE, azimuth_deg=_PAIR, azimuth_count=json_int, elevation_deg=_PAIR,
+        elevation_count=json_int, frequency_hz=json_float, range_noise_sigma=json_float, max_range=json_float,
     ))
-    return SceneSpec(sensor, **_present(
+    return SceneSpec(sensor, **json_fields(
         data,
-        static=lambda prims: [_static_from_dict(prim) for prim in prims],
-        actors=lambda actors: [_actor_from_dict(a) for a in actors],
-        duration=_int("duration"), seed=_int("seed"), min_truth_points=_int("min_truth_points"),
+        static=lambda prims, name: [_static_from_dict(prim) for prim in prims],
+        actors=lambda actors, name: [_actor_from_dict(a) for a in actors],
+        duration=json_int, seed=json_int, min_truth_points=json_int,
     ))
 
 

@@ -770,6 +770,10 @@ class TestConfigParsing:
         path.write_text(json.dumps(data))
         (entry,) = parse_pipeline_config(path).datasets
         assert entry.teacher.n_total == entry.meta.beam_count
+        # so are the sensor's name and frequency_hz
+        sensor = data["datasets"][0]["sensor"]
+        assert {"name", "frequency_hz"} <= sensor.keys()
+        assert entry.meta == SensorMeta(sensor["rays_horizontal"], sensor["rays_vertical"])
         with pytest.raises(ConfigError, match="beam count"):
             dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_total=4))
 
@@ -1274,6 +1278,31 @@ class TestCli:
             ("iterate", (), []),
             ("iterate", ("score_threshold",), float("nan")),
             ("iterate", ("score_threshold",), 1.5),
+            ("annotate", ("datasets", 0, "teacher", "epsilon"), True),
+            ("annotate", ("datasets", 0, "teacher", "d_threshold"), "0.2"),
+            ("annotate", ("datasets", 0, "sensor", "unit_scale"), True),
+            ("annotate", ("datasets", 0, "teacher", "crop", "x_min"), "0"),
+            ("annotate", ("datasets", 0, "name"), None),
+            ("annotate", ("datasets", 0, "name"), 5),
+            ("annotate", ("datasets", 0, "background_model_in"), ""),
+            ("annotate", ("datasets", 0, "background_model_in"), False),
+            ("annotate", ("datasets", 0, "background_model_in"), 0),
+            ("annotate", ("datasets", 0, "frames"), ""),
+            ("annotate", ("datasets", 0, "frames"), "fra\0mes"),
+            ("annotate", ("output_root",), "o\0ut"),
+            ("merge", ("inputs", 0, "transform", "scale"), True),
+            ("merge", ("inputs", 0, "transform", "translation"), ["1", 0, 0]),
+            ("merge", ("inputs", 0, "transform"), None),
+            ("merge", ("inputs", 0, "labels"), "lab\0els"),
+            ("merge", ("output_root",), "mer\0ged"),
+            ("evaluate", ("thresholds",), [True, 0.5]),
+            ("evaluate", ("report",), "r\0.txt"),
+            ("iterate", ("score_threshold",), "0.5"),
+            ("iterate", ("workspace",), "w\0s"),
+            ("simulate", ("sensor", "frequency_hz"), True),
+            ("simulate", ("actors", 0, "speed"), True),
+            ("simulate", ("actors", 0, "radius"), "0.3"),
+            ("simulate", ("static", 0, "z"), "0"),
         ],
         ids=[
             "annotate-sensor-list", "annotate-transform-string", "annotate-transform",
@@ -1285,6 +1314,15 @@ class TestCli:
             "evaluate-thresholds-empty", "evaluate-thresholds-repeated",
             "evaluate-thresholds-equal-at-two-decimals",
             "iterate-list", "iterate-score-nan", "iterate-score-above-1",
+            "annotate-epsilon-bool", "annotate-d_threshold-string", "annotate-unit_scale-bool",
+            "annotate-x_min-string", "annotate-name-null", "annotate-name-number",
+            "annotate-background_model_in-empty", "annotate-background_model_in-false",
+            "annotate-background_model_in-zero", "annotate-frames-empty", "annotate-frames-nul",
+            "annotate-output_root-nul", "merge-scale-bool", "merge-translation-string",
+            "merge-transform-null", "merge-labels-nul", "merge-output_root-nul",
+            "evaluate-thresholds-bool", "evaluate-report-nul", "iterate-score-string",
+            "iterate-workspace-nul", "simulate-frequency_hz-bool", "simulate-actor-speed-bool",
+            "simulate-actor-radius-string", "simulate-ground-z-string",
         ],
     )
     def test_malformed_config_is_config_error(
@@ -1293,6 +1331,9 @@ class TestCli:
         path, argv = self._edited_config(scene_dir, tmp_path, command, where, value)
         assert main(argv) == 1
         assert str(path) in caplog.text
+        if where and where[-1] not in ("sensor", "transform"):  # a field, not a section, is named
+            assert re.search(rf"\b{where[-1]}\b", caplog.text.split(str(path))[-1])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "pred", "truth"])
 
     @pytest.mark.parametrize(
         "command, where, value",
@@ -1338,6 +1379,17 @@ class TestCli:
         assert len(list((out / "frames").glob("*.bin"))) == 2
         assert (out / "frames" / "000001.bin").stat().st_size == 20 * 10 * 16
 
+    def test_integral_number_is_accepted_for_a_float_field(self, scene_dir, tmp_path):
+        config = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        config["datasets"][0]["sensor"]["unit_scale"] = 1
+        config["datasets"][0]["teacher"]["epsilon"] = 1
+        assert config["datasets"][0]["teacher"]["crop"]["x_min"] == 0
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(config))
+        (entry,) = parse_pipeline_config(path).datasets
+        values = (entry.meta.unit_scale, entry.teacher.epsilon, entry.teacher.crop.x_min)
+        assert values == (1.0, 1.0, 0.0) and all(type(v) is float for v in values)
+
     def _edited_config(self, scene_dir, tmp_path, command, where, value):
         """A valid ``command`` config with the field at ``where`` set to
         ``value`` (the whole config when ``where`` is empty); its path and argv."""
@@ -1351,9 +1403,11 @@ class TestCli:
                 "inputs": [{
                     "name": "site_a", "frames": "frames", "labels": "labels",
                     "sensor": {"rays_horizontal": 120, "rays_vertical": 80},
+                    "transform": {"translation": [0, 0, 0], "scale": 1.0},
                 }],
             },
-            "simulate": {"duration": 1, "sensor": {"azimuth_count": 8, "elevation_count": 4}},
+            "simulate": {"duration": 1, "sensor": {"azimuth_count": 8, "elevation_count": 4},
+                         "static": [{"type": "ground"}], "actors": [_actor()]},
             "evaluate": {"pred_dir": str(tmp_path / "pred"), "truth_dir": str(tmp_path / "truth")},
             "iterate": {"predictions": str(tmp_path / "pred"), "workspace": str(tmp_path / "ws")},
         }[command]
@@ -1381,6 +1435,24 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert main(["annotate", "--config", str(path)]) == 1
         assert f"{field} must be finite and positive" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "where",
+        [("teacher", "epsilon"), ("teacher", "min_pts"), ("sensor", "rays_vertical"), ("teacher", "crop", "z_max")],
+        ids=["teacher-epsilon", "teacher-min_pts", "sensor-rays_vertical", "crop-z_max"],
+    )
+    def test_missing_required_field_is_config_error(self, scene_dir, tmp_path, caplog, where):
+        config = TestConfigParsing()._config_dict(scene_dir, tmp_path)
+        section = config["datasets"][0]
+        for key in where[:-1]:
+            section = section[key]
+        del section[where[-1]]
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(config))
+        assert main(["annotate", "--config", str(path)]) == 1
+        assert str(path) in caplog.text
+        assert f"'{where[-1]}'" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_bad_json_is_config_error(self, tmp_path):
