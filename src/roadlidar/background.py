@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -90,35 +90,45 @@ def extract_query_frames(seq: FrameSequence, n_query: int) -> FrameSequence:
 
 
 def histogram_of_ranges(
-    window: Sequence[tuple[np.ndarray, np.ndarray]], n_total: int, n_bin: int
+    window: Iterable[tuple[np.ndarray, np.ndarray]], n_total: int, n_bin: int
 ) -> DistanceHistogram:
     """Bin every beam's ranges across a query window, one frame at a time.
 
-    ``window`` holds each query frame's ``(ranges, data)``: the range of
-    every beam and the mask of the beams that hold data.  It is read twice,
-    once for each beam's range extent and once to bin.  A frame gives
-    each beam at most one range, so every bin is summed in query-frame order
-    and the result agrees bit-for-bit with the naive per-beam double loop
-    (see tests/oracles.py).  Ranges of beams without data are never read.
+    ``window`` yields each query frame's ``(ranges, data)``: the range of
+    every beam and the mask of the beams that hold data.  It is iterated
+    once.  As each frame arrives it widens every beam's range extent, and it
+    is then kept only as the ranges of its beams with data (float64) and its
+    packed mask, about 8f + 1/8 bytes a beam for a data fraction f.  The
+    extent arrays are allocated once the first frame has been read, so a
+    frame source that checks its input first reports a bad frame before a
+    beam count too large to allocate fails.  The kept frames are then
+    binned in query-frame order.  A frame gives each beam at
+    most one range, so every bin is summed in query-frame order and the
+    result agrees bit-for-bit with the naive per-beam double loop (see
+    tests/oracles.py).  Ranges of beams without data are never read.
     """
     if n_bin < 1:
         raise DataError("n_bin must be >= 1")
-    seen = np.zeros(n_total, dtype=bool)
-    d_min = np.full(n_total, np.inf)
-    d_max = np.full(n_total, -np.inf)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
     for r, data in window:
+        if not kept:
+            seen = np.zeros(n_total, dtype=bool)
+            d_min = np.full(n_total, np.inf)
+            d_max = np.full(n_total, -np.inf)
         seen |= data
         np.minimum(d_min, r, out=d_min, where=data)
         np.maximum(d_max, r, out=d_max, where=data)
+        kept.append((r[data], np.packbits(data)))
+    if not kept:
+        raise DataError("empty query set")
     d_min[~seen] = 0.0
     d_max[~seen] = 0.0
     width = (d_max - d_min) / n_bin
 
     bin_sum = np.zeros(n_total * n_bin)
     bin_count = np.zeros(n_total * n_bin, dtype=np.int64)
-    for r, data in window:
-        beams = np.flatnonzero(data)
-        r = r[beams]
+    for r, packed in kept:
+        beams = np.flatnonzero(np.unpackbits(packed, count=n_total))
         with np.errstate(divide="ignore", invalid="ignore"):
             k = np.floor((r - d_min[beams]) / width[beams])
         k = np.where(width[beams] > 0, k, 0.0)
@@ -127,8 +137,8 @@ def histogram_of_ranges(
         bin_count[flat] += 1
     bin_sum = bin_sum.reshape(n_total, n_bin)
     bin_count = bin_count.reshape(n_total, n_bin)
-    # Each mean overwrites its bin's sum, which keeps the peak below two
-    # copies of a held window's ranges; an empty bin's sum stays 0.0.
+    # Each mean overwrites its bin's sum, so no third (beams x n_bin) array
+    # is made; an empty bin's sum stays 0.0.
     bin_mean = np.divide(bin_sum, bin_count, out=bin_sum, where=bin_count > 0)
 
     return DistanceHistogram(
@@ -139,7 +149,7 @@ def histogram_of_ranges(
 
 def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
     """Bin every beam's ranges across the query frames (``histogram_of_ranges``
-    over each frame's ranges and non-padding mask)."""
+    over each frame's ranges and non-padding mask, computed as it is read)."""
     frames = query.frames
     if not frames:
         raise DataError("empty query set")
@@ -147,19 +157,28 @@ def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
     for f in frames:
         if f.n_points != n_total:
             raise DataError("query frames must share one arity, the sensor's beam count")
-    return histogram_of_ranges([(point_ranges(f.xyz), ~f.padding) for f in frames], n_total, n_bin)
+    return histogram_of_ranges(((point_ranges(f.xyz), ~f.padding) for f in frames), n_total, n_bin)
 
 
 def select_background(hist: DistanceHistogram, n_tall: int) -> BackgroundModel:
-    """Keep the means of the ``n_tall`` most populated occupied bins per beam."""
+    """Keep the means of the ``n_tall`` most populated occupied bins per beam.
+
+    Each of ``n_tall`` rounds takes every beam's ``argmax`` over a copy of
+    the counts and then marks that bin -1.  ``argmax`` returns the first
+    maximum, so ties go to the lower bin index, as a stable sort on
+    descending count would order them.  A round whose winner has count 0
+    gives NaN: the beam has no more occupied bins.  No (beams x n_bin)
+    array is made beyond the one copy.
+    """
     if n_tall < 1 or n_tall > hist.n_bin:
         raise DataError(f"n_tall must be in [1, n_bin]; got {n_tall} with n_bin {hist.n_bin}")
-    # Stable sort on descending count: ties keep ascending bin index, and
-    # empty bins (count 0) sort last, after every occupied bin.
-    order = np.argsort(-hist.bin_count, axis=1, kind="stable")
-    sorted_counts = np.take_along_axis(hist.bin_count, order, axis=1)
-    sorted_means = np.take_along_axis(hist.bin_mean, order, axis=1)
-    tall = np.where(sorted_counts[:, :n_tall] > 0, sorted_means[:, :n_tall], np.nan)
+    counts = hist.bin_count.copy()
+    rows = np.arange(len(counts))
+    tall = np.empty((len(counts), n_tall))
+    for m in range(n_tall):
+        k = np.argmax(counts, axis=1)
+        tall[:, m] = np.where(counts[rows, k] > 0, hist.bin_mean[rows, k], np.nan)
+        counts[rows, k] = -1
     return BackgroundModel(tall=tall)
 
 

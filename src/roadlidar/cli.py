@@ -18,7 +18,7 @@ import json
 import logging
 import sys
 
-from .core import ConfigError, DataError, json_float, json_path, read_json_config
+from .core import ConfigError, DataError, json_path, read_json_config
 from .evaluate import DEFAULT_IOU_THRESHOLDS, evaluate, validate_iou_thresholds
 from .pipeline import (
     DEFAULT_ITERATE_SCORE_THRESHOLD,
@@ -64,9 +64,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     pred_dir, truth_dir, thresholds, report_path = read_json_config(args.config, lambda data: (
         json_path(data["pred_dir"], "pred_dir"),
         json_path(data["truth_dir"], "truth_dir"),
-        validate_iou_thresholds(
-            [json_float(t, "thresholds") for t in data.get("thresholds", DEFAULT_IOU_THRESHOLDS)]
-        ),
+        validate_iou_thresholds(data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
         json_path(data["report"], "report") if "report" in data else None,
     ))
     report = evaluate(pred_dir, truth_dir, thresholds, report_path)
@@ -91,9 +89,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     predictions, workspace, threshold = read_json_config(args.config, lambda data: (
         json_path(data["predictions"], "predictions"),
         json_path(data["workspace"], "workspace"),
-        validate_score_threshold(
-            json_float(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD), "score_threshold")
-        ),
+        validate_score_threshold(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
     ))
     round_dir = iterate(predictions, workspace, threshold)
     log.info("next-round labels written to %s", round_dir)

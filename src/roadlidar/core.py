@@ -311,10 +311,13 @@ def json_path(value: Any, name: str) -> Path:
     return Path(value)
 
 
-def json_fields(section: Mapping[str, Any], **readers: Callable[[Any, str], Any]) -> dict[str, Any]:
+def json_fields(section: Any, name: str, /, **readers: Callable[[Any, str], Any]) -> dict[str, Any]:
     """Each key of the JSON object ``section`` that ``readers`` names, read
     by its reader; every other key is ignored, and an absent key keeps the
-    default of the parameter it fills."""
+    default of the parameter it fills.  A ``section`` that is not a JSON
+    object is a ConfigError naming it ``name``."""
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
     return {key: readers[key](value, key) for key, value in section.items() if key in readers}
 
 

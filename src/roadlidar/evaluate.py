@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, LabelClass, LabelSource, ObjectLabel, publish, read_labels
+from .core import DataError, LabelClass, LabelSource, ObjectLabel, json_float, publish, read_labels
 
 DEFAULT_IOU_THRESHOLDS = (0.25, 0.3, 0.5)
 
@@ -30,7 +30,7 @@ def validate_iou_thresholds(values) -> tuple[float, ...]:
     Reports print a threshold with two decimals and key records by it, so
     two thresholds that print alike would give two identical rows.
     """
-    thresholds = tuple(float(t) for t in values)
+    thresholds = tuple(json_float(t, "thresholds") for t in values)
     if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
         raise ValueError(f"thresholds must be a non-empty list of values in (0, 1], got {values!r}")
     spelled = [f"{t:.2f}" for t in thresholds]

@@ -114,7 +114,7 @@ _TEACHER_FIELDS = {
     **dict.fromkeys(("n_query", "n_bin", "n_tall", "min_pts"), json_int),
     **dict.fromkeys(("d_threshold", "epsilon", "l_min", "h_min", "beta_min"), json_float),
     "crop": lambda value, name: CropBounds(**json_fields(
-        value, **dict.fromkeys(("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"), json_float)
+        value, name, **dict.fromkeys(("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"), json_float)
     )),
 }
 
@@ -125,13 +125,15 @@ def _parse_dataset(entry: dict) -> DatasetEntry:
             f"dataset '{entry.get('name')}': annotate applies no transform; "
             "set it on the merge input instead"
         )
-    meta = SensorMeta(**json_fields(entry["sensor"], **_SENSOR_FIELDS))
+    meta = SensorMeta(**json_fields(entry["sensor"], "sensor", **_SENSOR_FIELDS))
     return DatasetEntry(
         name=entry["name"],
         frames_dir=json_path(entry["frames"], "frames"),
         meta=meta,
-        teacher=TeacherConfig(n_total=meta.beam_count, **json_fields(entry["teacher"], **_TEACHER_FIELDS)),
-        **json_fields(entry, background_model_in=json_path),
+        teacher=TeacherConfig(
+            n_total=meta.beam_count, **json_fields(entry["teacher"], "teacher", **_TEACHER_FIELDS)
+        ),
+        **json_fields(entry, "dataset", background_model_in=json_path),
     )
 
 
@@ -139,7 +141,7 @@ def parse_pipeline_config(path: str | Path) -> PipelineConfig:
     """Load the declarative pipeline configuration (JSON)."""
     return read_json_config(path, lambda data: PipelineConfig(
         datasets=[_parse_dataset(entry) for entry in data["datasets"]],
-        **json_fields(data, output_root=json_path, parallelism=json_int),
+        **json_fields(data, "annotate config", output_root=json_path, parallelism=json_int),
     ))
 
 
@@ -166,11 +168,12 @@ def _read_beams(
 def _query_histogram(
     buffers: FrameBuffers, files: list[Path], meta: SensorMeta, cfg: TeacherConfig
 ) -> DistanceHistogram:
-    """The histogram of the first ``n_query`` files, which are read once and
-    kept, until it is built, only as each beam's range and data mask."""
+    """The histogram of the first ``n_query`` files, each read once and handed
+    to ``histogram_of_ranges`` as it is read, which keeps only its data
+    beams' ranges and packed mask until the histogram is built."""
     if cfg.n_query > len(files):
         raise DataError(f"n_query {cfg.n_query} exceeds sequence length {len(files)}")
-    window = [_read_beams(buffers, file, meta, cfg.crop)[1:] for file in files[:cfg.n_query]]
+    window = (_read_beams(buffers, file, meta, cfg.crop)[1:] for file in files[:cfg.n_query])
     return histogram_of_ranges(window, cfg.n_total, cfg.n_bin)
 
 
@@ -185,9 +188,10 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     range and data mask, then every file is read in turn.  Its ranges are
     computed once; the crop and the filter are masks over them, and only
     the foreground points left are copied out, into the compact frame that
-    DBSCAN and the box fit take.  Peak memory is the query window's ranges
-    plus the codec's one frame, whatever the recording length; only
-    rejects and counts accumulate.
+    DBSCAN and the box fit take.  Peak memory is the model build: the query
+    window, held as each frame's data-beam ranges and packed mask, plus the
+    histogram and the codec's one frame, whatever the recording length;
+    only rejects and counts accumulate.
     Outputs under ``<output_root>/<name>/``: ``labels/``, ``stats.json``,
     ``rejects.log`` and the background model sidecar.  Each frame's label
     file is written as soon as the frame is labelled, into the paths that
@@ -302,9 +306,9 @@ def _parse_merge_input(entry: dict) -> MergeInput:
         name=entry["name"],
         frames_dir=json_path(entry["frames"], "frames"),
         labels_dir=json_path(entry["labels"], "labels"),
-        meta=SensorMeta(**json_fields(entry["sensor"], **_SENSOR_FIELDS)),
-        **json_fields(entry, transform=lambda value, name: UnificationTransform(**json_fields(
-            value, translation=partial(json_floats, n=3), scale=json_float
+        meta=SensorMeta(**json_fields(entry["sensor"], "sensor", **_SENSOR_FIELDS)),
+        **json_fields(entry, "merge input", transform=lambda value, name: UnificationTransform(**json_fields(
+            value, name, translation=partial(json_floats, n=3), scale=json_float
         ))),
     )
 
@@ -407,8 +411,9 @@ def _read_manifest(workspace: Path) -> dict:
 
 
 def validate_score_threshold(value) -> float:
-    """A score threshold as a float in [0, 1]; NaN, which would keep no label, is refused."""
-    threshold = float(value)
+    """A score threshold as a float in [0, 1]: a bool or a string is refused,
+    as in a config, and so is NaN, which would keep no label."""
+    threshold = json_float(value, "score_threshold")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"score_threshold must be in [0, 1], got {value!r}")
     return threshold

@@ -417,16 +417,16 @@ _PAIR, _TRIPLE = partial(json_floats, n=2), partial(json_floats, n=3)
 def _static_from_dict(prim: dict):
     kind = prim["type"]
     if kind == "ground":
-        return GroundPlane(**json_fields(prim, z=json_float, jitter_sigma=json_float))
+        return GroundPlane(**json_fields(prim, "static", z=json_float, jitter_sigma=json_float))
     if kind == "box":
         return BoxObstacle(**json_fields(
-            prim, center=_TRIPLE, dims=_TRIPLE, yaw=json_float, jitter_sigma=json_float
+            prim, "static", center=_TRIPLE, dims=_TRIPLE, yaw=json_float, jitter_sigma=json_float
         ))
     if kind == "cylinder":
         return CylinderObstacle(
             _PAIR(prim["center"], "center"), json_float(prim["radius"], "radius"),
             json_float(prim.get("z_low", 0.0), "z_low"), json_float(prim["z_high"], "z_high"),
-            **json_fields(prim, jitter_sigma=json_float),
+            **json_fields(prim, "static", jitter_sigma=json_float),
         )
     raise ConfigError(f"unknown static primitive type '{kind}'")
 
@@ -436,7 +436,7 @@ def _actor_from_dict(a: dict) -> Actor:
     return Actor(
         a["shape"], tuple(json_float(a[key], key) for key in keys),
         tuple(_PAIR(waypoint, "waypoints") for waypoint in a["waypoints"]),
-        **json_fields(a, speed=json_float, start_time=json_float),
+        **json_fields(a, "actors", speed=json_float, start_time=json_float),
     )
 
 
@@ -447,12 +447,12 @@ def scene_from_dict(data: dict) -> SceneSpec:
     as a ConfigError naming the file.
     """
     sensor = SensorModel(**json_fields(
-        data.get("sensor", {}),
+        data.get("sensor", {}), "sensor",
         origin=_TRIPLE, azimuth_deg=_PAIR, azimuth_count=json_int, elevation_deg=_PAIR,
         elevation_count=json_int, frequency_hz=json_float, range_noise_sigma=json_float, max_range=json_float,
     ))
     return SceneSpec(sensor, **json_fields(
-        data,
+        data, "scene",
         static=lambda prims, name: [_static_from_dict(prim) for prim in prims],
         actors=lambda actors, name: [_actor_from_dict(a) for a in actors],
         duration=json_int, seed=json_int, min_truth_points=json_int,

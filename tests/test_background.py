@@ -10,6 +10,7 @@ from roadlidar.background import (
     build_histogram,
     extract_query_frames,
     BackgroundModel,
+    DistanceHistogram,
     filter_frame,
     load_background_model,
     near_background,
@@ -208,6 +209,23 @@ class TestSelectBackground:
             expected = naive_select_tall(means, counts, n_tall)
             for i in range(len(hist.bin_count)):
                 assert _tall_distances(model, i) == expected[i]
+
+    def test_ties_match_naive_selection(self):
+        # counts from {0, 1, 2} tie often; a fifth of the beams hold no range
+        rng = np.random.default_rng(23)
+        n_total = 40
+        zeros = np.zeros(n_total)
+        for n_bin in range(1, 11):
+            for n_tall in range(1, n_bin + 1):
+                counts = rng.integers(0, 3, (n_total, n_bin))
+                counts[rng.random(n_total) < 0.2] = 0
+                means = np.where(counts > 0, rng.uniform(1.0, 60.0, counts.shape), 0.0)
+                hist = DistanceHistogram(n_bin, means, counts, zeros, zeros, zeros)
+                tall = select_background(hist, n_tall).tall
+                expected = naive_select_tall(means.tolist(), counts.tolist(), n_tall)
+                for row, want in zip(tall, expected):
+                    assert row[:len(want)].tolist() == want
+                    assert np.isnan(row[len(want):]).all()
 
 
 class TestFilterFrame:

@@ -382,7 +382,7 @@ class TestEvaluateLabels:
         table = report.to_table().splitlines()
         assert [row.startswith("Vehicle") for row in table if "no reference objects" in row] == [True]
 
-    @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (float("nan"),), (), (1.5,)])
+    @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (float("nan"),), (), (1.5,), (True, 0.5), ("0.5",)])
     def test_thresholds_range_checked(self, thresholds):
         with pytest.raises(ValueError, match="thresholds"):
             evaluate_labels({}, {}, thresholds)

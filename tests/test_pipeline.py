@@ -239,22 +239,27 @@ class TestRunTeacher:
         spec = _mini_scene(duration=40)
         write_scene_outputs(spec, tmp_path / "scene")
         entry = _entry((tmp_path / "scene", spec))
-        # every frame in the window, and few bins, so the window dominates
+        # every frame in the window, and few bins, so the window dominates; the
+        # crop drops the ground, so fewer than half the beams hold data
         n_total, n_query, n_bin = spec.sensor.beam_count, 40, 4
-        entry = dataclasses.replace(
-            entry, teacher=dataclasses.replace(entry.teacher, n_query=n_query, n_bin=n_bin),
-        )
+        entry = dataclasses.replace(entry, teacher=dataclasses.replace(
+            entry.teacher, n_query=n_query, n_bin=n_bin, crop=CropBounds(0, 40, -25, 25, 0.5, 8),
+        ))
         run_teacher(entry, tmp_path / "warm")  # lazy imports happen outside the trace
         tracemalloc.start()
         try:
-            run_teacher(entry, tmp_path / "out")
+            stats = run_teacher(entry, tmp_path / "out")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Each query frame kept as ranges (float64) and a data mask is 9 bytes
-        # a beam; kept as (n, 3) float64 points and padding it would be 25.
-        window = n_query * n_total * 9
-        histogram = n_total * n_bin * 24  # bin sums, counts and means
+        data_beams = stats["points_data"]  # over the window, which is every frame
+        assert data_beams < 0.5 * n_query * n_total
+        # Each query frame kept as the ranges of its data beams (float64) and a
+        # packed mask is 8 bytes a data beam plus 1/8 byte a beam.  Kept as
+        # every beam's range and a bool mask it would be 9 bytes a beam, and as
+        # (n, 3) float64 points and padding 25.
+        window = 8 * data_beams + n_query * n_total / 8
+        histogram = n_total * n_bin * 24  # bin sums and counts, and the select's copy of the counts
         frame = n_total * 25
         assert peak < window + histogram + 6 * frame
 
@@ -694,7 +699,7 @@ class TestIterate:
         )
         assert not list((tmp_path / "ws").glob("*.partial"))
 
-    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, True, "0.5"])
     def test_score_threshold_range_checked(self, tmp_path, threshold):
         rng = np.random.default_rng(57)
         pred_dir = tmp_path / "preds"
@@ -1331,7 +1336,7 @@ class TestCli:
         path, argv = self._edited_config(scene_dir, tmp_path, command, where, value)
         assert main(argv) == 1
         assert str(path) in caplog.text
-        if where and where[-1] not in ("sensor", "transform"):  # a field, not a section, is named
+        if where and not isinstance(value, dict):  # the field or section at fault is named
             assert re.search(rf"\b{where[-1]}\b", caplog.text.split(str(path))[-1])
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "pred", "truth"])
 
