@@ -33,8 +33,8 @@ from .background import (
     select_background,
 )
 from .clustering import dbscan
-from .annotate import FittedBox, annotate_frame, classify, fit_bbox, validate_bbox
-from .evaluate import EvalReport, average_precision, iou_3d
+from .annotate import FittedBox, annotate_frame, classify, validate_bbox
+from .evaluate import EvalReport, average_precision
 
 __version__ = "0.1.0"
 
@@ -62,8 +62,6 @@ __all__ = [
     "dbscan",
     "extract_query_frames",
     "filter_frame",
-    "fit_bbox",
-    "iou_3d",
     "load_frame_sequence",
     "pad_frame",
     "read_labels",

@@ -243,11 +243,6 @@ def fit_boxes(frame: Frame, clusters: list[np.ndarray]) -> list[FittedBox]:
     ]
 
 
-def fit_bbox(cluster: np.ndarray, frame: Frame) -> FittedBox:
-    """``fit_boxes`` for one cluster."""
-    return fit_boxes(frame, [cluster])[0]
-
-
 def validate_bbox(box: FittedBox, cfg: TeacherConfig) -> tuple[bool, str]:
     """Apply the three size gates; returns (valid, failed_predicate).
 

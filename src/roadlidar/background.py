@@ -48,16 +48,15 @@ class DistanceHistogram:
 
     ``bin_mean[i, k]`` is the mean of the ranges that fell into bin k of beam
     i (0.0 where the bin is empty) and ``bin_count[i, k]`` their number.
-    ``d_min``, ``d_max`` and ``bin_width`` are per-beam; beams that were
-    padding in every query frame have zero width and no occupied bins.
+    ``d_min`` and ``d_max`` are per-beam, and the ``n_bin`` bins of a beam
+    split [d_min, d_max] evenly; beams that were padding in every query
+    frame have d_min = d_max = 0 and no occupied bins.
     """
 
-    n_bin: int
     bin_mean: np.ndarray
     bin_count: np.ndarray
     d_min: np.ndarray
     d_max: np.ndarray
-    bin_width: np.ndarray
 
 
 @dataclass
@@ -141,10 +140,7 @@ def histogram_of_ranges(
     # is made; an empty bin's sum stays 0.0.
     bin_mean = np.divide(bin_sum, bin_count, out=bin_sum, where=bin_count > 0)
 
-    return DistanceHistogram(
-        n_bin=n_bin, bin_mean=bin_mean, bin_count=bin_count,
-        d_min=d_min, d_max=d_max, bin_width=width,
-    )
+    return DistanceHistogram(bin_mean=bin_mean, bin_count=bin_count, d_min=d_min, d_max=d_max)
 
 
 def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
@@ -170,8 +166,9 @@ def select_background(hist: DistanceHistogram, n_tall: int) -> BackgroundModel:
     gives NaN: the beam has no more occupied bins.  No (beams x n_bin)
     array is made beyond the one copy.
     """
-    if n_tall < 1 or n_tall > hist.n_bin:
-        raise DataError(f"n_tall must be in [1, n_bin]; got {n_tall} with n_bin {hist.n_bin}")
+    n_bin = hist.bin_count.shape[1]
+    if n_tall < 1 or n_tall > n_bin:
+        raise DataError(f"n_tall must be in [1, n_bin]; got {n_tall} with n_bin {n_bin}")
     counts = hist.bin_count.copy()
     rows = np.arange(len(counts))
     tall = np.empty((len(counts), n_tall))
@@ -201,12 +198,12 @@ def near_background(r: np.ndarray, model: BackgroundModel, d_threshold: float) -
     return near
 
 
-def background_mask(frame: Frame, model: BackgroundModel, d_threshold: float) -> np.ndarray:
-    """Boolean mask of the background points, the ones filter_frame removes.
+def filter_frame(frame: Frame, model: BackgroundModel, d_threshold: float) -> Frame:
+    """Replace background points with padding.
 
     A non-padding point at beam i is background iff some tall-bin mean d of
     beam i satisfies ``|range - d| <= d_threshold`` (``near_background``).
-    Padding is never background.
+    Foreground passes unchanged and padding stays padding.
     """
     if not d_threshold > 0:  # NaN included
         raise DataError(f"d_threshold must be positive, got {d_threshold!r}")
@@ -214,15 +211,7 @@ def background_mask(frame: Frame, model: BackgroundModel, d_threshold: float) ->
         raise DataError(
             f"arity mismatch: frame has {frame.n_points} points, model expects {model.n_total}"
         )
-    return near_background(point_ranges(frame.xyz), model, d_threshold) & ~frame.padding
-
-
-def filter_frame(frame: Frame, model: BackgroundModel, d_threshold: float) -> Frame:
-    """Replace background points (see background_mask) with padding.
-
-    Foreground passes unchanged and padding stays padding.
-    """
-    return frame.without(background_mask(frame, model, d_threshold))
+    return frame.without(near_background(point_ranges(frame.xyz), model, d_threshold) & ~frame.padding)
 
 
 # ---------------------------------------------------------------------------

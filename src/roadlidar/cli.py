@@ -17,8 +17,9 @@ import dataclasses
 import json
 import logging
 import sys
+from typing import Any
 
-from .core import ConfigError, DataError, json_path, read_json_config
+from .core import ConfigError, DataError, json_fields, json_path, read_json_config
 from .evaluate import DEFAULT_IOU_THRESHOLDS, evaluate, validate_iou_thresholds
 from .pipeline import (
     DEFAULT_ITERATE_SCORE_THRESHOLD,
@@ -60,13 +61,14 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _evaluate_config(data: Any) -> tuple:
+    f = json_fields(data, "evaluate config", pred_dir=json_path, truth_dir=json_path, report=json_path,
+                    thresholds=lambda value, name: validate_iou_thresholds(value))
+    return f["pred_dir"], f["truth_dir"], f.get("thresholds", DEFAULT_IOU_THRESHOLDS), f.get("report")
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    pred_dir, truth_dir, thresholds, report_path = read_json_config(args.config, lambda data: (
-        json_path(data["pred_dir"], "pred_dir"),
-        json_path(data["truth_dir"], "truth_dir"),
-        validate_iou_thresholds(data.get("thresholds", DEFAULT_IOU_THRESHOLDS)),
-        json_path(data["report"], "report") if "report" in data else None,
-    ))
+    pred_dir, truth_dir, thresholds, report_path = read_json_config(args.config, _evaluate_config)
     report = evaluate(pred_dir, truth_dir, thresholds, report_path)
     print(report.to_table())
     if report_path is not None:
@@ -85,12 +87,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _iterate_config(data: Any) -> tuple:
+    f = json_fields(data, "iterate config", predictions=json_path, workspace=json_path,
+                    score_threshold=lambda value, name: validate_score_threshold(value))
+    return f["predictions"], f["workspace"], f.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)
+
+
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    predictions, workspace, threshold = read_json_config(args.config, lambda data: (
-        json_path(data["predictions"], "predictions"),
-        json_path(data["workspace"], "workspace"),
-        validate_score_threshold(data.get("score_threshold", DEFAULT_ITERATE_SCORE_THRESHOLD)),
-    ))
+    predictions, workspace, threshold = read_json_config(args.config, _iterate_config)
     round_dir = iterate(predictions, workspace, threshold)
     log.info("next-round labels written to %s", round_dir)
     return EXIT_OK

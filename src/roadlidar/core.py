@@ -72,6 +72,25 @@ def normalize_yaw_half(yaw: float) -> float:
     return (yaw + math.pi / 2.0) % math.pi - math.pi / 2.0
 
 
+# Each range check takes a number or a (nested) tuple of them, names its
+# field, and refuses NaN, which fails every comparison: a test written as
+# "v <= 0" would let it through.
+
+def check_finite(name: str, value: float | tuple) -> None:
+    if not all(math.isfinite(v) for v in np.ravel(value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def check_positive(name: str, value: float | tuple) -> None:
+    if not all(math.isfinite(v) and v > 0 for v in np.ravel(value)):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SensorMeta:
     """Static description of one LiDAR unit.
@@ -87,8 +106,7 @@ class SensorMeta:
     def __post_init__(self) -> None:
         if self.rays_horizontal < 1 or self.rays_vertical < 1:
             raise ConfigError("sensor ray counts must be positive")
-        if not (math.isfinite(self.unit_scale) and self.unit_scale > 0):
-            raise ConfigError("unit_scale must be finite and positive")
+        check_positive("unit_scale", self.unit_scale)
 
     @property
     def beam_count(self) -> int:
@@ -251,16 +269,15 @@ class TeacherConfig:
         if self.min_pts < 1:
             raise ConfigError("min_pts must be >= 1")
         for name in ("d_threshold", "epsilon", "l_min", "h_min", "beta_min"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+            check_positive(name, getattr(self, name))
 
 
 def read_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
     """Parse a declarative JSON configuration file into settings via ``build``.
 
     ``build`` turns the parsed JSON into typed settings, each field through
-    the ``json_*`` reader of its kind, and need not guard its field reads: a
+    the ``json_*`` reader of its kind (every object through ``json_fields``,
+    every list through ``json_list``), and need not guard its field reads: a
     missing field, or a field or section of the wrong JSON type, surfaces as
     a ConfigError naming the file, as do an unreadable file, invalid JSON
     and any ValueError (ConfigError included) that ``build`` raises for an
@@ -309,6 +326,20 @@ def json_path(value: Any, name: str) -> Path:
     if not isinstance(value, str) or not value or "\0" in value:
         raise ValueError(f"{name} must be a non-empty path string without NUL, got {value!r}")
     return Path(value)
+
+
+def json_value(value: Any, name: str) -> Any:
+    """A config field as it is, for a setting that checks it itself."""
+    return value
+
+
+def json_list(value: Any, name: str, read: Callable[[Any, str], T]) -> list[T]:
+    """A config field holding a list, each entry read by ``read`` under the
+    name ``name[i]``; a value that is not a list is a ValueError naming the
+    field."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return [read(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
 
 
 def json_fields(section: Any, name: str, /, **readers: Callable[[Any, str], Any]) -> dict[str, Any]:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, LabelClass, LabelSource, ObjectLabel, json_float, publish, read_labels
+from .core import DataError, LabelClass, LabelSource, ObjectLabel, json_float, json_list, publish, read_labels
 
 DEFAULT_IOU_THRESHOLDS = (0.25, 0.3, 0.5)
 
@@ -30,7 +30,7 @@ def validate_iou_thresholds(values) -> tuple[float, ...]:
     Reports print a threshold with two decimals and key records by it, so
     two thresholds that print alike would give two identical rows.
     """
-    thresholds = tuple(json_float(t, "thresholds") for t in values)
+    thresholds = tuple(json_list(values, "thresholds", json_float))
     if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
         raise ValueError(f"thresholds must be a non-empty list of values in (0, 1], got {values!r}")
     spelled = [f"{t:.2f}" for t in thresholds]
@@ -202,11 +202,6 @@ def iou_matrices(frames: list[tuple[list[ObjectLabel], list[ObjectLabel]]]) -> l
     return [m.reshape(p, t) for m, p, t in zip(np.split(iou, np.cumsum(n_pairs)[:-1]), n_pred, n_truth)]
 
 
-def iou_3d(a: ObjectLabel, b: ObjectLabel) -> float:
-    """Volume IoU of two yaw-oriented boxes; symmetric, in [0, 1]."""
-    return float(iou_matrices([([a], [b])])[0][0, 0])
-
-
 def _rank_order(preds: list[ObjectLabel]) -> list[int]:
     # Descending score; ties broken by ascending center distance to the
     # sensor, then by input order for determinism.
@@ -372,7 +367,6 @@ def evaluate(
     the machine-readable report is written there by ``publish``, so a run
     cut short keeps the previous report whole.
     """
-    thresholds = validate_iou_thresholds(thresholds)
     preds = read_labels(pred_dir, source=LabelSource.EXTERNAL)
     truths = read_labels(truth_dir, source=LabelSource.TEACHER)
     report = evaluate_labels(preds, truths, thresholds)

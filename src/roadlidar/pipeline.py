@@ -20,6 +20,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -47,7 +48,9 @@ from .core import (
     json_float,
     json_floats,
     json_int,
+    json_list,
     json_path,
+    json_value,
     list_frame_files,
     publish,
     read_json_config,
@@ -119,30 +122,33 @@ _TEACHER_FIELDS = {
 }
 
 
-def _parse_dataset(entry: dict) -> DatasetEntry:
-    if "transform" in entry:
+def _read_sensor(value: Any, name: str) -> SensorMeta:
+    return SensorMeta(**json_fields(value, name, **_SENSOR_FIELDS))
+
+
+def _parse_dataset(entry: Any, name: str) -> DatasetEntry:
+    f = json_fields(entry, name, name=json_value, frames=json_path, sensor=_read_sensor,
+                    teacher=partial(json_fields, **_TEACHER_FIELDS), background_model_in=json_path,
+                    transform=json_value)
+    if "transform" in f:
         raise ConfigError(
-            f"dataset '{entry.get('name')}': annotate applies no transform; "
+            f"dataset '{f.get('name')}': annotate applies no transform; "
             "set it on the merge input instead"
         )
-    meta = SensorMeta(**json_fields(entry["sensor"], "sensor", **_SENSOR_FIELDS))
-    return DatasetEntry(
-        name=entry["name"],
-        frames_dir=json_path(entry["frames"], "frames"),
-        meta=meta,
-        teacher=TeacherConfig(
-            n_total=meta.beam_count, **json_fields(entry["teacher"], "teacher", **_TEACHER_FIELDS)
-        ),
-        **json_fields(entry, "dataset", background_model_in=json_path),
-    )
+    meta = f.pop("sensor")
+    return DatasetEntry(f.pop("name"), f.pop("frames"), meta,
+                        TeacherConfig(n_total=meta.beam_count, **f.pop("teacher")), **f)
+
+
+def _pipeline_config(data: Any) -> PipelineConfig:
+    f = json_fields(data, "annotate config", datasets=partial(json_list, read=_parse_dataset),
+                    output_root=json_path, parallelism=json_int)
+    return PipelineConfig(f.pop("datasets"), **f)
 
 
 def parse_pipeline_config(path: str | Path) -> PipelineConfig:
     """Load the declarative pipeline configuration (JSON)."""
-    return read_json_config(path, lambda data: PipelineConfig(
-        datasets=[_parse_dataset(entry) for entry in data["datasets"]],
-        **json_fields(data, "annotate config", output_root=json_path, parallelism=json_int),
-    ))
+    return read_json_config(path, _pipeline_config)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +307,23 @@ class MergeInput:
     transform: UnificationTransform = UnificationTransform()
 
 
-def _parse_merge_input(entry: dict) -> MergeInput:
-    return MergeInput(
-        name=entry["name"],
-        frames_dir=json_path(entry["frames"], "frames"),
-        labels_dir=json_path(entry["labels"], "labels"),
-        meta=SensorMeta(**json_fields(entry["sensor"], "sensor", **_SENSOR_FIELDS)),
-        **json_fields(entry, "merge input", transform=lambda value, name: UnificationTransform(**json_fields(
-            value, name, translation=partial(json_floats, n=3), scale=json_float
-        ))),
-    )
+def _parse_merge_input(entry: Any, name: str) -> MergeInput:
+    f = json_fields(entry, name, name=json_value, frames=json_path, labels=json_path, sensor=_read_sensor,
+                    transform=lambda value, name: UnificationTransform(**json_fields(
+                        value, name, translation=partial(json_floats, n=3), scale=json_float
+                    )))
+    return MergeInput(f.pop("name"), f.pop("frames"), f.pop("labels"), f.pop("sensor"), **f)
+
+
+def _merge_config(data: Any) -> tuple[list[MergeInput], Path]:
+    f = json_fields(data, "merge config", inputs=partial(json_list, read=_parse_merge_input),
+                    output_root=json_path)
+    return f["inputs"], f["output_root"]
 
 
 def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
     """Load the merge configuration: labeled inputs and the output root."""
-    return read_json_config(path, lambda data: (
-        [_parse_merge_input(entry) for entry in data["inputs"]], json_path(data["output_root"], "output_root")
-    ))
+    return read_json_config(path, _merge_config)
 
 
 def _write_merged_frames(item: MergeInput, files: list[Path], directory: Path) -> None:

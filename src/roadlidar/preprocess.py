@@ -8,7 +8,6 @@ relies on survives preprocessing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,8 @@ from .core import (
     Frame,
     FrameSequence,
     ObjectLabel,
+    check_finite,
+    check_positive,
 )
 
 
@@ -31,10 +32,8 @@ class UnificationTransform:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError("unification scale must be finite and positive")
-        if not np.all(np.isfinite(self.translation)):
-            raise ConfigError("unification translation must be finite")
+        check_positive("unification scale", self.scale)
+        check_finite("unification translation", self.translation)
 
     @property
     def is_identity(self) -> bool:

@@ -26,6 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -38,10 +39,15 @@ from .core import (
     LabelSource,
     ObjectLabel,
     SensorMeta,
+    check_finite,
+    check_nonnegative,
+    check_positive,
     json_fields,
     json_float,
     json_floats,
     json_int,
+    json_list,
+    json_value,
     normalize_yaw_half,
     publish,
     read_json_config,
@@ -54,25 +60,6 @@ MASK_PADDING = 2
 
 _EPS_T = 1e-6
 _TINY = 1e-12
-
-
-# Each check takes a number or a (nested) tuple of them, names its field, and
-# refuses NaN, which fails every comparison: a test written as "v <= 0" would
-# let it render.
-
-def _check_finite(name: str, value: float | tuple) -> None:
-    if not all(math.isfinite(v) for v in np.ravel(value)):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-
-
-def _check_positive(name: str, value: float | tuple) -> None:
-    if not all(math.isfinite(v) and v > 0 for v in np.ravel(value)):
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +81,12 @@ class SensorModel:
     def __post_init__(self) -> None:
         if self.azimuth_count < 1 or self.elevation_count < 1:
             raise ConfigError("beam counts must be >= 1")
-        _check_finite("sensor origin", self.origin)
-        _check_finite("azimuth_deg", self.azimuth_deg)
-        _check_finite("elevation_deg", self.elevation_deg)
-        _check_positive("frequency_hz", self.frequency_hz)
-        _check_positive("max_range", self.max_range)
-        _check_nonnegative("range_noise_sigma", self.range_noise_sigma)
+        check_finite("sensor origin", self.origin)
+        check_finite("azimuth_deg", self.azimuth_deg)
+        check_finite("elevation_deg", self.elevation_deg)
+        check_positive("frequency_hz", self.frequency_hz)
+        check_positive("max_range", self.max_range)
+        check_nonnegative("range_noise_sigma", self.range_noise_sigma)
 
     @property
     def beam_count(self) -> int:
@@ -129,7 +116,7 @@ class GroundPlane:
     jitter_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite("ground z", self.z)
+        check_finite("ground z", self.z)
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         dz = dirs[:, 2]
@@ -148,9 +135,9 @@ class BoxObstacle:
     jitter_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite("box center", self.center)
-        _check_positive("box dims", self.dims)
-        _check_finite("box yaw", self.yaw)
+        check_finite("box center", self.center)
+        check_positive("box dims", self.dims)
+        check_finite("box yaw", self.yaw)
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
@@ -178,9 +165,9 @@ class CylinderObstacle:
     jitter_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite("cylinder center", self.center_xy)
-        _check_positive("cylinder radius", self.radius)
-        _check_finite("cylinder z_low and z_high", (self.z_low, self.z_high))
+        check_finite("cylinder center", self.center_xy)
+        check_positive("cylinder radius", self.radius)
+        check_finite("cylinder z_low and z_high", (self.z_low, self.z_high))
         if not self.z_low < self.z_high:
             raise ConfigError(f"cylinder z_low must be below z_high, got {self.z_low!r} and {self.z_high!r}")
 
@@ -235,14 +222,14 @@ class Actor:
             raise ConfigError("cuboid dims must be (length, width, height)")
         if self.shape == "cylinder" and len(self.dims) != 2:
             raise ConfigError("cylinder dims must be (radius, height)")
-        _check_positive(f"{self.shape} dims", self.dims)
+        check_positive(f"{self.shape} dims", self.dims)
         if self.shape == "cuboid" and self.dims[0] < self.dims[1]:
             raise ConfigError("cuboid length must be >= width")
         if len(self.waypoints) < 1:
             raise ConfigError("actor needs at least one waypoint")
-        _check_finite("actor waypoints", self.waypoints)
-        _check_positive("actor speed", self.speed)
-        _check_nonnegative("actor start_time", self.start_time)
+        check_finite("actor waypoints", self.waypoints)
+        check_positive("actor speed", self.speed)
+        check_nonnegative("actor start_time", self.start_time)
 
     def pose_at(self, sim_time: float) -> tuple[float, float, float] | None:
         """(x, y, heading) at a time, or None before spawn."""
@@ -310,7 +297,7 @@ class SceneSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for prim in self.static:
-            _check_nonnegative("jitter_sigma", prim.jitter_sigma)
+            check_nonnegative("jitter_sigma", prim.jitter_sigma)
 
 
 def _nearer(prim, slot: int, origin: np.ndarray, dirs: np.ndarray,
@@ -407,56 +394,48 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
     return paths
 
 
-def read_mask(path: str | Path) -> np.ndarray:
-    return np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
-
-
 _PAIR, _TRIPLE = partial(json_floats, n=2), partial(json_floats, n=3)
 
 
-def _static_from_dict(prim: dict):
-    kind = prim["type"]
+def _static_from_dict(prim: Any, name: str):
+    kind = json_fields(prim, name, type=json_value)["type"]
     if kind == "ground":
-        return GroundPlane(**json_fields(prim, "static", z=json_float, jitter_sigma=json_float))
+        return GroundPlane(**json_fields(prim, name, z=json_float, jitter_sigma=json_float))
     if kind == "box":
         return BoxObstacle(**json_fields(
-            prim, "static", center=_TRIPLE, dims=_TRIPLE, yaw=json_float, jitter_sigma=json_float
+            prim, name, center=_TRIPLE, dims=_TRIPLE, yaw=json_float, jitter_sigma=json_float
         ))
     if kind == "cylinder":
-        return CylinderObstacle(
-            _PAIR(prim["center"], "center"), json_float(prim["radius"], "radius"),
-            json_float(prim.get("z_low", 0.0), "z_low"), json_float(prim["z_high"], "z_high"),
-            **json_fields(prim, "static", jitter_sigma=json_float),
-        )
+        f = json_fields(prim, name, center=_PAIR, radius=json_float, z_low=json_float, z_high=json_float,
+                        jitter_sigma=json_float)
+        return CylinderObstacle(f.pop("center"), f.pop("radius"), f.pop("z_low", 0.0), f.pop("z_high"), **f)
     raise ConfigError(f"unknown static primitive type '{kind}'")
 
 
-def _actor_from_dict(a: dict) -> Actor:
-    keys = ("length", "width", "height") if a["shape"] == "cuboid" else ("radius", "height")
-    return Actor(
-        a["shape"], tuple(json_float(a[key], key) for key in keys),
-        tuple(_PAIR(waypoint, "waypoints") for waypoint in a["waypoints"]),
-        **json_fields(a, "actors", speed=json_float, start_time=json_float),
-    )
+def _actor_from_dict(actor: Any, name: str) -> Actor:
+    shape = json_fields(actor, name, shape=json_value)["shape"]
+    dims = ("length", "width", "height") if shape == "cuboid" else ("radius", "height")
+    f = json_fields(actor, name, **dict.fromkeys(dims, json_float), waypoints=partial(json_list, read=_PAIR),
+                    speed=json_float, start_time=json_float)
+    return Actor(shape, tuple(f.pop(key) for key in dims), tuple(f.pop("waypoints")), **f)
 
 
-def scene_from_dict(data: dict) -> SceneSpec:
+def scene_from_dict(data: Any) -> SceneSpec:
     """Build a SceneSpec from parsed declarative configuration.
 
     A malformed field raises the plain Python error; ``load_scene`` reports it
     as a ConfigError naming the file.
     """
-    sensor = SensorModel(**json_fields(
-        data.get("sensor", {}), "sensor",
-        origin=_TRIPLE, azimuth_deg=_PAIR, azimuth_count=json_int, elevation_deg=_PAIR,
-        elevation_count=json_int, frequency_hz=json_float, range_noise_sigma=json_float, max_range=json_float,
-    ))
-    return SceneSpec(sensor, **json_fields(
-        data, "scene",
-        static=lambda prims, name: [_static_from_dict(prim) for prim in prims],
-        actors=lambda actors, name: [_actor_from_dict(a) for a in actors],
+    f = json_fields(
+        data, "simulate config",
+        sensor=lambda value, name: SensorModel(**json_fields(
+            value, name, origin=_TRIPLE, azimuth_deg=_PAIR, azimuth_count=json_int, elevation_deg=_PAIR,
+            elevation_count=json_int, frequency_hz=json_float, range_noise_sigma=json_float, max_range=json_float,
+        )),
+        static=partial(json_list, read=_static_from_dict), actors=partial(json_list, read=_actor_from_dict),
         duration=json_int, seed=json_int, min_truth_points=json_int,
-    ))
+    )
+    return SceneSpec(f.pop("sensor", SensorModel()), **f)
 
 
 def load_scene(path: str | Path) -> SceneSpec:
@@ -477,12 +456,7 @@ def _intersection_statics() -> list:
     ]
 
 
-def default_scene(
-    duration: int = 200,
-    seed: int = 7,
-    foliage_jitter_sigma: float = 0.02,
-    range_noise_sigma: float = 0.01,
-) -> SceneSpec:
+def default_scene(duration: int = 200, seed: int = 7, range_noise_sigma: float = 0.01) -> SceneSpec:
     """The built-in validation scene: one vehicle and two pedestrians.
 
     A 60 degree viewing wedge over an intersection corner, closed by a
@@ -506,12 +480,7 @@ def default_scene(
         max_range=90.0,
     )
     static = _intersection_statics()
-    static.append(
-        CylinderObstacle(
-            center_xy=(20.0, 10.0), radius=1.2, z_low=0.0, z_high=4.5,
-            jitter_sigma=foliage_jitter_sigma,
-        )
-    )
+    static.append(CylinderObstacle(center_xy=(20.0, 10.0), radius=1.2, z_low=0.0, z_high=4.5, jitter_sigma=0.02))
     actors = [
         Actor(
             shape="cuboid", dims=(4.2, 1.8, 1.5), speed=2.4, start_time=5.5,

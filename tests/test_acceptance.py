@@ -14,9 +14,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from roadlidar.annotate import annotate_frame, fit_bbox
+from roadlidar.annotate import annotate_frame, fit_boxes
 from roadlidar.background import (
-    background_mask,
     build_histogram,
     extract_query_frames,
     filter_frame,
@@ -34,7 +33,7 @@ from roadlidar.core import (
     TeacherConfig,
     write_labels,
 )
-from roadlidar.evaluate import average_precision, evaluate_labels, iou_3d
+from roadlidar.evaluate import average_precision, evaluate_labels, iou_matrices
 from roadlidar.pipeline import iterate
 from roadlidar.simulate import (
     MASK_BACKGROUND,
@@ -55,6 +54,10 @@ from oracles import (
 )
 
 META = SensorMeta(2, 2)
+
+
+def _removed(frame, model, d_threshold):
+    return filter_frame(frame, model, d_threshold).padding & ~frame.padding
 
 
 @contextmanager
@@ -124,14 +127,15 @@ def default_run():
     bg_removed = bg_total = fg_kept = fg_total = 0
     filtered_frames = []
     for frame, mask in zip(seq.frames, masks):
-        removed = background_mask(frame, model, cfg.d_threshold)
+        filtered = filter_frame(frame, model, cfg.d_threshold)
+        removed = filtered.padding & ~frame.padding
         bg = mask == MASK_BACKGROUND
         fg = mask == MASK_FOREGROUND
         bg_total += int(bg.sum())
         fg_total += int(fg.sum())
         bg_removed += int((removed & bg).sum())
         fg_kept += int((fg & ~removed).sum())
-        filtered_frames.append(filter_frame(frame, model, cfg.d_threshold))
+        filtered_frames.append(filtered)
     fidelity_seconds = time.time() - t0
 
     preds = {}
@@ -164,7 +168,7 @@ class TestAcceptance:
                 np.testing.assert_array_equal(hist.bin_mean, np.array(means))
                 np.testing.assert_array_equal(hist.d_min, np.array(d_mins))
                 np.testing.assert_array_equal(hist.d_max, np.array(d_maxs))
-                np.testing.assert_array_equal(hist.bin_width, np.array(widths))
+                np.testing.assert_array_equal((hist.d_max - hist.d_min) / n_bin, np.array(widths))
             elapsed = time.time() - t0
             assert elapsed < 5.0, f"oracle comparison took {elapsed:.2f}s (budget 5s)"
 
@@ -237,12 +241,12 @@ class TestAcceptance:
                 scale = np.array([rng.uniform(1.5, 4.0), 1.0, rng.uniform(0.3, 2.0)])
                 pts = rng.normal(0, 1.0, (n, 3)) * scale
                 frame = Frame(1, pts, np.zeros(n, dtype=bool))
-                base = fit_bbox(np.arange(n), frame)
+                base = fit_boxes(frame, [np.arange(n)])[0]
                 theta = float(rng.uniform(-math.pi, math.pi))
                 c, s = math.cos(theta), math.sin(theta)
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
                 rotated_frame = Frame(1, pts @ rot.T, np.zeros(n, dtype=bool))
-                rotated = fit_bbox(np.arange(n), rotated_frame)
+                rotated = fit_boxes(rotated_frame, [np.arange(n)])[0]
                 delta = (rotated.yaw - base.yaw - theta) % math.pi
                 delta = min(delta, math.pi - delta)
                 assert delta < 1e-5, f"yaw covariance off by {delta:.2e}"
@@ -270,7 +274,7 @@ class TestAcceptance:
             assert abs(average_precision([True, False, True], 2) - 5.0 / 6.0) < 1e-9
             a = ObjectLabel(0, 0, 0, 1, 1, 1, 0.0, LabelClass.VEHICLE, 1.0)
             b = ObjectLabel(0.5, 0, 0, 1, 1, 1, 0.0, LabelClass.VEHICLE, 1.0)
-            assert abs(iou_3d(a, b) - 1.0 / 3.0) < 1e-9
+            assert abs(iou_matrices([([a], [b])])[0][0, 0] - 1.0 / 3.0) < 1e-9
 
     def test_c09_monotonicity_suite(self):
         with criterion(9, "threshold/tall-bin/IoU monotonicity holds over randomized trials"):
@@ -289,14 +293,14 @@ class TestAcceptance:
                 probe = Frame(1, rng.uniform(-20, 20, (n_total, 3)), np.zeros(n_total, dtype=bool))
                 t1, t2 = sorted(rng.uniform(0.05, 3.0, 2))
                 model = select_background(hist, int(rng.integers(1, n_bin + 1)))
-                m1 = background_mask(probe, model, t1)
-                m2 = background_mask(probe, model, t2 + 1e-9)
+                m1 = _removed(probe, model, t1)
+                m2 = _removed(probe, model, t2 + 1e-9)
                 assert not (m1 & ~m2).any(), "background set shrank as d_threshold grew"
                 a = int(rng.integers(1, n_bin))
                 b = int(rng.integers(a + 1, n_bin + 1))
                 thr = float(rng.uniform(0.05, 2.0))
-                ma = background_mask(probe, select_background(hist, a), thr)
-                mb = background_mask(probe, select_background(hist, b), thr)
+                ma = _removed(probe, select_background(hist, a), thr)
+                mb = _removed(probe, select_background(hist, b), thr)
                 assert not (ma & ~mb).any(), "background set shrank as n_tall grew"
             # AP and recall never increase with the IoU threshold
             for _ in range(100):

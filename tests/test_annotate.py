@@ -20,7 +20,7 @@ from roadlidar.annotate import (
     RejectedBox,
     annotate_frame,
     classify,
-    fit_bbox,
+    fit_boxes,
     min_area_rect,
     validate_bbox,
 )
@@ -68,7 +68,7 @@ def _cuboid_corners(l, w, h, yaw=0.0, center=(0.0, 0.0, 0.0)):
 class TestFitBbox:
     def test_axis_aligned_cuboid_corners(self):
         pts = _cuboid_corners(4.0, 2.0, 1.5)
-        box = fit_bbox(np.arange(8), _frame(pts))
+        box = fit_boxes(_frame(pts), [np.arange(8)])[0]
         assert box.length == pytest.approx(4.0, abs=1e-9)
         assert box.width == pytest.approx(2.0, abs=1e-9)
         assert box.height == pytest.approx(1.5, abs=1e-9)
@@ -77,33 +77,33 @@ class TestFitBbox:
     def test_rotated_30_degrees(self):
         yaw = math.radians(30)
         pts = _cuboid_corners(4.0, 2.0, 1.5, yaw=yaw)
-        box = fit_bbox(np.arange(8), _frame(pts))
+        box = fit_boxes(_frame(pts), [np.arange(8)])[0]
         assert box.length == pytest.approx(4.0, abs=1e-6)
         assert box.width == pytest.approx(2.0, abs=1e-6)
         assert abs(math.sin(box.yaw - yaw)) < 1e-6  # equal mod pi
 
     def test_single_point_floors(self):
         pts = np.array([[3.0, -2.0, 1.0]])
-        box = fit_bbox(np.arange(1), _frame(pts))
+        box = fit_boxes(_frame(pts), [np.arange(1)])[0]
         assert box.length == box.width == box.height == DEGENERATE_FLOOR
         assert (box.center_x, box.center_y, box.center_z) == (3.0, -2.0, 1.0)
 
     def test_collinear_cluster_floors_width(self):
         pts = np.array([[t, t, 0.0] for t in np.linspace(0, 1, 7)])
-        box = fit_bbox(np.arange(7), _frame(pts))
+        box = fit_boxes(_frame(pts), [np.arange(7)])[0]
         assert box.length == pytest.approx(math.sqrt(2), abs=1e-9)
         assert box.width == DEGENERATE_FLOOR
         assert abs(math.sin(box.yaw - math.pi / 4)) < 1e-9
 
     def test_empty_cluster(self):
         with pytest.raises(Exception, match="empty"):
-            fit_bbox(np.array([], dtype=int), _frame(np.ones((2, 3))))
+            fit_boxes(_frame(np.ones((2, 3))), [np.array([], dtype=int)])
 
     def test_containment_after_inflation(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             pts = rng.normal(0, 2.0, (int(rng.integers(4, 60)), 3))
-            box = fit_bbox(np.arange(len(pts)), _frame(pts))
+            box = fit_boxes(_frame(pts), [np.arange(len(pts))])[0]
             c, s = math.cos(box.yaw), math.sin(box.yaw)
             local = (pts[:, :2] - [box.center_x, box.center_y]) @ np.array(
                 [[c, -s], [s, c]]
@@ -124,11 +124,11 @@ class TestFitBbox:
     def test_rotation_covariance(self):
         rng = np.random.default_rng(14)
         pts = rng.normal(0, 1.0, (40, 3)) * [3.0, 1.0, 0.5]
-        base = fit_bbox(np.arange(40), _frame(pts))
+        base = fit_boxes(_frame(pts), [np.arange(40)])[0]
         for theta in rng.uniform(-math.pi, math.pi, 10):
             c, s = math.cos(theta), math.sin(theta)
             rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-            rotated = fit_bbox(np.arange(40), _frame(pts @ rot.T))
+            rotated = fit_boxes(_frame(pts @ rot.T), [np.arange(40)])[0]
             assert abs(math.sin(rotated.yaw - base.yaw - theta)) < 1e-5
             assert rotated.length == pytest.approx(base.length, abs=1e-6)
             assert rotated.width == pytest.approx(base.width, abs=1e-6)
@@ -209,7 +209,7 @@ class TestMinAreaRectOracle:
 
 
 def _naive_box(pts):
-    """The box ``fit_bbox`` must give for (n, 3) points, from the reference rectangle."""
+    """The box ``fit_boxes`` must give for (n, 3) points, from the reference rectangle."""
     center, long_side, short_side, yaw = naive_min_area_rect(pts[:, :2])
     z_min, z_max = float(pts[:, 2].min()), float(pts[:, 2].max())
     return FittedBox(
@@ -281,7 +281,7 @@ class TestBatchedFit:
         expected_labels, expected_rejects = [], []
         for cluster, is_exact in zip(clusters, exact):
             want = _naive_box(frame.xyz[cluster])
-            got = fit_bbox(cluster, frame)
+            got = fit_boxes(frame, [cluster])[0]
             if is_exact:
                 assert got == want
             else:

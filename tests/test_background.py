@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from roadlidar.background import (
-    background_mask,
     build_histogram,
     extract_query_frames,
     BackgroundModel,
@@ -33,6 +32,10 @@ from roadlidar.simulate import (
 from oracles import naive_filter, naive_histogram, naive_select_tall
 
 META = SensorMeta(2, 2)
+
+
+def _removed(frame, model, d_threshold):
+    return filter_frame(frame, model, d_threshold).padding & ~frame.padding
 
 
 def _tall_distances(model, index):
@@ -103,13 +106,13 @@ class TestBuildHistogram:
         assert hist.bin_count[0].sum() == 6
         assert hist.bin_count[0, 0] == 6
         assert hist.bin_mean[0, 0] == pytest.approx(5.0, abs=1e-12)
-        assert hist.bin_width[0] == 0.0
+        assert hist.d_max[0] == hist.d_min[0]
 
     def test_hand_binned_two_bins(self):
         # ranges {1, 1, 9, 9}, 2 bins of width 4: bin 0 mean 1 count 2, bin 1 mean 9 count 2
         arrays = [np.array([[d, 0.0, 0.0]]) for d in (1.0, 1.0, 9.0, 9.0)]
         hist = build_histogram(_seq_from_arrays(arrays), n_bin=2)
-        assert hist.bin_width[0] == pytest.approx(4.0)
+        assert (hist.d_max[0] - hist.d_min[0]) / 2 == pytest.approx(4.0)
         assert list(hist.bin_count[0]) == [2, 2]
         assert hist.bin_mean[0, 0] == pytest.approx(1.0)
         assert hist.bin_mean[0, 1] == pytest.approx(9.0)
@@ -133,7 +136,7 @@ class TestBuildHistogram:
             np.testing.assert_array_equal(hist.bin_mean, np.array(means))
             np.testing.assert_array_equal(hist.d_min, np.array(d_mins))
             np.testing.assert_array_equal(hist.d_max, np.array(d_maxs))
-            np.testing.assert_array_equal(hist.bin_width, np.array(widths))
+            np.testing.assert_array_equal((hist.d_max - hist.d_min) / n_bin, np.array(widths))
 
     def test_query_order_invariance(self):
         rng = np.random.default_rng(21)
@@ -220,7 +223,7 @@ class TestSelectBackground:
                 counts = rng.integers(0, 3, (n_total, n_bin))
                 counts[rng.random(n_total) < 0.2] = 0
                 means = np.where(counts > 0, rng.uniform(1.0, 60.0, counts.shape), 0.0)
-                hist = DistanceHistogram(n_bin, means, counts, zeros, zeros, zeros)
+                hist = DistanceHistogram(means, counts, zeros, zeros)
                 tall = select_background(hist, n_tall).tall
                 expected = naive_select_tall(means.tolist(), counts.tolist(), n_tall)
                 for row, want in zip(tall, expected):
@@ -259,9 +262,9 @@ class TestFilterFrame:
         model = self._model(seq)
         probe = Frame(1, np.ones((1, 3)), np.zeros(1, dtype=bool))
         with pytest.raises(DataError, match="arity"):
-            background_mask(probe, model, 0.1)
+            filter_frame(probe, model, 0.1)
         with pytest.raises(DataError, match="d_threshold"):
-            background_mask(seq.frames[0], model, 0.0)
+            filter_frame(seq.frames[0], model, 0.0)
 
     def test_mask_rejects_nan_threshold(self):
         # NaN compares false with everything, so "d_threshold <= 0" let it
@@ -269,7 +272,7 @@ class TestFilterFrame:
         seq = _seq_from_arrays([np.ones((3, 3))] * 2)
         model = self._model(seq)
         with pytest.raises(DataError, match="d_threshold must be positive, got nan"):
-            background_mask(seq.frames[0], model, float("nan"))
+            filter_frame(seq.frames[0], model, float("nan"))
 
     def test_matches_naive_oracle_exactly(self):
         rng = np.random.default_rng(23)
@@ -322,7 +325,7 @@ class TestFilterFrame:
         seq, n_bin = _random_instance(rng)
         model = self._model(seq, n_bin, min(2, n_bin))
         frame = seq.frames[0]
-        removed = [background_mask(frame, model, t) for t in (0.1, 0.5, 2.0)]
+        removed = [_removed(frame, model, t) for t in (0.1, 0.5, 2.0)]
         assert not (removed[0] & ~removed[1]).any()
         assert not (removed[1] & ~removed[2]).any()
 
@@ -334,7 +337,7 @@ class TestFilterFrame:
         prev = None
         for n_tall in range(1, n_bin + 1):
             model = select_background(hist, n_tall)
-            cur = background_mask(frame, model, 0.5)
+            cur = _removed(frame, model, 0.5)
             if prev is not None:
                 assert not (prev & ~cur).any()
             prev = cur
@@ -409,7 +412,7 @@ class TestSimulatedScene:
         )
         bg_removed = bg_total = fg_kept = fg_total = 0
         for frame, mask in zip(seq.frames, masks):
-            removed = background_mask(frame, model, 0.2)
+            removed = _removed(frame, model, 0.2)
             bg = mask == MASK_BACKGROUND
             fg = mask == MASK_FOREGROUND
             bg_total += bg.sum()

@@ -356,10 +356,13 @@ class TestPackageExports:
             (evaluate.EvalReport, "record"), (roadlidar.FittedBox, "base_length"),
             (roadlidar, "InternalError"), (roadlidar.core, "InternalError"),
             (roadlidar.core, "read_frame_file"), (roadlidar.core, "write_frame_file"),
+            (roadlidar, "fit_bbox"), (roadlidar.annotate, "fit_bbox"), (roadlidar, "iou_3d"),
+            (evaluate, "iou_3d"), (roadlidar.background, "background_mask"), (roadlidar.simulate, "read_mask"),
         ]:
             assert not hasattr(module, name), name
             assert name not in roadlidar.__all__, name
         assert "ap_defined" not in {f.name for f in dataclasses.fields(evaluate.MetricRecord)}
+        assert not {"n_bin", "bin_width"} & {f.name for f in dataclasses.fields(roadlidar.DistanceHistogram)}
 
     def test_evaluate_names_the_submodule(self):
         import roadlidar.evaluate as ev

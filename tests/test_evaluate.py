@@ -26,7 +26,6 @@ from roadlidar.evaluate import (
     average_precision,
     evaluate,
     evaluate_labels,
-    iou_3d,
     iou_matrices,
 )
 from roadlidar.pipeline import DatasetEntry, run_teacher
@@ -48,24 +47,28 @@ def _random_box(rng, cls=LabelClass.VEHICLE):
     )
 
 
+def _iou(a, b):
+    return iou_matrices([([a], [b])])[0][0, 0]
+
+
 class TestIou3d:
     def test_identical_boxes(self):
         a = _label(yaw=0.7)
-        assert iou_3d(a, a) == pytest.approx(1.0, abs=1e-12)
+        assert _iou(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_boxes(self):
-        assert iou_3d(_label(), _label(cx=100.0)) == 0.0
+        assert _iou(_label(), _label(cx=100.0)) == 0.0
 
     def test_unit_cubes_offset_half(self):
         a = _label(l=1, w=1, h=1)
         b = _label(cx=0.5, l=1, w=1, h=1)
-        assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert _iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             a, b = _random_box(rng), _random_box(rng)
-            v1, v2 = iou_3d(a, b), iou_3d(b, a)
+            v1, v2 = _iou(a, b), _iou(b, a)
             assert v1 == pytest.approx(v2, abs=1e-12)
             assert 0.0 <= v1 <= 1.0
 
@@ -73,10 +76,10 @@ class TestIou3d:
         rng = np.random.default_rng(32)
         for _ in range(50):
             a = _random_box(rng)
-            assert iou_3d(a, a) == pytest.approx(1.0, abs=1e-9)
+            assert _iou(a, a) == pytest.approx(1.0, abs=1e-9)
 
     def test_z_disjoint(self):
-        assert iou_3d(_label(cz=0.0, h=1.0), _label(cz=2.0, h=1.0)) == 0.0
+        assert _iou(_label(cz=0.0, h=1.0), _label(cz=2.0, h=1.0)) == 0.0
 
     def test_rotated_overlap_known_value(self):
         # two unit squares, one rotated 90 degrees: identical footprint
@@ -84,7 +87,7 @@ class TestIou3d:
         b = _label(l=2, w=1, h=1, yaw=math.pi / 2)
         # footprint intersection is the central 1x1 square
         expected = 1.0 / (2.0 + 2.0 - 1.0)
-        assert iou_3d(a, b) == pytest.approx(expected, abs=1e-9)
+        assert _iou(a, b) == pytest.approx(expected, abs=1e-9)
 
 
 def _circumradius(b):
@@ -385,6 +388,12 @@ class TestEvaluateLabels:
     @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (float("nan"),), (), (1.5,), (True, 0.5), ("0.5",)])
     def test_thresholds_range_checked(self, thresholds):
         with pytest.raises(ValueError, match="thresholds"):
+            evaluate_labels({}, {}, thresholds)
+
+    @pytest.mark.parametrize("thresholds", [0.5, "0.5", None])
+    def test_thresholds_that_are_not_a_list_are_refused(self, thresholds):
+        # a string was iterated a character at a time, a number not at all
+        with pytest.raises(ValueError, match=f"thresholds must be a list, got {thresholds!r}"):
             evaluate_labels({}, {}, thresholds)
 
     def test_extra_prediction_stems_rejected(self):

@@ -1308,6 +1308,18 @@ class TestCli:
             ("simulate", ("actors", 0, "speed"), True),
             ("simulate", ("actors", 0, "radius"), "0.3"),
             ("simulate", ("static", 0, "z"), "0"),
+            ("evaluate", ("thresholds",), 0.5),
+            ("evaluate", ("thresholds",), "0.5"),
+            ("annotate", ("datasets", 0), 5),
+            ("merge", ("inputs", 0), [1]),
+            ("annotate", (), []),
+            ("merge", (), []),
+            ("annotate", ("datasets",), 5),
+            ("annotate", ("datasets",), {"name": "site_a"}),
+            ("merge", ("inputs",), "abc"),
+            ("simulate", ("static",), {"type": "ground"}),
+            ("simulate", ("static", 0), 3),
+            ("simulate", ("actors", 0, "waypoints"), 5),
         ],
         ids=[
             "annotate-sensor-list", "annotate-transform-string", "annotate-transform",
@@ -1328,6 +1340,10 @@ class TestCli:
             "evaluate-thresholds-bool", "evaluate-report-nul", "iterate-score-string",
             "iterate-workspace-nul", "simulate-frequency_hz-bool", "simulate-actor-speed-bool",
             "simulate-actor-radius-string", "simulate-ground-z-string",
+            "evaluate-thresholds-number", "evaluate-thresholds-string", "annotate-dataset-number",
+            "merge-input-list", "annotate-list", "merge-list", "annotate-datasets-number",
+            "annotate-datasets-object", "merge-inputs-string", "simulate-static-object",
+            "simulate-static-number", "simulate-waypoints-number",
         ],
     )
     def test_malformed_config_is_config_error(
@@ -1336,8 +1352,14 @@ class TestCli:
         path, argv = self._edited_config(scene_dir, tmp_path, command, where, value)
         assert main(argv) == 1
         assert str(path) in caplog.text
-        if where and not isinstance(value, dict):  # the field or section at fault is named
-            assert re.search(rf"\b{where[-1]}\b", caplog.text.split(str(path))[-1])
+        assert "Traceback" not in caplog.text
+        message = caplog.text.split(str(path))[-1]
+        if not where:  # a whole config is named by its kind
+            assert f"{command} config must be a JSON object" in message
+        elif isinstance(where[-1], int):  # a list entry by its list's key and index
+            assert f"{where[-2]}[{where[-1]}]" in message
+        elif not (where[-1] == "transform" and isinstance(value, dict)):  # the field or section at fault
+            assert re.search(rf"\b{where[-1]}\b", message)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "pred", "truth"])
 
     @pytest.mark.parametrize(

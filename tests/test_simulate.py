@@ -28,7 +28,6 @@ from roadlidar.simulate import (
     SensorModel,
     default_scene,
     load_scene,
-    read_mask,
     render_sequence,
     scene_from_dict,
     static_scene,
@@ -217,7 +216,7 @@ class TestSceneOutputs:
         assert all(f.n_points == spec.sensor.beam_count for f in seq.frames)
         truth = read_labels(paths["truth"])
         assert truth["000001"][0].label_class is LabelClass.VEHICLE
-        mask = read_mask(paths["masks"] / "000001.mask")
+        mask = np.fromfile(paths["masks"] / "000001.mask", dtype=np.uint8)
         assert len(mask) == spec.sensor.beam_count
         # mask padding agrees with the loaded frame's padding for this scene
         np.testing.assert_array_equal(mask == MASK_PADDING, seq.frames[0].padding)
