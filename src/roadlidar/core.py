@@ -35,7 +35,7 @@ import json
 import math
 import os
 import shutil
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -376,9 +376,12 @@ def publish(*targets: Path) -> Iterator[list[Path]]:
     target, a directory replacing the old one whole.  If the block raises,
     an interrupt included, or an existing target is a directory where a
     file was written or the reverse (a DataError naming it), every staged
-    path is removed and no target is touched.
+    path and every directory made for them that is still empty are
+    removed, and no target is touched.
     """
     staged = [target.with_name(f".{target.name}.partial") for target in targets]
+    created = sorted({parent for partial in staged for parent in partial.parents if not parent.exists()},
+                     key=lambda directory: len(directory.parts), reverse=True)
     try:
         for partial in staged:
             partial.parent.mkdir(parents=True, exist_ok=True)
@@ -396,6 +399,9 @@ def publish(*targets: Path) -> Iterator[list[Path]]:
     except BaseException:
         for partial in staged:
             _remove(partial)
+        for directory in created:  # deepest first; one another output filled stays
+            with suppress(OSError):  # so that the block's own error is the one raised
+                directory.rmdir()
         raise
 
 

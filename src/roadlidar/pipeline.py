@@ -326,29 +326,6 @@ def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
     return read_json_config(path, _merge_config)
 
 
-def _write_merged_frames(item: MergeInput, files: list[Path], directory: Path) -> None:
-    """Create ``directory`` and transform each frame file into it, one at a
-    time, through one set of ``FrameBuffers`` and one transformed frame.
-
-    An overflow is not warned about: ``FrameBuffers.write`` rejects the
-    non-finite value it leaves, and the error names the source file.
-    """
-    directory.mkdir()
-    buffers = FrameBuffers(item.meta.beam_count)
-    transformed = None  # the first frame's result, into which every later frame is transformed
-    for file in files:
-        xyz, padding = buffers.read(file)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if item.meta.unit_scale != 1.0:
-                xyz *= item.meta.unit_scale
-            if not item.transform.is_identity:
-                xyz = transformed = apply_transform_points(xyz, padding, item.transform, out=transformed)
-        try:
-            buffers.write(directory / file.name, xyz)
-        except DataError as exc:
-            raise DataError(f"dataset '{item.name}': cannot merge {file}: {exc}") from None
-
-
 def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     """Unify several labeled datasets into one training superset.
 
@@ -356,18 +333,25 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     transform covariantly) and listed in an index file with provenance tags:
     one ``name frame_path label_path`` line per frame.  No labels are created,
     dropped or deduplicated by merging: every frame needs a label file and
-    every label file a frame, or the input is a DataError.  Frames are
-    transformed one file at a time, with the float64 arithmetic of
-    ``unify_units`` and ``unify_datasets``.  Every dataset's ``frames/`` and ``labels/`` and
-    ``index.txt`` are published together by ``publish``: a rerun leaves no
-    stale files, and a failure on any input (say, a coordinate that is not
-    finite as float32) leaves the output root as it was.
+    every label file a frame, or the input is a DataError before any of its
+    frames is written.  Each stem is then one pass: its frame is read
+    through the input's ``FrameBuffers``, transformed in place with the
+    float64 arithmetic of ``unify_units`` and ``unify_datasets`` and
+    written, then its label file and index line.  Every dataset's
+    ``frames/`` and ``labels/`` and ``index.txt`` are published together by
+    ``publish``: a rerun leaves no stale files, and a failure on any input
+    (say, a coordinate that is not finite as float32) leaves the output
+    root as it was.
     """
     if not inputs:
         raise ConfigError("merge needs at least one labeled dataset")
-    _check_output_names([item.name for item in inputs], "merge input")
+    names = [item.name for item in inputs]
+    _check_output_names(names, "merge input")
     output_root = Path(output_root)
     index_path = output_root / "index.txt"
+    for name in ("index.txt", ".index.txt.partial"):
+        if name in names:
+            raise ConfigError(f"merge input name {name!r} is reserved: the index is staged and written there")
     targets = [output_root / item.name / kind for item in inputs for kind in ("frames", "labels")]
     with publish(*targets, index_path) as staged:
         index_lines = []
@@ -387,14 +371,23 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
                 raise DataError(
                     f"dataset '{item.name}': no frame for label files: " + ", ".join(unmatched)
                 )
-            _write_merged_frames(item, files, frames_dir)
-            write_labels({
-                stem: [transform_label(lb, item.transform) for lb in labels[stem]] for stem in stems
-            }, labels_dir)
-            index_lines += [
-                f"{item.name} {frames_out / (stem + '.bin')} {labels_out / (stem + '.txt')}\n"
-                for stem in stems
-            ]
+            frames_dir.mkdir()
+            labels_dir.mkdir()
+            buffers = FrameBuffers(item.meta.beam_count)
+            for file, stem in zip(files, stems):
+                xyz, padding = buffers.read(file)
+                # An overflow is not warned about: ``FrameBuffers.write`` rejects what it leaves.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if item.meta.unit_scale != 1.0:
+                        xyz *= item.meta.unit_scale
+                    apply_transform_points(xyz, padding, item.transform)
+                try:
+                    buffers.write(frames_dir / file.name, xyz)
+                except DataError as exc:
+                    raise DataError(f"dataset '{item.name}': cannot merge {file}: {exc}") from None
+                write_label_file([transform_label(lb, item.transform) for lb in labels[stem]],
+                                 labels_dir / f"{stem}.txt")
+                index_lines.append(f"{item.name} {frames_out / file.name} {labels_out / f'{stem}.txt'}\n")
         staged[-1].write_text("".join(index_lines), encoding="utf-8")
     return index_path
 

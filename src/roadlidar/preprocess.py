@@ -1,7 +1,7 @@
 """Unit unification, zero padding, cuboid cropping and dataset alignment.
 
-All functions are pure: they return new frames/sequences and never mutate
-their inputs.  Cropping replaces out-of-bounds points with padding instead of
+All functions but the in-place kernel ``apply_transform_points`` are pure.
+Cropping replaces out-of-bounds points with padding instead of
 deleting them, so the per-beam index correspondence the background model
 relies on survives preprocessing.
 """
@@ -78,23 +78,20 @@ def crop_frame(frame: Frame, bounds: CropBounds) -> Frame:
     return frame.without(~bounds.contains(frame.xyz) & ~frame.padding)
 
 
-def apply_transform_points(
-    xyz: np.ndarray, padding: np.ndarray, transform: UnificationTransform, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Map non-padding points through scale then translation, in float64,
-    into ``out`` (a new array by default, never ``xyz``), which is returned.
+def apply_transform_points(xyz: np.ndarray, padding: np.ndarray, transform: UnificationTransform) -> None:
+    """Map the non-padding points of ``xyz`` through scale then translation,
+    in place, in float64, one contiguous column at a time.
 
-    Padding rows keep their input bits, so a ``-0.0`` stays ``-0.0``.  The
-    input is not modified.  One coordinate column at a time, which is
-    contiguous in a frame that ``FrameBuffers.read`` read.
+    Every row is scaled but only data rows are shifted: a padding row is
+    zeros, which a positive finite scale keeps, so a ``-0.0`` stays ``-0.0``.
     """
-    out = np.empty_like(xyz) if out is None else out
+    if transform.is_identity:
+        return
+    data = ~padding if padding.any() else True  # a masked add is slower than a plain one
     for axis, shift in enumerate(transform.translation):
-        column, target = xyz[:, axis], out[:, axis]
-        np.multiply(column, transform.scale, out=target)
-        target += shift
-        np.copyto(target, column, where=padding)
-    return out
+        column = xyz[:, axis]
+        np.multiply(column, transform.scale, out=column)
+        np.add(column, shift, out=column, where=data)
 
 
 def unify_datasets(
@@ -102,8 +99,9 @@ def unify_datasets(
 ) -> list[FrameSequence]:
     """Bring several sequences into one coordinate frame for superset training.
 
-    Each non-padding point p becomes scale * p + translation.  Within-frame
-    pairwise distance ratios are preserved (the transform is a similarity).
+    Each non-padding point p of a copy of each frame becomes scale * p +
+    translation.  Within-frame pairwise distance ratios are preserved (the
+    transform is a similarity).
     """
     if len(seqs) != len(transforms):
         raise ConfigError(
@@ -114,10 +112,9 @@ def unify_datasets(
         if tf.is_identity:
             out.append(seq)
             continue
-        frames = [
-            Frame(f.timestamp_index, apply_transform_points(f.xyz, f.padding, tf), f.padding.copy())
-            for f in seq.frames
-        ]
+        frames = [Frame(f.timestamp_index, f.xyz.copy(order="F"), f.padding.copy()) for f in seq.frames]
+        for f in frames:
+            apply_transform_points(f.xyz, f.padding, tf)
         out.append(FrameSequence(frames, seq.meta, list(seq.stems)))
     return out
 

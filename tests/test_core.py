@@ -25,6 +25,7 @@ from roadlidar.core import (
     json_int,
     load_frame_sequence,
     normalize_yaw_half,
+    publish,
     read_label_file,
     read_labels,
     write_label_file,
@@ -317,6 +318,32 @@ class TestLabelIO:
         (back,) = read_label_file(path)
         assert abs(back.yaw - yaw) <= 5e-7
         assert abs(back.score - score) <= 5e-7
+
+
+def _paths(directory):
+    """Every path under ``directory``, directories included, relative to it."""
+    return sorted(str(p.relative_to(directory)) for p in directory.rglob("*"))
+
+
+class TestPublish:
+    def test_failed_block_removes_the_directories_it_created(self, tmp_path):
+        (tmp_path / "kept").mkdir()
+        targets = tmp_path / "fresh" / "nested" / "out.txt", tmp_path / "kept" / "new" / "labels"
+        with pytest.raises(RuntimeError, match="block failed"), publish(*targets) as (text, labels):
+            assert (tmp_path / "fresh" / "nested").is_dir()
+            text.write_text("partial\n")
+            labels.mkdir()
+            (labels / "000000.txt").write_text("")
+            raise RuntimeError("block failed")
+        assert _paths(tmp_path) == ["kept"]
+
+    def test_a_created_directory_that_another_output_filled_stays(self, tmp_path):
+        with pytest.raises(RuntimeError), publish(tmp_path / "root" / "a" / "labels") as (labels,):
+            labels.mkdir()
+            (tmp_path / "root" / "b").mkdir()
+            (tmp_path / "root" / "b" / "stats.json").write_text("{}\n")
+            raise RuntimeError("block failed")
+        assert _paths(tmp_path) == ["root", "root/b", "root/b/stats.json"]
 
 
 class TestLabelValidation:

@@ -538,7 +538,10 @@ class TestMergeSupersets:
         short = signed_zero.copy()
         short[3:] = -0.0  # fewer returns: the beams that missed are zero rows
         short.tofile(frames / "000001.bin")
-        write_labels({"000000": [], "000001": []}, labels)
+        full = signed_zero.copy()
+        full[1:4, :3] = [[2.0, -0.0, 0.5], [-1.0, 0.0, 0.0], [0.0, -0.0, -3.0]]  # no padding row
+        full.tofile(frames / "000002.bin")
+        write_labels({"000000": [], "000001": [], "000002": []}, labels)
         merge_supersets(
             [MergeInput("s", frames, labels, SensorMeta(2, 3, unit_scale), transform)],
             tmp_path / "merged",
@@ -1638,8 +1641,12 @@ class TestExitPaths:
         return configs
 
     @staticmethod
-    def _assert_kept(tmp_path, before, caplog, capsys):
-        assert _tree_bytes(tmp_path) == before
+    def _snapshot(tmp_path):
+        """Every path under ``tmp_path``, directories included, and every file's bytes."""
+        return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")), _tree_bytes(tmp_path)
+
+    def _assert_kept(self, tmp_path, before, caplog, capsys):
+        assert self._snapshot(tmp_path) == before
         assert not list(tmp_path.rglob("*.partial"))
         assert "Traceback" not in caplog.text + capsys.readouterr().err
 
@@ -1650,7 +1657,7 @@ class TestExitPaths:
         if command in _OUTPUT_KEYS:
             configs[command][_OUTPUT_KEYS[command]] = str(tmp_path / "blocker" / "inner")
         argv = self._argv(tmp_path, command, configs[command], out="blocker/inner")
-        before = _tree_bytes(tmp_path)
+        before = self._snapshot(tmp_path)
         caplog.clear()
         assert main(argv) == 2
         assert "Not a directory" in caplog.text
@@ -1662,7 +1669,7 @@ class TestExitPaths:
         bad = sorted((tmp_path / "out" / "site_a" / "labels").glob("*.txt"))[1]
         bad.write_bytes(b"Vehicle \xff\n")
         argv = self._argv(tmp_path, command, configs[command])
-        before = _tree_bytes(tmp_path)
+        before = self._snapshot(tmp_path)
         caplog.clear()
         assert main(argv) == 2
         assert f"cannot read label file {bad}" in caplog.text
@@ -1674,10 +1681,42 @@ class TestExitPaths:
         (labels / "999999.txt").write_text("")
         (labels / "999998.txt").write_text("")
         argv = self._argv(tmp_path, "merge", configs["merge"])
-        before = _tree_bytes(tmp_path)
+        before = self._snapshot(tmp_path)
         assert main(argv) == 2
         assert "dataset 'site_a': no frame for label files: 999998, 999999" in caplog.text
         self._assert_kept(tmp_path, before, caplog, capsys)
+
+    @pytest.mark.parametrize("command", ["annotate", "merge"])
+    def test_failure_under_a_fresh_output_root_leaves_no_directory(
+        self, scene_dir, tmp_path, caplog, capsys, command
+    ):
+        configs = self._world(scene_dir, tmp_path)
+        frames = tmp_path / "frames"
+        shutil.copytree(scene_dir[0] / "frames", frames)
+        last = sorted(frames.glob("*.bin"))[-1]  # after the query window, inside the publish block
+        last.write_bytes(last.read_bytes()[:-16])
+        config = configs[command]
+        config["datasets" if command == "annotate" else "inputs"][0]["frames"] = str(frames)
+        config["output_root"] = str(tmp_path / "fresh" / "root")
+        argv = self._argv(tmp_path, command, config)
+        before = self._snapshot(tmp_path)
+        caplog.clear()
+        assert main(argv) == 2
+        assert f"malformed frame file {last}" in caplog.text
+        self._assert_kept(tmp_path, before, caplog, capsys)
+
+    @pytest.mark.parametrize("name", ["index.txt", ".index.txt.partial"])
+    def test_merge_input_named_as_the_index_is_config_error(self, scene_dir, tmp_path, caplog, capsys, name):
+        configs = self._world(scene_dir, tmp_path)
+        configs["merge"]["inputs"][0]["name"] = name
+        for root in ("merged", "fresh"):
+            configs["merge"]["output_root"] = str(tmp_path / root)
+            argv = self._argv(tmp_path, "merge", configs["merge"])
+            before = self._snapshot(tmp_path)
+            caplog.clear()
+            assert main(argv) == 1
+            assert f"merge input name {name!r} is reserved" in caplog.text
+            self._assert_kept(tmp_path, before, caplog, capsys)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "./s", "a\\b", "site a", "tab\tname", "line\nbreak"])
     @pytest.mark.parametrize("command, field", [("annotate", "dataset"), ("merge", "merge input")])
