@@ -101,11 +101,11 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "annotate": _cmd_annotate,
-    "merge": _cmd_merge,
-    "evaluate": _cmd_evaluate,
-    "simulate": _cmd_simulate,
-    "iterate": _cmd_iterate,
+    "annotate": (_cmd_annotate, "run one teacher per configured dataset"),
+    "merge": (_cmd_merge, "unify labeled datasets into a training superset"),
+    "evaluate": (_cmd_evaluate, "score predicted labels against reference labels"),
+    "simulate": (_cmd_simulate, "render a synthetic scene with ground truth"),
+    "iterate": (_cmd_iterate, "turn detector predictions into next-round labels"),
 }
 
 
@@ -116,13 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
-    for name, help_text in (
-        ("annotate", "run one teacher per configured dataset"),
-        ("merge", "unify labeled datasets into a training superset"),
-        ("evaluate", "score predicted labels against reference labels"),
-        ("simulate", "render a synthetic scene with ground truth"),
-        ("iterate", "turn detector predictions into next-round labels"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         parsers[name] = sub.add_parser(name, help=help_text)
         parsers[name].add_argument("--config", help="declarative JSON configuration file")
     parsers["simulate"].add_argument("--seed", type=int, help="override the configured random seed")
@@ -140,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not args.config and args.command != "simulate":
             raise ConfigError(f"{args.command} requires --config")
-        return _COMMANDS[args.command](args)
+        handler, _ = _COMMANDS[args.command]
+        return handler(args)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import json
+import logging
 import math
 import os
 import shutil
@@ -44,6 +45,8 @@ from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 T = TypeVar("T")
+
+log = logging.getLogger(__name__)
 
 # Bytes per point record in frame files: 4 x float32.
 _POINT_RECORD_BYTES = 16
@@ -344,11 +347,15 @@ def json_list(value: Any, name: str, read: Callable[[Any, str], T]) -> list[T]:
 
 def json_fields(section: Any, name: str, /, **readers: Callable[[Any, str], Any]) -> dict[str, Any]:
     """Each key of the JSON object ``section`` that ``readers`` names, read
-    by its reader; every other key is ignored, and an absent key keeps the
-    default of the parameter it fills.  A ``section`` that is not a JSON
-    object is a ConfigError naming it ``name``."""
+    by its reader; every other key is ignored with a warning naming it and
+    the section, and an absent key keeps the default of the parameter it
+    fills.  A ``section`` that is not a JSON object is a ConfigError naming
+    it ``name``."""
     if not isinstance(section, Mapping):
         raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    for key in section:
+        if key not in readers:
+            log.warning("%s: ignoring unknown key %r", name, key)
     return {key: readers[key](value, key) for key, value in section.items() if key in readers}
 
 

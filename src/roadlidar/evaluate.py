@@ -1,10 +1,11 @@
 """Detection scoring: oriented 3D IoU, greedy matching, AP and recall.
 
-Matching is the usual detection protocol: per frame and class, predictions
-sorted by descending score (ties broken by distance to the sensor) each
-greedily claim the unmatched reference box of highest IoU above the
-threshold.  AP pools matches over the whole split and integrates the
-all-point-interpolated precision/recall curve; recall is pooled TP/(TP+FN).
+Matching is the usual detection protocol: per class, predictions ranked
+over the whole split by descending score, then stem, then center distance
+to the sensor, then input order, each greedily claim the first unclaimed
+reference box of its own frame with the highest IoU at or above the
+threshold.  AP integrates the all-point-interpolated precision/recall curve
+of that pooled rank; recall is pooled TP/(TP+FN).
 
 IoU is volumetric over yaw-oriented boxes: the footprint intersection is
 computed by clipping one rotated rectangle against the other, the vertical
@@ -202,38 +203,12 @@ def iou_matrices(frames: list[tuple[list[ObjectLabel], list[ObjectLabel]]]) -> l
     return [m.reshape(p, t) for m, p, t in zip(np.split(iou, np.cumsum(n_pairs)[:-1]), n_pred, n_truth)]
 
 
-def _rank_order(preds: list[ObjectLabel]) -> list[int]:
-    # Descending score; ties broken by ascending center distance to the
-    # sensor, then by input order for determinism.
-    def key(i: int) -> tuple:
-        p = preds[i]
-        try:
-            distance = math.sqrt(p.center_x**2 + p.center_y**2 + p.center_z**2)
-        except OverflowError:  # ** raises above about 1.34e154; x*x would change the bits
-            distance = math.inf
-        return (-p.score, distance, i)
-
-    return sorted(range(len(preds)), key=key)
-
-
-def _greedy_tp(order: list[int], iou_matrix: np.ndarray, iou_threshold: float) -> list[bool]:
-    """Whether each prediction, taken in ``order``, claims a reference box."""
-    taken = np.zeros(iou_matrix.shape[1], dtype=bool)
-    tp: list[bool] = []
-    for i in order:
-        best_j = -1
-        best_iou = 0.0
-        for j in range(len(taken)):
-            if taken[j]:
-                continue
-            v = iou_matrix[i, j]
-            if v >= iou_threshold and v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0:
-            taken[best_j] = True
-        tp.append(best_j >= 0)
-    return tp
+def _distance(label: ObjectLabel) -> float:
+    """Center distance to the sensor, the tie-break of equal scores."""
+    try:
+        return math.sqrt(label.center_x**2 + label.center_y**2 + label.center_z**2)
+    except OverflowError:  # ** raises above about 1.34e154; x*x would change the bits
+        return math.inf
 
 
 def average_precision(tp_flags: list[bool], n_truth: int) -> float:
@@ -250,8 +225,7 @@ def average_precision(tp_flags: list[bool], n_truth: int) -> float:
     precision = tp / (tp + fp)
     mrec = np.concatenate(([0.0], recall, [recall[-1]]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
@@ -332,19 +306,27 @@ def evaluate_labels(
             for stem in stems
         ]
         n_truth_total = sum(len(truths) for _, truths in frames)
-        matrices = iou_matrices(frames)
-        orders = [_rank_order(preds) for preds, _ in frames]
-        # Pooled rank: score desc, then (stem, in-frame rank) so the result
-        # is invariant to frame processing order; frame f holds the f-th stem
-        # in sorted order, so f ranks as its stem does.
-        pooled = sorted(
-            (-preds[i].score, f, rank)
-            for f, ((preds, _), order) in enumerate(zip(frames, orders))
-            for rank, i in enumerate(order)
+        ious = [m.tolist() for m in iou_matrices(frames)]
+        # The pooled rank: score desc, then stem, distance and input order.
+        # Restricted to one frame it is that frame's own rank, so one walk
+        # makes each frame's greedy claims and the pooled TP flags at once.
+        ranked = sorted(
+            (-p.score, f, _distance(p), i)
+            for f, (preds, _) in enumerate(frames)
+            for i, p in enumerate(preds)
         )
         for thr in thresholds:
-            tps = [_greedy_tp(order, iou, thr) for order, iou in zip(orders, matrices)]
-            tp_flags = [tps[f][rank] for _, f, rank in pooled]
+            taken = [[False] * len(truths) for _, truths in frames]
+            tp_flags = []
+            for _, f, _, i in ranked:
+                # the first unclaimed reference of highest IoU >= thr; NaN never claims
+                best_j, best_iou = -1, 0.0
+                for j, v in enumerate(ious[f][i]):
+                    if v >= thr and v > best_iou and not taken[f][j]:
+                        best_j, best_iou = j, v
+                if best_j >= 0:
+                    taken[f][best_j] = True
+                tp_flags.append(best_j >= 0)
             tp_total = sum(tp_flags)
             fp_total = len(tp_flags) - tp_total
             fn_total = n_truth_total - tp_total

@@ -22,7 +22,7 @@ delay (``start_time``), and hold their final pose once the path is consumed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -397,27 +397,38 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
 _PAIR, _TRIPLE = partial(json_floats, n=2), partial(json_floats, n=3)
 
 
+def _kind(section: Any, key: str) -> str | None:
+    """The kind that the scene object ``section`` names under ``key``, which
+    picks the readers of its other keys, so that one ``json_fields`` call
+    reads the whole object; None if it names none."""
+    kind = section.get(key) if isinstance(section, Mapping) else None
+    return kind if isinstance(kind, str) else None
+
+
+_STATIC_FIELDS = {
+    "ground": {"z": json_float, "jitter_sigma": json_float},
+    "box": {"center": _TRIPLE, "dims": _TRIPLE, "yaw": json_float, "jitter_sigma": json_float},
+    "cylinder": {"center": _PAIR, **dict.fromkeys(("radius", "z_low", "z_high", "jitter_sigma"), json_float)},
+}
+
+
 def _static_from_dict(prim: Any, name: str):
-    kind = json_fields(prim, name, type=json_value)["type"]
+    f = json_fields(prim, name, type=json_value, **_STATIC_FIELDS.get(_kind(prim, "type"), {}))
+    kind = f.pop("type")
     if kind == "ground":
-        return GroundPlane(**json_fields(prim, name, z=json_float, jitter_sigma=json_float))
+        return GroundPlane(**f)
     if kind == "box":
-        return BoxObstacle(**json_fields(
-            prim, name, center=_TRIPLE, dims=_TRIPLE, yaw=json_float, jitter_sigma=json_float
-        ))
+        return BoxObstacle(**f)
     if kind == "cylinder":
-        f = json_fields(prim, name, center=_PAIR, radius=json_float, z_low=json_float, z_high=json_float,
-                        jitter_sigma=json_float)
         return CylinderObstacle(f.pop("center"), f.pop("radius"), f.pop("z_low", 0.0), f.pop("z_high"), **f)
     raise ConfigError(f"unknown static primitive type '{kind}'")
 
 
 def _actor_from_dict(actor: Any, name: str) -> Actor:
-    shape = json_fields(actor, name, shape=json_value)["shape"]
-    dims = ("length", "width", "height") if shape == "cuboid" else ("radius", "height")
-    f = json_fields(actor, name, **dict.fromkeys(dims, json_float), waypoints=partial(json_list, read=_PAIR),
-                    speed=json_float, start_time=json_float)
-    return Actor(shape, tuple(f.pop(key) for key in dims), tuple(f.pop("waypoints")), **f)
+    dims = ("length", "width", "height") if _kind(actor, "shape") == "cuboid" else ("radius", "height")
+    f = json_fields(actor, name, shape=json_value, **dict.fromkeys(dims, json_float),
+                    waypoints=partial(json_list, read=_PAIR), speed=json_float, start_time=json_float)
+    return Actor(f.pop("shape"), tuple(f.pop(key) for key in dims), tuple(f.pop("waypoints")), **f)
 
 
 def scene_from_dict(data: Any) -> SceneSpec:

@@ -16,7 +16,10 @@ point count, so it checks real-size frames that ``brute_dbscan`` cannot.
 whole sequence in memory before writing it out.  ``naive_iou_3d`` is the
 earlier per-pair IoU: pure-Python Sutherland-Hodgman on every pair whose
 footprints no rectangle side separates; the batched IoU matrices must equal
-it bit for bit.
+it bit for bit.  ``naive_evaluate_records`` is the earlier matching: each
+frame ranks its own predictions, a second sort pools those ranks, and the
+TP flags are gathered back into pooled order; the one pooled pass of
+``evaluate_labels`` must give the same report.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from roadlidar.core import normalize_yaw_half
+from roadlidar.core import LabelClass, normalize_yaw_half
 
 
 def naive_point_range(p) -> float:
@@ -444,3 +447,88 @@ def naive_iou_matrix(preds, truths) -> np.ndarray:
     return np.array([[naive_iou_3d(p, t) for t in truths] for p in preds]).reshape(
         len(preds), len(truths)
     )
+
+
+def _naive_rank_order(preds) -> list[int]:
+    # Descending score; ties broken by ascending center distance to the
+    # sensor, then by input order for determinism.
+    def key(i: int) -> tuple:
+        p = preds[i]
+        try:
+            distance = math.sqrt(p.center_x**2 + p.center_y**2 + p.center_z**2)
+        except OverflowError:
+            distance = math.inf
+        return (-p.score, distance, i)
+
+    return sorted(range(len(preds)), key=key)
+
+
+def _naive_greedy_tp(order: list[int], iou_matrix: np.ndarray, iou_threshold: float) -> list[bool]:
+    """Whether each prediction, taken in ``order``, claims a reference box."""
+    taken = np.zeros(iou_matrix.shape[1], dtype=bool)
+    tp: list[bool] = []
+    for i in order:
+        best_j = -1
+        best_iou = 0.0
+        for j in range(len(taken)):
+            if taken[j]:
+                continue
+            v = iou_matrix[i, j]
+            if v >= iou_threshold and v > best_iou:
+                best_iou = v
+                best_j = j
+        if best_j >= 0:
+            taken[best_j] = True
+        tp.append(best_j >= 0)
+    return tp
+
+
+def _naive_average_precision(tp_flags: list[bool], n_truth: int) -> float:
+    if n_truth == 0 or not tp_flags:
+        return 0.0
+    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
+    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
+    recall = tp / n_truth
+    precision = tp / (tp + fp)
+    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+def naive_evaluate_records(preds_by_stem, truths_by_stem, thresholds) -> dict:
+    """``(ap, recall, tp, fp, fn)`` of each ``(class, threshold)``.
+
+    The earlier evaluation: each frame ranks its own predictions, a pooled
+    sort merges those ranks by score and stem, and the TP flags are taken
+    per frame and gathered back into pooled order.
+    """
+    records = {}
+    stems = sorted(truths_by_stem)
+    for cls in LabelClass:
+        frames = [
+            (
+                [p for p in preds_by_stem.get(stem, []) if p.label_class is cls],
+                [t for t in truths_by_stem[stem] if t.label_class is cls],
+            )
+            for stem in stems
+        ]
+        n_truth_total = sum(len(truths) for _, truths in frames)
+        matrices = [naive_iou_matrix(preds, truths) for preds, truths in frames]
+        orders = [_naive_rank_order(preds) for preds, _ in frames]
+        pooled = sorted(
+            (-preds[i].score, f, rank)
+            for f, ((preds, _), order) in enumerate(zip(frames, orders))
+            for rank, i in enumerate(order)
+        )
+        for thr in thresholds:
+            tps = [_naive_greedy_tp(order, iou, thr) for order, iou in zip(orders, matrices)]
+            tp_flags = [tps[f][rank] for _, f, rank in pooled]
+            tp_total = sum(tp_flags)
+            fn_total = n_truth_total - tp_total
+            recall = tp_total / n_truth_total if n_truth_total else 0.0
+            records[(cls, thr)] = (_naive_average_precision(tp_flags, n_truth_total), recall,
+                                   tp_total, len(tp_flags) - tp_total, fn_total)
+    return records

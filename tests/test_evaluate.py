@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_iou_matrix
+from oracles import naive_evaluate_records, naive_iou_matrix
 
 import roadlidar.evaluate
 from roadlidar.cli import main
@@ -23,6 +23,8 @@ from roadlidar.core import (
     write_labels,
 )
 from roadlidar.evaluate import (
+    EvalReport,
+    MetricRecord,
     average_precision,
     evaluate,
     evaluate_labels,
@@ -423,6 +425,123 @@ class TestEvaluateLabels:
         recalls = [report.records[(LabelClass.PEDESTRIAN, t)].recall for t in thresholds]
         assert all(a1 >= a2 - 1e-12 for a1, a2 in zip(aps, aps[1:]))
         assert all(r1 >= r2 - 1e-12 for r1, r2 in zip(recalls, recalls[1:]))
+
+
+_TIED_SCORES = (0.25, 0.5, 0.5, 0.75, 1.0)
+
+
+def _tied_prediction(rng, truths, earlier):
+    """A prediction whose rank is likely to tie with another's."""
+    score = float(rng.choice(_TIED_SCORES))
+    cls = LabelClass.VEHICLE if rng.random() < 0.5 else LabelClass.PEDESTRIAN
+    kind = rng.random()
+    if kind < 0.15 and earlier:  # the same box and score: input order breaks the tie
+        return earlier[int(rng.integers(len(earlier)))]
+    if kind < 0.3 and earlier:  # the same center and score, another box: input order again
+        p = earlier[int(rng.integers(len(earlier)))]
+        w = float(rng.uniform(0.5, 2.0))
+        return ObjectLabel(p.center_x, p.center_y, p.center_z, w + float(rng.uniform(0, 2)), w,
+                           float(rng.uniform(0.5, 2.0)), float(rng.uniform(-math.pi, 3.0)),
+                           p.label_class, p.score)
+    if kind < 0.37:  # too far to square: the distance overflows to inf
+        return _label(cx=float(rng.choice((1e200, -1.5e200))), cy=float(rng.uniform(-1, 1)),
+                      cls=cls, score=score)
+    if kind < 0.44:  # too large to multiply out: its IoU with a huge reference is NaN
+        size = float(rng.choice((1e200, 1e300)))
+        return _label(cx=float(rng.uniform(-2, 2)), l=size, w=size, h=size,
+                      yaw=float(rng.choice((0.0, 0.4))), cls=cls, score=score)
+    bars = [t for t in truths if t.length == 3.0 and t.yaw == 0.0]
+    if bars and kind < 0.6:  # a bar shifted by a whole length unit: IoU exactly 1.0 or 0.5
+        t = bars[int(rng.integers(len(bars)))]
+        return _label(t.center_x + float(rng.integers(-1, 2)), t.center_y, l=3.0, cls=t.label_class,
+                      score=score)
+    if truths and kind < 0.85:  # a jittered copy of a reference
+        t = truths[int(rng.integers(len(truths)))]
+        return ObjectLabel(t.center_x + float(rng.normal(0, 0.3)), t.center_y + float(rng.normal(0, 0.3)),
+                           t.center_z, t.length, t.width, t.height, t.yaw, t.label_class, score)
+    box = _random_box(rng, cls)
+    return ObjectLabel(box.center_x / 4, box.center_y / 4, box.center_z, box.length, box.width, box.height,
+                       box.yaw, cls, score)
+
+
+def _tied_split(rng):
+    """A multi-stem split of crowded frames with many rank ties.
+
+    Some stems have no prediction file, some frames no reference.
+    """
+    preds, truths = {}, {}
+    for k in range(int(rng.integers(2, 6))):
+        stem = f"{k:06d}"
+        frame_truths = []
+        if rng.random() < 0.3:
+            # two 3 x 1 x 1 bars 2 apart: a prediction midway has IoU 0.5 with both
+            x, y = float(rng.integers(-3, 4)), float(rng.integers(-3, 4))
+            cls = LabelClass.VEHICLE if rng.random() < 0.5 else LabelClass.PEDESTRIAN
+            frame_truths += [_label(x - 1.0, y, l=3.0, cls=cls), _label(x + 1.0, y, l=3.0, cls=cls)]
+        for _ in range(int(rng.integers(0, 4))):
+            cls = LabelClass.VEHICLE if rng.random() < 0.5 else LabelClass.PEDESTRIAN
+            if rng.random() < 0.1:
+                frame_truths.append(_label(l=1e300, w=1e300, h=1e300, cls=cls))
+                continue
+            box = _random_box(rng, cls)
+            frame_truths.append(ObjectLabel(box.center_x / 4, box.center_y / 4, box.center_z, box.length,
+                                            box.width, box.height, box.yaw, cls, 1.0))
+        truths[stem] = frame_truths
+        if rng.random() < 0.2:
+            continue
+        frame_preds = []
+        for _ in range(int(rng.integers(0, 7))):
+            frame_preds.append(_tied_prediction(rng, frame_truths, frame_preds))
+        preds[stem] = frame_preds
+    return preds, truths
+
+
+def _distance(p):
+    try:
+        return math.sqrt(p.center_x**2 + p.center_y**2 + p.center_z**2)
+    except OverflowError:
+        return math.inf
+
+
+class TestPooledRankingOracle:
+    def test_reports_match_naive_on_tied_splits(self):
+        """Pooled rank and greedy claims across frames, score ties included,
+        match the earlier per-frame ranking regathered into pooled order."""
+        rng = np.random.default_rng(2024)
+        thresholds = (0.1, 0.25, 0.5, 0.7)
+        seen = dict.fromkeys(("nan_iou", "iou_at_threshold", "equal_best_iou", "inf_distance", "distance_tie",
+                              "input_order_tie", "cross_stem_tie", "no_prediction_file", "no_reference"), 0)
+        for _ in range(300):
+            preds, truths = _tied_split(rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = naive_evaluate_records(preds, truths, thresholds)
+                report = evaluate_labels(preds, truths, thresholds)
+            expected = EvalReport(thresholds, {key: MetricRecord(*rec) for key, rec in expected.items()})
+            assert report.to_text() == expected.to_text()
+            assert report.records == expected.records
+            stems = sorted(truths)
+            frames = [(preds.get(stem, []), truths[stem]) for stem in stems]
+            matrices = iou_matrices(frames)
+            seen["nan_iou"] += sum(int(np.isnan(m).sum()) for m in matrices)
+            seen["iou_at_threshold"] += sum(int(np.isin(m, thresholds).sum()) for m in matrices)
+            for row in (row for m in matrices for row in m):
+                best = row.max(initial=0.0)
+                seen["equal_best_iou"] += int(best > 0 and (row == best).sum() > 1)
+            seen["no_prediction_file"] += len(set(truths) - set(preds))
+            seen["no_reference"] += sum(not ts for ts in truths.values())
+            for cls in LabelClass:
+                keyed = [(p.score, stem, _distance(p)) for stem in stems
+                         for p in preds.get(stem, []) if p.label_class is cls]
+                seen["inf_distance"] += sum(d == math.inf for _, _, d in keyed)
+                for a, (s, stem, d) in enumerate(keyed):
+                    for s2, stem2, d2 in keyed[a + 1:]:
+                        if s == s2 and stem != stem2:
+                            seen["cross_stem_tie"] += 1
+                        elif s == s2 and d != d2:
+                            seen["distance_tie"] += 1
+                        elif s == s2:
+                            seen["input_order_tie"] += 1
+        assert all(count >= 20 for count in seen.values()), repr(seen)
 
 
 class TestEvaluateDirectories:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from oracles import naive_merge_frames
 
-from roadlidar import pipeline
+from roadlidar import cli, pipeline
 from roadlidar.annotate import annotate_frame
 from roadlidar.background import (
     BackgroundModel,
@@ -57,6 +58,7 @@ from roadlidar.simulate import (
     GroundPlane,
     SceneSpec,
     SensorModel,
+    scene_from_dict,
     write_scene_outputs,
 )
 
@@ -738,7 +740,62 @@ class TestIterate:
             assert all(lb.source is LabelSource.EXTERNAL for lb in labs)
 
 
+def _warnings(caplog) -> list[str]:
+    return [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
+
+
+_README_CONFIG_READERS = {
+    "datasets": pipeline._pipeline_config,
+    "inputs": pipeline._merge_config,
+    "pred_dir": cli._evaluate_config,
+    "predictions": cli._iterate_config,
+}
+
+
 class TestConfigParsing:
+    def test_readme_configs_log_no_warning(self, caplog):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.DOTALL)]
+        kinds = []
+        for config in configs:
+            (kind,) = (key for key in _README_CONFIG_READERS if key in config)
+            _README_CONFIG_READERS[kind](config)
+            kinds.append(kind)
+        assert sorted(kinds) == sorted(_README_CONFIG_READERS)
+        assert _warnings(caplog) == []
+
+    def test_scene_with_every_kind_logs_no_warning(self, caplog):
+        scene = {
+            "sensor": {"origin": [0, 0, 3], "azimuth_deg": [-30, 30], "azimuth_count": 20,
+                       "elevation_deg": [-20, -2], "elevation_count": 10, "frequency_hz": 10.0,
+                       "range_noise_sigma": 0.01, "max_range": 80.0},
+            "static": [
+                {"type": "ground", "z": 0.0, "jitter_sigma": 0.01},
+                {"type": "box", "center": [30, 0, 3], "dims": [1, 20, 6], "yaw": 0.1, "jitter_sigma": 0.0},
+                {"type": "cylinder", "center": [20, 5], "radius": 0.2, "z_low": 0.0, "z_high": 5.0,
+                 "jitter_sigma": 0.0},
+            ],
+            "actors": [
+                {"shape": "cuboid", "length": 4.0, "width": 1.8, "height": 1.5,
+                 "waypoints": [[10, -5], [10, 5]], "speed": 2.0, "start_time": 0.1},
+                {"shape": "cylinder", "radius": 0.3, "height": 1.7,
+                 "waypoints": [[12, 0]], "speed": 1.0, "start_time": 0.0},
+            ],
+            "duration": 3, "seed": 1, "min_truth_points": 5,
+        }
+        spec = scene_from_dict(scene)
+        assert [type(p).__name__ for p in spec.static] == ["GroundPlane", "BoxObstacle", "CylinderObstacle"]
+        assert [a.shape for a in spec.actors] == ["cuboid", "cylinder"]
+        assert _warnings(caplog) == []
+        # a misspelled key of a primitive or an actor is named with its entry
+        scene["static"][1]["jiter_sigma"] = scene["static"][1].pop("jitter_sigma")
+        scene["actors"][1]["lenght"] = 2.0
+        scene_from_dict(scene)
+        assert _warnings(caplog) == [
+            "static[1]: ignoring unknown key 'jiter_sigma'",
+            "actors[1]: ignoring unknown key 'lenght'",
+        ]
+
     def _config_dict(self, scene_dir, tmp_path):
         out, spec = scene_dir
         return {
@@ -771,7 +828,7 @@ class TestConfigParsing:
         config = parse_pipeline_config(path)
         assert config.datasets[0].name == "site_a"
 
-    def test_n_total_is_the_sensor_beam_count(self, scene_dir, tmp_path):
+    def test_n_total_is_the_sensor_beam_count(self, scene_dir, tmp_path, caplog):
         data = self._config_dict(scene_dir, tmp_path)
         data["datasets"][0]["teacher"]["n_total"] = 4  # a leftover key is ignored
         path = tmp_path / "cfg.json"
@@ -782,6 +839,12 @@ class TestConfigParsing:
         sensor = data["datasets"][0]["sensor"]
         assert {"name", "frequency_hz"} <= sensor.keys()
         assert entry.meta == SensorMeta(sensor["rays_horizontal"], sensor["rays_vertical"])
+        # each with a warning, in its section's key order
+        assert _warnings(caplog) == [
+            "sensor: ignoring unknown key 'name'",
+            "sensor: ignoring unknown key 'frequency_hz'",
+            "teacher: ignoring unknown key 'n_total'",
+        ]
         with pytest.raises(ConfigError, match="beam count"):
             dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_total=4))
 
@@ -811,6 +874,26 @@ def _actor(**fields):
 
 
 class TestCli:
+    def test_misspelled_merge_key_is_ignored_with_a_warning(self, tmp_path, caplog):
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        np.array([[1.0, 1.0, 1.0, 0.0]], dtype="<f4").tofile(frames / "000000.bin")
+        write_labels({"000000": []}, labels)
+        path = tmp_path / "merge.json"
+        path.write_text(json.dumps({
+            "output_root": str(tmp_path / "merged"),
+            "inputs": [{
+                "name": "site_a", "frames": str(frames), "labels": str(labels),
+                "sensor": {"rays_horizontal": 1, "rays_vertical": 1},
+                "transfrom": {"translation": [100, 0, 0]},
+            }],
+        }))
+        assert main(["merge", "--config", str(path)]) == 0
+        assert _warnings(caplog) == ["inputs[0]: ignoring unknown key 'transfrom'"]
+        # the frame is merged untransformed
+        rec = np.fromfile(tmp_path / "merged" / "site_a" / "frames" / "000000.bin", dtype="<f4")
+        assert rec.tolist() == [1.0, 1.0, 1.0, 0.0]
+
     def test_annotate_and_evaluate_exit_codes(self, scene_dir, tmp_path):
         out, spec = scene_dir
         cfg = TestConfigParsing()._config_dict(scene_dir, tmp_path)
