@@ -25,7 +25,12 @@ On-disk formats:
 
   with reals printed at fixed 6-decimal precision, space-separated, class
   spelled ``Vehicle`` or ``Pedestrian``, newline-terminated.  One label file
-  per frame, named after the frame stem.
+  per frame, named after the frame stem.  ``LabelSet.read`` is the one
+  label parser: it reads a directory's files as one table and checks
+  every row in one pass, by the rules of ``ObjectLabel``.  The first bad
+  line in (file, line) order, or the first file that cannot be read, is a
+  DataError naming it (``<path>:<line>: ...`` for a line); ``read_labels``
+  builds its ``ObjectLabel`` lists from that table.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ import logging
 import math
 import os
 import shutil
+from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -540,34 +547,120 @@ def write_label_file(labels: Sequence[ObjectLabel], path: str | Path) -> None:
     Path(path).write_text("".join(format_label_line(lb) + "\n" for lb in labels), encoding="utf-8")
 
 
-def read_label_file(path: str | Path, source: LabelSource = LabelSource.TEACHER) -> list[ObjectLabel]:
-    """Parse one label file; errors name the file and 1-based line number."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read label file {path}: {exc}") from exc
-    labels = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 9:
-            raise DataError(f"{path}:{lineno}: expected 9 fields, got {len(tokens)}")
-        cls_token = tokens[0]
+# A label's class is stored in a LabelSet as its index in LABEL_CLASSES.
+LABEL_CLASSES = tuple(LabelClass)
+_CLASS_CODES = {cls.value: code for code, cls in enumerate(LABEL_CLASSES)}
+
+
+def label_values(labels: Sequence[ObjectLabel]) -> np.ndarray:
+    """The labels' (n, 8) float64 values in file column order."""
+    return np.array([
+        (lb.center_x, lb.center_y, lb.center_z, lb.length, lb.width, lb.height, lb.yaw, lb.score)
+        for lb in labels
+    ], dtype=np.float64).reshape(len(labels), 8)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelSet:
+    """The labels of one directory as a table.
+
+    ``stems`` are sorted and ``counts[k]`` is the number of labels of
+    ``stems[k]``; a label's row follows those of the stems before its own,
+    in its file's line order.  ``classes`` holds each label's index in
+    ``LABEL_CLASSES``; ``values`` is (n, 8) float64 in file column order:
+    cx cy cz length width height yaw score.
+    """
+
+    stems: tuple[str, ...]
+    counts: np.ndarray
+    classes: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def read(cls, directory: str | Path) -> LabelSet:
+        """Parse and check every ``*.txt`` label file of a directory.
+
+        Files are read in filename order, each line split as ``str.split``
+        and each number parsed as ``float`` parses it; blank lines are
+        skipped.  The values of every line are then checked in one pass
+        by the rules of ``ObjectLabel``.  The first fault in (file, line)
+        order is a DataError: a file that cannot be read names the file,
+        and a bad line reads ``<path>:<line>: <what>``.
+        """
+        directory = Path(directory)
+        if not directory.is_dir():
+            raise DataError(f"label directory not found: {directory}")
+        paths, counts, names, tokens, lines = [], [], [], [], []
+        fault = None
+        for path in sorted(directory.glob("*.txt")):
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                fault = f"cannot read label file {path}: {exc}"
+                break
+            paths.append(path)
+            first = len(lines)
+            for lineno, row in enumerate(map(str.split, text.splitlines()), start=1):
+                if not row:
+                    continue
+                if len(row) != 9:
+                    fault = f"{path}:{lineno}: expected 9 fields, got {len(row)}"
+                    break
+                if row[0] not in _CLASS_CODES:
+                    fault = f"{path}:{lineno}: unknown class '{row[0]}'"
+                    break
+                names.append(row[0])
+                tokens += row[1:]
+                lines.append(lineno)
+            counts.append(len(lines) - first)
+            if fault:
+                break
+
+        def where(row: int) -> str:
+            return f"{paths[bisect_right(list(accumulate(counts)), row)]}:{lines[row]}"
+
         try:
-            cls = LabelClass(cls_token)
+            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
         except ValueError:
-            raise DataError(f"{path}:{lineno}: unknown class '{cls_token}'") from None
-        try:
-            values = [float(tok) for tok in tokens[1:]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparsable number ({exc})") from None
-        try:
-            labels.append(ObjectLabel(*values[:3], *values[3:6], values[6], cls, values[7], source))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return labels
+            for k, token in enumerate(tokens):
+                try:
+                    float(token)
+                except ValueError as exc:
+                    fault = f"{where(k // 8)}: unparsable number ({exc})"
+                    del names[k // 8:], tokens[k // 8 * 8:]
+                    break
+            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        values = values.reshape(-1, 8)
+        codes = np.array([_CLASS_CODES[name] for name in names], dtype=np.int8)
+        length, width, height, score = values[:, 3], values[:, 4], values[:, 5], values[:, 7]
+        bad = (~np.isfinite(values).all(axis=1) | (length <= 0) | (width <= 0) | (height <= 0)
+               | (length < width) | (score < 0) | (score > 1))
+        if bad.any():
+            k = int(np.argmax(bad))
+            try:
+                ObjectLabel(*values[k, :7].tolist(), LABEL_CLASSES[codes[k]], float(values[k, 7]))
+            except DataError as exc:
+                fault = f"{where(k)}: {exc}"
+        if fault:
+            raise DataError(fault)
+        order = sorted(range(len(paths)), key=lambda f: paths[f].stem)
+        rank = np.empty(len(paths), dtype=np.int64)
+        rank[order] = np.arange(len(paths))
+        rows = np.argsort(np.repeat(rank, counts), kind="stable")
+        return cls(tuple(paths[f].stem for f in order), np.array(counts, dtype=np.int64)[order],
+                   codes[rows], values[rows])
+
+    @classmethod
+    def from_labels(cls, labels_by_stem: Mapping[str, Sequence[ObjectLabel]]) -> LabelSet:
+        """The table of per-stem label lists, as ``read`` gives it for their files."""
+        stems = sorted(labels_by_stem)
+        labels = [lb for stem in stems for lb in labels_by_stem[stem]]
+        return cls(
+            tuple(stems),
+            np.array([len(labels_by_stem[stem]) for stem in stems], dtype=np.int64),
+            np.array([_CLASS_CODES[lb.label_class.value] for lb in labels], dtype=np.int8),
+            label_values(labels),
+        )
 
 
 def write_labels(labels_by_stem: Mapping[str, Sequence[ObjectLabel]], directory: str | Path) -> None:
@@ -579,15 +672,15 @@ def write_labels(labels_by_stem: Mapping[str, Sequence[ObjectLabel]], directory:
 
 
 def read_labels(directory: str | Path, source: LabelSource = LabelSource.TEACHER) -> dict[str, list[ObjectLabel]]:
-    """Read every label file in a directory, keyed by frame stem.
+    """Read every label file in a directory, keyed by frame stem in sorted
+    order: ``LabelSet.read``, one ``ObjectLabel`` a row.
 
     ``source`` is External when ingesting detector predictions through the
     iteration entry point, Teacher otherwise.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DataError(f"label directory not found: {directory}")
+    table = LabelSet.read(directory)
+    rows = iter(zip(table.values.tolist(), table.classes.tolist()))
     return {
-        file.stem: read_label_file(file, source)
-        for file in sorted(directory.glob("*.txt"))
+        stem: [ObjectLabel(*v[:7], LABEL_CLASSES[code], v[7], source) for v, code in islice(rows, count)]
+        for stem, count in zip(table.stems, table.counts.tolist())
     }

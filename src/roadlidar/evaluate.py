@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, LabelClass, LabelSource, ObjectLabel, json_float, json_list, publish, read_labels
+from .core import (
+    LABEL_CLASSES, DataError, LabelClass, LabelSet, ObjectLabel, json_float, json_list, label_values, publish,
+)
 
 DEFAULT_IOU_THRESHOLDS = (0.25, 0.3, 0.5)
 
@@ -40,21 +42,20 @@ def validate_iou_thresholds(values) -> tuple[float, ...]:
     return thresholds
 
 
-def _box_arrays(labels: list[ObjectLabel]) -> tuple[np.ndarray, ...]:
-    """Each label's center_z, height, volume and CCW footprint corners (N, 4, 2).
+def _box_arrays(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each box's center_z, height, volume and CCW footprint corners (N, 4, 2),
+    from (N, 8) label values in file column order.
 
     The corners are each box's local (4, 2) corners times its transposed
     (2, 2) rotation, with ``math`` trig.  numpy evaluates a stacked matmul
     with the kernel of the one-box product, whose rounding an elementwise
     formula does not reproduce (the kernel may fuse multiply-adds).
     """
-    n = len(labels)
-    fields = np.array([
-        (lb.center_x, lb.center_y, lb.center_z, lb.length, lb.width, lb.height,
-         math.cos(lb.yaw), math.sin(lb.yaw))
-        for lb in labels
-    ]).reshape(n, 8)
-    cx, cy, cz, length, width, height, c, s = fields.T
+    n = len(values)
+    yaws = values[:, 6].tolist()
+    c = np.array([math.cos(yaw) for yaw in yaws])
+    s = np.array([math.sin(yaw) for yaw in yaws])
+    cx, cy, cz, length, width, height = values[:, :6].T
     hl, hw = length / 2.0, width / 2.0
     local = np.stack([hl, hw, -hl, hw, -hl, -hw, hl, -hw], axis=1).reshape(n, 4, 2)
     rot = np.stack([c, -s, s, c], axis=1).reshape(n, 2, 2)
@@ -71,11 +72,15 @@ def _separated(poly: np.ndarray, other: np.ndarray) -> np.ndarray:
     leave a rounding sliver that scores about 1e-16, or NaN from a crossing
     on a near-parallel segment.
     """
-    a = poly[:, :, None, :]
-    edge = np.roll(poly, -1, axis=1)[:, :, None, :] - a
-    p = other[:, None, :, :]
-    cross = edge[..., 0] * (p[..., 1] - a[..., 1]) - edge[..., 1] * (p[..., 0] - a[..., 0])
-    return (cross < 0).all(axis=2).any(axis=1)
+    separated = np.zeros(len(poly), dtype=bool)
+    x, y = other[..., 0], other[..., 1]
+    n_edges = poly.shape[1]
+    for i in range(n_edges):
+        a = poly[:, i]
+        edge = poly[:, (i + 1) % n_edges] - a
+        cross = edge[:, 0, None] * (y - a[:, 1, None]) - edge[:, 1, None] * (x - a[:, 0, None])
+        separated |= (cross < 0).all(axis=1)
+    return separated
 
 
 def _clip_pairs(subject: np.ndarray, clipper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,18 +134,24 @@ def _clip_pairs(subject: np.ndarray, clipper: np.ndarray) -> tuple[np.ndarray, n
 def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Shoelace area of each padded polygon; 0.0 below 3 vertices.
 
-    Each polygon's two dot products are taken one polygon at a time, on
-    operands laid out as for a lone (n, 2) polygon: BLAS sums a dot product
-    in an order that a batched numpy sum does not reproduce.
+    The polygons of one vertex count n take their two dot products as one
+    stacked (1, n) @ (n, 1) matmul each, whose every product numpy computes
+    with the BLAS dot of a lone polygon: the x and y operands are strided
+    as the columns of a lone (n, 2) polygon, the next-vertex ones
+    contiguous.  BLAS sums a dot product in an order that a batched numpy
+    sum does not reproduce.
     """
     k = np.arange(poly.shape[1])
     following = np.where(k + 1 < count[:, None], k + 1, 0)
     x_next = np.take_along_axis(poly[..., 0], following, axis=1)
     y_next = np.take_along_axis(poly[..., 1], following, axis=1)
-    return np.array([
-        0.5 * abs(float(np.dot(p[:n, 0], yn[:n]) - np.dot(p[:n, 1], xn[:n]))) if n >= 3 else 0.0
-        for p, xn, yn, n in zip(poly, x_next, y_next, count)
-    ])
+    area = np.zeros(len(poly))
+    for n in np.unique(count[count >= 3]).tolist():
+        rows = np.flatnonzero(count == n)
+        p, xn, yn = poly[rows, :n], x_next[rows, :n], y_next[rows, :n]
+        cross = p[:, None, :, 0] @ yn[:, :, None] - p[:, None, :, 1] @ xn[:, :, None]
+        area[rows] = 0.5 * np.abs(cross[:, 0, 0])
+    return area
 
 
 def _pair_ious(pred_boxes: tuple[np.ndarray, ...], truth_boxes: tuple[np.ndarray, ...],
@@ -152,7 +163,9 @@ def _pair_ious(pred_boxes: tuple[np.ndarray, ...], truth_boxes: tuple[np.ndarray
           - np.maximum(pz[pi] - ph[pi] / 2.0, tz[ti] - th[ti] / 2.0))
     overlap = np.nonzero(dz > 0)[0]
     pc, tc = pcorners[pi[overlap]], tcorners[ti[overlap]]
-    joint = ~(_separated(pc, tc) | _separated(tc, pc))
+    # The test is per pair, so the second side runs only where the first left it open.
+    joint = np.flatnonzero(~_separated(pc, tc))
+    joint = joint[~_separated(tc[joint], pc[joint])]
     overlap = overlap[joint]
     clipped, poly, count = _clip_pairs(pc[joint], tc[joint])
     hit = overlap[clipped]
@@ -172,41 +185,57 @@ def _pair_ious(pred_boxes: tuple[np.ndarray, ...], truth_boxes: tuple[np.ndarray
 _PAIR_BLOCK = 1 << 15
 
 
-def iou_matrices(frames: list[tuple[list[ObjectLabel], list[ObjectLabel]]]) -> list[np.ndarray]:
-    """The (len(preds), len(truths)) volume-IoU matrix of each (preds, truths) frame.
-
-    The frames are computed as one batch of prediction/truth pairs.  A pair
-    whose z-intervals do not overlap, or whose footprints a side of either
-    rectangle separates, scores 0.0 unclipped; the others clip the
-    prediction's footprint by the truth's, and score 0.0 once the clip is
-    empty.  Every value is bit-identical to the one-pair computation that
-    ``tests/oracles.py::naive_iou_3d`` keeps.
-    """
-    n_pred = np.array([len(ps) for ps, _ in frames], dtype=np.int64)
-    n_truth = np.array([len(ts) for _, ts in frames], dtype=np.int64)
+def _frame_pairs(n_pred: np.ndarray, n_truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every prediction/truth pair of each frame, as indices (pi, ti) into
+    predictions and references stored frame after frame, ``n_pred[f]`` and
+    ``n_truth[f]`` of frame f: frame by frame, each frame's pairs in the
+    row-major order of its (n_pred[f], n_truth[f]) matrix."""
     n_pairs = n_pred * n_truth
-    pair_frame = np.repeat(np.arange(len(frames)), n_pairs)
+    pair_frame = np.repeat(np.arange(len(n_pairs)), n_pairs)
     k = np.arange(int(n_pairs.sum())) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
     pi = (np.cumsum(n_pred) - n_pred)[pair_frame] + k // n_truth[pair_frame]
     ti = (np.cumsum(n_truth) - n_truth)[pair_frame] + k % n_truth[pair_frame]
+    return pi, ti
+
+
+def _ious(pred_values: np.ndarray, truth_values: np.ndarray, pi: np.ndarray, ti: np.ndarray) -> np.ndarray:
+    """The volume IoU of each pair (pi[j], ti[j]) of rows of label values.
+
+    The pairs are computed as one batch.  A pair whose z-intervals do not
+    overlap, or whose footprints a side of either rectangle separates,
+    scores 0.0 unclipped; the others clip the prediction's footprint by the
+    truth's, and score 0.0 once the clip is empty.  Every value is
+    bit-identical to the one-pair computation that
+    ``tests/oracles.py::naive_iou_3d`` keeps.
+    """
     iou = np.zeros(len(pi))
     # A finite label can be too large to multiply out: dims of 1e300 overflow
     # its volume and corners to inf, and a rotated one's footprint tests to
     # inf - inf = NaN.  Neither is an error; the pair scores as the one-pair
     # computation scores it, and never as a match.
     with np.errstate(over="ignore", invalid="ignore"):
-        pred_boxes = _box_arrays([p for ps, _ in frames for p in ps])
-        truth_boxes = _box_arrays([t for _, ts in frames for t in ts])
+        pred_boxes = _box_arrays(pred_values)
+        truth_boxes = _box_arrays(truth_values)
         for lo in range(0, len(pi), _PAIR_BLOCK):
             block = slice(lo, lo + _PAIR_BLOCK)
             iou[block] = _pair_ious(pred_boxes, truth_boxes, pi[block], ti[block])
+    return iou
+
+
+def iou_matrices(frames: list[tuple[list[ObjectLabel], list[ObjectLabel]]]) -> list[np.ndarray]:
+    """The (len(preds), len(truths)) volume-IoU matrix of each (preds, truths) frame."""
+    n_pred = np.array([len(ps) for ps, _ in frames], dtype=np.int64)
+    n_truth = np.array([len(ts) for _, ts in frames], dtype=np.int64)
+    iou = _ious(label_values([p for ps, _ in frames for p in ps]),
+                label_values([t for _, ts in frames for t in ts]), *_frame_pairs(n_pred, n_truth))
+    n_pairs = n_pred * n_truth
     return [m.reshape(p, t) for m, p, t in zip(np.split(iou, np.cumsum(n_pairs)[:-1]), n_pred, n_truth)]
 
 
-def _distance(label: ObjectLabel) -> float:
+def _distance(x: float, y: float, z: float) -> float:
     """Center distance to the sensor, the tie-break of equal scores."""
     try:
-        return math.sqrt(label.center_x**2 + label.center_y**2 + label.center_z**2)
+        return math.sqrt(x**2 + y**2 + z**2)
     except OverflowError:  # ** raises above about 1.34e154; x*x would change the bits
         return math.inf
 
@@ -278,55 +307,49 @@ class EvalReport:
         return "\n".join(rows)
 
 
-def evaluate_labels(
-    preds_by_stem: dict[str, list[ObjectLabel]],
-    truths_by_stem: dict[str, list[ObjectLabel]],
-    thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS,
-) -> EvalReport:
-    """Score aligned per-frame label sets.
+def _score(preds: LabelSet, truths: LabelSet, thresholds: tuple[float, ...]) -> EvalReport:
+    """Score aligned per-frame label tables.
 
     Every truth stem is evaluated; a stem missing from the predictions means
     zero detections for that frame.  Prediction stems that have no reference
     frame are an alignment error.
     """
-    extra = sorted(set(preds_by_stem) - set(truths_by_stem))
+    extra = sorted(set(preds.stems) - set(truths.stems))
     if extra:
         raise DataError(
             "prediction frames without matching reference frames: " + ", ".join(extra)
         )
     thresholds = validate_iou_thresholds(thresholds)
     report = EvalReport(thresholds=thresholds)
-    stems = sorted(truths_by_stem)
-    for cls in LabelClass:
-        frames = [
-            (
-                [p for p in preds_by_stem.get(stem, []) if p.label_class is cls],
-                [t for t in truths_by_stem[stem] if t.label_class is cls],
-            )
-            for stem in stems
-        ]
-        n_truth_total = sum(len(truths) for _, truths in frames)
-        ious = [m.tolist() for m in iou_matrices(frames)]
+    n_frames = len(truths.stems)
+    frame_of = {stem: f for f, stem in enumerate(truths.stems)}
+    pred_frame = np.repeat(np.array([frame_of[stem] for stem in preds.stems], dtype=np.int64), preds.counts)
+    truth_frame = np.repeat(np.arange(n_frames), truths.counts)
+    for code, cls in enumerate(LABEL_CLASSES):
+        p = np.flatnonzero(preds.classes == code)
+        t = np.flatnonzero(truths.classes == code)
+        frame = pred_frame[p]
+        pi, ti = _frame_pairs(np.bincount(frame, minlength=n_frames),
+                              np.bincount(truth_frame[t], minlength=n_frames))
+        iou = _ious(preds.values[p], truths.values[t], pi, ti)
         # The pooled rank: score desc, then stem, distance and input order.
-        # Restricted to one frame it is that frame's own rank, so one walk
-        # makes each frame's greedy claims and the pooled TP flags at once.
-        ranked = sorted(
-            (-p.score, f, _distance(p), i)
-            for f, (preds, _) in enumerate(frames)
-            for i, p in enumerate(preds)
-        )
+        # Restricted to one frame it is that frame's own rank.
+        distance = [_distance(x, y, z) for x, y, z in preds.values[p, :3].tolist()]
+        rank = np.empty(len(p), dtype=np.int64)
+        rank[np.lexsort((np.arange(len(p)), distance, frame, -preds.values[p, 7]))] = np.arange(len(p))
+        # The pairs that may claim (a NaN IoU never does), by prediction in
+        # rank order, then by IoU descending and reference order: at each
+        # threshold a prediction claims its first untaken one at or above it.
+        c = np.flatnonzero(iou >= min(thresholds))
+        c = c[np.lexsort((ti[c], -iou[c], rank[pi[c]]))]
+        claims = list(zip(rank[pi[c]].tolist(), ti[c].tolist(), iou[c].tolist()))
+        n_truth_total = len(t)
         for thr in thresholds:
-            taken = [[False] * len(truths) for _, truths in frames]
-            tp_flags = []
-            for _, f, _, i in ranked:
-                # the first unclaimed reference of highest IoU >= thr; NaN never claims
-                best_j, best_iou = -1, 0.0
-                for j, v in enumerate(ious[f][i]):
-                    if v >= thr and v > best_iou and not taken[f][j]:
-                        best_j, best_iou = j, v
-                if best_j >= 0:
-                    taken[f][best_j] = True
-                tp_flags.append(best_j >= 0)
+            tp_flags = [False] * len(p)
+            taken = [False] * n_truth_total
+            for r, j, v in claims:
+                if v >= thr and not tp_flags[r] and not taken[j]:
+                    tp_flags[r] = taken[j] = True
             tp_total = sum(tp_flags)
             fp_total = len(tp_flags) - tp_total
             fn_total = n_truth_total - tp_total
@@ -337,6 +360,15 @@ def evaluate_labels(
     return report
 
 
+def evaluate_labels(
+    preds_by_stem: dict[str, list[ObjectLabel]],
+    truths_by_stem: dict[str, list[ObjectLabel]],
+    thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS,
+) -> EvalReport:
+    """Score aligned per-frame label lists, as ``evaluate`` scores their files."""
+    return _score(LabelSet.from_labels(preds_by_stem), LabelSet.from_labels(truths_by_stem), thresholds)
+
+
 def evaluate(
     pred_dir: str | Path,
     truth_dir: str | Path,
@@ -345,13 +377,12 @@ def evaluate(
 ) -> EvalReport:
     """Score a directory of predictions against a directory of references.
 
-    Directories are aligned by frame stem.  When ``report_path`` is given
-    the machine-readable report is written there by ``publish``, so a run
-    cut short keeps the previous report whole.
+    Each directory is read as one ``LabelSet`` and the two are aligned by
+    frame stem.  When ``report_path`` is given the machine-readable report
+    is written there by ``publish``, so a run cut short keeps the previous
+    report whole.
     """
-    preds = read_labels(pred_dir, source=LabelSource.EXTERNAL)
-    truths = read_labels(truth_dir, source=LabelSource.TEACHER)
-    report = evaluate_labels(preds, truths, thresholds)
+    report = _score(LabelSet.read(pred_dir), LabelSet.read(truth_dir), thresholds)
     if report_path is not None:
         with publish(Path(report_path)) as (staged,):
             staged.write_text(report.to_text(), encoding="utf-8")

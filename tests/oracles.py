@@ -19,7 +19,10 @@ footprints no rectangle side separates; the batched IoU matrices must equal
 it bit for bit.  ``naive_evaluate_records`` is the earlier matching: each
 frame ranks its own predictions, a second sort pools those ranks, and the
 TP flags are gathered back into pooled order; the one pooled pass of
-``evaluate_labels`` must give the same report.
+``evaluate_labels`` must give the same report.  ``naive_read_label_file``
+is the earlier label reader, one line and one ``ObjectLabel`` at a time;
+``LabelSet.read`` must give the same values, bit for bit, and the same
+first error.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from roadlidar.core import LabelClass, normalize_yaw_half
+from roadlidar.core import DataError, LabelClass, LabelSource, ObjectLabel, normalize_yaw_half
 
 
 def naive_point_range(p) -> float:
@@ -363,6 +366,37 @@ def naive_merge_frames(frames_dir, unit_scale, transform, out_dir) -> None:
         rec = np.zeros((xyz.shape[0], 4), dtype="<f4")
         rec[:, :3] = xyz.astype("<f4")
         (out_dir / f"{stem}.bin").write_bytes(rec.tobytes())
+
+
+def naive_read_label_file(path, source=LabelSource.TEACHER) -> list:
+    """Parse one label file a line at a time; errors name the file and
+    1-based line number."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read label file {path}: {exc}") from exc
+    labels = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        if len(tokens) != 9:
+            raise DataError(f"{path}:{lineno}: expected 9 fields, got {len(tokens)}")
+        cls_token = tokens[0]
+        try:
+            cls = LabelClass(cls_token)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unknown class '{cls_token}'") from None
+        try:
+            values = [float(tok) for tok in tokens[1:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparsable number ({exc})") from None
+        try:
+            labels.append(ObjectLabel(*values[:3], *values[3:6], values[6], cls, values[7], source))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return labels
 
 
 def _naive_footprint_corners(label) -> np.ndarray:

@@ -9,24 +9,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_read_label_file
 
 import roadlidar
 import roadlidar.evaluate
 import roadlidar.pipeline
+import roadlidar.simulate
 from roadlidar.core import (
+    LABEL_CLASSES,
     DataError,
     Frame,
     FrameBuffers,
     FrameSequence,
     LabelClass,
+    LabelSet,
     LabelSource,
     ObjectLabel,
     SensorMeta,
     json_int,
+    label_values,
     load_frame_sequence,
     normalize_yaw_half,
     publish,
-    read_label_file,
     read_labels,
     write_label_file,
     write_labels,
@@ -243,6 +247,11 @@ def _random_label(rng) -> ObjectLabel:
     )
 
 
+def _read_label_file(path):
+    """The labels of one file, read with the rest of its directory."""
+    return read_labels(path.parent)[path.stem]
+
+
 class TestLabelIO:
     def test_empty_list_creates_empty_file(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -262,7 +271,7 @@ class TestLabelIO:
         labels = [_random_label(rng) for _ in range(100)]
         path = tmp_path / "f.txt"
         write_label_file(labels, path)
-        back = read_label_file(path)
+        back = _read_label_file(path)
         assert len(back) == 100
         for a, b in zip(labels, back):
             assert b.label_class is a.label_class
@@ -274,26 +283,26 @@ class TestLabelIO:
         labels = [_random_label(rng) for _ in range(20)]
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         write_label_file(labels, p1)
-        write_label_file(read_label_file(p1), p2)
+        write_label_file(_read_label_file(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_class(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("Car 0 0 0 1 1 1 0 1\n")
         with pytest.raises(DataError, match="unknown class 'Car'"):
-            read_label_file(path)
+            _read_label_file(path)
 
     def test_wrong_token_count_names_line(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("Vehicle 0 0 0 1 1 1 0 1\nVehicle 0 0 0 1 1 1 0\n")
         with pytest.raises(DataError, match=r"f\.txt:2"):
-            read_label_file(path)
+            _read_label_file(path)
 
     def test_unparsable_number_names_line(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("Vehicle 0 0 zero 1 1 1 0 1\n")
         with pytest.raises(DataError, match=r"f\.txt:1"):
-            read_label_file(path)
+            _read_label_file(path)
 
     def test_directory_round_trip_and_source(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -315,9 +324,135 @@ class TestLabelIO:
         label = ObjectLabel(0.0, 0.0, 0.0, size + 1.0, size, size, yaw, LabelClass.PEDESTRIAN, score)
         path = tmp_path_factory.mktemp("lbl") / "f.txt"
         write_label_file([label], path)
-        (back,) = read_label_file(path)
+        (back,) = _read_label_file(path)
         assert abs(back.yaw - yaw) <= 5e-7
         assert abs(back.score - score) <= 5e-7
+
+
+# Spellings that ``float`` reads, with the value each reads as.
+_SPELLED = (("-0.0", -0.0), ("0", 0.0), ("1", 1.0), ("1.0", 1.0), ("1_0", 10.0), ("1_000.5", 1000.5),
+            ("1e300", 1e300), ("+2.5", 2.5), (".5", 0.5), ("5.", 5.0), ("1_0e-1", 1.0), ("1E2", 100.0),
+            ("\u0661\u0662", 12.0))
+_PARSE_FAULTS = {
+    "fields": lambda rng, tokens: tokens[:-1] if rng.random() < 0.5 else tokens + ["0"],
+    "class": lambda rng, tokens: [str(rng.choice(["Car", "vehicle", "PEDESTRIAN", "Vehicle,"]))] + tokens[1:],
+    "number": lambda rng, tokens: _replace(rng, tokens, range(1, 9), ["zero", "1..0", "1__0", "0x10", "--1", "1e"]),
+}
+_VALUE_FAULTS = {
+    "not finite": lambda rng, tokens: _replace(rng, tokens, range(1, 9), ["nan", "inf", "-Infinity", "1e999"]),
+    "dimension": lambda rng, tokens: _replace(rng, tokens, range(4, 7), ["0", "-0.0", "-1.5"]),
+    "order": lambda rng, tokens: tokens[:4] + ["0.5", "0.75"] + tokens[6:],
+    "score": lambda rng, tokens: tokens[:8] + [str(rng.choice(["1.0000001", "-0.5", "2"]))],
+}
+_LINE_ENDS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028")
+_BLANK_LINES = ("", " ", "\t ", "\x0c")
+
+
+def _replace(rng, tokens, columns, spellings):
+    tokens = list(tokens)
+    tokens[int(rng.choice(list(columns)))] = str(rng.choice(spellings))
+    return tokens
+
+
+def _number(rng, low, high):
+    """A spelling of a number in about [low, high], and its value."""
+    pool = [(spelled, value) for spelled, value in _SPELLED if low <= value <= high]
+    if pool and rng.random() < 0.3:
+        return pool[int(rng.integers(len(pool)))]
+    value = float(rng.uniform(low, min(high, low + 50.0)))
+    spelled = repr(value) if rng.random() < 0.5 else f"{value:.6f}"
+    return spelled, float(spelled)
+
+
+def _label_tokens(rng):
+    """The tokens of a label line that is most likely valid."""
+    width, w = _number(rng, 0.01, 1e300)
+    length = (width, w) if rng.random() < 0.3 else _number(rng, w, 1e300)
+    return ([str(rng.choice(["Vehicle", "Pedestrian"]))]
+            + [_number(rng, -1e300, 1e300)[0] for _ in range(3)]
+            + [length[0], width, _number(rng, 0.01, 1e300)[0], _number(rng, -4.0, 4.0)[0], _number(rng, 0.0, 1.0)[0]])
+
+
+def _label_directory(rng, directory):
+    """Label files of a few lines each, a fault planted now and then.
+
+    Returns each planted fault as (filename, line, kind), kind "parse",
+    "value" or "unreadable" (line 0).
+    """
+    directory.mkdir()
+    planted = []
+    stems = ["000001", "000002", "a", "a-b", "a.b", "b", "B", "_c"]
+    for stem in rng.choice(stems, size=int(rng.integers(1, 6)), replace=False).tolist():
+        name = f"{stem}.txt"
+        if rng.random() < 0.06:
+            planted.append((name, 0, "unreadable"))
+            if rng.random() < 0.5:
+                (directory / name).mkdir()
+            else:
+                (directory / name).write_bytes(b"Vehicle 0 0 0 2 1 1 0 \xff1\n")
+            continue
+        lines = []
+        for lineno in range(1, int(rng.integers(0, 9)) + 1):
+            if rng.random() < 0.15:
+                lines.append(str(rng.choice(_BLANK_LINES)))
+                continue
+            tokens = _label_tokens(rng)
+            if rng.random() < 0.06:
+                kind = str(rng.choice(list(_PARSE_FAULTS)))
+                tokens = _PARSE_FAULTS[kind](rng, tokens)
+                planted.append((name, lineno, "parse"))
+            elif rng.random() < 0.06:
+                kind = str(rng.choice(list(_VALUE_FAULTS)))
+                tokens = _VALUE_FAULTS[kind](rng, tokens)
+                planted.append((name, lineno, "value"))
+            lines.append(" ".join(tokens))
+        text = "".join(line + str(rng.choice(_LINE_ENDS)) for line in lines)
+        (directory / name).write_bytes(text.encode("utf-8"))
+    return sorted(planted)
+
+
+class TestLabelSet:
+    def test_matches_naive_reader(self, tmp_path):
+        """Values bit for bit on valid files, and the first error in (file,
+        line) order, whether it is a parse, a value or a read error."""
+        rng = np.random.default_rng(25)
+        seen = dict.fromkeys(("valid", "parse", "value", "unreadable", "value_before_parse",
+                              "line_before_unreadable", "stems_not_in_file_order"), 0)
+        for k in range(400):
+            directory = tmp_path / f"d{k}"
+            planted = _label_directory(rng, directory)
+            files = sorted(directory.glob("*.txt"))
+            try:
+                expected = {file.stem: naive_read_label_file(file) for file in files}
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    LabelSet.read(directory)
+                assert str(got.value) == str(exc)
+                with pytest.raises(DataError) as got:
+                    read_labels(directory)
+                assert str(got.value) == str(exc)
+                name, line, kind = planted[0]
+                where = f"{directory / name}:{line}:" if line else f"cannot read label file {directory / name}:"
+                if str(exc).startswith(where):
+                    seen[kind] += 1
+                    later = {later_kind for _, _, later_kind in planted[1:]}
+                    seen["value_before_parse"] += kind == "value" and "parse" in later
+                    seen["line_before_unreadable"] += kind != "unreadable" and "unreadable" in later
+                continue
+            seen["valid"] += 1
+            stems = sorted(expected)
+            seen["stems_not_in_file_order"] += [file.stem for file in files] != stems
+            labels = [label for stem in stems for label in expected[stem]]
+            table = LabelSet.read(directory)
+            assert table.stems == tuple(stems)
+            assert table.counts.tolist() == [len(expected[stem]) for stem in stems]
+            assert [LABEL_CLASSES[code] for code in table.classes.tolist()] == [lb.label_class for lb in labels]
+            assert table.values.tobytes() == label_values(labels).tobytes()
+            read = read_labels(directory)
+            assert list(read) == stems
+            assert label_values([lb for stem in stems for lb in read[stem]]).tobytes() == table.values.tobytes()
+            assert [lb.label_class for stem in stems for lb in read[stem]] == [lb.label_class for lb in labels]
+        assert all(count >= 10 for count in seen.values()), repr(seen)
 
 
 def _paths(directory):
@@ -383,6 +518,7 @@ class TestPackageExports:
             (evaluate.EvalReport, "record"), (roadlidar.FittedBox, "base_length"),
             (roadlidar, "InternalError"), (roadlidar.core, "InternalError"),
             (roadlidar.core, "read_frame_file"), (roadlidar.core, "write_frame_file"),
+            (roadlidar.core, "read_label_file"),
             (roadlidar, "fit_bbox"), (roadlidar.annotate, "fit_bbox"), (roadlidar, "iou_3d"),
             (evaluate, "iou_3d"), (roadlidar.background, "background_mask"), (roadlidar.simulate, "read_mask"),
         ]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_evaluate_records, naive_iou_matrix
+from oracles import naive_evaluate_records, naive_iou_matrix, naive_read_label_file
 
 import roadlidar.evaluate
 from roadlidar.cli import main
@@ -504,14 +504,15 @@ def _distance(p):
 
 
 class TestPooledRankingOracle:
-    def test_reports_match_naive_on_tied_splits(self):
+    def test_reports_match_naive_on_tied_splits(self, tmp_path):
         """Pooled rank and greedy claims across frames, score ties included,
-        match the earlier per-frame ranking regathered into pooled order."""
+        match the earlier per-frame ranking regathered into pooled order,
+        from label lists and from the label files of the same split."""
         rng = np.random.default_rng(2024)
         thresholds = (0.1, 0.25, 0.5, 0.7)
         seen = dict.fromkeys(("nan_iou", "iou_at_threshold", "equal_best_iou", "inf_distance", "distance_tie",
                               "input_order_tie", "cross_stem_tie", "no_prediction_file", "no_reference"), 0)
-        for _ in range(300):
+        for k in range(300):
             preds, truths = _tied_split(rng)
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = naive_evaluate_records(preds, truths, thresholds)
@@ -519,6 +520,16 @@ class TestPooledRankingOracle:
             expected = EvalReport(thresholds, {key: MetricRecord(*rec) for key, rec in expected.items()})
             assert report.to_text() == expected.to_text()
             assert report.records == expected.records
+            pred_dir, truth_dir = tmp_path / f"pred{k}", tmp_path / f"truth{k}"
+            write_labels(preds, pred_dir)
+            write_labels(truths, truth_dir)
+            read = [{file.stem: naive_read_label_file(file) for file in sorted(directory.glob("*.txt"))}
+                    for directory in (pred_dir, truth_dir)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                from_files = naive_evaluate_records(*read, thresholds)
+            assert evaluate(pred_dir, truth_dir, thresholds).records == {
+                key: MetricRecord(*rec) for key, rec in from_files.items()
+            }
             stems = sorted(truths)
             frames = [(preds.get(stem, []), truths[stem]) for stem in stems]
             matrices = iou_matrices(frames)
