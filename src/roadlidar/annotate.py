@@ -27,7 +27,6 @@ from .core import (
     DataError,
     Frame,
     LabelClass,
-    LabelSource,
     ObjectLabel,
     TeacherConfig,
     normalize_yaw_half,
@@ -291,7 +290,7 @@ def annotate_frame(
             ObjectLabel(
                 box.center_x, box.center_y, box.center_z,
                 box.length, box.width, box.height,
-                box.yaw, classify(box), 1.0, LabelSource.TEACHER,
+                box.yaw, classify(box), 1.0,
             )
         )
     return labels

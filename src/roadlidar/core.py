@@ -25,12 +25,12 @@ On-disk formats:
 
   with reals printed at fixed 6-decimal precision, space-separated, class
   spelled ``Vehicle`` or ``Pedestrian``, newline-terminated.  One label file
-  per frame, named after the frame stem.  ``LabelSet.read`` is the one
-  label parser: it reads a directory's files as one table and checks
-  every row in one pass, by the rules of ``ObjectLabel``.  The first bad
-  line in (file, line) order, or the first file that cannot be read, is a
-  DataError naming it (``<path>:<line>: ...`` for a line); ``read_labels``
-  builds its ``ObjectLabel`` lists from that table.
+  per frame, named after the frame stem.  A ``LabelSet`` table is the
+  label value: ``LabelSet.read`` is the one parser, checking every row at
+  once by the rules of ``ObjectLabel`` (the first bad line in (file, line)
+  order, or unreadable file, is a DataError naming it), and
+  ``LabelSet.write`` the one writer.  ``read_labels`` and ``write_labels``
+  adapt it to per-stem ``ObjectLabel`` lists.
 """
 
 from __future__ import annotations
@@ -533,23 +533,26 @@ def load_frame_sequence(path: str | Path, meta: SensorMeta) -> FrameSequence:
 # Label file I/O
 # ---------------------------------------------------------------------------
 
-def format_label_line(label: ObjectLabel) -> str:
-    return (
-        f"{label.label_class.value} "
-        f"{label.center_x:.6f} {label.center_y:.6f} {label.center_z:.6f} "
-        f"{label.length:.6f} {label.width:.6f} {label.height:.6f} "
-        f"{label.yaw:.6f} {label.score:.6f}"
-    )
-
-
-def write_label_file(labels: Sequence[ObjectLabel], path: str | Path) -> None:
-    """Write one frame's labels; an empty list produces an empty file."""
-    Path(path).write_text("".join(format_label_line(lb) + "\n" for lb in labels), encoding="utf-8")
-
-
 # A label's class is stored in a LabelSet as its index in LABEL_CLASSES.
 LABEL_CLASSES = tuple(LabelClass)
 _CLASS_CODES = {cls.value: code for code, cls in enumerate(LABEL_CLASSES)}
+# One label line: the class, then the eight values at fixed 6-decimal precision.
+_LABEL_LINE = "%s" + " %.6f" * 8 + "\n"
+
+
+def check_label_rows(values: np.ndarray, where: Callable[[int], str]) -> None:
+    """Check every row of (n, 8) label values in one pass by the rules of
+    ``ObjectLabel``; the first row k that breaks one is a DataError reading
+    ``<where(k)>: <what ObjectLabel says of it>``."""
+    length, width, height, score = values[:, 3], values[:, 4], values[:, 5], values[:, 7]
+    bad = (~np.isfinite(values).all(axis=1) | (length <= 0) | (width <= 0) | (height <= 0)
+           | (length < width) | (score < 0) | (score > 1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        try:  # the class is not checked, so any will do
+            ObjectLabel(*values[k, :7].tolist(), LABEL_CLASSES[0], float(values[k, 7]))
+        except DataError as exc:
+            raise DataError(f"{where(k)}: {exc}") from None
 
 
 def label_values(labels: Sequence[ObjectLabel]) -> np.ndarray:
@@ -631,18 +634,10 @@ class LabelSet:
                     break
             values = np.fromiter(map(float, tokens), np.float64, len(tokens))
         values = values.reshape(-1, 8)
-        codes = np.array([_CLASS_CODES[name] for name in names], dtype=np.int8)
-        length, width, height, score = values[:, 3], values[:, 4], values[:, 5], values[:, 7]
-        bad = (~np.isfinite(values).all(axis=1) | (length <= 0) | (width <= 0) | (height <= 0)
-               | (length < width) | (score < 0) | (score > 1))
-        if bad.any():
-            k = int(np.argmax(bad))
-            try:
-                ObjectLabel(*values[k, :7].tolist(), LABEL_CLASSES[codes[k]], float(values[k, 7]))
-            except DataError as exc:
-                fault = f"{where(k)}: {exc}"
+        check_label_rows(values, where)  # these rows all precede ``fault``
         if fault:
             raise DataError(fault)
+        codes = np.array([_CLASS_CODES[name] for name in names], dtype=np.int8)
         order = sorted(range(len(paths)), key=lambda f: paths[f].stem)
         rank = np.empty(len(paths), dtype=np.int64)
         rank[order] = np.arange(len(paths))
@@ -662,21 +657,32 @@ class LabelSet:
             label_values(labels),
         )
 
+    def texts(self) -> dict[str, str]:
+        """Each stem's label file text, one line per label in row order; a
+        stem without labels has an empty text."""
+        names = [cls.value for cls in LABEL_CLASSES]
+        lines = [_LABEL_LINE % (names[code], *row)
+                 for code, row in zip(self.classes.tolist(), self.values.tolist())]
+        counts = self.counts.tolist()
+        return {stem: "".join(lines[end - count:end])
+                for stem, count, end in zip(self.stems, counts, accumulate(counts))}
+
+    def write(self, directory: Path) -> None:
+        """Write one ``<stem>.txt`` per stem into the existing ``directory``."""
+        for stem, text in self.texts().items():
+            (directory / f"{stem}.txt").write_text(text, encoding="utf-8")
+
 
 def write_labels(labels_by_stem: Mapping[str, Sequence[ObjectLabel]], directory: str | Path) -> None:
-    """Write one ``<stem>.txt`` per frame under ``directory``."""
+    """Write one ``<stem>.txt`` per frame under ``directory``, made if missing."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for stem in sorted(labels_by_stem):
-        write_label_file(labels_by_stem[stem], directory / f"{stem}.txt")
+    LabelSet.from_labels(labels_by_stem).write(directory)
 
 
 def read_labels(directory: str | Path, source: LabelSource = LabelSource.TEACHER) -> dict[str, list[ObjectLabel]]:
     """Read every label file in a directory, keyed by frame stem in sorted
-    order: ``LabelSet.read``, one ``ObjectLabel`` a row.
-
-    ``source`` is External when ingesting detector predictions through the
-    iteration entry point, Teacher otherwise.
+    order: ``LabelSet.read``, one ``ObjectLabel`` a row tagged ``source``.
     """
     table = LabelSet.read(directory)
     rows = iter(zip(table.values.tolist(), table.classes.tolist()))

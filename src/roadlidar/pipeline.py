@@ -41,9 +41,10 @@ from .core import (
     DataError,
     Frame,
     FrameBuffers,
-    LabelSource,
+    LabelSet,
     SensorMeta,
     TeacherConfig,
+    check_label_rows,
     json_fields,
     json_float,
     json_floats,
@@ -54,11 +55,8 @@ from .core import (
     list_frame_files,
     publish,
     read_json_config,
-    read_labels,
-    write_label_file,
-    write_labels,
 )
-from .preprocess import UnificationTransform, apply_transform_points, transform_label
+from .preprocess import UnificationTransform, apply_transform_points
 
 log = logging.getLogger(__name__)
 
@@ -233,7 +231,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
             foreground = Frame(t, xyz[active], np.zeros(len(active), dtype=bool))
             clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
             labels = annotate_frame(foreground, clusters, cfg, reject_sink=rejects.append)
-            write_label_file(labels, labels_dir / f"{file.stem}.txt")
+            LabelSet.from_labels({file.stem: labels}).write(labels_dir)
             n_data = int(np.count_nonzero(data))
             points_data += n_data
             points_removed += n_data - len(active)
@@ -326,6 +324,24 @@ def parse_merge_config(path: str | Path) -> tuple[list[MergeInput], Path]:
     return read_json_config(path, _merge_config)
 
 
+def _map_labels(table: LabelSet, item: MergeInput) -> LabelSet:
+    """The input's labels mapped covariantly, in float64: centers ``* scale
+    + translation``, dimensions ``* scale``, yaw and score kept.  The identity
+    keeps every value as read, ``-0.0`` too.  A row the mapping makes invalid
+    (say, an overflow to inf) is a DataError naming the dataset and file."""
+    transform = item.transform
+    if transform.is_identity:
+        return table
+    values = table.values.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[:, :3] = values[:, :3] * transform.scale + np.array(transform.translation)
+        values[:, 3:6] *= transform.scale
+    ends = np.cumsum(table.counts)
+    check_label_rows(values, lambda k: f"dataset '{item.name}': cannot merge "
+                     f"{item.labels_dir / table.stems[int(np.searchsorted(ends, k, side='right'))]}.txt")
+    return LabelSet(table.stems, table.counts, table.classes, values)
+
+
 def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     """Unify several labeled datasets into one training superset.
 
@@ -333,15 +349,15 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
     transform covariantly) and listed in an index file with provenance tags:
     one ``name frame_path label_path`` line per frame.  No labels are created,
     dropped or deduplicated by merging: every frame needs a label file and
-    every label file a frame, or the input is a DataError before any of its
-    frames is written.  Each stem is then one pass: its frame is read
-    through the input's ``FrameBuffers``, transformed in place with the
-    float64 arithmetic of ``unify_units`` and ``unify_datasets`` and
-    written, then its label file and index line.  Every dataset's
-    ``frames/`` and ``labels/`` and ``index.txt`` are published together by
-    ``publish``: a rerun leaves no stale files, and a failure on any input
-    (say, a coordinate that is not finite as float32) leaves the output
-    root as it was.
+    every label file a frame.  An input's labels are read and mapped as one
+    ``LabelSet`` (``_map_labels``), so a bad label file or label is a
+    DataError before any of its frames is written.  Each stem is then one
+    pass: its frame is read through the input's ``FrameBuffers``, scaled
+    and transformed in place in float64 and written, then its label file
+    and index line.  Every dataset's ``frames/`` and ``labels/`` and
+    ``index.txt`` are published together by ``publish``: a rerun leaves no
+    stale files, and a failure on any input (say, a coordinate that is not
+    finite as float32) leaves the output root as it was.
     """
     if not inputs:
         raise ConfigError("merge needs at least one labeled dataset")
@@ -360,17 +376,18 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
         ):
             files = list_frame_files(item.frames_dir)
             stems = [file.stem for file in files]
-            labels = read_labels(item.labels_dir)
-            missing = sorted(set(stems) - set(labels))
+            table = LabelSet.read(item.labels_dir)
+            missing = sorted(set(stems) - set(table.stems))
             if missing:
                 raise DataError(
                     f"dataset '{item.name}': no label file for frames: " + ", ".join(missing)
                 )
-            unmatched = sorted(set(labels) - set(stems))
+            unmatched = sorted(set(table.stems) - set(stems))
             if unmatched:
                 raise DataError(
                     f"dataset '{item.name}': no frame for label files: " + ", ".join(unmatched)
                 )
+            texts = _map_labels(table, item).texts()
             frames_dir.mkdir()
             labels_dir.mkdir()
             buffers = FrameBuffers(item.meta.beam_count)
@@ -385,8 +402,7 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
                     buffers.write(frames_dir / file.name, xyz)
                 except DataError as exc:
                     raise DataError(f"dataset '{item.name}': cannot merge {file}: {exc}") from None
-                write_label_file([transform_label(lb, item.transform) for lb in labels[stem]],
-                                 labels_dir / f"{stem}.txt")
+                (labels_dir / f"{stem}.txt").write_text(texts[stem], encoding="utf-8")
                 index_lines.append(f"{item.name} {frames_out / file.name} {labels_out / f'{stem}.txt'}\n")
         staged[-1].write_text("".join(index_lines), encoding="utf-8")
     return index_path
@@ -425,28 +441,29 @@ def iterate(
 ) -> Path:
     """Turn external detector predictions into the next round's ground truth.
 
-    Predictions are read as external (an in-memory tag that label files do
-    not carry), thresholded on score, and written to
+    The predictions' ``LabelSet`` keeps the labels scored at or above the
+    threshold, every stem keeping its file, and is written to
     ``<workspace>/round_NNN/``; the workspace manifest records the round
-    index and provenance.  The round directory and the manifest are
-    published together by ``publish``, so a round left behind by an
-    interrupted run keeps no stale files.  Running on predictions identical
-    to the previous round's labels reproduces them byte-identically (fixed
-    point).
+    index, provenance and labels kept.  The round directory and the
+    manifest are published together by ``publish``, so a round left behind
+    by an interrupted run keeps no stale files.  Running on predictions
+    identical to the previous round's labels reproduces them
+    byte-identically (fixed point).
     """
     score_threshold = validate_score_threshold(score_threshold)
     workspace = Path(workspace)
-    predictions = read_labels(predictions_dir, source=LabelSource.EXTERNAL)
-    if not predictions:
+    predictions = LabelSet.read(predictions_dir)
+    if not predictions.stems:
         raise DataError(f"no prediction files in {predictions_dir}")
     manifest = _read_manifest(workspace)
     round_index = len(manifest["rounds"]) + 1
     round_dir = workspace / f"round_{round_index:03d}"
 
-    next_labels = {
-        stem: [lb for lb in labels if lb.score >= score_threshold] for stem, labels in predictions.items()
-    }
-    kept_total = sum(map(len, next_labels.values()))
+    kept = predictions.values[:, 7] >= score_threshold
+    kept_total = int(np.count_nonzero(kept))
+    stem_of_row = np.repeat(np.arange(len(predictions.stems)), predictions.counts)
+    next_labels = LabelSet(predictions.stems, np.bincount(stem_of_row[kept], minlength=len(predictions.stems)),
+                           predictions.classes[kept], predictions.values[kept])
     if kept_total == 0:
         log.warning(
             "iterate: every prediction fell below score threshold %.3f; "
@@ -462,6 +479,7 @@ def iterate(
         }
     )
     with publish(round_dir, workspace / MANIFEST_NAME) as (round_staged, manifest_staged):
-        write_labels(next_labels, round_staged)
+        round_staged.mkdir()
+        next_labels.write(round_staged)
         manifest_staged.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return round_dir

@@ -18,7 +18,6 @@ from .core import (
     DataError,
     Frame,
     FrameSequence,
-    ObjectLabel,
     check_finite,
     check_positive,
 )
@@ -117,26 +116,3 @@ def unify_datasets(
             apply_transform_points(f.xyz, f.padding, tf)
         out.append(FrameSequence(frames, seq.meta, list(seq.stems)))
     return out
-
-
-def transform_label(label: ObjectLabel, transform: UnificationTransform) -> ObjectLabel:
-    """Map a box covariantly: center transformed, dimensions scaled, yaw kept.
-
-    Valid because the transform is a pure translation plus uniform scale.
-    """
-    if transform.is_identity:
-        return label
-    s = transform.scale
-    tx, ty, tz = transform.translation
-    return ObjectLabel(
-        label.center_x * s + tx,
-        label.center_y * s + ty,
-        label.center_z * s + tz,
-        label.length * s,
-        label.width * s,
-        label.height * s,
-        label.yaw,
-        label.label_class,
-        label.score,
-        label.source,
-    )

@@ -36,7 +36,7 @@ from .core import (
     FrameBuffers,
     FrameSequence,
     LabelClass,
-    LabelSource,
+    LabelSet,
     ObjectLabel,
     SensorMeta,
     check_finite,
@@ -51,7 +51,6 @@ from .core import (
     normalize_yaw_half,
     publish,
     read_json_config,
-    write_label_file,
 )
 
 MASK_BACKGROUND = 0
@@ -265,12 +264,12 @@ class Actor:
             length, width, height = self.dims
             return BoxObstacle((x, y, height / 2.0), (length, width, height), heading), ObjectLabel(
                 x, y, height / 2.0, length, width, height,
-                normalize_yaw_half(heading), LabelClass.VEHICLE, 1.0, LabelSource.TEACHER,
+                normalize_yaw_half(heading), LabelClass.VEHICLE, 1.0,
             )
         radius, height = self.dims
         return CylinderObstacle((x, y), radius, 0.0, height), ObjectLabel(
             x, y, height / 2.0, 2.0 * radius, 2.0 * radius, height,
-            0.0, LabelClass.PEDESTRIAN, 1.0, LabelSource.TEACHER,
+            0.0, LabelClass.PEDESTRIAN, 1.0,
         )
 
 
@@ -389,7 +388,7 @@ def write_scene_outputs(spec: SceneSpec, out_dir: str | Path) -> dict[str, Path]
         for frame, mask, truth in render_frames(spec):
             stem = f"{frame.timestamp_index:06d}"
             buffers.write(frames_dir / f"{stem}.bin", frame.xyz)
-            write_label_file(truth, truth_dir / f"{stem}.txt")
+            LabelSet.from_labels({stem: truth}).write(truth_dir)
             (masks_dir / f"{stem}.mask").write_bytes(mask.tobytes())
     return paths
 

@@ -22,7 +22,10 @@ TP flags are gathered back into pooled order; the one pooled pass of
 ``evaluate_labels`` must give the same report.  ``naive_read_label_file``
 is the earlier label reader, one line and one ``ObjectLabel`` at a time;
 ``LabelSet.read`` must give the same values, bit for bit, and the same
-first error.
+first error.  ``naive_transform_label`` and ``naive_format_label_line``
+are the earlier merge of one label and the earlier label writer, one
+``ObjectLabel`` at a time; the columnar merge and ``LabelSet.write`` must
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -397,6 +400,29 @@ def naive_read_label_file(path, source=LabelSource.TEACHER) -> list:
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     return labels
+
+
+def naive_transform_label(label: ObjectLabel, transform) -> ObjectLabel:
+    """Map a box covariantly: center transformed, dimensions scaled, yaw kept."""
+    if transform.is_identity:
+        return label
+    s = transform.scale
+    tx, ty, tz = transform.translation
+    return ObjectLabel(
+        label.center_x * s + tx, label.center_y * s + ty, label.center_z * s + tz,
+        label.length * s, label.width * s, label.height * s,
+        label.yaw, label.label_class, label.score, label.source,
+    )
+
+
+def naive_format_label_line(label: ObjectLabel) -> str:
+    """One label's line, without its newline."""
+    return (
+        f"{label.label_class.value} "
+        f"{label.center_x:.6f} {label.center_y:.6f} {label.center_z:.6f} "
+        f"{label.length:.6f} {label.width:.6f} {label.height:.6f} "
+        f"{label.yaw:.6f} {label.score:.6f}"
+    )
 
 
 def _naive_footprint_corners(label) -> np.ndarray:

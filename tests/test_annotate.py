@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import naive_min_area_rect
+from oracles import naive_format_label_line, naive_min_area_rect
 
 import roadlidar
 
@@ -31,7 +31,6 @@ from roadlidar.core import (
     LabelSource,
     ObjectLabel,
     TeacherConfig,
-    format_label_line,
 )
 from roadlidar.simulate import (
     Actor,
@@ -143,7 +142,7 @@ def _rect_bits(rect):
 def _rect_line(rect):
     """The label line a fitted rectangle turns into, after the floor."""
     center, long_side, short_side, yaw = rect
-    return format_label_line(
+    return naive_format_label_line(
         ObjectLabel(
             float(center[0]), float(center[1]), 0.0,
             max(long_side, DEGENERATE_FLOOR), max(short_side, DEGENERATE_FLOOR), 1.0,
@@ -220,7 +219,7 @@ def _naive_box(pts):
 
 
 def _box_line(box):
-    return format_label_line(ObjectLabel(
+    return naive_format_label_line(ObjectLabel(
         box.center_x, box.center_y, box.center_z, box.length, box.width, box.height,
         box.yaw, LabelClass.VEHICLE, 1.0,
     ))

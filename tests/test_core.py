@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_read_label_file
+from oracles import naive_format_label_line, naive_read_label_file
 
 import roadlidar
 import roadlidar.evaluate
@@ -32,7 +32,6 @@ from roadlidar.core import (
     normalize_yaw_half,
     publish,
     read_labels,
-    write_label_file,
     write_labels,
 )
 
@@ -252,16 +251,21 @@ def _read_label_file(path):
     return read_labels(path.parent)[path.stem]
 
 
+def _write_label_file(labels, path):
+    """Write one file's labels, through the directory writer."""
+    write_labels({path.stem: labels}, path.parent)
+
+
 class TestLabelIO:
     def test_empty_list_creates_empty_file(self, tmp_path):
         path = tmp_path / "f.txt"
-        write_label_file([], path)
+        _write_label_file([], path)
         assert path.exists()
         assert path.read_bytes() == b""
 
     def test_vehicle_line_prefix(self, tmp_path):
         path = tmp_path / "f.txt"
-        write_label_file(
+        _write_label_file(
             [ObjectLabel(1, 2, 0.5, 4, 2, 1.5, 0.0, LabelClass.VEHICLE, 1.0)], path
         )
         assert path.read_text().startswith("Vehicle ")
@@ -270,7 +274,7 @@ class TestLabelIO:
         rng = np.random.default_rng(42)
         labels = [_random_label(rng) for _ in range(100)]
         path = tmp_path / "f.txt"
-        write_label_file(labels, path)
+        _write_label_file(labels, path)
         back = _read_label_file(path)
         assert len(back) == 100
         for a, b in zip(labels, back):
@@ -282,8 +286,8 @@ class TestLabelIO:
         rng = np.random.default_rng(7)
         labels = [_random_label(rng) for _ in range(20)]
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_label_file(labels, p1)
-        write_label_file(_read_label_file(p1), p2)
+        _write_label_file(labels, p1)
+        _write_label_file(_read_label_file(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_class(self, tmp_path):
@@ -323,7 +327,7 @@ class TestLabelIO:
     def test_single_label_field_round_trip(self, tmp_path_factory, yaw, size, score):
         label = ObjectLabel(0.0, 0.0, 0.0, size + 1.0, size, size, yaw, LabelClass.PEDESTRIAN, score)
         path = tmp_path_factory.mktemp("lbl") / "f.txt"
-        write_label_file([label], path)
+        _write_label_file([label], path)
         (back,) = _read_label_file(path)
         assert abs(back.yaw - yaw) <= 5e-7
         assert abs(back.score - score) <= 5e-7
@@ -454,6 +458,18 @@ class TestLabelSet:
             assert [lb.label_class for stem in stems for lb in read[stem]] == [lb.label_class for lb in labels]
         assert all(count >= 10 for count in seen.values()), repr(seen)
 
+    def test_write_matches_naive_writer(self, tmp_path):
+        rng = np.random.default_rng(26)
+        by_stem = {f"{k:06d}": [_random_label(rng) for _ in range(rng.integers(0, 4))] for k in range(1, 30)}
+        by_stem["000000"] = [  # a negative zero, a huge and a tiny value, and ints
+            ObjectLabel(-0.0, 1e300, -1e-7, 2, 1, 1, -0.0, LabelClass.PEDESTRIAN, 0),
+        ]
+        write_labels(by_stem, tmp_path)
+        assert sorted(path.stem for path in tmp_path.iterdir()) == sorted(by_stem)
+        for stem, labels in by_stem.items():
+            expected = "".join(naive_format_label_line(lb) + "\n" for lb in labels)
+            assert (tmp_path / f"{stem}.txt").read_bytes() == expected.encode("utf-8")
+
 
 def _paths(directory):
     """Every path under ``directory``, directories included, relative to it."""
@@ -518,7 +534,8 @@ class TestPackageExports:
             (evaluate.EvalReport, "record"), (roadlidar.FittedBox, "base_length"),
             (roadlidar, "InternalError"), (roadlidar.core, "InternalError"),
             (roadlidar.core, "read_frame_file"), (roadlidar.core, "write_frame_file"),
-            (roadlidar.core, "read_label_file"),
+            (roadlidar.core, "read_label_file"), (roadlidar.core, "format_label_line"),
+            (roadlidar.core, "write_label_file"), (roadlidar.preprocess, "transform_label"),
             (roadlidar, "fit_bbox"), (roadlidar.annotate, "fit_bbox"), (roadlidar, "iou_3d"),
             (evaluate, "iou_3d"), (roadlidar.background, "background_mask"), (roadlidar.simulate, "read_mask"),
         ]:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_evaluate_records, naive_iou_matrix, naive_read_label_file
+from oracles import (
+    _naive_footprint_corners,
+    _naive_separated,
+    naive_evaluate_records,
+    naive_iou_matrix,
+    naive_read_label_file,
+)
 
 import roadlidar.evaluate
 from roadlidar.cli import main
@@ -186,6 +192,22 @@ class TestIouMatrices:
             off_diagonal = naive_iou_matrix(*frames[0])[[0, 1], [1, 0]]
             assert off_diagonal.tolist() == [0.0, 0.0]
             _assert_matrices_match_naive(frames)
+
+    def test_pair_that_only_the_reference_side_separates_scores_zero(self):
+        # A small prediction whose corner meets a large reference's corner,
+        # 1e-16 m apart: no side of the prediction separates them, one side
+        # of the reference does.  Clipped, the pair scores a 2.4e-16 sliver.
+        pred = _label(13.357775795001306, 0.39188239917651435, 0.0, 0.7044674246654177,
+                      0.318053741913366, 1.0, -0.6403217534091965)
+        truth = _label(10.398310513889946, 0.7254994960713717, 0.0, 4.9778393547469255,
+                       1.4626483719361243, 1.0, -0.3825797395349526)
+        pred_corners, truth_corners = _naive_footprint_corners(pred), _naive_footprint_corners(truth)
+        assert not _naive_separated(pred_corners, truth_corners)
+        assert _naive_separated(truth_corners, pred_corners)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert naive_iou_matrix([pred], [truth]).tolist() == [[0.0]]
+            assert iou_matrices([([pred], [truth])])[0].tolist() == [[0.0]]
 
     def test_end_to_end_boxes_score_zero(self):
         # Same-yaw boxes one after the other along their heading, with gaps

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import naive_merge_frames
+from oracles import naive_format_label_line, naive_merge_frames, naive_transform_label
 
 from roadlidar import cli, pipeline
 from roadlidar.annotate import annotate_frame
@@ -51,7 +51,7 @@ from roadlidar.pipeline import (
     run_annotate,
     run_teacher,
 )
-from roadlidar.preprocess import UnificationTransform, crop_frame, transform_label, unify_units
+from roadlidar.preprocess import UnificationTransform, crop_frame, unify_units
 from roadlidar.simulate import (
     Actor,
     BoxObstacle,
@@ -588,15 +588,35 @@ class TestMergeSupersets:
         merge_supersets(
             [MergeInput("s", out / "frames", labels_dir, meta, tf)], tmp_path / "merged"
         )
-        merged = read_labels(tmp_path / "merged" / "s" / "labels")
+        merged = tmp_path / "merged" / "s" / "labels"
         original = read_labels(labels_dir)
+        assert sorted(path.stem for path in merged.iterdir()) == sorted(original)
+        assert any(original.values())
         for stem, labels in original.items():
-            expected = [transform_label(lb, tf) for lb in labels]
-            got = merged[stem]
-            for e, g in zip(expected, got):
-                assert g.length == pytest.approx(e.length, abs=1e-6)
-                assert g.center_x == pytest.approx(e.center_x, abs=1e-6)
-                assert g.yaw == pytest.approx(e.yaw, abs=1e-6)
+            expected = "".join(naive_format_label_line(naive_transform_label(lb, tf)) + "\n" for lb in labels)
+            assert (merged / f"{stem}.txt").read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "transform", [UnificationTransform(), UnificationTransform(scale=2.0)], ids=["identity", "scale-2"]
+    )
+    def test_negative_zero_labels_merge_as_the_naive_transform_writes_them(self, tmp_path, transform):
+        # The identity writes every label byte as it was read, a "-0.000000"
+        # included; "v * 1.0 + 0.0" would turn that into "0.000000".
+        frames, labels = tmp_path / "frames", tmp_path / "labels"
+        frames.mkdir()
+        labels.mkdir()
+        np.zeros((6, 4), dtype="<f4").tofile(frames / "000000.bin")
+        text = ("Vehicle -0.000000 -0.000000 0.750000 4.000000 2.000000 1.500000 -0.000000 1.000000\n"
+                "Pedestrian 3.250000 -0.000000 -0.000000 0.500000 0.500000 1.700000 0.000000 0.500000\n")
+        (labels / "000000.txt").write_text(text)
+        merge_supersets([MergeInput("s", frames, labels, SensorMeta(2, 3), transform)], tmp_path / "merged")
+        merged = (tmp_path / "merged" / "s" / "labels" / "000000.txt").read_bytes()
+        expected = "".join(
+            naive_format_label_line(naive_transform_label(lb, transform)) + "\n"
+            for lb in read_labels(labels)["000000"]
+        )
+        assert merged == expected.encode("utf-8")
+        assert (merged == text.encode("utf-8")) == transform.is_identity
 
 
 def _cut_short_writes(monkeypatch, name):
@@ -1205,16 +1225,23 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "point, scale", [(10.0, 1e38), (1e30, 1e300)], ids=["float32-overflow", "float64-overflow"]
+        "point, label_x, scale, blamed",
+        [(10.0, None, 1e38, "frames"), (1e30, None, 1e300, "frames"), (0.0, 1e308, 10.0, "labels")],
+        ids=["float32-overflow", "float64-overflow", "label-overflow"],
     )
-    def test_merge_overflow_is_data_error(self, tmp_path, caplog, point, scale):
+    def test_merge_overflow_is_data_error(self, tmp_path, caplog, point, label_x, scale, blamed):
         frames, labels = tmp_path / "frames", tmp_path / "labels"
         frames.mkdir()
         np.array([[point, 0.0, 0.0, 0.0]] * 4, dtype="<f4").tofile(frames / "000000.bin")
-        write_labels({"000000": []}, labels)
+        write_labels({"000000": [] if label_x is None else [
+            ObjectLabel(label_x, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0, LabelClass.VEHICLE, 1.0),
+        ]}, labels)
         path = self._merge_config(tmp_path, frames, labels, {"scale": scale})
         assert main(["merge", "--config", str(path)]) == 2
-        assert str(frames / "000000.bin") in caplog.text
+        blamed_file = frames / "000000.bin" if blamed == "frames" else labels / "000000.txt"
+        assert f"dataset 'site_a': cannot merge {blamed_file}: " in caplog.text
+        if blamed == "labels":
+            assert "label field center_x must be finite" in caplog.text
         assert not (tmp_path / "merged" / "site_a" / "frames").exists()
         assert not list((tmp_path / "merged").rglob("*.partial"))
 

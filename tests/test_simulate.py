@@ -6,13 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import naive_format_label_line
 
 from roadlidar.core import (
     ConfigError,
     FrameBuffers,
     LabelClass,
     SensorMeta,
-    format_label_line,
     load_frame_sequence,
     read_labels,
 )
@@ -237,7 +237,7 @@ class TestSceneOutputs:
             FrameBuffers(spec.sensor.beam_count).write(tmp_path / "frame.bin", frame.xyz)
             assert (paths["frames"] / f"{stem}.bin").read_bytes() == (tmp_path / "frame.bin").read_bytes()
             assert (paths["masks"] / f"{stem}.mask").read_bytes() == mask.tobytes()
-            lines = "".join(format_label_line(lb) + "\n" for lb in truth)
+            lines = "".join(naive_format_label_line(lb) + "\n" for lb in truth)
             assert (paths["truth"] / f"{stem}.txt").read_text() == lines
         assert any(truths)
 
