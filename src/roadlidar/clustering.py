@@ -39,9 +39,19 @@ disagree with the oracle.
   the reference's cluster order.
 
 Cell keys are compressed per axis, clipping gaps between occupied key values
-to 3, which keeps every window relation; cells are then coded by the rank
-of their (x, y) column times the z range, so codes stay far inside int64
-for any frame that fits in memory.
+to 3, which keeps every window relation.  The sorted points are held as
+three float64 columns, and every distance, extent and cell-gap test reads
+them column by column.  Cells are coded by their compressed position
+``(cx * ry + cy) * rz + cz``, and the 125 window cells of every cell are
+looked up at once in a table indexed by that code.  The table spans the
+whole code range, which grows as the cube of the spread, so it is used
+only while the range is at most ``32 * n + 1024`` for ``n`` points (real
+simulated roadside frames needed at most 22 times ``n``).  A wider grid, such as
+a few clumps far apart, codes its cells by the rank of their (x, y)
+column times the z range instead, which stays far inside int64 for any
+frame that fits in memory, and finds each window cell by binary search.
+Both codes sort the cells in the same order, so both lookups give the
+same cells, pairs and labels.
 """
 
 from __future__ import annotations
@@ -66,12 +76,66 @@ def _compress_axis(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return coords[inverse], int(coords[-1]) + 3
 
 
+def _grid(pts: np.ndarray, epsilon: float) -> tuple[tuple[np.ndarray, ...], tuple[int, int, int]]:
+    """Compressed cell coordinates (cx, cy, cz) of each point, and the range
+    (rx, ry, rz) of each axis."""
+    keys = np.floor(pts / (epsilon / np.sqrt(3.0))).astype(np.int64)
+    (cx, rx), (cy, ry), (cz, rz) = (_compress_axis(keys[:, axis]) for axis in range(3))
+    return (cx, cy, cz), (rx, ry, rz)
+
+
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """start[k], start[k] + 1, ..., start[k] + size[k] - 1 for each k in turn."""
+    return np.arange(int(size.sum())) + np.repeat(start - (np.cumsum(size) - size), size)
+
+
 def _block_pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarray]:
-    """All (i, j) with i in block a and j in block b, for each pair of blocks."""
-    per = a_size * b_size
-    block = np.repeat(np.arange(len(per)), per)
-    local = np.arange(int(per.sum())) - np.repeat(np.cumsum(per) - per, per)
-    return a_start[block] + local // b_size[block], b_start[block] + local % b_size[block]
+    """All (i, j) with i in block a and j in block b, for each pair of blocks.
+
+    Pairs come block by block, then by i, then by j, all ascending.
+    """
+    i = _ranges(a_start, a_size)
+    b_size = np.repeat(b_size, a_size)
+    return np.repeat(i, b_size), _ranges(np.repeat(b_start, a_size), b_size)
+
+
+def _table_fits(shape: tuple[int, int, int], n: int) -> bool:
+    """Whether a direct table over every cell code of ``shape`` stays within
+    a small multiple of the point count."""
+    rx, ry, rz = shape
+    return rx * ry * rz <= 32 * n + 1024
+
+
+def _window_table(cells: np.ndarray, shape: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Occupied window cells through a table indexed by cell code.
+
+    ``cells`` are the ascending codes ``(cx * ry + cy) * rz + cz`` of the
+    occupied cells.  Returns (a, b, offset): cell b sits at window offset
+    ``offset`` (0..124, x-major) of cell a, ordered by a, then offset.
+    """
+    rx, ry, rz = shape
+    table = np.full(rx * ry * rz, -1)
+    table[cells] = np.arange(len(cells))
+    near = table[cells[:, None] + ((_STEPS[:, None, None] * ry + _STEPS[:, None]) * rz + _STEPS).ravel()]
+    a, offset = np.nonzero(near >= 0)
+    return a, near[a, offset], offset
+
+
+def _window_search(cells: np.ndarray, columns: np.ndarray, ry: int, rz: int) -> tuple[np.ndarray, ...]:
+    """Occupied window cells by binary search, for grids too sparse to table.
+
+    ``columns`` are the ascending occupied (x, y) columns ``cx * ry + cy``
+    and ``cells`` the ascending codes ``rank of the column * rz + cz``.
+    Returns (a, b, offset) as ``_window_table`` does.
+    """
+    m = len(cells)
+    near_columns = columns[cells // rz][:, None] + (_STEPS[:, None] * ry + _STEPS).ravel()
+    col = np.minimum(np.searchsorted(columns, near_columns), len(columns) - 1)
+    col[columns[col] != near_columns] = -1  # codes of a missing column are negative
+    near_cells = (col[:, :, None] * rz + (cells % rz)[:, None, None] + _STEPS).reshape(m, -1)
+    found = np.minimum(np.searchsorted(cells, near_cells), m - 1)
+    a, offset = np.nonzero(cells[found] == near_cells)
+    return a, found[a, offset], offset
 
 
 def _join(comp: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
@@ -109,40 +173,42 @@ def dbscan_labels(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
     eps_sq = epsilon * epsilon
 
     # sort the points by cell; cells come out in ascending code order
-    keys = np.floor(pts / (epsilon / np.sqrt(3.0))).astype(np.int64)
-    (cx, _), (cy, ry), (cz, rz) = (_compress_axis(keys[:, axis]) for axis in range(3))
-    columns, column = np.unique(cx * ry + cy, return_inverse=True)
-    code = column * rz + cz
+    (cx, cy, cz), shape = _grid(pts, epsilon)
+    _, ry, rz = shape
+    direct = _table_fits(shape, n)
+    if direct:
+        code = (cx * ry + cy) * rz + cz
+    else:
+        columns, column = np.unique(cx * ry + cy, return_inverse=True)
+        code = column * rz + cz
     order = np.argsort(code, kind="stable")
-    p = pts[order]
+    x, y, z = (pts[:, axis].take(order) for axis in range(3))
     code = code[order]
     start = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
     size = np.diff(np.append(start, n))
     cells = code[start]
-    m = len(cells)
-    cell_of = np.repeat(np.arange(m), size)
+    cell_of = np.repeat(np.arange(len(cells)), size)
 
     def within(i, j):
-        diff = p[i] - p[j]
-        return diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2] <= eps_sq
+        dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+        return dx * dx + dy * dy + dz * dz <= eps_sq
 
-    lo = np.minimum.reduceat(p, start)
-    hi = np.maximum.reduceat(p, start)
-    ext = hi - lo
-    dense = (size >= min_pts) & (
-        ext[:, 0] * ext[:, 0] + ext[:, 1] * ext[:, 1] + ext[:, 2] * ext[:, 2] <= eps_sq
+    (lx, hx), (ly, hy), (lz, hz) = (
+        (np.minimum.reduceat(c, start), np.maximum.reduceat(c, start)) for c in (x, y, z)
     )
+    ex, ey, ez = hx - lx, hy - ly, hz - lz
+    dense = (size >= min_pts) & (ex * ex + ey * ey + ez * ez <= eps_sq)
 
-    # occupied window cells: find the (x, y) column, then the cell in it
-    near_columns = columns[cells // rz][:, None] + (_STEPS[:, None] * ry + _STEPS).ravel()
-    col = np.minimum(np.searchsorted(columns, near_columns), len(columns) - 1)
-    col[columns[col] != near_columns] = -1  # codes of a missing column are negative
-    near_cells = (col[:, :, None] * rz + (cells % rz)[:, None, None] + _STEPS).reshape(m, -1)
-    found = np.minimum(np.searchsorted(cells, near_cells), m - 1)
-    a, offset = np.nonzero(cells[found] == near_cells)
-    b = found[a, offset]
-    gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
-    close = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1] + gap[:, 2] * gap[:, 2] <= eps_sq
+    # occupied window cells, then those whose bounding boxes are within epsilon
+    if direct:
+        a, b, offset = _window_table(cells, shape)
+    else:
+        a, b, offset = _window_search(cells, columns, ry, rz)
+    gx, gy, gz = (
+        np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+        for lo, hi in ((lx, hx), (ly, hy), (lz, hz))
+    )
+    close = gx * gx + gy * gy + gz * gz <= eps_sq
     a, b, ring = a[close], b[close], _RING[offset[close]]
 
     # points outside dense cells: exact neighbor pairs over the window

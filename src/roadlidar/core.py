@@ -502,12 +502,19 @@ class FrameBuffers:
             file.write(record.data)
 
 
+def _entries(directory: Path, suffix: str) -> list[Path]:
+    """The entries of a directory whose names end in ``suffix``, in name
+    order: what ``sorted(directory.glob("*" + suffix))`` lists, dot-names,
+    subdirectories and broken links included, from one sorted listing."""
+    return [directory / name for name in sorted(os.listdir(directory)) if name.endswith(suffix)]
+
+
 def list_frame_files(path: str | Path) -> list[Path]:
     """The .bin files of a frame directory, in lexicographic filename order."""
     directory = Path(path)
     if not directory.is_dir():
         raise DataError(f"frame directory not found: {directory}")
-    files = sorted(directory.glob("*.bin"))
+    files = _entries(directory, ".bin")
     if not files:
         raise DataError(f"empty sequence: no .bin files in {directory}")
     return files
@@ -595,7 +602,7 @@ class LabelSet:
             raise DataError(f"label directory not found: {directory}")
         paths, counts, names, tokens, lines = [], [], [], [], []
         fault = None
-        for path in sorted(directory.glob("*.txt")):
+        for path in _entries(directory, ".txt"):
             try:
                 text = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:

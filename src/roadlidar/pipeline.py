@@ -392,7 +392,10 @@ def merge_supersets(inputs: list[MergeInput], output_root: str | Path) -> Path:
             labels_dir.mkdir()
             buffers = FrameBuffers(item.meta.beam_count)
             for file, stem in zip(files, stems):
-                xyz, padding = buffers.read(file)
+                try:
+                    xyz, padding = buffers.read(file)
+                except DataError as exc:  # it names the file
+                    raise DataError(f"dataset '{item.name}': {exc}") from None
                 # An overflow is not warned about: ``FrameBuffers.write`` rejects what it leaves.
                 with np.errstate(over="ignore", invalid="ignore"):
                     if item.meta.unit_scale != 1.0:

@@ -12,6 +12,9 @@ once, and the two must agree bit for bit.  ``pairs_dbscan`` is the
 earlier production DBSCAN, which builds every neighbor pair on an epsilon
 grid; it needs memory linear in the pair count rather than quadratic in the
 point count, so it checks real-size frames that ``brute_dbscan`` cannot.
+``naive_block_pairs`` lists the point pairs of DBSCAN's cell blocks in
+nested loops; the vectorised expansion must give the same pairs in the same
+order.
 ``naive_merge_frames`` is the earlier merge of frame files, which built the
 whole sequence in memory before writing it out.  ``naive_iou_3d`` is the
 earlier per-pair IoU: pure-Python Sutherland-Hodgman on every pair whose
@@ -252,6 +255,18 @@ def pairs_dbscan(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
         claimed = claim < np.iinfo(np.int64).max
         labels[claimed] = claim[claimed]
     return labels
+
+
+def naive_block_pairs(a_start, a_size, b_start, b_size) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with i in block a and j in block b, one block pair at a time."""
+    pairs = [
+        (i, j)
+        for sa, na, sb, nb in zip(a_start, a_size, b_start, b_size)
+        for i in range(sa, sa + na)
+        for j in range(sb, sb + nb)
+    ]
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return i, j
 
 
 def canonical_partition(labels: np.ndarray) -> tuple[frozenset, frozenset]:

@@ -9,10 +9,20 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from roadlidar.clustering import NOISE, _join, dbscan, dbscan_labels
+from roadlidar.clustering import (
+    NOISE,
+    _block_pairs,
+    _grid,
+    _join,
+    _table_fits,
+    _window_search,
+    _window_table,
+    dbscan,
+    dbscan_labels,
+)
 from roadlidar.core import DataError, Frame
 
-from oracles import brute_dbscan, canonical_partition, pairs_dbscan
+from oracles import brute_dbscan, canonical_partition, naive_block_pairs, pairs_dbscan
 
 
 def _frame(pts, padding=None):
@@ -124,6 +134,21 @@ class TestDbscanProperties:
             got = dbscan_labels(pts, eps, min_pts)
             want = brute_dbscan(pts, eps, min_pts)
             np.testing.assert_array_equal(got, want)  # identical labels, not just partitions
+
+    def test_oracle_equivalence_dense_random_frames(self):
+        # clumps and scatter in a box a few epsilon wide: every trial's cell
+        # codes fit the direct table (the wide frames above mostly do not)
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            eps = float(rng.uniform(0.2, 1.2))
+            clumps = [
+                _ball(rng.uniform(-2, 2, 3) * eps, int(rng.integers(3, 25)), 0.6 * eps, rng)
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            pts = np.vstack(clumps + [rng.uniform(-2, 2, (int(rng.integers(20, 300)), 3)) * eps])
+            assert _table_fits(_grid(pts, eps)[1], len(pts))
+            min_pts = int(rng.integers(1, 8))
+            np.testing.assert_array_equal(dbscan_labels(pts, eps, min_pts), brute_dbscan(pts, eps, min_pts))
 
     def test_core_set_independent_of_input_order(self):
         rng = np.random.default_rng(6)
@@ -330,25 +355,109 @@ class TestJoin:
         np.testing.assert_array_equal(batches, whole)
 
 
+def _shuffled_line(spacing):
+    x = np.arange(20_000) * spacing
+    return np.c_[x, np.zeros_like(x), np.zeros_like(x)][np.random.default_rng(42).permutation(len(x))]
+
+
+def _shuffled_spiral():
+    """Ten turns 2 m apart, points at most 0.12 m apart along the arc."""
+    t = np.linspace(0.0, 20 * np.pi, 12_000)
+    r = 2.0 + t / np.pi
+    return np.c_[r * np.cos(t), r * np.sin(t), np.zeros_like(t)][np.random.default_rng(43).permutation(len(t))]
+
+
 class TestLongChains:
     """One cluster reached only through long chains, in shuffled input order."""
 
     @pytest.mark.parametrize("spacing, min_pts", [(0.5, 3), (0.1, 3)])
     def test_shuffled_line(self, spacing, min_pts):
         # at 0.5 every cell holds one point; at 0.1 dense cells join by witnesses
-        rng = np.random.default_rng(42)
-        x = np.arange(20_000) * spacing
-        pts = np.c_[x, np.zeros_like(x), np.zeros_like(x)][rng.permutation(len(x))]
+        pts = _shuffled_line(spacing)
         labels = dbscan_labels(pts, 0.7, min_pts)
         np.testing.assert_array_equal(labels, pairs_dbscan(pts, 0.7, min_pts))
         assert (labels == 0).all()
 
     def test_shuffled_spiral(self):
-        # ten turns 2 m apart, points at most 0.12 m apart along the arc
-        rng = np.random.default_rng(43)
-        t = np.linspace(0.0, 20 * np.pi, 12_000)
-        r = 2.0 + t / np.pi
-        pts = np.c_[r * np.cos(t), r * np.sin(t), np.zeros_like(t)][rng.permutation(len(t))]
+        pts = _shuffled_spiral()
         labels = dbscan_labels(pts, 0.7, 4)
         np.testing.assert_array_equal(labels, pairs_dbscan(pts, 0.7, 4))
         assert (labels == 0).all()
+
+
+def _window_clouds():
+    """(name, points, epsilon) of clouds whose cell codes fit the direct table."""
+    rng = np.random.default_rng(52)
+    for eps in (1.0, 0.3):
+        for name, step in (("eps", eps), ("half_root3", eps * math.sqrt(3) / 2), ("side", eps / math.sqrt(3))):
+            yield f"lattice-{name}-{eps}", _lattice(step), eps
+    for spacing in (0.5, 0.1):
+        yield f"line-{spacing}", _shuffled_line(spacing), 0.7
+    yield "uniform", rng.uniform(0, 5, (2000, 3)), 0.7
+    yield "clumps", np.vstack([_ball(rng.uniform(-2, 2, 3), 60, 0.5, rng) for _ in range(20)]), 0.7
+
+
+class TestWindowLookups:
+    """The direct table and the binary search find the same window cells."""
+
+    @pytest.mark.parametrize("cloud", list(_window_clouds()), ids=lambda c: c[0])
+    def test_table_and_search_agree(self, cloud):
+        _, pts, eps = cloud
+        (cx, cy, cz), shape = _grid(pts, eps)
+        assert _table_fits(shape, len(pts))
+        _, ry, rz = shape
+        columns, column = np.unique(cx * ry + cy, return_inverse=True)
+        table = _window_table(np.unique((cx * ry + cy) * rz + cz), shape)
+        search = _window_search(np.unique(column * rz + cz), columns, ry, rz)
+        for got, want in zip(table, search):
+            np.testing.assert_array_equal(got, want)
+        assert len(table[0]) > 0
+
+    def test_existing_reference_clouds_take_the_table(self):
+        # the lattice, long-chain and spiral tests above run the table path
+        for eps in (1.0, 0.7, 0.3, 0.02):
+            for step in (eps, eps * math.sqrt(3) / 2, eps / math.sqrt(3)):
+                pts = _lattice(step)[np.random.default_rng(31).permutation(216)][:150]
+                assert _table_fits(_grid(pts, eps)[1], len(pts))
+        for spacing in (0.5, 0.1):
+            assert _table_fits(_grid(_shuffled_line(spacing), 0.7)[1], 20_000)
+        assert _table_fits(_grid(_shuffled_spiral(), 0.7)[1], 12_000)
+
+    def test_far_scattered_cloud_takes_the_search(self):
+        # clumps 10 epsilon apart on a 3D diagonal: the occupied keys of every
+        # axis spread with the clump count, so the code range grows as its cube
+        eps = 0.7
+        rng = np.random.default_rng(53)
+        centers = np.arange(40)[:, None] * (10 * eps / math.sqrt(3)) * np.ones(3)
+        pts = np.vstack([_ball(c, int(rng.integers(1, 9)), 0.5 * eps, rng) for c in centers])
+        pts = pts[rng.permutation(len(pts))]
+        assert not _table_fits(_grid(pts, eps)[1], len(pts))
+        for min_pts in (1, 3, 5):
+            np.testing.assert_array_equal(dbscan_labels(pts, eps, min_pts), brute_dbscan(pts, eps, min_pts))
+
+
+class TestBlockPairs:
+    """``_block_pairs`` lists exactly the nested-loop pairs, in their order."""
+
+    def _assert_naive(self, a_start, a_size, b_start, b_size):
+        got = _block_pairs(a_start, a_size, b_start, b_size)
+        want = naive_block_pairs(a_start, a_size, b_start, b_size)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_seeded_blocks(self):
+        rng = np.random.default_rng(54)
+        sizes = []
+        for _ in range(60):
+            k = int(rng.integers(0, 15))
+            a_size, b_size = rng.integers(0, 7, k), rng.integers(0, 7, k)
+            self._assert_naive(rng.integers(0, 500, k), a_size, rng.integers(0, 500, k), b_size)
+            sizes += [*a_size, *b_size]
+        assert {0, 1} <= set(sizes)
+
+    def test_no_blocks_empty_blocks_and_single_points(self):
+        none = np.empty(0, dtype=np.int64)
+        self._assert_naive(none, none, none, none)
+        self._assert_naive(np.array([3, 7]), np.array([0, 2]), np.array([5, 0]), np.array([4, 0]))
+        ones = np.ones(4, dtype=np.int64)
+        self._assert_naive(np.array([9, 0, 4, 4]), ones, np.array([1, 2, 3, 6]), np.array([3, 1, 0, 2]))

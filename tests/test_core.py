@@ -28,6 +28,7 @@ from roadlidar.core import (
     SensorMeta,
     json_int,
     label_values,
+    list_frame_files,
     load_frame_sequence,
     normalize_yaw_half,
     publish,
@@ -103,6 +104,21 @@ class TestFrameLoading:
         np.testing.assert_allclose(seq.frames[0].xyz, first, atol=1e-6)
         np.testing.assert_allclose(seq.frames[1].xyz, second, atol=1e-6)
         assert seq.stems == ["a", "b"]
+
+    def test_listing_matches_sorted_glob(self, tmp_path):
+        # dot-names, a bare ".bin", a directory and a broken link all match
+        # "*.bin"; the match is case-sensitive and the suffix must end the name
+        for name in ("b.bin", "a.bin", ".hidden.bin", ".bin", "B.bin", "c.BIN", "d.bin.bak", "ebin"):
+            (tmp_path / name).write_bytes(b"")
+        (tmp_path / "m.bin").mkdir()
+        (tmp_path / "k.bin").symlink_to("missing")
+        files = list_frame_files(tmp_path)
+        assert files == sorted(tmp_path.glob("*.bin"))
+        assert [file.name for file in files] == [".bin", ".hidden.bin", "B.bin", "a.bin", "b.bin", "k.bin", "m.bin"]
+        for file in files:
+            file.unlink() if not file.is_dir() else file.rmdir()
+        with pytest.raises(DataError, match=f"^empty sequence: no .bin files in {re.escape(str(tmp_path))}$"):
+            list_frame_files(tmp_path)
 
     def test_zero_rows_load_as_padding(self, tmp_path):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
@@ -457,6 +473,28 @@ class TestLabelSet:
             assert label_values([lb for stem in stems for lb in read[stem]]).tobytes() == table.values.tobytes()
             assert [lb.label_class for stem in stems for lb in read[stem]] == [lb.label_class for lb in labels]
         assert all(count >= 10 for count in seen.values()), repr(seen)
+
+    def test_listing_matches_sorted_glob(self, tmp_path):
+        for name in ("b.txt", "a.txt", ".hidden.txt", ".txt", "B.txt", "c.TXT", "d.txt.bak", "etxt"):
+            (tmp_path / name).write_text("Vehicle 1 2 3 4 1 1 0 0.5\n", encoding="utf-8")
+        files = sorted(tmp_path.glob("*.txt"))
+        table = LabelSet.read(tmp_path)
+        assert table.stems == tuple(file.stem for file in files) == (".hidden", ".txt", "B", "a", "b")
+        assert table.counts.tolist() == [1] * 5
+        # the first entry that cannot be read, in glob order, is the error
+        (tmp_path / "m.txt").mkdir()
+        (tmp_path / "k.txt").symlink_to("missing")
+        with pytest.raises(DataError) as want:
+            for file in sorted(tmp_path.glob("*.txt")):
+                naive_read_label_file(file)
+        with pytest.raises(DataError) as got:
+            LabelSet.read(tmp_path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"cannot read label file {tmp_path / 'k.txt'}: ")
+        (tmp_path / "k.txt").unlink()
+        with pytest.raises(DataError) as got:
+            LabelSet.read(tmp_path)
+        assert str(got.value).startswith(f"cannot read label file {tmp_path / 'm.txt'}: ")
 
     def test_write_matches_naive_writer(self, tmp_path):
         rng = np.random.default_rng(26)

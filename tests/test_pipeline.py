@@ -1217,8 +1217,8 @@ class TestCli:
         caplog.clear()
         assert main(["merge", "--config", str(path)]) == 2
         assert (
-            f"malformed frame file {bad}: {64 + resize} bytes, but the sensor's 4 beams take 64 "
-            "(16 bytes each)"
+            f"dataset 'site_a': malformed frame file {bad}: {64 + resize} bytes, "
+            "but the sensor's 4 beams take 64 (16 bytes each)"
         ) in caplog.text
         assert _tree_bytes(tmp_path / "merged") == before
         assert not list((tmp_path / "merged").rglob("*.partial"))
