@@ -101,8 +101,12 @@ def histogram_of_ranges(
     extent arrays are allocated once the first frame has been read, so a
     frame source that checks its input first reports a bad frame before a
     beam count too large to allocate fails.  The kept frames are then
-    binned in query-frame order.  A frame gives each beam at
-    most one range, so every bin is summed in query-frame order and the
+    binned in query-frame order, each scattered into the bin sums and
+    counts by one ``np.add.at``.  A frame gives each beam at most one
+    range, so a frame's bin indices are unique, each bin takes at most one
+    add a frame whatever order ``np.add.at`` adds them in, and every bin
+    is summed in query-frame order.  A beam whose width is not positive
+    divides by an infinite width, which puts every range in bin 0.  The
     result agrees bit-for-bit with the naive per-beam double loop (see
     tests/oracles.py).  Ranges of beams without data are never read.
     """
@@ -123,17 +127,16 @@ def histogram_of_ranges(
     d_min[~seen] = 0.0
     d_max[~seen] = 0.0
     width = (d_max - d_min) / n_bin
+    width[~(width > 0)] = np.inf  # so that (r - d_min) / width is 0
 
     bin_sum = np.zeros(n_total * n_bin)
     bin_count = np.zeros(n_total * n_bin, dtype=np.int64)
     for r, packed in kept:
         beams = np.flatnonzero(np.unpackbits(packed, count=n_total))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.floor((r - d_min[beams]) / width[beams])
-        k = np.where(width[beams] > 0, k, 0.0)
+        k = np.floor((r - d_min[beams]) / width[beams])
         flat = beams * n_bin + np.clip(k, 0, n_bin - 1).astype(np.int64)
-        bin_sum[flat] += r
-        bin_count[flat] += 1
+        np.add.at(bin_sum, flat, r)
+        np.add.at(bin_count, flat, 1)
     bin_sum = bin_sum.reshape(n_total, n_bin)
     bin_count = bin_count.reshape(n_total, n_bin)
     # Each mean overwrites its bin's sum, so no third (beams x n_bin) array

@@ -23,25 +23,28 @@ disagree with the oracle.
 * The points of every other cell are tested against their whole window.
   Those pairs give their exact neighbor counts, their core-core edges and,
   for border points, the minimum cluster id among their core neighbors.
-* Core points are clustered as connected components of a small graph: a
-  chain through each dense cell, the core-core pairs above, and witness
-  edges between neighboring dense cells.  A witness is searched first
-  between the first point of one cell and all of the other in the
-  26-neighbor ring, then block-wise only for cell pairs whose components
-  still differ, ring 1 before ring 2.  Cell pairs whose bounding boxes are
+* Core points are clustered as connected components of a small graph:
+  each dense cell starts as a star on its smallest input index, and edges
+  join the core-core pairs above (each pair once) and neighboring dense
+  cells.  Two dense cells in the 26-neighbor ring are joined first by one
+  witness, the first point of the other cell within epsilon of the first
+  point of one; then cell pairs whose components still differ are searched
+  block-wise, ring 1 before ring 2.  Cell pairs whose bounding boxes are
   farther apart than epsilon (same monotone argument) are never tested.
-  So every core-core pair within epsilon is either chained, tested as a
+  So every core-core pair within epsilon lies in one star, is tested as a
   pair, or joins two cells that were already connected: the components
   are those of the full epsilon-graph without building it.
 * The components are joined in numpy, by hook and jump over input indices,
   one batch of edges at a time, so each witness round joins only its new
-  edges.  Each root ends as its cluster's smallest core index, which is
-  the reference's cluster order.
+  edges.  Each root ends as its cluster's smallest core index, so ranking
+  the roots gives the reference's cluster order.
 
 Cell keys are compressed per axis, clipping gaps between occupied key values
-to 3, which keeps every window relation.  The sorted points are held as
-three float64 columns, and every distance, extent and cell-gap test reads
-them column by column.  Cells are coded by their compressed position
+to 3, which keeps every window relation: through an occupancy table over
+the keys' span while it is at most ``4 * n + 1024``, and through
+``np.unique`` above it.  A key must lie within +-2**53, or the frame is a
+DataError.  The sorted points are held as three float64 columns, and every
+distance, extent and cell-gap test reads them column by column.  Cells are coded by their compressed position
 ``(cx * ry + cy) * rz + cz``, and the 125 window cells of every cell are
 looked up at once in a table indexed by that code.  The table spans the
 whole code range, which grows as the cube of the spread, so it is used
@@ -64,22 +67,54 @@ NOISE = -1
 
 
 _STEPS = np.arange(-2, 3)
+# cell keys beyond this magnitude are not all exact in float64
+_KEY_LIMIT = 2.0**53
 # Chebyshev ring (0, 1 or 2) of each of the 125 window offsets, x-major
 _RING = np.abs(np.meshgrid(_STEPS, _STEPS, _STEPS, indexing="ij")).max(axis=0).ravel()
 
 
+def _axis_table_fits(span: int, n: int) -> bool:
+    """Whether an occupancy table over ``span`` key values stays within a
+    small multiple of the point count."""
+    return span <= 4 * n + 1024
+
+
 def _compress_axis(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-axis cell keys as 2.. with gaps over 2 clipped to 3, and a range
-    that leaves room for the +-2 window on both sides."""
-    values, inverse = np.unique(keys, return_inverse=True)
+    that leaves room for the +-2 window on both sides.
+
+    Keys whose span fits ``_axis_table_fits`` are ranked through an
+    occupancy table over that span; wider ones through ``np.unique``.
+    """
+    low = keys.min()
+    span = int(keys.max() - low) + 1
+    if _axis_table_fits(span, len(keys)):
+        keys = keys - low
+        rank = np.zeros(span, dtype=np.int64)
+        rank[keys] = 1
+        values = np.flatnonzero(rank)
+        rank[values] = np.arange(len(values))
+        inverse = rank[keys]
+    else:
+        values, inverse = np.unique(keys, return_inverse=True)
     coords = np.concatenate(([2], 2 + np.cumsum(np.minimum(np.diff(values), 3))))
     return coords[inverse], int(coords[-1]) + 3
 
 
 def _grid(pts: np.ndarray, epsilon: float) -> tuple[tuple[np.ndarray, ...], tuple[int, int, int]]:
     """Compressed cell coordinates (cx, cy, cz) of each point, and the range
-    (rx, ry, rz) of each axis."""
-    keys = np.floor(pts / (epsilon / np.sqrt(3.0))).astype(np.int64)
+    (rx, ry, rz) of each axis.
+
+    A cell key (``floor`` of a coordinate over the cell side) must lie
+    within +-2**53, where every integer is exact in float64; a point
+    farther out is a DataError.
+    """
+    with np.errstate(over="ignore"):
+        keys = np.floor(pts / (epsilon / np.sqrt(3.0)))
+    if not (keys.min() > -_KEY_LIMIT and keys.max() < _KEY_LIMIT):
+        raise DataError(f"a point lies 2**53 or more cells of side epsilon/sqrt(3) from the origin "
+                        f"(epsilon {epsilon!r})")
+    keys = keys.astype(np.int64)
     (cx, rx), (cy, ry), (cz, rz) = (_compress_axis(keys[:, axis]) for axis in range(3))
     return (cx, cy, cz), (rx, ry, rz)
 
@@ -216,30 +251,40 @@ def dbscan_labels(pts: np.ndarray, epsilon: float, min_pts: int) -> np.ndarray:
     pi, pj = _block_pairs(start[a[sparse]], size[a[sparse]], start[b[sparse]], size[b[sparse]])
     hit = within(pi, pj)
     pi, pj = pi[hit], pj[hit]
-    core = dense[cell_of] | (np.bincount(pi, minlength=n) >= min_pts)
+    dense_pt = dense[cell_of]
+    core = dense_pt | (np.bincount(pi, minlength=n) >= min_pts)
 
-    # core graph over input indices: chains through dense cells, core-core
-    # pairs, then witnesses
+    # core graph over input indices: each dense cell starts as a star on its
+    # smallest index.  The first join takes the core-core pairs, each once
+    # (i < j, or j in a dense cell, which never lists its pairs), and one
+    # witness per ring-1 pair of dense cells: the first hit, in block order,
+    # between the first point of a and the points of b
     comp = np.arange(n)
-    chain = np.flatnonzero(dense[cell_of[:-1]] & (cell_of[:-1] == cell_of[1:]))
-    linked = core[pi] & core[pj]
+    comp[order[dense_pt]] = np.minimum.reduceat(order, start)[cell_of[dense_pt]]
+    linked = core[pi] & core[pj] & ((pi < pj) | dense_pt[pj])
     pair = dense[a] & dense[b] & (b > a)
     a, b, ring = a[pair], b[pair], ring[pair]
     first = ring == 1
-    wi, wj = _block_pairs(start[a[first]], np.ones(first.sum(), dtype=np.int64),
-                          start[b[first]], size[b[first]])
-    hit = within(wi, wj)
-    _join(comp, order[np.concatenate((chain, pi[linked], wi[hit]))],
-          order[np.concatenate((chain + 1, pj[linked], wj[hit]))])
+    b_size = size[b[first]]
+    wi, wj = _block_pairs(start[a[first]], np.ones(len(b_size), dtype=np.int64), start[b[first]], b_size)
+    ends = np.cumsum(b_size)
+    # each block's first hit at or after its start, kept if before its end
+    hit = np.append(np.flatnonzero(within(wi, wj)), len(wi))
+    hit = hit[np.searchsorted(hit, ends - b_size)]
+    hit = hit[hit < ends]
+    _join(comp, order[np.concatenate((pi[linked], wi[hit]))], order[np.concatenate((pj[linked], wj[hit]))])
     for r in (1, 2):
         todo = (ring == r) & (comp[order[start[a]]] != comp[order[start[b]]])
         wi, wj = _block_pairs(start[a[todo]], size[a[todo]], start[b[todo]], size[b[todo]])
         hit = within(wi, wj)
         _join(comp, order[wi[hit]], order[wj[hit]])
 
-    # number clusters by ascending smallest core index (reference scan order)
-    core_idx = order[core]
-    labels[core_idx] = np.unique(comp[core_idx], return_inverse=True)[1]
+    # number clusters by ascending smallest core index (reference scan order):
+    # every root is its cluster's smallest index, so rank the roots
+    roots = comp[order[core]]
+    rank = np.zeros(n, dtype=np.int64)
+    rank[roots] = 1
+    labels[order[core]] = np.cumsum(rank)[roots] - 1
 
     # border points: earliest-numbered cluster with a core neighbor claims them
     border = ~core[pi] & core[pj]

@@ -590,12 +590,14 @@ class LabelSet:
     def read(cls, directory: str | Path) -> LabelSet:
         """Parse and check every ``*.txt`` label file of a directory.
 
-        Files are read in filename order, each line split as ``str.split``
-        and each number parsed as ``float`` parses it; blank lines are
-        skipped.  The values of every line are then checked in one pass
-        by the rules of ``ObjectLabel``.  The first fault in (file, line)
-        order is a DataError: a file that cannot be read names the file,
-        and a bad line reads ``<path>:<line>: <what>``.
+        Files are read in filename order, as bytes decoded as UTF-8, and
+        cut into lines by ``str.splitlines``, which counts CR LF, a lone CR
+        and LF as one line end each, as text mode does.  Each line is split
+        as ``str.split`` and each number parsed as ``float`` parses it;
+        blank lines are skipped.  The values of every line are then checked
+        in one pass by the rules of ``ObjectLabel``.  The first fault in
+        (file, line) order is a DataError: a file that cannot be read names
+        the file, and a bad line reads ``<path>:<line>: <what>``.
         """
         directory = Path(directory)
         if not directory.is_dir():
@@ -604,7 +606,7 @@ class LabelSet:
         fault = None
         for path in _entries(directory, ".txt"):
             try:
-                text = path.read_text(encoding="utf-8")
+                text = path.read_bytes().decode("utf-8")
             except (OSError, UnicodeDecodeError) as exc:
                 fault = f"cannot read label file {path}: {exc}"
                 break

@@ -161,12 +161,17 @@ def _read_beams(
 
     The bits are those of ``load_frame_sequence``, ``unify_units`` and
     ``crop_frame``, but nothing is copied: a cropped beam keeps its point
-    and is only masked out.
+    and is only masked out.  A range that is not finite (a point that the
+    unit scale carries past float64) is a DataError naming the file.
     """
     xyz, padding = buffers.read(file)
-    if meta.unit_scale != 1.0:
-        xyz *= meta.unit_scale
-    return xyz, point_ranges(xyz), ~padding & crop.contains(xyz)
+    with np.errstate(over="ignore"):
+        if meta.unit_scale != 1.0:
+            xyz *= meta.unit_scale
+        ranges = point_ranges(xyz)
+    if not np.isfinite(ranges).all():
+        raise DataError(f"frame file {file}: a point's range overflows float64 at unit_scale {meta.unit_scale!r}")
+    return xyz, ranges, ~padding & crop.contains(xyz)
 
 
 def _query_histogram(
@@ -229,7 +234,10 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
             xyz, ranges, data = _read_beams(buffers, file, entry.meta, cfg.crop)
             active = np.flatnonzero(data & ~near_background(ranges, model, cfg.d_threshold))
             foreground = Frame(t, xyz[active], np.zeros(len(active), dtype=bool))
-            clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
+            try:
+                clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
+            except DataError as exc:
+                raise DataError(f"frame file {file}: {exc}") from None
             labels = annotate_frame(foreground, clusters, cfg, reject_sink=rejects.append)
             LabelSet.from_labels({file.stem: labels}).write(labels_dir)
             n_data = int(np.count_nonzero(data))

@@ -53,11 +53,21 @@ def naive_histogram(frames_xyz, frames_padding, n_bin):
     """Direct transcription of the per-point distance histogram.
 
     frames_xyz: list of (n_total, 3) arrays (the query frames, in order).
-    Returns dicts of per-index results: bin_sums, bin_counts, bin_means,
-    d_min, d_max, width -- all plain Python floats/lists.
+    Returns per-index results: bin_means, bin_counts, d_min, d_max, width
+    -- all plain Python floats/lists.
     """
-    n_query = len(frames_xyz)
-    n_total = frames_xyz[0].shape[0]
+    frames_ranges = [
+        [None if pad else naive_point_range(p) for p, pad in zip(xyz, padding)]
+        for xyz, padding in zip(frames_xyz, frames_padding)
+    ]
+    return naive_histogram_of_ranges(frames_ranges, n_bin)
+
+
+def naive_histogram_of_ranges(frames_ranges, n_bin):
+    """``naive_histogram`` over given ranges: frames_ranges holds one list
+    per query frame, in order, of each beam's range (None without data)."""
+    n_query = len(frames_ranges)
+    n_total = len(frames_ranges[0])
     means = [[0.0] * n_bin for _ in range(n_total)]
     counts = [[0] * n_bin for _ in range(n_total)]
     d_mins = [0.0] * n_total
@@ -66,9 +76,9 @@ def naive_histogram(frames_xyz, frames_padding, n_bin):
     for i in range(n_total):
         dists = []
         for j in range(n_query):
-            if frames_padding[j][i]:
+            if frames_ranges[j][i] is None:
                 continue
-            dists.append(naive_point_range(frames_xyz[j][i]))
+            dists.append(float(frames_ranges[j][i]))
         if not dists:
             continue
         d_min = min(dists)

@@ -11,6 +11,7 @@ from roadlidar.background import (
     BackgroundModel,
     DistanceHistogram,
     filter_frame,
+    histogram_of_ranges,
     load_background_model,
     near_background,
     point_ranges,
@@ -29,7 +30,7 @@ from roadlidar.simulate import (
     render_sequence,
 )
 
-from oracles import naive_filter, naive_histogram, naive_select_tall
+from oracles import naive_filter, naive_histogram, naive_histogram_of_ranges, naive_select_tall
 
 META = SensorMeta(2, 2)
 
@@ -137,6 +138,52 @@ class TestBuildHistogram:
             np.testing.assert_array_equal(hist.d_min, np.array(d_mins))
             np.testing.assert_array_equal(hist.d_max, np.array(d_maxs))
             np.testing.assert_array_equal((hist.d_max - hist.d_min) / n_bin, np.array(widths))
+
+    @staticmethod
+    def _assert_naive_ranges(columns, n_bin):
+        """``histogram_of_ranges`` against the naive loop, bit for bit, with
+        beam i's ranges in ``columns[i]`` (None where a frame has no data)."""
+        frames = [list(row) for row in zip(*columns)]
+        window = [(np.array([np.nan if r is None else r for r in row]), np.array([r is not None for r in row]))
+                  for row in frames]
+        hist = histogram_of_ranges(iter(window), len(columns), n_bin)
+        means, counts, d_mins, d_maxs, widths = naive_histogram_of_ranges(frames, n_bin)
+        assert hist.bin_mean.tobytes() == np.array(means).tobytes()
+        assert hist.bin_count.tolist() == counts
+        assert hist.d_min.tobytes() == np.array(d_mins).tobytes()
+        assert hist.d_max.tobytes() == np.array(d_maxs).tobytes()
+        assert ((hist.d_max - hist.d_min) / n_bin).tobytes() == np.array(widths).tobytes()
+        return hist, widths
+
+    def test_degenerate_widths_match_naive_bit_for_bit(self):
+        tiny = 5e-324  # the smallest subnormal
+        columns = [
+            [7.25, 7.25, 7.25],  # all ranges equal: width 0
+            [0.0, tiny, None, tiny],  # d_max > d_min, but the width underflows to 0
+            [1.0, 1.0 + 2.0**-52, 1.0],  # a width of one ulp over n_bin
+            [0.0, 3 * tiny, 2 * tiny],  # a subnormal width that rounds up
+            [1.1, 3.3, 2.0, 3.3],  # at n_bin 7, d_max is 7.000000000000001 widths out
+            [0.2, 1.3, 1.3],  # and here 6.999999999999999
+            [None, None, None],  # no data
+        ]
+        columns = [column + [None] * (4 - len(column)) for column in columns]
+        for n_bin in (1, 2, 3, 4, 7, 10):
+            hist, widths = self._assert_naive_ranges(columns, n_bin)
+            assert hist.d_max[1] > hist.d_min[1] and (widths[1] == 0.0) == (n_bin > 1)
+            assert hist.bin_count[:2, 0].tolist() == [3, 3]
+            assert hist.bin_count[4:6, -1].tolist() == [2, 2] or n_bin == 1
+        assert (3.3 - 1.1) / ((3.3 - 1.1) / 7) > 7 > (1.3 - 0.2) / ((1.3 - 0.2) / 7)
+
+    def test_range_equal_to_d_max_matches_naive(self):
+        # through point ranges as build_histogram computes them
+        arrays = [np.array([[d, 0.0, 0.0], [3.0, 4.0, 0.0]]) for d in (0.1, 0.7, 0.3, 0.7)]
+        seq = _seq_from_arrays(arrays)
+        for n_bin in (1, 3, 7):
+            hist = build_histogram(seq, n_bin)
+            means, counts, *_ = naive_histogram([f.xyz for f in seq.frames], [f.padding for f in seq.frames], n_bin)
+            assert hist.bin_mean.tobytes() == np.array(means).tobytes()
+            assert hist.bin_count.tolist() == counts
+            assert hist.bin_count[0, -1] == (4 if n_bin == 1 else 2) and hist.bin_count[1, 0] == 4
 
     def test_query_order_invariance(self):
         rng = np.random.default_rng(21)

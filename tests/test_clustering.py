@@ -1,6 +1,7 @@
 """DBSCAN determinism and brute-force oracle equivalence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from scipy.sparse.csgraph import connected_components
 
 from roadlidar.clustering import (
     NOISE,
+    _axis_table_fits,
     _block_pairs,
+    _compress_axis,
     _grid,
     _join,
     _table_fits,
@@ -344,6 +347,23 @@ class TestJoin:
         _, smallest = np.unique(want, return_index=True)
         np.testing.assert_array_equal(comp, smallest[want])
 
+    def test_starting_from_stars_matches_connected_components(self):
+        # the forest dbscan_labels starts from: random groups of nodes, each a
+        # star on its smallest node, then random edges between any nodes
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            n = int(rng.integers(2, 500))
+            group = rng.integers(0, int(rng.integers(1, n + 1)), n)
+            smallest = np.full(n, n)
+            np.minimum.at(smallest, group, np.arange(n))
+            comp = smallest[group]
+            m = int(rng.integers(0, n))
+            i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+            _join(comp, i, j)
+            want = _components(n, np.concatenate((i, np.arange(n))), np.concatenate((j, smallest[group])))
+            _, first = np.unique(want, return_index=True)
+            np.testing.assert_array_equal(comp, first[want])
+
     def test_joining_in_batches_matches_one_batch(self):
         n = 20_000
         i, j = _shuffled_path(n, np.random.default_rng(44))
@@ -461,3 +481,136 @@ class TestBlockPairs:
         self._assert_naive(np.array([3, 7]), np.array([0, 2]), np.array([5, 0]), np.array([4, 0]))
         ones = np.ones(4, dtype=np.int64)
         self._assert_naive(np.array([9, 0, 4, 4]), ones, np.array([1, 2, 3, 6]), np.array([3, 1, 0, 2]))
+
+
+def _naive_compress_axis(keys):
+    """Each key's rank among the distinct keys, spaced by their gaps clipped
+    to 3 and starting at 2, and the last coordinate plus 3."""
+    values = sorted(set(keys.tolist()))
+    coords = [2]
+    for low, high in zip(values, values[1:]):
+        coords.append(coords[-1] + min(high - low, 3))
+    at = dict(zip(values, coords))
+    return [at[k] for k in keys.tolist()], coords[-1] + 3
+
+
+class TestCompressAxis:
+    """Both ways of compressing an axis give the naive coordinates, and the
+    labels of clouds that take each way equal ``brute_dbscan``'s."""
+
+    @pytest.mark.parametrize("spread", [1, 40, 4000, 2**40, 2**53 - 1])
+    def test_matches_naive_ranks(self, spread):
+        rng = np.random.default_rng(60)
+        for n in (1, 2, 7, 300):
+            keys = rng.integers(-spread, spread, n, endpoint=True)
+            keys[: n // 3] = keys[n // 2]  # repeated keys
+            got, top = _compress_axis(keys)
+            assert (got.tolist(), top) == _naive_compress_axis(keys)
+            assert got.dtype == np.int64
+
+    def test_spans_at_the_bound(self):
+        n = 10
+        bound = 4 * n + 1024
+        assert _axis_table_fits(bound, n) and not _axis_table_fits(bound + 1, n)
+        for span in (bound, bound + 1):
+            keys = np.array([-7] * (n - 1) + [-7 + span - 1])
+            assert _compress_axis(keys)[0].tolist() == [2] * (n - 1) + [5]
+
+    @staticmethod
+    def _spans(pts, eps):
+        keys = np.floor(pts / (eps / np.sqrt(3.0)))
+        return [int(keys[:, axis].max() - keys[:, axis].min()) + 1 for axis in range(3)]
+
+    def test_far_scattered_axis_takes_unique(self):
+        # clumps far apart on x only: x spans far more keys than the table
+        # allows, y and z fit it
+        eps = 0.7
+        rng = np.random.default_rng(61)
+        clumps = [_ball((k * 50 * eps, 0.0, 0.0), int(rng.integers(1, 9)), 0.6 * eps, rng)
+                  for k in range(60)]
+        pts = np.vstack(clumps + [rng.uniform(0, 3000 * eps, (40, 1)) * [1, 0, 0] + rng.normal(0, eps, (40, 3))])
+        pts = pts[rng.permutation(len(pts))]
+        fits = [_axis_table_fits(span, len(pts)) for span in self._spans(pts, eps)]
+        assert fits == [False, True, True]
+        for min_pts in (1, 3, 5):
+            np.testing.assert_array_equal(dbscan_labels(pts, eps, min_pts), brute_dbscan(pts, eps, min_pts))
+
+    def test_compact_cloud_takes_the_table(self):
+        eps = 0.7
+        rng = np.random.default_rng(62)
+        pts = np.vstack([_ball(rng.uniform(-6, 6, 3), 30, 0.8, rng) for _ in range(12)]
+                        + [rng.uniform(-6, 6, (150, 3))])
+        assert all(_axis_table_fits(span, len(pts)) for span in self._spans(pts, eps))
+        for min_pts in (1, 4, 8):
+            np.testing.assert_array_equal(dbscan_labels(pts, eps, min_pts), brute_dbscan(pts, eps, min_pts))
+
+
+class TestGridLimits:
+    """A cell key must stay within +-2**53, where float64 holds every integer."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_key_of_2_53_is_data_error(self, sign):
+        eps = math.sqrt(3.0)  # a cell side of exactly 1.0
+        assert eps / np.sqrt(3.0) == 1.0
+        inside = np.array([[0.0, 0.0, 0.0], [sign * (2.0**53 - 1), 0.0, 0.0]])
+        assert dbscan_labels(inside, eps, 1).tolist() == [0, 1]
+        outside = inside.copy()
+        outside[1, 2] = sign * 2.0**53
+        with pytest.raises(DataError, match=r"2\*\*53 or more cells"):
+            dbscan_labels(outside, eps, 1)
+
+    def test_key_past_float64_is_data_error_without_warnings(self):
+        pts = np.array([[1e300, 0.0, 0.0], [0.0, -1e300, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"epsilon 1e-10"):
+                dbscan_labels(pts, 1e-10, 1)
+            with pytest.raises(DataError, match=r"2\*\*53 or more cells"):
+                dbscan(_frame(pts), 1e-10, 1)
+
+
+class TestFirstJoin:
+    """The stars, the one-way core pairs, the ring-1 witnesses and the
+    numbering of the first join, on clouds built to reach each of them."""
+
+    def test_roots_sparse_and_out_of_cell_order(self):
+        # eight clumps along x; each clump's smallest input index comes in an
+        # order unrelated to x, and noise points fill the indices between
+        rng = np.random.default_rng(63)
+        clumps = [_ball((3.0 * k, 0.0, 0.0), 12, 0.3, rng) for k in range(8)]
+        noise = rng.uniform(-50, 50, (1500, 3)) + [0.0, 0.0, 200.0]
+        pts = np.vstack(clumps + [noise])
+        order = rng.permutation(len(pts))
+        pts = pts[order]
+        labels = dbscan_labels(pts, 0.7, 4)
+        np.testing.assert_array_equal(labels, brute_dbscan(pts, 0.7, 4))
+        roots = [int(np.flatnonzero(labels == c)[0]) for c in range(labels.max() + 1)]
+        by_x = sorted(roots, key=lambda r: pts[r, 0])
+        assert len(roots) == 8
+        assert by_x != roots and roots == sorted(roots)
+        assert min(np.diff(roots)) > 1 and roots[0] > 0
+
+    def test_ring_one_witness_among_several(self):
+        # eps sqrt(3) makes the cell side 1.0, and every cell below is dense
+        # for min_pts up to 4.  Cells A and B are x-neighbors: the first
+        # point of A has four candidates in B, and only the last is within
+        # epsilon.  Cells C and D are diagonal neighbors whose boxes are
+        # within epsilon but whose points are not: every C point is low on
+        # two axes and every D point high on two, so one axis parts them by
+        # 1.9.  A witness taken without its distance test would join C and D.
+        eps = math.sqrt(3.0)
+        a_cell = [(0.05, 0.05, 0.05), (0.1, 0.9, 0.9), (0.1, 0.95, 0.9), (0.15, 0.5, 0.5)]
+        b_cell = [(1.95, 0.95, 0.95), (1.95, 0.05, 0.05), (1.9, 0.9, 0.9), (1.2, 0.05, 0.05)]
+        c_cell = [(0.05, 0.05, 0.05), (0.95, 0.05, 0.05), (0.05, 0.95, 0.05), (0.05, 0.05, 0.95)]
+        d_cell = [(1.95, 1.95, 1.95), (1.05, 1.95, 1.95), (1.95, 1.05, 1.95), (1.95, 1.95, 1.05)]
+        far = np.array([20.0, 0.0, 0.0])
+        pts = np.vstack([a_cell, b_cell, np.add(c_cell, far), np.add(d_cell, far)])
+        d2 = ((pts[0] - pts[4:8]) ** 2).sum(axis=1)
+        assert (d2 <= eps * eps).tolist() == [False, False, False, True]
+        cd = pts[8:12, None, :] - pts[None, 12:16, :]
+        assert ((cd ** 2).sum(axis=2) > eps * eps).all()
+        assert (pts[12:16].min(axis=0) - pts[8:12].max(axis=0) < eps / 3).all()
+        for min_pts in (3, 4):
+            labels = dbscan_labels(pts, eps, min_pts)
+            np.testing.assert_array_equal(labels, brute_dbscan(pts, eps, min_pts))
+            assert labels.tolist() == [0] * 8 + [1] * 4 + [2] * 4

@@ -496,6 +496,28 @@ class TestLabelSet:
             LabelSet.read(tmp_path)
         assert str(got.value).startswith(f"cannot read label file {tmp_path / 'm.txt'}: ")
 
+    @pytest.mark.parametrize("raw", [
+        b"Vehicle 1 2 3 4 2 1 0 0.5\r\nPedestrian 1 2 3 1 1 2 0 0.5\r\n",
+        b"Vehicle 1 2 3 4 2 1 0 0.5\r\n\r\nVehicle 1 2 3 4\r\n",
+        b"Vehicle 1 2 3 4 2 1 0 0.5\rBus 1 2 3 4 2 1 0 0.5\r",
+        b"\r\r\nVehicle 1 2 3 4 2 1 0 0.5\n\rVehicle 1 2 3 -4 2 1 0 0.5",
+        b"Vehicle 1 2 3 4 2 1 0 0.5\r\nVehicle 1 2 3 4 2 1 0 \xff0.5\r\n",
+        b"Vehicle 1 2 3 4 2 1 0 0.5\nVehicle 1 2 3 4 2 1 0 0.5\xe2\x80",
+        b"\xef\xbb\xbfVehicle 1 2 3 4 2 1 0 0.5\n",
+    ], ids=["crlf", "crlf-short-line", "lone-cr", "mixed-ends", "bad-utf8", "cut-utf8", "bom"])
+    def test_line_ends_and_bad_utf8_read_as_text_mode_reads_them(self, tmp_path, raw):
+        (tmp_path / "000001.txt").write_bytes(raw)
+        try:
+            want = naive_read_label_file(tmp_path / "000001.txt")  # text mode, universal newlines
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                LabelSet.read(tmp_path)
+            assert str(got.value) == str(exc)
+            return
+        table = LabelSet.read(tmp_path)
+        assert table.values.tobytes() == label_values(want).tobytes()
+        assert table.counts.tolist() == [len(want)] == [2]
+
     def test_write_matches_naive_writer(self, tmp_path):
         rng = np.random.default_rng(26)
         by_stem = {f"{k:06d}": [_random_label(rng) for _ in range(rng.integers(0, 4))] for k in range(1, 30)}

@@ -8,6 +8,7 @@ import os
 import re
 import shutil
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -1322,6 +1323,38 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 2
         assert caplog.text.count(str(bad)) == 1  # named, and logged once
         assert _tree_bytes(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("unit_scale, message", [
+        (1e140, "a point's range overflows float64 at unit_scale 1e+140"),
+        (1e100, "a point lies 2**53 or more cells of side epsilon/sqrt(3) from the origin (epsilon 0.7)"),
+    ], ids=["range", "cell-key"])
+    def test_point_past_float64_or_the_cell_grid_is_data_error(self, tmp_path, caplog, unit_scale, message):
+        # 1e30 m scaled by 1e140 has no finite range; scaled by 1e100 it has,
+        # but its DBSCAN cell key is past 2**53.  Either exits 2 naming the
+        # frame file, with no warning and nothing published.
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for k in range(3):
+            rec = np.zeros((4, 4), dtype="<f4")
+            rec[:, :3] = [[1.0, 1.0, 0.0], [2.0, 1.0, 0.0], [3.0, 1.0, 0.0], [4.0, 1.0, 0.0]]
+            if k == 2:
+                rec[0, 0] = 1e30
+            rec.tofile(frames / f"{k:06d}.bin")
+        huge = {f"{axis}_{end}": sign * 1e300 for axis in "xyz" for end, sign in (("min", -1), ("max", 1))}
+        config = {"output_root": str(tmp_path / "out"), "datasets": [{
+            "name": "site_a", "frames": str(frames),
+            "sensor": {"rays_horizontal": 4, "rays_vertical": 1, "unit_scale": unit_scale},
+            "teacher": {"n_query": 2, "n_bin": 10, "n_tall": 3, "d_threshold": 0.2, "epsilon": 0.7,
+                        "min_pts": 5, "l_min": 0.3, "h_min": 0.5, "beta_min": 0.2, "crop": huge},
+        }]}
+        path = tmp_path / "annotate.json"
+        path.write_text(json.dumps(config))
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["annotate", "--config", str(path)]) == 2
+        assert f"frame file {frames / '000002.bin'}: {message}" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("corrupt", ["truncated", "nan-coordinate"])
     def test_bad_frame_after_the_query_window_is_data_error(self, scene_dir, tmp_path, caplog, corrupt):
