@@ -33,7 +33,7 @@ from .background import (
     select_background,
 )
 from .clustering import dbscan
-from .annotate import FittedBox, annotate_frame, classify, validate_bbox
+from .annotate import annotate_frame
 from .evaluate import EvalReport, average_precision
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "DataError",
     "DistanceHistogram",
     "EvalReport",
-    "FittedBox",
     "Frame",
     "FrameSequence",
     "LabelClass",
@@ -57,7 +56,6 @@ __all__ = [
     "annotate_frame",
     "average_precision",
     "build_histogram",
-    "classify",
     "crop_frame",
     "dbscan",
     "extract_query_frames",
@@ -68,6 +66,5 @@ __all__ = [
     "select_background",
     "unify_datasets",
     "unify_units",
-    "validate_bbox",
     "write_labels",
 ]

@@ -8,11 +8,11 @@ then rotating calipers (Toussaint 1983) project each hull onto each of its
 edge directions.  Degenerate projections (single point, collinear) floor the
 collapsed dimensions at 1 cm.
 
-Validation and classification follow simple shape rules: a box must clear a
-minimum base length and height, and its base length must differ from its
-height by a margin; a box longer than it is tall is a vehicle, taller than
-it is long a pedestrian.  The margin makes the classifier total: the
-equality case never reaches it.
+Each box is a row of floats from the fit to the label table.  One array
+pass gates and classifies a frame's boxes by simple shape rules: a box must
+clear a minimum base length and height, and its base length must differ
+from its height by a positive margin; a box longer than it is tall is a
+vehicle, taller than it is long a pedestrian.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    LABEL_CLASSES,
     DataError,
     Frame,
     LabelClass,
@@ -33,20 +34,9 @@ from .core import (
 )
 
 DEGENERATE_FLOOR = 0.01
-
-
-@dataclass(frozen=True)
-class FittedBox:
-    """Oriented box around one cluster; ``length >= width`` always holds, so
-    ``length`` is the base length the size heuristics compare."""
-
-    center_x: float
-    center_y: float
-    center_z: float
-    length: float
-    width: float
-    height: float
-    yaw: float
+_VEHICLE, _PEDESTRIAN = LABEL_CLASSES.index(LabelClass.VEHICLE), LABEL_CLASSES.index(LabelClass.PEDESTRIAN)
+# The size gates' reject reasons, in the order the gates are tried.
+_REASONS = ("base_length<l_min", "height<h_min", "|base_length-height|<beta_min")
 
 
 @dataclass(frozen=True)
@@ -216,81 +206,61 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     return np.array([cx, cy]), long_side, short_side, yaw
 
 
-def fit_boxes(frame: Frame, clusters: list[np.ndarray]) -> list[FittedBox]:
+def fit_boxes(points: np.ndarray, clusters: list[np.ndarray]) -> np.ndarray:
     """Fit the minimal oriented box around each cluster's points, all at once.
 
-    Each cluster holds the indices of its points in ``frame``.  Height
-    spans [min z, max z]; collapsed dimensions are floored at
-    DEGENERATE_FLOOR so every fitted box has positive volume.  Flooring only
-    grows the box around its center, so containment of the cluster (within
-    1e-6) is preserved.
+    Each cluster holds the indices of its rows in the (n, 3) float64 ``points``.
+    Returns one float64 row per cluster: cx cy cz length width height yaw,
+    with ``length >= width``.  Height spans [min z, max z]; collapsed
+    dimensions are floored at DEGENERATE_FLOOR so every fitted box has
+    positive volume.  Flooring only grows the box around its center, so
+    containment of the cluster (within 1e-6) is preserved.
     """
     sizes = np.array([len(cluster) for cluster in clusters], dtype=np.intp)
     if not sizes.all():
         raise DataError("cannot fit a box to an empty cluster")
     if not len(sizes):
-        return []
-    pts = frame.xyz[np.concatenate(clusters)]
+        return np.empty((0, 7))
+    pts = points[np.concatenate(clusters)]
     starts = np.cumsum(sizes) - sizes
-    z_min = np.minimum.reduceat(pts[:, 2], starts).tolist()
-    z_max = np.maximum.reduceat(pts[:, 2], starts).tolist()
-    rects = _min_area_rects(pts[:, 0].copy(), pts[:, 1].copy(), starts)
-    return [
-        FittedBox(cx, cy, (lo + hi) / 2.0, max(long_side, DEGENERATE_FLOOR),
-                  max(short_side, DEGENERATE_FLOOR), max(hi - lo, DEGENERATE_FLOOR), yaw)
-        for (cx, cy, long_side, short_side, yaw), lo, hi in zip(rects, z_min, z_max)
-    ]
+    z_min = np.minimum.reduceat(pts[:, 2], starts)
+    z_max = np.maximum.reduceat(pts[:, 2], starts)
+    cx, cy, long_side, short_side, yaw = np.array(
+        _min_area_rects(pts[:, 0].copy(), pts[:, 1].copy(), starts), dtype=np.float64).T
+    return np.column_stack([
+        cx, cy, (z_min + z_max) / 2.0, np.maximum(long_side, DEGENERATE_FLOOR),
+        np.maximum(short_side, DEGENERATE_FLOOR), np.maximum(z_max - z_min, DEGENERATE_FLOOR), yaw,
+    ])
 
 
-def validate_bbox(box: FittedBox, cfg: TeacherConfig) -> tuple[bool, str]:
-    """Apply the three size gates; returns (valid, failed_predicate).
+def label_rows(points: np.ndarray, clusters: list[np.ndarray], cfg: TeacherConfig, frame_index: int,
+               reject_sink: Callable[[RejectedBox], None] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Fit, gate and classify every cluster of a frame in one array pass.
 
-    Valid iff length >= l_min, height >= h_min and
-    |length - height| >= beta_min.  The last gate drops shape-ambiguous
-    boxes instead of guessing their class.
+    A box is kept iff length >= l_min, height >= h_min and
+    |length - height| >= beta_min; the last gate drops shape-ambiguous
+    boxes instead of guessing their class.  Each rejected box goes to
+    ``reject_sink``, if given, naming the first gate it fails.  Returns the
+    kept boxes' class codes (indices in ``LABEL_CLASSES``: Vehicle if longer
+    than tall, else Pedestrian) and their (m, 8) label values with score
+    1.0, both in cluster order.
     """
-    if box.length < cfg.l_min:
-        return False, "base_length<l_min"
-    if box.height < cfg.h_min:
-        return False, "height<h_min"
-    if abs(box.length - box.height) < cfg.beta_min:
-        return False, "|base_length-height|<beta_min"
-    return True, ""
+    boxes = fit_boxes(points, clusters)
+    length, height = boxes[:, 3], boxes[:, 5]
+    fails = np.column_stack([length < cfg.l_min, height < cfg.h_min, np.abs(length - height) < cfg.beta_min])
+    kept = ~fails.any(axis=1)
+    if reject_sink is not None:
+        rejected = np.flatnonzero(~kept)
+        for base, tall, gate in zip(length[rejected].tolist(), height[rejected].tolist(),
+                                    fails[rejected].argmax(axis=1).tolist()):
+            reject_sink(RejectedBox(frame_index, base, tall, _REASONS[gate]))
+    codes = np.where(length[kept] > height[kept], _VEHICLE, _PEDESTRIAN).astype(np.int8)
+    return codes, np.column_stack([boxes[kept], np.ones(len(codes))])
 
 
-def classify(box: FittedBox) -> LabelClass:
-    """Vehicle if longer than tall, pedestrian if taller than long."""
-    if box.length > box.height:
-        return LabelClass.VEHICLE
-    if box.length < box.height:
-        return LabelClass.PEDESTRIAN
-    raise ValueError("length == height should have been rejected by validation")
-
-
-def annotate_frame(
-    frame: Frame,
-    clusters: list[np.ndarray],
-    cfg: TeacherConfig,
-    reject_sink: Callable[[RejectedBox], None] | None = None,
-) -> list[ObjectLabel]:
-    """Fit, validate and classify every cluster of a frame.
-
-    Output order follows cluster order (ascending cluster index).  Invalid
-    boxes are skipped; when ``reject_sink`` is given each reject is reported
-    to it for the rejects log.
-    """
-    labels = []
-    for box in fit_boxes(frame, clusters):
-        ok, reason = validate_bbox(box, cfg)
-        if not ok:
-            if reject_sink is not None:
-                reject_sink(RejectedBox(frame.timestamp_index, box.length, box.height, reason))
-            continue
-        labels.append(
-            ObjectLabel(
-                box.center_x, box.center_y, box.center_z,
-                box.length, box.width, box.height,
-                box.yaw, classify(box), 1.0,
-            )
-        )
-    return labels
+def annotate_frame(frame: Frame, clusters: list[np.ndarray], cfg: TeacherConfig,
+                   reject_sink: Callable[[RejectedBox], None] | None = None) -> list[ObjectLabel]:
+    """``label_rows`` on a frame, one ``ObjectLabel`` per kept row."""
+    codes, values = label_rows(frame.xyz, clusters, cfg, frame.timestamp_index, reject_sink)
+    return [ObjectLabel(*row[:7], LABEL_CLASSES[code], row[7])
+            for code, row in zip(codes.tolist(), values.tolist())]

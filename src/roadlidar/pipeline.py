@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .annotate import RejectedBox, annotate_frame
+from .annotate import RejectedBox, label_rows
 from .background import (
     DistanceHistogram,
     histogram_of_ranges,
@@ -197,7 +197,9 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     range and data mask, then every file is read in turn.  Its ranges are
     computed once; the crop and the filter are masks over them, and only
     the foreground points left are copied out, into the compact frame that
-    DBSCAN and the box fit take.  Peak memory is the model build: the query
+    DBSCAN and the box fit take.  A frame's boxes go from ``label_rows`` to
+    its label file as arrays, checked once by ``check_label_rows``, which
+    names the frame file.  Peak memory is the model build: the query
     window, held as each frame's data-beam ranges and packed mask, plus the
     histogram and the codec's one frame, whatever the recording length;
     only rejects and counts accumulate.
@@ -238,14 +240,15 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
                 clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)
             except DataError as exc:
                 raise DataError(f"frame file {file}: {exc}") from None
-            labels = annotate_frame(foreground, clusters, cfg, reject_sink=rejects.append)
-            LabelSet.from_labels({file.stem: labels}).write(labels_dir)
+            codes, values = label_rows(foreground.xyz, clusters, cfg, t, rejects.append)
+            check_label_rows(values, lambda k: f"frame file {file}")
+            LabelSet((file.stem,), np.array([len(codes)], dtype=np.int64), codes, values).write(labels_dir)
             n_data = int(np.count_nonzero(data))
             points_data += n_data
             points_removed += n_data - len(active)
             clusters_total += len(clusters)
             noise_total += len(noise)
-            labels_total += len(labels)
+            labels_total += len(codes)
 
         stats = {
             "dataset": entry.name,

@@ -28,7 +28,9 @@ is the earlier label reader, one line and one ``ObjectLabel`` at a time;
 first error.  ``naive_transform_label`` and ``naive_format_label_line``
 are the earlier merge of one label and the earlier label writer, one
 ``ObjectLabel`` at a time; the columnar merge and ``LabelSet.write`` must
-give the same bytes.
+give the same bytes.  ``naive_label_box`` is the earlier size gates and
+class rule, one box and one test at a time; ``label_rows`` must keep,
+reject and class every box as it does.
 """
 
 from __future__ import annotations
@@ -361,6 +363,23 @@ def naive_min_area_rect(points: np.ndarray):
     if du >= dv:
         return center, float(du), float(dv), normalize_yaw_half(theta)
     return center, float(dv), float(du), normalize_yaw_half(theta + math.pi / 2.0)
+
+
+def naive_label_box(length: float, height: float, cfg) -> tuple[LabelClass | None, str]:
+    """The size gates, then the class rule, of one box of base length
+    ``length``: (class, "") for a kept box, (None, the first failed gate)
+    for a rejected one."""
+    if length < cfg.l_min:
+        return None, "base_length<l_min"
+    if height < cfg.h_min:
+        return None, "height<h_min"
+    if abs(length - height) < cfg.beta_min:
+        return None, "|base_length-height|<beta_min"
+    if length > height:
+        return LabelClass.VEHICLE, ""
+    if length < height:
+        return LabelClass.PEDESTRIAN, ""
+    raise AssertionError("beta_min > 0 rejects a box with length == height")
 
 
 def naive_merge_frames(frames_dir, unit_scale, transform, out_dir) -> None:

@@ -240,19 +240,18 @@ class TestAcceptance:
                 n = int(rng.integers(4, 120))
                 scale = np.array([rng.uniform(1.5, 4.0), 1.0, rng.uniform(0.3, 2.0)])
                 pts = rng.normal(0, 1.0, (n, 3)) * scale
-                frame = Frame(1, pts, np.zeros(n, dtype=bool))
-                base = fit_boxes(frame, [np.arange(n)])[0]
+                # rows: cx cy cz length width height yaw
+                base = fit_boxes(pts, [np.arange(n)])[0]
                 theta = float(rng.uniform(-math.pi, math.pi))
                 c, s = math.cos(theta), math.sin(theta)
                 rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-                rotated_frame = Frame(1, pts @ rot.T, np.zeros(n, dtype=bool))
-                rotated = fit_boxes(rotated_frame, [np.arange(n)])[0]
-                delta = (rotated.yaw - base.yaw - theta) % math.pi
+                rotated = fit_boxes(pts @ rot.T, [np.arange(n)])[0]
+                delta = (rotated[6] - base[6] - theta) % math.pi
                 delta = min(delta, math.pi - delta)
                 assert delta < 1e-5, f"yaw covariance off by {delta:.2e}"
-                assert abs(rotated.length - base.length) < 1e-6
-                assert abs(rotated.width - base.width) < 1e-6
-                assert abs(rotated.height - base.height) < 1e-6
+                assert abs(rotated[3] - base[3]) < 1e-6
+                assert abs(rotated[4] - base[4]) < 1e-6
+                assert abs(rotated[5] - base[5]) < 1e-6
 
     def test_c07_end_to_end_pseudo_label_quality(self, default_run):
         with criterion(7, "teacher labels reach AP@0.5 >= 0.9 per class on the default scene"):

@@ -1,4 +1,4 @@
-"""Box fitting, validation heuristics and classification."""
+"""Box fitting, the size gates and the class rule."""
 
 import dataclasses
 import json
@@ -10,21 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import naive_format_label_line, naive_min_area_rect
+from oracles import naive_format_label_line, naive_label_box, naive_min_area_rect
 
 import roadlidar
 
 from roadlidar.annotate import (
     DEGENERATE_FLOOR,
-    FittedBox,
     RejectedBox,
     annotate_frame,
-    classify,
     fit_boxes,
+    label_rows,
     min_area_rect,
-    validate_bbox,
 )
 from roadlidar.core import (
+    LABEL_CLASSES,
     CropBounds,
     Frame,
     LabelClass,
@@ -53,6 +52,12 @@ def _frame(pts):
     return Frame(1, pts, np.zeros(len(pts), dtype=bool))
 
 
+def _fit(pts):
+    """``fit_boxes`` on one cluster of all of ``pts``: its row,
+    cx cy cz length width height yaw, as a list."""
+    return fit_boxes(np.asarray(pts, dtype=np.float64), [np.arange(len(pts))])[0].tolist()
+
+
 def _cuboid_corners(l, w, h, yaw=0.0, center=(0.0, 0.0, 0.0)):
     hx, hy, hz = l / 2, w / 2, h / 2
     corners = np.array(
@@ -66,51 +71,45 @@ def _cuboid_corners(l, w, h, yaw=0.0, center=(0.0, 0.0, 0.0)):
 
 class TestFitBbox:
     def test_axis_aligned_cuboid_corners(self):
-        pts = _cuboid_corners(4.0, 2.0, 1.5)
-        box = fit_boxes(_frame(pts), [np.arange(8)])[0]
-        assert box.length == pytest.approx(4.0, abs=1e-9)
-        assert box.width == pytest.approx(2.0, abs=1e-9)
-        assert box.height == pytest.approx(1.5, abs=1e-9)
-        assert box.yaw == pytest.approx(0.0, abs=1e-9)
+        _, _, _, length, width, height, yaw = _fit(_cuboid_corners(4.0, 2.0, 1.5))
+        assert length == pytest.approx(4.0, abs=1e-9)
+        assert width == pytest.approx(2.0, abs=1e-9)
+        assert height == pytest.approx(1.5, abs=1e-9)
+        assert yaw == pytest.approx(0.0, abs=1e-9)
 
     def test_rotated_30_degrees(self):
         yaw = math.radians(30)
-        pts = _cuboid_corners(4.0, 2.0, 1.5, yaw=yaw)
-        box = fit_boxes(_frame(pts), [np.arange(8)])[0]
-        assert box.length == pytest.approx(4.0, abs=1e-6)
-        assert box.width == pytest.approx(2.0, abs=1e-6)
-        assert abs(math.sin(box.yaw - yaw)) < 1e-6  # equal mod pi
+        _, _, _, length, width, _, fitted_yaw = _fit(_cuboid_corners(4.0, 2.0, 1.5, yaw=yaw))
+        assert length == pytest.approx(4.0, abs=1e-6)
+        assert width == pytest.approx(2.0, abs=1e-6)
+        assert abs(math.sin(fitted_yaw - yaw)) < 1e-6  # equal mod pi
 
     def test_single_point_floors(self):
-        pts = np.array([[3.0, -2.0, 1.0]])
-        box = fit_boxes(_frame(pts), [np.arange(1)])[0]
-        assert box.length == box.width == box.height == DEGENERATE_FLOOR
-        assert (box.center_x, box.center_y, box.center_z) == (3.0, -2.0, 1.0)
+        cx, cy, cz, length, width, height, _ = _fit(np.array([[3.0, -2.0, 1.0]]))
+        assert length == width == height == DEGENERATE_FLOOR
+        assert (cx, cy, cz) == (3.0, -2.0, 1.0)
 
     def test_collinear_cluster_floors_width(self):
-        pts = np.array([[t, t, 0.0] for t in np.linspace(0, 1, 7)])
-        box = fit_boxes(_frame(pts), [np.arange(7)])[0]
-        assert box.length == pytest.approx(math.sqrt(2), abs=1e-9)
-        assert box.width == DEGENERATE_FLOOR
-        assert abs(math.sin(box.yaw - math.pi / 4)) < 1e-9
+        _, _, _, length, width, _, yaw = _fit(np.array([[t, t, 0.0] for t in np.linspace(0, 1, 7)]))
+        assert length == pytest.approx(math.sqrt(2), abs=1e-9)
+        assert width == DEGENERATE_FLOOR
+        assert abs(math.sin(yaw - math.pi / 4)) < 1e-9
 
     def test_empty_cluster(self):
         with pytest.raises(Exception, match="empty"):
-            fit_boxes(_frame(np.ones((2, 3))), [np.array([], dtype=int)])
+            fit_boxes(np.ones((2, 3)), [np.array([], dtype=int)])
 
     def test_containment_after_inflation(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             pts = rng.normal(0, 2.0, (int(rng.integers(4, 60)), 3))
-            box = fit_boxes(_frame(pts), [np.arange(len(pts))])[0]
-            c, s = math.cos(box.yaw), math.sin(box.yaw)
-            local = (pts[:, :2] - [box.center_x, box.center_y]) @ np.array(
-                [[c, -s], [s, c]]
-            )
-            assert np.all(np.abs(local[:, 0]) <= box.length / 2 + 1e-6)
-            assert np.all(np.abs(local[:, 1]) <= box.width / 2 + 1e-6)
-            assert np.all(pts[:, 2] >= box.center_z - box.height / 2 - 1e-6)
-            assert np.all(pts[:, 2] <= box.center_z + box.height / 2 + 1e-6)
+            cx, cy, cz, length, width, height, yaw = _fit(pts)
+            c, s = math.cos(yaw), math.sin(yaw)
+            local = (pts[:, :2] - [cx, cy]) @ np.array([[c, -s], [s, c]])
+            assert np.all(np.abs(local[:, 0]) <= length / 2 + 1e-6)
+            assert np.all(np.abs(local[:, 1]) <= width / 2 + 1e-6)
+            assert np.all(pts[:, 2] >= cz - height / 2 - 1e-6)
+            assert np.all(pts[:, 2] <= cz + height / 2 + 1e-6)
 
     def test_minimality_vs_axis_aligned(self):
         rng = np.random.default_rng(13)
@@ -123,15 +122,13 @@ class TestFitBbox:
     def test_rotation_covariance(self):
         rng = np.random.default_rng(14)
         pts = rng.normal(0, 1.0, (40, 3)) * [3.0, 1.0, 0.5]
-        base = fit_boxes(_frame(pts), [np.arange(40)])[0]
+        base = _fit(pts)
         for theta in rng.uniform(-math.pi, math.pi, 10):
             c, s = math.cos(theta), math.sin(theta)
             rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-            rotated = fit_boxes(_frame(pts @ rot.T), [np.arange(40)])[0]
-            assert abs(math.sin(rotated.yaw - base.yaw - theta)) < 1e-5
-            assert rotated.length == pytest.approx(base.length, abs=1e-6)
-            assert rotated.width == pytest.approx(base.width, abs=1e-6)
-            assert rotated.height == pytest.approx(base.height, abs=1e-6)
+            rotated = _fit(pts @ rot.T)
+            assert abs(math.sin(rotated[6] - base[6] - theta)) < 1e-5
+            assert rotated[3:6] == pytest.approx(base[3:6], abs=1e-6)
 
 
 def _rect_bits(rect):
@@ -208,21 +205,18 @@ class TestMinAreaRectOracle:
 
 
 def _naive_box(pts):
-    """The box ``fit_boxes`` must give for (n, 3) points, from the reference rectangle."""
+    """The row ``fit_boxes`` must give for (n, 3) points, from the reference rectangle."""
     center, long_side, short_side, yaw = naive_min_area_rect(pts[:, :2])
     z_min, z_max = float(pts[:, 2].min()), float(pts[:, 2].max())
-    return FittedBox(
+    return [
         float(center[0]), float(center[1]), (z_min + z_max) / 2.0,
         max(long_side, DEGENERATE_FLOOR), max(short_side, DEGENERATE_FLOOR),
         max(z_max - z_min, DEGENERATE_FLOOR), yaw,
-    )
+    ]
 
 
 def _box_line(box):
-    return naive_format_label_line(ObjectLabel(
-        box.center_x, box.center_y, box.center_z, box.length, box.width, box.height,
-        box.yaw, LabelClass.VEHICLE, 1.0,
-    ))
+    return naive_format_label_line(ObjectLabel(*box, LabelClass.VEHICLE, 1.0))
 
 
 class TestBatchedFit:
@@ -272,34 +266,40 @@ class TestBatchedFit:
         order = rng.permutation(len(clusters))
         return _frame(xyz), [clusters[k] for k in order], [exact[k] for k in order]
 
-    def test_every_box_matches_the_reference(self):
+    # (l_min, h_min, beta_min): near zero; the README's; and gates that keep
+    # both classes and reject by each of the three reasons
+    @pytest.mark.parametrize("gates", [(1e-12, 1e-12, 1e-12), (0.3, 0.5, 0.2), (1.5, 2.9, 0.5)],
+                             ids=["open", "readme", "every-reason"])
+    def test_every_box_matches_the_reference(self, gates):
         frame, clusters, exact = self._scene()
-        cfg = dataclasses.replace(CFG, l_min=1e-12, h_min=1e-12, beta_min=1e-12)
+        l_min, h_min, beta_min = gates
+        cfg = dataclasses.replace(CFG, l_min=l_min, h_min=h_min, beta_min=beta_min)
         rejects: list[RejectedBox] = []
-        labels = annotate_frame(frame, clusters, cfg, rejects.append)
+        codes, values = label_rows(frame.xyz, clusters, cfg, 7, rejects.append)
+        boxes = fit_boxes(frame.xyz, clusters).tolist()
         expected_labels, expected_rejects = [], []
-        for cluster, is_exact in zip(clusters, exact):
+        for cluster, got, is_exact in zip(clusters, boxes, exact):
             want = _naive_box(frame.xyz[cluster])
-            got = fit_boxes(frame, [cluster])[0]
             if is_exact:
                 assert got == want
             else:
                 assert _box_line(got) == _box_line(want)
-            ok, reason = validate_bbox(want, cfg)
-            if ok:
-                expected_labels.append((want, classify(want), is_exact))
+            cls, reason = naive_label_box(want[3], want[5], cfg)
+            if cls is None:
+                expected_rejects.append(RejectedBox(7, want[3], want[5], reason))
             else:
-                expected_rejects.append(RejectedBox(1, want.length, want.height, reason))
+                expected_labels.append((want, cls, is_exact))
         assert rejects == expected_rejects
-        assert len(labels) == len(expected_labels)
-        for label, (want, cls, is_exact) in zip(labels, expected_labels):
-            assert label.label_class is cls
-            box = FittedBox(label.center_x, label.center_y, label.center_z,
-                            label.length, label.width, label.height, label.yaw)
+        assert [LABEL_CLASSES[code] for code in codes.tolist()] == [cls for _, cls, _ in expected_labels]
+        assert values.shape == (len(expected_labels), 8)
+        for row, (want, _, is_exact) in zip(values.tolist(), expected_labels):
+            assert row[7] == 1.0
             if is_exact:
-                assert box == want
+                assert row[:7] == want
             else:
-                assert _box_line(box) == _box_line(want)
+                assert _box_line(row[:7]) == _box_line(want)
+        assert annotate_frame(frame, clusters, cfg) == [ObjectLabel(*row[:7], LABEL_CLASSES[code], row[7])
+                                                        for code, row in zip(codes.tolist(), values.tolist())]
 
 
 # the names of the loaded modules that are scipy or under it
@@ -364,43 +364,69 @@ def test_annotate_never_imports_scipy_spatial(tmp_path):
         assert stats["labels_written"] > 0
 
 
-def _box(base, height):
-    return FittedBox(0, 0, height / 2, base, min(base, 0.5), height, 0.0)
+def _cuboid(base, height):
+    """The corners of an axis-aligned cuboid of base length ``base`` and height ``height``."""
+    return _cuboid_corners(base, min(base, 0.5), height, center=(10.0, 5.0, height / 2))
 
 
-class TestValidateBbox:
-    def test_clear_vehicle_valid(self):
-        ok, reason = validate_bbox(_box(4.5, 1.6), CFG)
-        assert ok and reason == ""
+def _gate(pts, **gates):
+    """``annotate_frame`` on one cluster of all of ``pts`` under CFG with
+    ``gates`` replaced: (its labels, its rejects)."""
+    rejects: list[RejectedBox] = []
+    labels = annotate_frame(_frame(pts), [np.arange(len(pts))], dataclasses.replace(CFG, **gates), rejects.append)
+    return labels, rejects
 
-    def test_short_base_invalid(self):
-        ok, reason = validate_bbox(_box(0.2, 1.6), CFG)
-        assert not ok
-        assert reason == "base_length<l_min"
 
-    def test_low_height_invalid(self):
-        ok, reason = validate_bbox(_box(2.0, 0.3), CFG)
-        assert not ok
-        assert reason == "height<h_min"
-
-    def test_ambiguous_shape_invalid(self):
+class TestGates:
+    @pytest.mark.parametrize("base, height, reason", [
+        (0.2, 1.6, "base_length<l_min"),
+        (2.0, 0.3, "height<h_min"),
         # |1.0 - 1.1| = 0.1 < beta_min 0.2: shape too ambiguous to classify
-        ok, reason = validate_bbox(_box(1.0, 1.1), CFG)
-        assert not ok
-        assert reason == "|base_length-height|<beta_min"
+        (1.0, 1.1, "|base_length-height|<beta_min"),
+    ])
+    def test_each_reject_reason(self, base, height, reason):
+        pts = _cuboid(base, height)
+        _, _, _, length, _, fitted_height, _ = _fit(pts)
+        assert _gate(pts) == ([], [RejectedBox(1, length, fitted_height, reason)])
 
+    @pytest.mark.parametrize("base, height, gates, reason", [
+        (0.1, 0.4, {}, "base_length<l_min"),  # l_min and h_min fail
+        (0.2, 0.3, {"h_min": 0.1}, "base_length<l_min"),  # l_min and beta_min fail
+        (0.6, 0.45, {}, "height<h_min"),  # h_min and beta_min fail
+    ])
+    def test_the_first_failing_gate_names_the_reason(self, base, height, gates, reason):
+        pts = _cuboid(base, height)
+        _, _, _, length, _, fitted_height, _ = _fit(pts)
+        cfg = dataclasses.replace(CFG, **gates)
+        failing = [length < cfg.l_min, fitted_height < cfg.h_min, abs(length - fitted_height) < cfg.beta_min]
+        assert failing.count(True) == 2
+        labels, rejects = _gate(pts, **gates)
+        assert labels == [] and [r.reason for r in rejects] == [reason]
 
-class TestClassify:
-    def test_vehicle(self):
-        assert classify(_box(4.5, 1.6)) is LabelClass.VEHICLE
+    @pytest.mark.parametrize("base, height, gates, cls", [
+        (4.5, 1.6, {}, LabelClass.VEHICLE),
+        (0.5, 1.7, {}, LabelClass.PEDESTRIAN),
+        (1.5 + 1e-6, 1.5, {"beta_min": 1e-9}, LabelClass.VEHICLE),
+        (1.5, 1.5 + 1e-6, {"beta_min": 1e-9}, LabelClass.PEDESTRIAN),
+    ])
+    def test_longer_than_tall_is_a_vehicle_and_taller_than_long_a_pedestrian(self, base, height, gates, cls):
+        labels, rejects = _gate(_cuboid(base, height), **gates)
+        assert rejects == []
+        assert [lb.label_class for lb in labels] == [cls]
 
-    def test_pedestrian(self):
-        assert classify(_box(0.5, 1.7)) is LabelClass.PEDESTRIAN
-
-    def test_length_equal_to_height_is_a_value_error(self):
-        # annotate_frame never gets here: beta_min > 0 rejects such a box first
-        with pytest.raises(ValueError, match="length == height"):
-            classify(_box(1.5, 1.5))
+    @pytest.mark.parametrize("gate, reason", [
+        ("l_min", "base_length<l_min"),
+        ("h_min", "height<h_min"),
+        ("beta_min", "|base_length-height|<beta_min"),
+    ])
+    def test_a_box_at_a_gate_passes_it_and_one_ulp_above_fails(self, gate, reason):
+        pts = _cuboid(2.0, 1.0)
+        _, _, _, length, _, height, _ = _fit(pts)
+        value = {"l_min": length, "h_min": height, "beta_min": abs(length - height)}[gate]
+        labels, rejects = _gate(pts, **{gate: value})
+        assert len(labels) == 1 and rejects == []
+        labels, rejects = _gate(pts, **{gate: float(np.nextafter(value, np.inf))})
+        assert labels == [] and [r.reason for r in rejects] == [reason]
 
 
 class TestAnnotateFrame:
@@ -429,7 +455,11 @@ class TestAnnotateFrame:
     def test_output_order_follows_cluster_order(self):
         ped = _cuboid_corners(0.5, 0.4, 1.7, center=(5, 0, 0.85))
         veh = _cuboid_corners(4.0, 2.0, 1.5, center=(15, 0, 0.75))
-        pts = np.vstack([veh, ped])
-        clusters = [np.arange(8), np.arange(8, 16)]
-        labels = annotate_frame(_frame(pts), clusters, CFG)
-        assert [lb.label_class for lb in labels] == [LabelClass.VEHICLE, LabelClass.PEDESTRIAN]
+        low = _cuboid_corners(2.0, 1.0, 0.3, center=(25, 0, 0.15))
+        short = _cuboid_corners(0.2, 0.2, 1.6, center=(35, 0, 0.8))
+        pts = np.vstack([ped, low, veh, short])
+        clusters = [np.arange(8), np.arange(8, 16), np.arange(16, 24), np.arange(24, 32)]
+        rejects: list[RejectedBox] = []
+        labels = annotate_frame(_frame(pts), clusters, CFG, rejects.append)
+        assert [lb.label_class for lb in labels] == [LabelClass.PEDESTRIAN, LabelClass.VEHICLE]
+        assert [r.reason for r in rejects] == ["height<h_min", "base_length<l_min"]

@@ -591,7 +591,9 @@ class TestPackageExports:
         for module, name in [
             (roadlidar, "Matching"), (roadlidar, "match_detections"), (roadlidar, "TeacherRunResult"),
             (evaluate, "Matching"), (evaluate, "match_detections"), (pipeline, "TeacherRunResult"),
-            (evaluate.EvalReport, "record"), (roadlidar.FittedBox, "base_length"),
+            (evaluate.EvalReport, "record"), (roadlidar, "FittedBox"), (roadlidar.annotate, "FittedBox"),
+            (roadlidar, "validate_bbox"), (roadlidar.annotate, "validate_bbox"),
+            (roadlidar, "classify"), (roadlidar.annotate, "classify"),
             (roadlidar, "InternalError"), (roadlidar.core, "InternalError"),
             (roadlidar.core, "read_frame_file"), (roadlidar.core, "write_frame_file"),
             (roadlidar.core, "read_label_file"), (roadlidar.core, "format_label_line"),
