@@ -30,6 +30,9 @@ from .core import DataError, Frame, FrameSequence
 
 _MODEL_MAGIC = b"RLBM"
 _MODEL_VERSION = 1
+# Beams per chunk of ``select_background``, whose copy of the counts and
+# per-round arrays take about 4 * n_bin + 40 bytes a beam.
+_SELECT_BEAMS = 1024
 
 
 def point_ranges(xyz: np.ndarray) -> np.ndarray:
@@ -47,7 +50,8 @@ class DistanceHistogram:
     """Per-beam binned range statistics over the query window.
 
     ``bin_mean[i, k]`` is the mean of the ranges that fell into bin k of beam
-    i (0.0 where the bin is empty) and ``bin_count[i, k]`` their number.
+    i (0.0 where the bin is empty) and ``bin_count[i, k]`` their number, an
+    int32: a bin takes at most one range a query frame.
     ``d_min`` and ``d_max`` are per-beam, and the ``n_bin`` bins of a beam
     split [d_min, d_max] evenly; beams that were padding in every query
     frame have d_min = d_max = 0 and no occupied bins.
@@ -89,7 +93,8 @@ def extract_query_frames(seq: FrameSequence, n_query: int) -> FrameSequence:
 
 
 def histogram_of_ranges(
-    window: Iterable[tuple[np.ndarray, np.ndarray]], n_total: int, n_bin: int
+    window: Iterable[tuple[np.ndarray, np.ndarray]], n_total: int, n_bin: int,
+    kept: list | None = None,
 ) -> DistanceHistogram:
     """Bin every beam's ranges across a query window, one frame at a time.
 
@@ -97,32 +102,36 @@ def histogram_of_ranges(
     every beam and the mask of the beams that hold data.  It is iterated
     once.  As each frame arrives it widens every beam's range extent, and it
     is then kept only as the ranges of its beams with data (float64) and its
-    packed mask, about 8f + 1/8 bytes a beam for a data fraction f.  The
-    extent arrays are allocated once the first frame has been read, so a
-    frame source that checks its input first reports a bad frame before a
-    beam count too large to allocate fails.  The kept frames are then
-    binned in query-frame order, each scattered into the bin sums and
-    counts by one ``np.add.at``.  A frame gives each beam at most one
-    range, so a frame's bin indices are unique, each bin takes at most one
-    add a frame whatever order ``np.add.at`` adds them in, and every bin
-    is summed in query-frame order.  A beam whose width is not positive
-    divides by an infinite width, which puts every range in bin 0.  The
-    result agrees bit-for-bit with the naive per-beam double loop (see
-    tests/oracles.py).  Ranges of beams without data are never read.
+    packed mask (``np.packbits``), about 8f + 1/8 bytes a beam for a data
+    fraction f.  A caller that passes a list as ``kept`` gets the kept
+    frames appended to it, in query-frame order, and can use them after the
+    build (``unpack_kept_frame`` turns one back into ranges and mask);
+    otherwise they go with the call.  The extent arrays are allocated once
+    the first frame has been read, so a frame source that checks its input
+    first reports a bad frame before a beam count too large to allocate
+    fails.  The kept frames are then binned in query-frame order, each
+    scattered into the bin sums and counts by one ``np.add.at``.  A frame
+    gives each beam at most one range, so a frame's bin indices are unique,
+    each bin takes at most one add a frame whatever order ``np.add.at``
+    adds them in, and every bin is summed in query-frame order.  A beam
+    whose width is not positive divides by an infinite width, which puts
+    every range in bin 0.  The result agrees bit-for-bit with the naive
+    per-beam double loop (see tests/oracles.py).  Ranges of beams without
+    data are never read.
     """
     if n_bin < 1:
         raise DataError("n_bin must be >= 1")
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    frames: list[tuple[np.ndarray, np.ndarray]] = []
     for r, data in window:
-        if not kept:
+        if not frames:
             seen = np.zeros(n_total, dtype=bool)
             d_min = np.full(n_total, np.inf)
             d_max = np.full(n_total, -np.inf)
         seen |= data
         np.minimum(d_min, r, out=d_min, where=data)
         np.maximum(d_max, r, out=d_max, where=data)
-        kept.append((r[data], np.packbits(data)))
-    if not kept:
+        frames.append((r[data], np.packbits(data)))
+    if not frames:
         raise DataError("empty query set")
     d_min[~seen] = 0.0
     d_max[~seen] = 0.0
@@ -130,20 +139,33 @@ def histogram_of_ranges(
     width[~(width > 0)] = np.inf  # so that (r - d_min) / width is 0
 
     bin_sum = np.zeros(n_total * n_bin)
-    bin_count = np.zeros(n_total * n_bin, dtype=np.int64)
-    for r, packed in kept:
+    bin_count = np.zeros(n_total * n_bin, dtype=np.int32)
+    for r, packed in frames:
         beams = np.flatnonzero(np.unpackbits(packed, count=n_total))
         k = np.floor((r - d_min[beams]) / width[beams])
         flat = beams * n_bin + np.clip(k, 0, n_bin - 1).astype(np.int64)
         np.add.at(bin_sum, flat, r)
-        np.add.at(bin_count, flat, 1)
+        np.add.at(bin_count, flat, np.int32(1))  # an int64 1 would take the slow casting path
     bin_sum = bin_sum.reshape(n_total, n_bin)
     bin_count = bin_count.reshape(n_total, n_bin)
     # Each mean overwrites its bin's sum, so no third (beams x n_bin) array
     # is made; an empty bin's sum stays 0.0.
     bin_mean = np.divide(bin_sum, bin_count, out=bin_sum, where=bin_count > 0)
+    if kept is not None:
+        kept.extend(frames)
 
     return DistanceHistogram(bin_mean=bin_mean, bin_count=bin_count, d_min=d_min, d_max=d_max)
+
+
+def unpack_kept_frame(kept: tuple[np.ndarray, np.ndarray], n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """A query frame as ``histogram_of_ranges`` keeps it, back as each beam's
+    range (0.0 where the beam holds no data) and the mask of the beams with
+    data."""
+    ranges, packed = kept
+    data = np.unpackbits(packed, count=n_total).view(bool)
+    full = np.zeros(n_total)
+    full[data] = ranges
+    return full, data
 
 
 def build_histogram(query: FrameSequence, n_bin: int) -> DistanceHistogram:
@@ -166,19 +188,24 @@ def select_background(hist: DistanceHistogram, n_tall: int) -> BackgroundModel:
     the counts and then marks that bin -1.  ``argmax`` returns the first
     maximum, so ties go to the lower bin index, as a stable sort on
     descending count would order them.  A round whose winner has count 0
-    gives NaN: the beam has no more occupied bins.  No (beams x n_bin)
-    array is made beyond the one copy.
+    gives NaN: the beam has no more occupied bins.  ``hist`` is left as it
+    was.  The beams are taken ``_SELECT_BEAMS`` at a time, so the copy and
+    each round's index and value arrays cover one chunk of beams, not all
+    of them: a caller that keeps the query window through the selection
+    holds no second (beams x n_bin) array next to it.
     """
     n_bin = hist.bin_count.shape[1]
     if n_tall < 1 or n_tall > n_bin:
         raise DataError(f"n_tall must be in [1, n_bin]; got {n_tall} with n_bin {n_bin}")
-    counts = hist.bin_count.copy()
-    rows = np.arange(len(counts))
-    tall = np.empty((len(counts), n_tall))
-    for m in range(n_tall):
-        k = np.argmax(counts, axis=1)
-        tall[:, m] = np.where(counts[rows, k] > 0, hist.bin_mean[rows, k], np.nan)
-        counts[rows, k] = -1
+    tall = np.empty((len(hist.bin_count), n_tall))
+    for lo in range(0, len(tall), _SELECT_BEAMS):
+        counts = hist.bin_count[lo:lo + _SELECT_BEAMS].copy()
+        means = hist.bin_mean[lo:lo + _SELECT_BEAMS]
+        rows = np.arange(len(counts))
+        for m in range(n_tall):
+            k = np.argmax(counts, axis=1)
+            tall[lo:lo + len(counts), m] = np.where(counts[rows, k] > 0, means[rows, k], np.nan)
+            counts[rows, k] = -1
     return BackgroundModel(tall=tall)
 
 

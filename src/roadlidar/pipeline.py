@@ -33,6 +33,7 @@ from .background import (
     point_ranges,
     save_background_model,
     select_background,
+    unpack_kept_frame,
 )
 from .clustering import dbscan
 from .core import (
@@ -175,15 +176,15 @@ def _read_beams(
 
 
 def _query_histogram(
-    buffers: FrameBuffers, files: list[Path], meta: SensorMeta, cfg: TeacherConfig
+    buffers: FrameBuffers, files: list[Path], meta: SensorMeta, cfg: TeacherConfig, window: list
 ) -> DistanceHistogram:
     """The histogram of the first ``n_query`` files, each read once and handed
     to ``histogram_of_ranges`` as it is read, which keeps only its data
-    beams' ranges and packed mask until the histogram is built."""
+    beams' ranges and packed mask and appends them to ``window``."""
     if cfg.n_query > len(files):
         raise DataError(f"n_query {cfg.n_query} exceeds sequence length {len(files)}")
-    window = (_read_beams(buffers, file, meta, cfg.crop)[1:] for file in files[:cfg.n_query])
-    return histogram_of_ranges(window, cfg.n_total, cfg.n_bin)
+    frames = (_read_beams(buffers, file, meta, cfg.crop)[1:] for file in files[:cfg.n_query])
+    return histogram_of_ranges(frames, cfg.n_total, cfg.n_bin, window)
 
 
 def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
@@ -193,16 +194,20 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     window, then per frame background filtering, clustering and annotation.
     Frames stream from disk through one ``FrameBuffers``, in one pass over
     each frame's beams: the first ``n_query`` files are read for the model
-    (none when ``background_model_in`` is set), keeping only each beam's
-    range and data mask, then every file is read in turn.  Its ranges are
-    computed once; the crop and the filter are masks over them, and only
-    the foreground points left are copied out, into the compact frame that
-    DBSCAN and the box fit take.  A frame's boxes go from ``label_rows`` to
-    its label file as arrays, checked once by ``check_label_rows``, which
-    names the frame file.  Peak memory is the model build: the query
-    window, held as each frame's data-beam ranges and packed mask, plus the
-    histogram and the codec's one frame, whatever the recording length;
-    only rejects and counts accumulate.
+    (none when ``background_model_in`` is set), and the window keeps each
+    one's data-beam ranges and packed mask.  Then every frame is labelled
+    in turn.  A query frame's ranges and mask come from the window, whose
+    entry is then dropped; only if the filter leaves it foreground is its
+    file read again, in full through ``_read_beams`` and so with every
+    check of a read.  Every later file is read once.
+    A frame's ranges are computed once; the crop and the filter are masks
+    over them, and only the foreground points left are copied out, into
+    the compact frame that DBSCAN and the box fit take.  A frame's boxes go
+    from ``label_rows`` to its label file as arrays, checked once by
+    ``check_label_rows``, which names the frame file.  Peak memory is the
+    model's selection: the query window, the histogram, the model and the
+    codec's one frame, whatever the recording length; only rejects and
+    counts accumulate.
     Outputs under ``<output_root>/<name>/``: ``labels/``, ``stats.json``,
     ``rejects.log`` and the background model sidecar.  Each frame's label
     file is written as soon as the frame is labelled, into the paths that
@@ -215,6 +220,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     out_dir = Path(output_root) / entry.name
     files = list_frame_files(entry.frames_dir)
     buffers = FrameBuffers(cfg.n_total)
+    window: list = []  # the query frames' data-beam ranges and packed masks
 
     if entry.background_model_in is not None:
         model = load_background_model(entry.background_model_in)
@@ -224,7 +230,7 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
                 f"but the sensor has {cfg.n_total} beams"
             )
     else:
-        model = select_background(_query_histogram(buffers, files, entry.meta, cfg), cfg.n_tall)
+        model = select_background(_query_histogram(buffers, files, entry.meta, cfg, window), cfg.n_tall)
 
     rejects: list[RejectedBox] = []
     points_data = points_removed = clusters_total = noise_total = labels_total = 0
@@ -233,8 +239,15 @@ def run_teacher(entry: DatasetEntry, output_root: str | Path) -> dict:
     ) as (labels_dir, stats_path, rejects_path, model_path):
         labels_dir.mkdir()
         for t, file in enumerate(files, start=1):
-            xyz, ranges, data = _read_beams(buffers, file, entry.meta, cfg.crop)
+            if t <= len(window):
+                ranges, data = unpack_kept_frame(window[t - 1], cfg.n_total)
+                window[t - 1] = None
+                xyz = None
+            else:
+                xyz, ranges, data = _read_beams(buffers, file, entry.meta, cfg.crop)
             active = np.flatnonzero(data & ~near_background(ranges, model, cfg.d_threshold))
+            if xyz is None:  # a query frame: read again, in full, only if it keeps foreground
+                xyz = _read_beams(buffers, file, entry.meta, cfg.crop)[0] if len(active) else np.empty((0, 3))
             foreground = Frame(t, xyz[active], np.zeros(len(active), dtype=bool))
             try:
                 clusters, noise = dbscan(foreground, cfg.epsilon, cfg.min_pts)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from roadlidar import background
 from roadlidar.background import (
     build_histogram,
     extract_query_frames,
@@ -17,6 +18,7 @@ from roadlidar.background import (
     point_ranges,
     save_background_model,
     select_background,
+    unpack_kept_frame,
 )
 from roadlidar.core import DataError, Frame, FrameSequence, SensorMeta
 from roadlidar.simulate import (
@@ -146,7 +148,14 @@ class TestBuildHistogram:
         frames = [list(row) for row in zip(*columns)]
         window = [(np.array([np.nan if r is None else r for r in row]), np.array([r is not None for r in row]))
                   for row in frames]
-        hist = histogram_of_ranges(iter(window), len(columns), n_bin)
+        kept = ["earlier"]
+        hist = histogram_of_ranges(iter(window), len(columns), n_bin, kept)
+        # the frames are appended to the caller's list, each its data mask
+        # and data ranges; what the list held is left and not binned
+        assert kept[0] == "earlier" and len(kept) == 1 + len(window)
+        for (r, data), entry in zip(window, kept[1:]):
+            full, mask = unpack_kept_frame(entry, len(columns))
+            assert mask.tolist() == data.tolist() and full[data].tobytes() == r[data].tobytes()
         means, counts, d_mins, d_maxs, widths = naive_histogram_of_ranges(frames, n_bin)
         assert hist.bin_mean.tobytes() == np.array(means).tobytes()
         assert hist.bin_count.tolist() == counts
@@ -276,6 +285,36 @@ class TestSelectBackground:
                 for row, want in zip(tall, expected):
                     assert row[:len(want)].tolist() == want
                     assert np.isnan(row[len(want):]).all()
+
+    def test_chunked_selection_matches_naive_and_leaves_the_histogram(self):
+        # more beams than two chunks, the last chunk short
+        rng = np.random.default_rng(24)
+        n_total, n_bin, n_tall = 2 * background._SELECT_BEAMS + 37, 5, 3
+        counts = rng.integers(0, 3, (n_total, n_bin))
+        means = np.where(counts > 0, rng.uniform(1.0, 60.0, counts.shape), 0.0)
+        hist = DistanceHistogram(means, counts.copy(), np.zeros(n_total), np.zeros(n_total))
+        tall = select_background(hist, n_tall).tall
+        for row, want in zip(tall, naive_select_tall(means.tolist(), counts.tolist(), n_tall)):
+            assert row[:len(want)].tolist() == want
+            assert np.isnan(row[len(want):]).all()
+        # the selection marks its own copy of the counts, not the histogram's
+        assert np.array_equal(hist.bin_count, counts)
+        assert select_background(hist, n_tall).tall.tobytes() == tall.tobytes()
+
+    def test_selection_holds_no_copy_of_all_the_counts(self):
+        # The run keeps the query window through the selection, so next to
+        # the model the selection may hold a chunk of beams' counts, not all.
+        rng = np.random.default_rng(25)
+        n_total, n_bin, n_tall = 40 * background._SELECT_BEAMS, 10, 3
+        counts = rng.integers(0, 50, (n_total, n_bin)).astype(np.int32)
+        hist = DistanceHistogram(rng.uniform(1.0, 60.0, counts.shape), counts, np.zeros(n_total), np.zeros(n_total))
+        tracemalloc.start()
+        try:
+            select_background(hist, n_tall)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_total * n_tall + counts.nbytes / 4
 
 
 class TestFilterFrame:

@@ -14,8 +14,13 @@ same 92 beam rows spread over 35 degrees instead of 23, so fewer of them
 fall on each actor.
 
 The pins are the exact bytes the program wrote for each scene: the SHA-256
-of the label files, ``stats.json`` and the ``evaluate`` report.  A change
-that is meant to alter the outputs updates them and says why.
+of the label files and of ``rejects.log``, ``stats.json`` and the
+``evaluate`` report.  ``rejects.log`` names the first size gate each
+rejected box fails, so it pins the order of the gates.  The actors are in
+the query window, so most query frames keep foreground after the background
+filter (39, 50 and 39 of the 50), and each scene also pins the points read
+again for them.  A change that is meant to alter the outputs updates the
+pins and says why.
 """
 
 import dataclasses
@@ -28,6 +33,7 @@ from roadlidar.cli import main
 from roadlidar.simulate import default_scene, write_scene_outputs
 
 LABELS_SHA256 = "9dbc3d70c0da2e0aef24e429a1b5ee6a68db41c3319f42d6f164e7a49f209d86"
+REJECTS_SHA256 = "ae4099470a8d6bc6f7d57f71a6e4f7eb211333b40b550467c63eea34fcea786a"
 STATS_JSON = """\
 {
   "boxes_rejected": 87,
@@ -51,6 +57,7 @@ Pedestrian 0.30 0.322321 0.356250 57 6 103
 Pedestrian 0.50 0.145812 0.237500 38 25 122
 """
 NOISY_LABELS_SHA256 = "d5b0363040b003ac52f65e5c8f956a0eb5f2e959b7b1775151939ae8c48f3c57"
+NOISY_REJECTS_SHA256 = "07e873be2084e293c74158762dee4d2a1cdfe26cb1c8c52e996461158ef98a48"
 NOISY_STATS_JSON = """\
 {
   "boxes_rejected": 61,
@@ -74,6 +81,7 @@ Pedestrian 0.30 0.334359 0.550000 88 57 72
 Pedestrian 0.50 0.053168 0.218750 35 110 125
 """
 RAISED_LABELS_SHA256 = "2b57a50bf0988eb3e7f7d7736313c92b9d3f573b4cf0a57ff4fcf149634af058"
+RAISED_REJECTS_SHA256 = "d2faed2383464f2301683ecd9e56a69a379259fe62a9eb881316a928fb33c5e9"
 RAISED_STATS_JSON = """\
 {
   "boxes_rejected": 71,
@@ -158,6 +166,7 @@ def run_pinned_scene(root, spec):
     assert main(["evaluate", "--config", str(root / "evaluate.json")]) == 0
     return {
         "labels_sha256": labels_sha256(root / "out" / "pinned" / "labels"),
+        "rejects_sha256": hashlib.sha256((root / "out" / "pinned" / "rejects.log").read_bytes()).hexdigest(),
         "stats": (root / "out" / "pinned" / "stats.json").read_text(encoding="utf-8"),
         "report": (root / "report.txt").read_text(encoding="utf-8"),
     }
@@ -182,6 +191,10 @@ def test_labels_pinned(outputs):
     assert outputs["labels_sha256"] == LABELS_SHA256
 
 
+def test_rejects_pinned(outputs):
+    assert outputs["rejects_sha256"] == REJECTS_SHA256
+
+
 def test_stats_pinned(outputs):
     assert outputs["stats"] == STATS_JSON
 
@@ -202,6 +215,10 @@ def test_noisy_labels_pinned(noisy_outputs):
     assert noisy_outputs["labels_sha256"] == NOISY_LABELS_SHA256
 
 
+def test_noisy_rejects_pinned(noisy_outputs):
+    assert noisy_outputs["rejects_sha256"] == NOISY_REJECTS_SHA256
+
+
 def test_noisy_stats_pinned(noisy_outputs):
     assert noisy_outputs["stats"] == NOISY_STATS_JSON
 
@@ -212,6 +229,10 @@ def test_noisy_report_pinned(noisy_outputs):
 
 def test_raised_labels_pinned(raised_outputs):
     assert raised_outputs["labels_sha256"] == RAISED_LABELS_SHA256
+
+
+def test_raised_rejects_pinned(raised_outputs):
+    assert raised_outputs["rejects_sha256"] == RAISED_REJECTS_SHA256
 
 
 def test_raised_stats_pinned(raised_outputs):

@@ -238,13 +238,15 @@ class TestRunTeacher:
         # Every frame alive next to its cropped copy would take twice the frames' bytes.
         assert peak < 1.75 * frames_bytes
 
-    def test_query_window_holds_ranges_not_points(self, tmp_path):
+    @pytest.mark.parametrize("n_bin", [4, 10])
+    def test_query_window_holds_ranges_not_points(self, tmp_path, n_bin):
         spec = _mini_scene(duration=40)
         write_scene_outputs(spec, tmp_path / "scene")
         entry = _entry((tmp_path / "scene", spec))
-        # every frame in the window, and few bins, so the window dominates; the
-        # crop drops the ground, so fewer than half the beams hold data
-        n_total, n_query, n_bin = spec.sensor.beam_count, 40, 4
+        # every frame in the window, at few bins (the window dominates) and at
+        # the README's 10; the crop drops the ground, so fewer than half the
+        # beams hold data
+        n_total, n_query = spec.sensor.beam_count, 40
         entry = dataclasses.replace(entry, teacher=dataclasses.replace(
             entry.teacher, n_query=n_query, n_bin=n_bin, crop=CropBounds(0, 40, -25, 25, 0.5, 8),
         ))
@@ -262,7 +264,12 @@ class TestRunTeacher:
         # every beam's range and a bool mask it would be 9 bytes a beam, and as
         # (n, 3) float64 points and padding 25.
         window = 8 * data_beams + n_query * n_total / 8
-        histogram = n_total * n_bin * 24  # bin sums and counts, and the select's copy of the counts
+        # The window outlives the build, since the labeling loop filters the
+        # query frames from it, so it sits next to the float64 bin sums, the
+        # int32 counts and the model's tall bins while the model is
+        # selected.  Int64 counts with a full copy of them (24 bytes a bin)
+        # do not fit at 10 bins.
+        histogram = n_total * (16 * n_bin + 8 * entry.teacher.n_tall)
         frame = n_total * 25
         assert peak < window + histogram + 6 * frame
 
@@ -288,8 +295,10 @@ class TestRunTeacher:
 
     @pytest.mark.parametrize(
         "unit_scale, variant",
-        [(scale, variant) for variant in ("query_model", "model_in", "tight_crop") for scale in (1.0, 0.01)],
-        ids=["1.0", "0.01", "1.0-model_in", "0.01-model_in", "1.0-tight_crop", "0.01-tight_crop"],
+        [(scale, variant) for variant in ("query_model", "model_in", "tight_crop", "query_traffic")
+         for scale in (1.0, 0.01)],
+        ids=["1.0", "0.01", "1.0-model_in", "0.01-model_in", "1.0-tight_crop", "0.01-tight_crop",
+             "1.0-query_traffic", "0.01-query_traffic"],
     )
     def test_same_bytes_as_the_composed_stages(self, scene_dir, tmp_path, unit_scale, variant):
         out, spec = scene_dir
@@ -314,6 +323,10 @@ class TestRunTeacher:
             # the wall at x = 28 m lies outside this crop, so every frame loses points
             crop = CropBounds(0, 25, -25, 25, -1, 8)
             entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, crop=crop))
+        elif variant == "query_traffic":
+            # the actor, in view from frame 13, is in the window: the query
+            # frames that keep foreground are read again for its points
+            entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_query=25))
         stats = run_teacher(entry, tmp_path / "streamed")
         assert stats["labels_written"] and stats["boxes_rejected"] and stats["noise_points"]
         _composed_teacher(entry, tmp_path / "composed")
@@ -338,18 +351,52 @@ class TestRunTeacher:
                 for lb in labs:
                     assert lb.length >= lb.width > 0
 
-    def test_reused_background_model(self, scene_dir, tmp_path):
-        run_teacher(_entry(scene_dir), tmp_path / "a")
+    @pytest.mark.parametrize("n_query", [10, 25], ids=["clean_window", "actor_in_window"])
+    def test_reused_background_model(self, scene_dir, tmp_path, n_query):
+        """The query frames filtered from the window and the same frames read
+        again (every frame with ``background_model_in``) give the same four
+        outputs.  The actor is in view from frame 13, so 25 query frames hold it."""
         entry = _entry(scene_dir)
-        entry2 = DatasetEntry(
-            name=entry.name, frames_dir=entry.frames_dir, meta=entry.meta,
-            teacher=entry.teacher,
-            background_model_in=tmp_path / "a" / "site_a" / "background.model",
-        )
-        run_teacher(entry2, tmp_path / "b")
-        a = sorted((tmp_path / "a" / "site_a" / "labels").glob("*.txt"))
-        b = sorted((tmp_path / "b" / "site_a" / "labels").glob("*.txt"))
-        assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
+        entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_query=n_query))
+        run_teacher(entry, tmp_path / "a")
+        entry2 = dataclasses.replace(entry, background_model_in=tmp_path / "a" / "site_a" / "background.model")
+        stats = run_teacher(entry2, tmp_path / "b")
+        assert stats["clusters_found"]
+        assert _tree_bytes(tmp_path / "a" / "site_a") == _tree_bytes(tmp_path / "b" / "site_a")
+
+    @pytest.mark.parametrize("variant", ["clean_window", "actor_in_window", "model_in"])
+    def test_each_file_read_once_unless_a_query_frame_keeps_foreground(
+        self, scene_dir, tmp_path, monkeypatch, variant
+    ):
+        """A query frame is filtered from the model's window, and its file is
+        read again only for the points of the foreground it keeps."""
+        entry = _entry(scene_dir)
+        n_query = 25 if variant == "actor_in_window" else 10
+        entry = dataclasses.replace(entry, teacher=dataclasses.replace(entry.teacher, n_query=n_query))
+        files = sorted(p.name for p in entry.frames_dir.glob("*.bin"))
+        if variant == "model_in":
+            run_teacher(entry, tmp_path / "model")
+            entry = dataclasses.replace(entry, background_model_in=tmp_path / "model" / "site_a" / "background.model")
+            expected = files
+        else:
+            # the query frames that keep foreground, as the composed stages filter them
+            cfg = entry.teacher
+            seq = unify_units(load_frame_sequence(entry.frames_dir, entry.meta))
+            query = extract_query_frames(
+                FrameSequence([crop_frame(f, cfg.crop) for f in seq.frames], seq.meta, seq.stems), n_query
+            )
+            model = select_background(build_histogram(query, cfg.n_bin), cfg.n_tall)
+            kept = [f"{stem}.bin" for frame, stem in zip(query.frames, query.stems)
+                    if filter_frame(frame, model, cfg.d_threshold).n_data_points]
+            assert 0 < len(kept) < n_query if variant == "actor_in_window" else not kept
+            # the window is read for the model, then the loop reads again the
+            # query files that keep foreground, then every later file
+            expected = files[:n_query] + kept + files[n_query:]
+        reads = []
+        read = pipeline.FrameBuffers.read
+        monkeypatch.setattr(pipeline.FrameBuffers, "read", lambda self, path: reads.append(path.name) or read(self, path))
+        run_teacher(entry, tmp_path / "out")
+        assert reads == expected
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_dataset_isolation(self, scene_dir, tmp_path, parallelism):
