@@ -431,27 +431,36 @@ class FrameBuffers:
     ``read`` returns views of these arrays, valid until the next ``read``;
     ``write`` takes any (beam_count, 3) array, such a view included.  A
     call that fails leaves the arrays to be overwritten whole by the next.
-    The arrays are allocated at the first use, after ``read`` has checked a
-    file's size, so a beam count too large to allocate is reported as the
-    malformed frame file it meets.
+    Each direction's arrays are allocated at its first use, after ``read``
+    has checked a file's size, so a beam count too large to allocate is
+    reported as the malformed frame file it meets; a codec that only reads
+    never holds ``write``'s records, and one that only writes never holds
+    ``read``'s.
     """
 
     def __init__(self, beam_count: int) -> None:
         self.beam_count = beam_count
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The file's records, its xyz, its padding mask, a scratch mask and
-        the records ``write`` encodes, whose intensity stays zero.  The xyz
-        is column-major: the per-beam stages read it one coordinate at a
-        time, and a contiguous column reads several times faster."""
+    def _scratch(self) -> np.ndarray:
+        """The mask that both directions' finiteness checks write into."""
+        return np.empty(self.beam_count, dtype=bool)
+
+    @cached_property
+    def _read_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The file's records, its xyz and its padding mask.  The xyz is
+        column-major: the per-beam stages read it one coordinate at a time,
+        and a contiguous column reads several times faster."""
         n = self.beam_count
-        return (np.empty((n, 4), dtype="<f4"), np.empty((n, 3), order="F"), np.empty(n, dtype=bool),
-                np.empty(n, dtype=bool), np.zeros((n, 4), dtype="<f4"))
+        return np.empty((n, 4), dtype="<f4"), np.empty((n, 3), order="F"), np.empty(n, dtype=bool)
+
+    @cached_property
+    def _write_records(self) -> np.ndarray:
+        """The records ``write`` encodes, whose intensity stays zero."""
+        return np.zeros((self.beam_count, 4), dtype="<f4")
 
     def _all_finite(self, columns: np.ndarray) -> bool:
-        scratch = self._arrays[3]
-        return all(np.isfinite(column, out=scratch).all() for column in columns.T)
+        return all(np.isfinite(column, out=self._scratch).all() for column in columns.T)
 
     def read(self, path: Path) -> tuple[np.ndarray, np.ndarray]:
         """One .bin frame file: its xyz as a column-major (n, 3) float64
@@ -466,7 +475,7 @@ class FrameBuffers:
             with open(path, "rb", buffering=0) as file:
                 size = os.fstat(file.fileno()).st_size
                 if size == expected:
-                    size = file.readinto(self._arrays[0])
+                    size = file.readinto(self._read_arrays[0])
         except OSError as exc:
             raise DataError(f"cannot read frame file {path}: {exc}") from exc
         if size != expected:
@@ -475,13 +484,13 @@ class FrameBuffers:
                 f"{self.beam_count} beams take {expected} "
                 f"({_POINT_RECORD_BYTES} bytes each)"
             )
-        raw, xyz, padding, scratch, _ = self._arrays
+        raw, xyz, padding = self._read_arrays
         np.copyto(xyz, raw[:, :3])
         if not self._all_finite(xyz):
             raise DataError(f"malformed frame file {path}: a coordinate is not finite")
         np.equal(xyz[:, 0], 0.0, out=padding)
         for axis in (1, 2):
-            padding &= np.equal(xyz[:, axis], 0.0, out=scratch)
+            padding &= np.equal(xyz[:, axis], 0.0, out=self._scratch)
         return xyz, padding
 
     def write(self, path: Path, xyz: np.ndarray) -> None:
@@ -492,7 +501,7 @@ class FrameBuffers:
         a value beyond the float32 range -- is a DataError naming the file,
         and nothing is written.
         """
-        record = self._arrays[4]
+        record = self._write_records
         with np.errstate(over="ignore", invalid="ignore"):
             for axis in range(3):
                 record[:, axis] = xyz[:, axis]

@@ -59,6 +59,9 @@ MASK_PADDING = 2
 
 _EPS_T = 1e-6
 _TINY = 1e-12
+# The 16-byte frame records of 2**44 beams fill a 48-bit address space, so a
+# larger beam grid cannot be rendered on any machine.
+_MAX_BEAMS = 2**44
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,9 @@ class SensorModel:
     def __post_init__(self) -> None:
         if self.azimuth_count < 1 or self.elevation_count < 1:
             raise ConfigError("beam counts must be >= 1")
+        if self.beam_count > _MAX_BEAMS:
+            raise ConfigError(f"sensor beam counts {self.azimuth_count} x {self.elevation_count} exceed "
+                              "2**44 beams, whose 16-byte frame records fill a 48-bit address space")
         check_finite("sensor origin", self.origin)
         check_finite("azimuth_deg", self.azimuth_deg)
         check_finite("elevation_deg", self.elevation_deg)

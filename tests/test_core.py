@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -185,6 +186,27 @@ class TestFrameBuffers:
             assert out.read_bytes() == (tmp_path / "fresh.bin").read_bytes()
             rec = np.fromfile(out, dtype="<f4").reshape(-1, 4)
             assert not rec[:, 3].any()
+
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    def test_each_direction_allocates_only_its_own_arrays(self, tmp_path, direction):
+        n = 65536
+        self._records(np.random.default_rng(5), n).tofile(tmp_path / "in.bin")
+        xyz = np.ones((n, 3))
+        buffers = FrameBuffers(n)
+        tracemalloc.start()
+        try:
+            if direction == "read":
+                buffers.read(tmp_path / "in.bin")
+            else:
+                buffers.write(tmp_path / "out.bin", xyz)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # bytes a beam: read's records, xyz and padding, or write's records;
+        # and the scratch mask that both use
+        own = {"read": 16 + 24 + 1, "write": 16}[direction] + 1
+        # the other direction's arrays would add 16 bytes a beam or more
+        assert own * n <= held < (own + 1) * n
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("failure", ["nan-read", "short-read", "inf-write", "beyond-float32-write"])

@@ -7,6 +7,8 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import Future
@@ -419,14 +421,7 @@ class TestRunTeacher:
     def test_determinism_byte_identical(self, scene_dir, tmp_path):
         run_teacher(_entry(scene_dir), tmp_path / "run1")
         run_teacher(_entry(scene_dir), tmp_path / "run2")
-        files1 = sorted((tmp_path / "run1" / "site_a" / "labels").glob("*.txt"))
-        files2 = sorted((tmp_path / "run2" / "site_a" / "labels").glob("*.txt"))
-        assert [f.name for f in files1] == [f.name for f in files2]
-        for a, b in zip(files1, files2):
-            assert a.read_bytes() == b.read_bytes()
-        s1 = (tmp_path / "run1" / "site_a" / "stats.json").read_bytes()
-        s2 = (tmp_path / "run2" / "site_a" / "stats.json").read_bytes()
-        assert s1 == s2
+        assert _tree_bytes(tmp_path / "run1" / "site_a") == _tree_bytes(tmp_path / "run2" / "site_a")
 
     def test_rerun_after_frames_removed_leaves_no_stale_labels(self, scene_dir, tmp_path):
         out, spec = scene_dir
@@ -942,6 +937,23 @@ def _actor(**fields):
 
 
 class TestCli:
+    def test_smoke_script_runs_without_the_test_extras(self, tmp_path):
+        """tests/cli_smoke.py, which CI runs before the test extras are
+        installed, exits 0 in a process where importing any of them fails."""
+        code = (
+            "import runpy, sys\n"
+            "for name in ('pytest', 'hypothesis', 'scipy'):\n"
+            "    sys.modules[name] = None  # an import of it raises ImportError\n"
+            "runpy.run_path(sys.argv[1], run_name='__main__')\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).with_name("cli_smoke.py"))],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr[-4000:]
+        assert not list(tmp_path.iterdir())
+
     def test_misspelled_merge_key_is_ignored_with_a_warning(self, tmp_path, caplog):
         frames, labels = tmp_path / "frames", tmp_path / "labels"
         frames.mkdir()
@@ -1290,8 +1302,7 @@ class TestCli:
         assert f"dataset 'site_a': cannot merge {blamed_file}: " in caplog.text
         if blamed == "labels":
             assert "label field center_x must be finite" in caplog.text
-        assert not (tmp_path / "merged" / "site_a" / "frames").exists()
-        assert not list((tmp_path / "merged").rglob("*.partial"))
+        assert not (tmp_path / "merged").exists()
 
     def test_parallel_annotate_matches_sequential(self, scene_dir, tmp_path):
         entries = [_entry(scene_dir, "a"), _entry(scene_dir, "b", d_threshold=0.3)]
@@ -1550,7 +1561,11 @@ class TestCli:
         if not where:  # a whole config is named by its kind
             assert f"{command} config must be a JSON object" in message
         elif isinstance(where[-1], int):  # a list entry by its list's key and index
-            assert f"{where[-2]}[{where[-1]}]" in message
+            assert f"{where[-2]}[{where[-1]}] must be a JSON object" in message
+        elif where[-1] in ("datasets", "inputs", "static", "thresholds", "waypoints") and not isinstance(value, list):
+            assert f"{where[-1]} must be a list" in message
+        elif where[-1] in ("sensor", "transform") and (value is None or isinstance(value, list)):
+            assert f"{where[-1]} must be a JSON object" in message
         elif not (where[-1] == "transform" and isinstance(value, dict)):  # the field or section at fault
             assert re.search(rf"\b{where[-1]}\b", message)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "pred", "truth"])
@@ -1750,6 +1765,11 @@ class TestCli:
         (lambda scene: scene["sensor"].update(frequency_hz=NAN), [], "frequency_hz must be finite and positive"),
         (lambda scene: scene["sensor"].update(max_range=NAN), [], "max_range must be finite and positive"),
         (lambda scene: scene["sensor"].update(azimuth_deg=[-10, NAN]), [], "azimuth_deg must be finite"),
+        # past the address space, so neither would allocate even without the check
+        (lambda scene: scene["sensor"].update(azimuth_count=2**45, elevation_count=1), [],
+         "sensor beam counts 35184372088832 x 1 exceed 2**44 beams"),
+        (lambda scene: scene["sensor"].update(azimuth_count=1e300), [],
+         f"sensor beam counts {int(1e300)} x 10 exceed 2**44 beams"),
         (lambda scene: scene["actors"].append(_actor(start_time=NAN)), [], "start_time must be >= 0"),
         (lambda scene: scene["actors"].append(_actor(waypoints=[[10, 0], [12, NAN]])), [],
          "actor waypoints must be finite"),
@@ -1769,7 +1789,8 @@ class TestCli:
          [], "cylinder z_low must be below z_high, got 2.0 and 2.0"),
     ], ids=["seed-flag", "seed-field", "nan-speed", "negative-jitter", "nan-jitter",
             "nan-origin", "inf-origin", "nan-range-noise", "nan-frequency", "nan-max-range",
-            "nan-azimuth", "nan-start-time", "nan-waypoint", "nan-cuboid-width", "nan-cylinder-radius",
+            "nan-azimuth", "beam-grid-2**45", "beam-grid-1e300", "nan-start-time", "nan-waypoint",
+            "nan-cuboid-width", "nan-cylinder-radius",
             "nan-ground-z", "nan-box-dims", "nan-static-cylinder-radius",
             "upside-down-cylinder", "flat-cylinder"])
     def test_bad_scene_value_is_config_error(self, tmp_path, caplog, edit, flags, message):
@@ -1863,6 +1884,18 @@ class TestExitPaths:
         caplog.clear()
         assert main(argv) == 2
         assert f"cannot read label file {bad}" in caplog.text
+        self._assert_kept(tmp_path, before, caplog, capsys)
+
+    def test_prediction_with_a_nan_score_is_data_error(self, scene_dir, tmp_path, caplog, capsys):
+        configs = self._world(scene_dir, tmp_path)
+        bad = next(f for f in sorted((tmp_path / "out" / "site_a" / "labels").glob("*.txt")) if f.stat().st_size)
+        first, *rest = bad.read_text().splitlines(keepends=True)
+        bad.write_text(first.rsplit(" ", 1)[0] + " nan\n" + "".join(rest))
+        argv = self._argv(tmp_path, "evaluate", configs["evaluate"])
+        before = self._snapshot(tmp_path)
+        caplog.clear()
+        assert main(argv) == 2
+        assert f"{bad}:1: label field score must be finite" in caplog.text
         self._assert_kept(tmp_path, before, caplog, capsys)
 
     def test_merge_label_file_without_a_frame_is_data_error(self, scene_dir, tmp_path, caplog, capsys):

@@ -223,6 +223,9 @@ class TestSceneOutputs:
 
     def test_shorter_rerun_leaves_no_stale_files(self, tmp_path):
         write_scene_outputs(_scene(duration=5), tmp_path)
+        # and a partial that a killed render left
+        (tmp_path / ".masks.partial").mkdir()
+        (tmp_path / ".masks.partial" / "stale.mask").write_text("stale\n")
         write_scene_outputs(_scene(duration=3), tmp_path)
         for kind in ("frames", "truth", "masks"):
             assert len(list((tmp_path / kind).iterdir())) == 3
